@@ -10,16 +10,17 @@
 // checked against a from-scratch reference solve of the final state.
 //
 // A standalone solver-churn section measures the kernel itself on the
-// 128-node/200-flow churn workload (SIMD on and off): ns per churn round
-// and — via the global allocation probe this binary links in — allocations
-// per round, which must be exactly zero at steady state.
+// 128-node/200-flow churn workload: ns per churn round and — via the global
+// allocation probe this binary links in — allocations per round, which
+// must be exactly zero at steady state.
 //
-// Emits BENCH_alloc_fastpath.json next to the working directory so the
+// Emits BENCH_alloc_fastpath.json into the working directory so the
 // speedup is on the record; `--smoke` (or BASS_BENCH_SMOKE=1) runs a tiny
 // config for CI. `--check-baseline[=path]` additionally compares against
 // the checked-in baseline (bench/baselines/alloc_fastpath_baseline.json)
 // and exits nonzero on regression: the allocation gate is unconditional,
-// the timing gates are skipped under sanitizers.
+// the timing gates are skipped under sanitizers. Any other argument is a
+// usage error (exit status 2).
 #include "../tests/alloc_probe.h"  // global new/delete counters (one TU rule)
 
 #include <algorithm>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "common.h"
+#include "maxmin_reference.h"
 #include "net/maxmin.h"
 #include "net/network.h"
 #include "obs/journal.h"
@@ -270,7 +272,7 @@ struct ChurnResult {
   std::size_t scratch_bytes = 0;
 };
 
-ChurnResult solver_churn(bool simd, int rounds) {
+ChurnResult solver_churn(int rounds) {
   util::Rng rng(0xBA55);
   const int nodes = 128, nflows = 200;
   const net::Topology topo = make_mesh(nodes, rng);
@@ -289,7 +291,6 @@ ChurnResult solver_churn(bool simd, int rounds) {
                         routing.path_ptr(spec.src, spec.dst)});
   }
   net::MaxMinSolver solver;
-  solver.set_use_simd(simd);
   auto churn_round = [&] {
     const auto victim = static_cast<std::size_t>(rng.uniform_int(0, nflows - 1));
     const FlowSpec spec = random_flow(nodes, rng);
@@ -357,8 +358,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
 }
 
 void write_json(const std::vector<ScenarioResult>& results,
-                const ChurnResult& churn_simd, const ChurnResult& churn_scalar,
-                bool smoke) {
+                const ChurnResult& churn, bool smoke) {
   // One registry row per scenario, distinguished by labels — the shared
   // BENCH_*.json schema (bench::write_bench_json).
   obs::MetricsRegistry reg;
@@ -383,19 +383,12 @@ void write_json(const std::vector<ScenarioResult>& results,
     reg.gauge("speedup", labels).set(r.speedup());
     reg.gauge("max_rate_diff_bps", labels).set(r.max_rate_diff_bps);
   }
-  const struct {
-    const char* simd;
-    const ChurnResult& r;
-  } churn_rows[] = {{"on", churn_simd}, {"off", churn_scalar}};
-  for (const auto& row : churn_rows) {
-    const obs::Labels labels = {{"workload", "solver_churn_128x200"},
-                                {"simd", row.simd}};
-    reg.gauge("solver_churn.ns_per_round", labels).set(row.r.ns_per_round);
-    reg.gauge("solver_churn.allocs_per_round", labels).set(row.r.allocs_per_round);
-    reg.gauge("solver_churn.bytes_per_round", labels).set(row.r.bytes_per_round);
-    reg.gauge("solver_churn.scratch_bytes", labels)
-        .set(static_cast<double>(row.r.scratch_bytes));
-  }
+  const obs::Labels labels = {{"workload", "solver_churn_128x200"}};
+  reg.gauge("solver_churn.ns_per_round", labels).set(churn.ns_per_round);
+  reg.gauge("solver_churn.allocs_per_round", labels).set(churn.allocs_per_round);
+  reg.gauge("solver_churn.bytes_per_round", labels).set(churn.bytes_per_round);
+  reg.gauge("solver_churn.scratch_bytes", labels)
+      .set(static_cast<double>(churn.scratch_bytes));
   write_bench_json("alloc_fastpath", reg);
 }
 
@@ -425,8 +418,7 @@ bool timing_gates_enabled() {
 #endif
 }
 
-int check_baseline(const std::string& path, const ChurnResult& churn_simd,
-                   const ChurnResult& churn_scalar,
+int check_baseline(const std::string& path, const ChurnResult& churn,
                    const std::vector<ScenarioResult>& results) {
   std::ifstream in(path);
   if (!in) {
@@ -450,25 +442,21 @@ int check_baseline(const std::string& path, const ChurnResult& churn_simd,
       return 1;
     }
     const double max_allocs = field_as_double(fields, "max_allocs_per_round", 0.0);
-    gate(churn_simd.allocs_per_round <= max_allocs,
-         "solver_churn allocs/round (simd)", churn_simd.allocs_per_round,
-         max_allocs);
-    gate(churn_scalar.allocs_per_round <= max_allocs,
-         "solver_churn allocs/round (scalar)", churn_scalar.allocs_per_round,
-         max_allocs);
+    gate(churn.allocs_per_round <= max_allocs, "solver_churn allocs/round",
+         churn.allocs_per_round, max_allocs);
     if (!timing_gates_enabled()) continue;
     const double pr4_ns = field_as_double(fields, "pr4_scalar_ns_per_round", 0.0);
     const double min_speedup = field_as_double(fields, "min_speedup_vs_pr4", 1.5);
     if (pr4_ns > 0.0) {
-      gate(pr4_ns / churn_simd.ns_per_round >= min_speedup,
-           "solver_churn speedup vs PR-4 scalar",
-           pr4_ns / churn_simd.ns_per_round, min_speedup);
+      gate(pr4_ns / churn.ns_per_round >= min_speedup,
+           "solver_churn speedup vs pre-refactor kernel",
+           pr4_ns / churn.ns_per_round, min_speedup);
     }
     const double expected_ns = field_as_double(fields, "expected_ns_per_round", 0.0);
     const double tol = field_as_double(fields, "ns_tolerance_ratio", 0.6);
     if (expected_ns > 0.0) {
-      gate(churn_simd.ns_per_round <= expected_ns * (1.0 + tol),
-           "solver_churn ns/round (simd)", churn_simd.ns_per_round,
+      gate(churn.ns_per_round <= expected_ns * (1.0 + tol),
+           "solver_churn ns/round", churn.ns_per_round,
            expected_ns * (1.0 + tol));
     }
     const double engine_pps =
@@ -512,19 +500,13 @@ int run(bool smoke, const std::string& baseline_path) {
 
   // Kernel-level churn: cheap enough to run in every mode (~2000 solves).
   const int churn_rounds = smoke ? 500 : 2000;
-  const ChurnResult churn_simd = solver_churn(true, churn_rounds);
-  const ChurnResult churn_scalar = solver_churn(false, churn_rounds);
-  std::printf("solver churn 128x200: simd %8.0f ns/round (%.3f allocs, %.1f B)"
-              " | scalar %8.0f ns/round (%.3f allocs, %.1f B)\n",
-              churn_simd.ns_per_round, churn_simd.allocs_per_round,
-              churn_simd.bytes_per_round, churn_scalar.ns_per_round,
-              churn_scalar.allocs_per_round, churn_scalar.bytes_per_round);
+  const ChurnResult churn = solver_churn(churn_rounds);
+  std::printf("solver churn 128x200: %8.0f ns/round (%.3f allocs, %.1f B)\n",
+              churn.ns_per_round, churn.allocs_per_round, churn.bytes_per_round);
 
-  write_json(results, churn_simd, churn_scalar, smoke);
+  write_json(results, churn, smoke);
   int rc = 0;
-  if (!baseline_path.empty()) {
-    rc = check_baseline(baseline_path, churn_simd, churn_scalar, results);
-  }
+  if (!baseline_path.empty()) rc = check_baseline(baseline_path, churn, results);
   if (!rates_ok) {
     std::printf("RESULT: FAIL (incremental rates diverged from reference)\n");
     return 1;
@@ -543,12 +525,18 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--check-baseline") == 0) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--check-baseline") == 0) {
       baseline_path = "bench/baselines/alloc_fastpath_baseline.json";
-    }
-    if (std::strncmp(argv[i], "--check-baseline=", 17) == 0) {
+    } else if (std::strncmp(argv[i], "--check-baseline=", 17) == 0) {
       baseline_path = argv[i] + 17;
+    } else {
+      // A typo such as --check-baselin must not silently skip the gate.
+      std::fprintf(stderr, "unknown argument '%s'\n"
+                   "usage: %s [--smoke] [--check-baseline[=path]]\n",
+                   argv[i], argv[0]);
+      return 2;
     }
   }
   const char* env = std::getenv("BASS_BENCH_SMOKE");

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "trace/citylab.h"
 #include "util/logging.h"
-#include "util/simd.h"
 #include "util/strings.h"
 
 namespace bass::bench {
@@ -39,7 +38,7 @@ inline void print_header(const std::string& title) {
 }
 
 // Machine/build metadata for baseline comparability: one "build.info" gauge
-// whose labels carry the compiler, build type, flags, and SIMD/sanitizer
+// whose labels carry the compiler, build type, flags, and sanitizer
 // state. A checked-in baseline is only meaningful against a comparable
 // build, and this row is how a reader (or CI) tells at a glance whether
 // two BENCH_*.json files can be compared.
@@ -63,7 +62,6 @@ inline void emit_build_info(obs::MetricsRegistry& registry) {
              {{"compiler", __VERSION__},
               {"build_type", build_type},
               {"flags", flags},
-              {"simd", util::simd::kCompiled ? "on" : "off"},
               {"sanitizer", sanitized ? "on" : "off"}})
       .set(1.0);
 }

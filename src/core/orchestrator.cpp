@@ -85,9 +85,8 @@ void Orchestrator::set_recorder(obs::Recorder* recorder) {
   }
   m_place_us_ = &recorder->metrics().log_timer_us("sched.place_us");
   m_decision_us_ = &recorder->metrics().log_timer_us("orchestrator.decision_us");
-  m_downtime_ms_ = &recorder->metrics().histogram(
-      "orchestrator.migration_downtime_ms",
-      {1, 10, 100, 1000, 5000, 10000, 20000, 30000, 60000, 120000});
+  m_downtime_ms_ =
+      &recorder->metrics().log_histogram("orchestrator.migration_downtime_ms");
 }
 
 std::unique_ptr<sched::NetworkView> Orchestrator::make_view() const {

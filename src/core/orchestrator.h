@@ -248,7 +248,7 @@ class Orchestrator {
   obs::Recorder* recorder_ = nullptr;
   obs::LogHistogram* m_place_us_ = nullptr;
   obs::LogHistogram* m_decision_us_ = nullptr;
-  obs::Histogram* m_downtime_ms_ = nullptr;
+  obs::LogHistogram* m_downtime_ms_ = nullptr;
   OrchestratorConfig config_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
   std::vector<MigrationEvent> migrations_;

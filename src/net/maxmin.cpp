@@ -72,7 +72,7 @@ const std::vector<double>& MaxMinSolver::solve(
   // Pass 0: total path length T over demanding entities bounds every dense
   // array (≤ T distinct active links, exactly T CSR slots both ways), so
   // one arena reset up front covers the whole solve. The bound is padded
-  // past the worst-case carve sum (nf·17 + T·60 + ~112 incl. alignment).
+  // past the worst-case carve sum (nf·29 + T·60 + ~112 incl. alignment).
   std::size_t total_links = 0;
   for (const AllocEntityRef& e : entities) {
     if (e.demand > 0.0) total_links += e.links->size();
@@ -87,7 +87,6 @@ const std::vector<double>& MaxMinSolver::solve(
   active_links_ = arena_.alloc<LinkId>(T);
   remaining_ = arena_.alloc<double>(T);
   unfrozen_ = arena_.alloc<double>(T);
-  share_ = arena_.alloc<double>(T);
   offered_ = arena_.alloc<double>(T);
   csr_off_ = arena_.alloc<std::uint32_t>(T + 1);
   csr_pos_ = arena_.alloc<std::uint32_t>(T);
@@ -140,7 +139,7 @@ const std::vector<double>& MaxMinSolver::solve(
 
   // Pass 2: prefix-sum the per-link counts into CSR offsets; csr_pos_
   // becomes the fill cursor. unfrozen_ doubles as the count (a double so
-  // the fair-share scan divides without converting), remaining_ starts at
+  // the saturation scan divides without converting), remaining_ starts at
   // capacity.
   std::uint32_t run = 0;
   for (std::size_t k = 0; k < K; ++k) {
@@ -176,7 +175,7 @@ const std::vector<double>& MaxMinSolver::solve(
   // unfrozen drops by 1), so heap entries are lower bounds and can be
   // revalidated lazily on pop: each round costs O(log) plus the freezes it
   // performs, never a scan of the active link set. The initial saturation
-  // scan is the vectorized fair-share kernel over the dense SoA.
+  // scan computes each link's fair share over the dense SoA.
   // Only links that can actually saturate enter the heap: a link whose
   // offered load (Σ demand of its flows, with kUnlimitedRate dwarfing any
   // capacity) fits inside its capacity never runs out of headroom — each of
@@ -185,11 +184,11 @@ const std::vector<double>& MaxMinSolver::solve(
   // most links in a demand-capped workload) shrinks the heap and eliminates
   // their retire pops; they still take freeze subtractions, which is
   // harmless bookkeeping.
-  util::simd::fair_share(share_, remaining_, unfrozen_, K, use_simd_);
   std::size_t heap_size = 0;
   for (std::size_t k = 0; k < K; ++k) {
     if (offered_[k] > remaining_[k]) {
-      heap_[heap_size++] = {share_[k], static_cast<std::uint32_t>(k)};
+      heap_[heap_size++] = {remaining_[k] / unfrozen_[k],
+                            static_cast<std::uint32_t>(k)};
     }
   }
   heap_build(heap_, heap_size);
@@ -204,9 +203,10 @@ const std::vector<double>& MaxMinSolver::solve(
     frozen_[fi] = 1;
     rates_[fi] = rate;
     --unfrozen_count;
-    util::simd::freeze_subtract(remaining_, unfrozen_,
-                                flow_dense_ + flow_off_[fi],
-                                flow_off_[fi + 1] - flow_off_[fi], rate);
+    for (std::uint32_t t = flow_off_[fi]; t < flow_off_[fi + 1]; ++t) {
+      remaining_[flow_dense_[t]] -= rate;
+      unfrozen_[flow_dense_[t]] -= 1.0;
+    }
   };
 
   // Each round freezes at least one flow; the guard is float head room.
@@ -276,8 +276,10 @@ const std::vector<double>& MaxMinSolver::solve(
   // final level, mirroring the reference kernel's running allocations.
   for (std::size_t f = 0; f < nf; ++f) {
     if (!frozen_[f]) rates_[f] = std::min(demand_[f], level);
+    // Clamp float-noise-negative rates; `x > 0 ? x : 0` also maps -0.0 to
+    // +0.0.
+    rates_[f] = rates_[f] > 0.0 ? rates_[f] : 0.0;
   }
-  util::simd::clamp_nonnegative(rates_.data(), nf, use_simd_);
   return rates_;
 }
 
@@ -288,82 +290,6 @@ std::vector<double> max_min_allocate(const std::vector<double>& capacities,
   refs.reserve(entities.size());
   for (const AllocEntity& e : entities) refs.push_back({e.demand, &e.links});
   return solver.solve(capacities, refs);
-}
-
-std::vector<double> max_min_allocate_reference(
-    const std::vector<double>& capacities,
-    const std::vector<AllocEntity>& entities) {
-  const std::size_t nf = entities.size();
-  const std::size_t nl = capacities.size();
-  std::vector<double> alloc(nf, 0.0);
-  std::vector<bool> frozen(nf, false);
-
-  std::vector<double> remaining = capacities;
-  std::vector<int> unfrozen_on_link(nl, 0);
-  std::vector<std::vector<int>> flows_on_link(nl);
-
-  std::size_t unfrozen_count = 0;
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (entities[f].demand <= 0.0) {
-      frozen[f] = true;
-      continue;
-    }
-    assert(!entities[f].links.empty() && "demanding entity must traverse links");
-    ++unfrozen_count;
-    for (LinkId l : entities[f].links) {
-      assert(l >= 0 && static_cast<std::size_t>(l) < nl);
-      ++unfrozen_on_link[l];
-      flows_on_link[l].push_back(static_cast<int>(f));
-    }
-  }
-
-  // Each iteration saturates a link or meets a demand, so the loop runs at
-  // most nf + nl times; the +2 is head room for float edge cases.
-  std::size_t guard = nf + nl + 2;
-  while (unfrozen_count > 0 && guard-- > 0) {
-    // Water level increment: smallest equal share that saturates a link or
-    // meets a flow's demand.
-    double delta = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < nl; ++l) {
-      if (unfrozen_on_link[l] > 0) {
-        delta = std::min(delta, remaining[l] / unfrozen_on_link[l]);
-      }
-    }
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (!frozen[f]) delta = std::min(delta, entities[f].demand - alloc[f]);
-    }
-    if (!std::isfinite(delta)) break;
-    delta = std::max(delta, 0.0);
-
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      alloc[f] += delta;
-      for (LinkId l : entities[f].links) remaining[l] -= delta;
-    }
-
-    // Freeze flows whose demand is met.
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f] || alloc[f] + kAllocEps < entities[f].demand) continue;
-      frozen[f] = true;
-      --unfrozen_count;
-      for (LinkId l : entities[f].links) --unfrozen_on_link[l];
-    }
-    // Freeze flows crossing a saturated link.
-    for (std::size_t l = 0; l < nl; ++l) {
-      if (remaining[l] > kAllocEps || unfrozen_on_link[l] == 0) continue;
-      for (int f : flows_on_link[l]) {
-        if (frozen[f]) continue;
-        frozen[f] = true;
-        --unfrozen_count;
-        for (LinkId fl : entities[f].links) --unfrozen_on_link[fl];
-      }
-    }
-  }
-
-  for (std::size_t f = 0; f < nf; ++f) {
-    if (alloc[f] < 0.0) alloc[f] = 0.0;
-  }
-  return alloc;
 }
 
 namespace {

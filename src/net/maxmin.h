@@ -6,26 +6,22 @@
 // links, which is the regime the paper's testbed (tc-shaped links carrying
 // real application traffic) operates in.
 //
-// Two implementations are provided:
+// MaxMinSolver is the production active-set kernel. All unfrozen flows
+// share one common water level, and the candidate bottleneck set (link
+// saturation levels plus a sorted demand frontier) is kept in a lazy
+// min-heap, so a round costs O(log links) instead of a scan of every
+// flow × every link. Entities reference their paths instead of owning
+// copies. Scratch is flat struct-of-arrays carved from a bump arena:
+// per-solve state lives in dense arrays indexed by *active-link position*
+// (assigned via a version stamp, so cost scales with the links the
+// entities cross, not with `capacities`), and the link↔flow incidence is
+// CSR (offsets + one flat index array, both directions). Steady-state
+// solves perform zero heap allocations once the arena reaches the
+// workload's high-water mark (asserted by tests/maxmin_alloc_test.cpp and
+// gated in bench_alloc_fastpath).
 //
-//  * MaxMinSolver — the production active-set kernel. All unfrozen flows
-//    share one common water level, and the candidate bottleneck set (link
-//    saturation levels plus a sorted demand frontier) is kept in a lazy
-//    min-heap, so a round costs O(log links) instead of a scan of every
-//    flow × every link. Entities reference their paths instead of owning
-//    copies. Scratch is flat struct-of-arrays carved from a bump arena:
-//    per-solve state lives in dense arrays indexed by *active-link
-//    position* (assigned via a version stamp, so cost scales with the
-//    links the entities cross, not with `capacities`), the link↔flow
-//    incidence is CSR (offsets + one flat index array, both directions),
-//    and the saturation scan / freeze subtraction run through the portable
-//    SIMD kernels in util/simd.h. Steady-state solves perform zero heap
-//    allocations once the arena reaches the workload's high-water mark
-//    (asserted by tests/maxmin_alloc_test.cpp and gated in
-//    bench_alloc_fastpath).
-//  * max_min_allocate_reference — the original brute-force kernel, retained
-//    as the oracle for property tests and as the from-scratch baseline in
-//    bench_alloc_fastpath.
+// The original brute-force kernel lives on as a test oracle in
+// tests/support/maxmin_reference.h, outside the library.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +30,6 @@
 
 #include "net/types.h"
 #include "util/arena.h"
-#include "util/simd.h"
 
 namespace bass::net {
 
@@ -54,7 +49,8 @@ struct AllocEntityRef {
 };
 
 // Absolute slack below which a link counts as saturated / a demand as met.
-// Shared by both kernels so they freeze at identical thresholds.
+// Shared with the test oracle so both kernels freeze at identical
+// thresholds.
 inline constexpr double kAllocEps = 1e-3;  // 0.001 bps
 
 // Active-set water-filling solver with reusable scratch. A single instance
@@ -72,12 +68,6 @@ class MaxMinSolver {
 
   // Water-filling rounds executed by the last solve (diagnostics).
   std::int64_t last_rounds() const { return last_rounds_; }
-
-  // SIMD toggle. Defaults to the compile-time BASS_SIMD setting; the scalar
-  // path is the reference and tests flip this to cross-check bit-for-bit.
-  // Forcing it on without compiled SIMD support stays scalar.
-  bool use_simd() const { return use_simd_; }
-  void set_use_simd(bool on) { use_simd_ = on && util::simd::kCompiled; }
 
   // Scratch diagnostics: arena high-water capacity and how often it grew.
   // A warmed-up solver's growth count stops moving (zero-alloc steady
@@ -101,9 +91,8 @@ class MaxMinSolver {
   // Dense SoA over active links (index = discovery order, deterministic):
   util::Arena arena_;
   double* remaining_ = nullptr;      // residual capacity
-  double* unfrozen_ = nullptr;       // unfrozen flow count (double: feeds
-                                     // the vectorized fair-share division)
-  double* share_ = nullptr;          // saturation-scan output
+  double* unfrozen_ = nullptr;       // unfrozen flow count (double: the
+                                     // fair-share division needs no convert)
   double* offered_ = nullptr;        // Σ demand over the link's flows
   LinkId* active_links_ = nullptr;   // dense index -> LinkId
   // CSR incidence, both directions:
@@ -120,7 +109,6 @@ class MaxMinSolver {
 
   std::vector<double> rates_;  // the returned allocation
   std::int64_t last_rounds_ = 0;
-  bool use_simd_ = util::simd::kCompiled;
 };
 
 // Convenience wrapper over MaxMinSolver for owned entities (tests, ad-hoc
@@ -128,13 +116,6 @@ class MaxMinSolver {
 // order.
 std::vector<double> max_min_allocate(const std::vector<double>& capacities,
                                      const std::vector<AllocEntity>& entities);
-
-// The original O(rounds × flows × links) progressive-filling kernel, kept
-// verbatim as the oracle: the active-set kernel must match it within
-// kAllocEps on every instance (tests/maxmin_property_test.cpp).
-std::vector<double> max_min_allocate_reference(
-    const std::vector<double>& capacities,
-    const std::vector<AllocEntity>& entities);
 
 // Proportional-share alternative (ablation baseline): every flow is scaled
 // by the worst oversubscription ratio along its path, so a congested link

@@ -161,8 +161,8 @@ struct DeploymentClosed {
 
 // The admission queue resolved one pending deploy request. `action` is a
 // static literal ("admit", "reject", "defer"); `deployment` is set only on
-// admit. POD by design (const char*, no std::string) so the recorder's
-// deferred-encode ring can memcpy-stage it.
+// admit. POD by design (const char*, no std::string), so the event owns no
+// heap memory.
 struct AdmissionOutcome {
   sim::Time at = 0;
   int instance = -1;            // workload-driver instance id
@@ -191,7 +191,6 @@ struct OrchestratorWarning {
 // causal chain reads coordinator round → zone rounds. Timestamps and ids
 // are sim-time/counter derived — no wall clock — so same-seed sharded runs
 // stay byte-identical; the round's wall time lives in the metrics registry.
-// POD by design so the deferred-encode ring can memcpy-stage it.
 struct ZoneRound {
   sim::Time at = 0;
   int zone = -1;                // -1: coordinator summary over all zones

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/simd.h"
 #include "util/strings.h"
 
 namespace bass::obs {
@@ -48,9 +47,8 @@ std::string build_info_json() {
     out += *p;
   }
   out += util::str_format(
-      "\",\"build_type\":\"%s\",\"flags\":\"%s\",\"simd\":%s,\"sanitizer\":%s}",
-      build_type, flags, util::simd::kCompiled ? "true" : "false",
-      sanitized ? "true" : "false");
+      "\",\"build_type\":\"%s\",\"flags\":\"%s\",\"sanitizer\":%s}",
+      build_type, flags, sanitized ? "true" : "false");
   return out;
 }
 
@@ -74,7 +72,7 @@ std::string FlightRecorder::path() const {
 }
 
 bool FlightRecorder::dump(const char* why) {
-  const EventJournal& journal = recorder_.journal();  // flushes staged events
+  const EventJournal& journal = recorder_.journal();
   const std::vector<Event> events = journal.snapshot();
   const std::size_t keep = std::min(config_.last_events, events.size());
   const std::size_t first = events.size() - keep;

@@ -67,69 +67,6 @@ void append_double(double v, std::string& out) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> boundaries)
-    : boundaries_(std::move(boundaries)) {
-  std::sort(boundaries_.begin(), boundaries_.end());
-  boundaries_.erase(std::unique(boundaries_.begin(), boundaries_.end()),
-                    boundaries_.end());
-  buckets_.assign(boundaries_.size() + 1, 0);
-}
-
-void Histogram::observe(double value) {
-  const auto it = std::lower_bound(boundaries_.begin(), boundaries_.end(), value);
-  ++buckets_[static_cast<std::size_t>(it - boundaries_.begin())];
-  ++count_;
-  sum_ += value;
-  if (count_ == 1) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-}
-
-void Histogram::merge(const Histogram& other) {
-  assert(boundaries_ == other.boundaries_ && "merge requires one ladder");
-  if (other.count_ == 0) return;  // empty right side: identity
-  for (std::size_t i = 0; i < buckets_.size() && i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (count_ == 0) {
-    // Empty left side adopts the other's extremes rather than keeping the
-    // default-initialized 0.0 sentinels as fabricated observations.
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-double Histogram::percentile(double q) const {
-  if (count_ == 0) return 0.0;
-  if (q <= 0.0) return min_;
-  std::int64_t rank = static_cast<std::int64_t>(
-      q * static_cast<double>(count_) + 0.999999);
-  if (rank < 1) rank = 1;
-  if (rank > count_) rank = count_;
-  std::int64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cum += buckets_[i];
-    if (cum >= rank) {
-      // Overflow bucket has no upper boundary; max is the honest answer.
-      const double upper =
-          i < boundaries_.size() ? boundaries_[i] : max_;
-      // Clamping keeps boundary-valued samples from overshooting: a run
-      // whose every sample equals boundary b must report percentile == b
-      // == max, and no quantile may fall outside the observed extremes.
-      return std::min(std::max(upper, min_), max_);
-    }
-  }
-  return max_;
-}
-
 double LogHistogram::percentile(double q) const {
   if (count_ == 0) return 0.0;
   if (q <= 0.0) return min_;
@@ -169,17 +106,8 @@ void LogHistogram::for_each_nonzero(
   }
 }
 
-const std::vector<double>& default_time_boundaries_us() {
-  static const std::vector<double> kBoundaries = {
-      1,    2,    5,    10,    20,    50,    100,    200,    500,
-      1000, 2000, 5000, 10000, 20000, 50000, 100000, 200000, 500000,
-      1000000};
-  return kBoundaries;
-}
-
 MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
-    const std::string& name, const Labels& labels, Kind kind,
-    std::vector<double>* boundaries) {
+    const std::string& name, const Labels& labels, Kind kind) {
   const std::string key = instrument_key(name, labels);
   const auto it = index_.find(key);
   if (it != index_.end()) {
@@ -194,8 +122,6 @@ MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
       scratch->kind = kind;
       scratch->counter = std::make_unique<Counter>();
       scratch->gauge = std::make_unique<Gauge>();
-      scratch->histogram = std::make_unique<Histogram>(
-          boundaries ? *boundaries : default_time_boundaries_us());
       scratch->log_histogram = std::make_unique<LogHistogram>();
       return *scratch;
     }
@@ -208,10 +134,6 @@ MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
   switch (kind) {
     case Kind::kCounter: inst->counter = std::make_unique<Counter>(); break;
     case Kind::kGauge: inst->gauge = std::make_unique<Gauge>(); break;
-    case Kind::kHistogram:
-      inst->histogram = std::make_unique<Histogram>(
-          boundaries ? std::move(*boundaries) : default_time_boundaries_us());
-      break;
     case Kind::kLogHistogram:
       inst->log_histogram = std::make_unique<LogHistogram>();
       break;
@@ -222,22 +144,16 @@ MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kCounter, nullptr).counter;
+  return *find_or_create(name, labels, Kind::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kGauge, nullptr).gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> boundaries,
-                                      const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kHistogram, &boundaries).histogram;
+  return *find_or_create(name, labels, Kind::kGauge).gauge;
 }
 
 LogHistogram& MetricsRegistry::log_histogram(const std::string& name,
                                              const Labels& labels) {
-  return *find_or_create(name, labels, Kind::kLogHistogram, nullptr).log_histogram;
+  return *find_or_create(name, labels, Kind::kLogHistogram).log_histogram;
 }
 
 LogHistogram& MetricsRegistry::log_timer_us(const std::string& name,
@@ -292,41 +208,6 @@ std::string MetricsRegistry::to_json(sim::Time now) const {
         gauges += '}';
         break;
       }
-      case Kind::kHistogram: {
-        const Histogram& h = *inst->histogram;
-        if (!histograms.empty()) histograms += ",\n";
-        histograms += "    {";
-        append_name_labels(inst->name, inst->labels, histograms);
-        histograms += util::str_format(",\"count\":%lld,\"sum\":",
-                                       static_cast<long long>(h.count()));
-        append_double(h.sum(), histograms);
-        // min()/max() are NaN on empty histograms; JSON has no NaN literal,
-        // so snapshots keep the historical 0.0 placeholder (count
-        // disambiguates).
-        histograms += ",\"min\":";
-        append_double(h.empty() ? 0.0 : h.min(), histograms);
-        histograms += ",\"max\":";
-        append_double(h.empty() ? 0.0 : h.max(), histograms);
-        histograms += ",\"p50\":";
-        append_double(h.percentile(0.50), histograms);
-        histograms += ",\"p90\":";
-        append_double(h.percentile(0.90), histograms);
-        histograms += ",\"p99\":";
-        append_double(h.percentile(0.99), histograms);
-        histograms += ",\"boundaries\":[";
-        for (std::size_t i = 0; i < h.boundaries().size(); ++i) {
-          if (i != 0) histograms += ',';
-          append_double(h.boundaries()[i], histograms);
-        }
-        histograms += "],\"buckets\":[";
-        for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {
-          if (i != 0) histograms += ',';
-          histograms += util::str_format(
-              "%lld", static_cast<long long>(h.bucket_counts()[i]));
-        }
-        histograms += "]}";
-        break;
-      }
       case Kind::kLogHistogram: {
         const LogHistogram& h = *inst->log_histogram;
         if (!histograms.empty()) histograms += ",\n";
@@ -335,6 +216,8 @@ std::string MetricsRegistry::to_json(sim::Time now) const {
         histograms += util::str_format(",\"kind\":\"log2\",\"count\":%lld,\"sum\":",
                                        static_cast<long long>(h.count()));
         append_double(h.sum(), histograms);
+        // min()/max() are NaN on empty histograms; JSON has no NaN literal,
+        // so snapshots keep a 0.0 placeholder (count disambiguates).
         histograms += ",\"min\":";
         append_double(h.empty() ? 0.0 : h.min(), histograms);
         histograms += ",\"max\":";
@@ -395,7 +278,7 @@ std::string prom_label_name(const std::string& name) {
   return out;
 }
 
-// Renders {k="v",...}; `extra` ("le=\"5\"" / "quantile=\"0.5\"") is
+// Renders {k="v",...}; `extra` ("quantile=\"0.5\"") is
 // appended after the instrument's own labels. Values follow the exposition
 // format's escaping rules: backslash, double-quote, and newline.
 std::string prom_labels(const Labels& labels, const std::string& extra = {}) {
@@ -444,25 +327,6 @@ std::string MetricsRegistry::to_prometheus(sim::Time now) const {
         out += name + prom_labels(inst->labels) + ' ' +
                prom_number(inst->gauge->value()) + '\n';
         break;
-      case Kind::kHistogram: {
-        const Histogram& h = *inst->histogram;
-        out += "# TYPE " + name + " histogram\n";
-        std::int64_t cum = 0;
-        for (std::size_t i = 0; i < h.boundaries().size(); ++i) {
-          cum += h.bucket_counts()[i];
-          out += name + "_bucket" +
-                 prom_labels(inst->labels,
-                             "le=\"" + prom_number(h.boundaries()[i]) + "\"") +
-                 util::str_format(" %lld\n", static_cast<long long>(cum));
-        }
-        out += name + "_bucket" + prom_labels(inst->labels, "le=\"+Inf\"") +
-               util::str_format(" %lld\n", static_cast<long long>(h.count()));
-        out += name + "_sum" + prom_labels(inst->labels) + ' ' +
-               prom_number(h.sum()) + '\n';
-        out += name + "_count" + prom_labels(inst->labels) +
-               util::str_format(" %lld\n", static_cast<long long>(h.count()));
-        break;
-      }
       case Kind::kLogHistogram: {
         // Log histograms export as summaries: fixed le ladders don't fit
         // log2 buckets, and the quantiles are what dashboards plot anyway.

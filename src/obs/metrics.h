@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and fixed-boundary histograms
+// Metrics registry: named counters, gauges, and log2-bucketed histograms
 // with label support, snapshotable to JSON at any sim time.
 //
 // Lookup (`counter("net.reallocations")`) hashes the name+labels; emitters
@@ -48,55 +48,6 @@ class Gauge {
 
  private:
   double value_ = 0.0;
-};
-
-// Fixed-boundary histogram: observation x lands in the first bucket with
-// x <= boundary, else in the implicit +Inf overflow bucket — so
-// bucket_counts()[i] covers the half-open range (boundaries[i-1],
-// boundaries[i]], and a sample exactly on a boundary counts toward the
-// bucket whose upper bound it equals. Per-bucket counts, sum, min, and max
-// are kept so snapshots can report both the distribution and the extremes.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> boundaries);
-
-  void observe(double value);
-
-  std::int64_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  double sum() const { return sum_; }
-  // Empty histograms have no extremes: min()/max() return NaN so "no data"
-  // can never be confused with an observed 0.0. Emitters that need a finite
-  // value (JSON, report tables) must check empty() first.
-  double min() const {
-    return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : min_;
-  }
-  double max() const {
-    return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
-  }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  // Folds `other` into this histogram. Both sides must share the same
-  // boundary ladder (asserted). Merging an empty side is an identity in
-  // either direction: an empty `other` changes nothing, and merging into an
-  // empty `this` adopts `other`'s extremes instead of fabricating 0.0 ones.
-  void merge(const Histogram& other);
-  // Bucket-resolution quantile, q in [0, 1]: the upper boundary of the
-  // bucket holding the ceil(q*count)-th sample, clamped to [min, max] so a
-  // boundary-valued sample reports its own value (not the next bucket's
-  // edge) and percentile(1.0) == max() exactly.
-  double percentile(double q) const;
-  const std::vector<double>& boundaries() const { return boundaries_; }
-  // bucket_counts()[i] observations fell in (boundaries[i-1], boundaries[i]];
-  // the final entry is the +Inf overflow bucket.
-  const std::vector<std::int64_t>& bucket_counts() const { return buckets_; }
-
- private:
-  std::vector<double> boundaries_;        // ascending
-  std::vector<std::int64_t> buckets_;     // boundaries_.size() + 1 (overflow)
-  std::int64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // HDR-style log2-bucketed latency histogram (DESIGN.md §6). Sixteen
@@ -150,7 +101,9 @@ class LogHistogram {
   std::int64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
   double sum() const { return sum_; }
-  // NaN when empty — same contract as Histogram::min()/max().
+  // Empty histograms have no extremes: min()/max() return NaN so "no data"
+  // can never be confused with an observed 0.0. Emitters that need a finite
+  // value (JSON, report tables) must check empty() first.
   double min() const {
     return count_ == 0 ? std::numeric_limits<double>::quiet_NaN() : min_;
   }
@@ -178,11 +131,6 @@ class LogHistogram {
   double max_ = 0.0;
 };
 
-// Default boundaries for wall-clock timer histograms, in microseconds:
-// 1 us .. 1 s in a 1-2-5 ladder. Matches the repo's hot-path scale — a
-// component solve is microseconds, a full scheduler pass is milliseconds.
-const std::vector<double>& default_time_boundaries_us();
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -194,8 +142,6 @@ class MetricsRegistry {
   // and returns a detached scratch instrument in release builds.
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  Histogram& histogram(const std::string& name, std::vector<double> boundaries,
-                       const Labels& labels = {});
   // Log2-bucketed histogram; `log_timer_us` is the naming-convention entry
   // point for wall-clock timers (values in microseconds).
   LogHistogram& log_histogram(const std::string& name, const Labels& labels = {});
@@ -220,19 +166,18 @@ class MetricsRegistry {
 
   // JSON snapshot: {"t_us":..., "counters":[...], "gauges":[...],
   // "histograms":[...]}, instruments in registration order. Histogram
-  // entries carry p50/p90/p99 alongside min/max/sum; log histograms appear
-  // in the same array with "kind":"log2" and sparse [upper,count] buckets.
+  // entries carry "kind":"log2", p50/p90/p99 alongside min/max/sum, and
+  // sparse [upper,count] buckets.
   std::string to_json(sim::Time now) const;
   bool write_json(const std::string& path, sim::Time now) const;
 
   // Prometheus text exposition of the same snapshot: counters and gauges
-  // verbatim, fixed histograms as cumulative `le` buckets, log histograms
-  // as quantile summaries. Names get a `bass_` prefix with dots mapped to
-  // underscores.
+  // verbatim, log histograms as quantile summaries. Names get a `bass_`
+  // prefix with dots mapped to underscores.
   std::string to_prometheus(sim::Time now) const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kLogHistogram };
+  enum class Kind { kCounter, kGauge, kLogHistogram };
 
   struct Instrument {
     std::string name;
@@ -240,12 +185,11 @@ class MetricsRegistry {
     Kind kind = Kind::kCounter;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<LogHistogram> log_histogram;
   };
 
   Instrument& find_or_create(const std::string& name, const Labels& labels,
-                             Kind kind, std::vector<double>* boundaries);
+                             Kind kind);
 
   std::unordered_map<std::string, std::size_t> index_;  // key -> order_ slot
   std::vector<std::unique_ptr<Instrument>> order_;

@@ -22,8 +22,7 @@ std::atomic<Recorder*> g_default_recorder{nullptr};
 
 Recorder::Recorder(RecorderConfig config)
     : enabled_(config.enabled),
-      journal_(config.journal_capacity),
-      deferred_(config.deferred_capacity) {
+      journal_(config.journal_capacity) {
   // One counter per variant alternative, so record() indexes instead of
   // hashing. Instantiate each alternative to name its counter.
   const Event samples[] = {
@@ -40,23 +39,7 @@ Recorder::Recorder(RecorderConfig config)
     type_counters_[e.index()] =
         &metrics_.counter(std::string("events.") + event_type_name(e));
   }
-  m_flush_us_ = &metrics_.log_timer_us("obs.journal_flush_us");
   span_stack_.reserve(8);
-}
-
-void Recorder::flush_deferred() {
-  if (deferred_count_ == 0) return;
-  // Time the stall: a flush re-encodes up to a ring's worth of variants on
-  // whatever path happened to trigger it, and that cost should be visible
-  // next to the decision latencies it can pollute.
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < deferred_count_; ++i) {
-    emit_slot(deferred_[i], std::make_index_sequence<std::variant_size_v<Event>>{});
-  }
-  deferred_count_ = 0;
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  m_flush_us_->observe(
-      std::chrono::duration<double, std::micro>(elapsed).count());
 }
 
 Recorder* global_recorder() {

@@ -6,16 +6,6 @@
 // one pointer compare and a profiling scope costs one branch (no clock
 // read, no allocation).
 //
-// Recording is two-tier. Trivially-copyable events (every alternative that
-// owns no string) are STAGED: the payload is memcpy'd into a fixed
-// deferred-encode ring and only encoded into journal variants at a flush
-// point — the ring filling up, a string-bearing event arriving, or any
-// journal() access. Decision-path emit sites therefore cost a counter
-// bump plus a small copy, never variant bookkeeping, and because every
-// flush point is deterministic the journal sequence (and the exported
-// JSONL bytes) is identical to eager recording — same-seed runs stay
-// byte-identical.
-//
 // Pure kernels (the max-min solver, the packers, the migration policy)
 // have no recorder parameter by design; their profiling scopes reach the
 // process-wide recorder installed with set_global_recorder(). Harnesses
@@ -23,60 +13,18 @@
 // installs one.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
-#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
 
 namespace bass::obs {
 
-namespace detail {
-
-// Index of alternative T inside a std::variant, at compile time. Only
-// instantiate when T is known to be an alternative (see IsPodAlternative).
-template <class T, class V>
-struct AltIndex;
-template <class T, class First, class... Rest>
-struct AltIndex<T, std::variant<First, Rest...>>
-    : std::integral_constant<std::size_t,
-                             1 + AltIndex<T, std::variant<Rest...>>::value> {};
-template <class T, class... Rest>
-struct AltIndex<T, std::variant<T, Rest...>>
-    : std::integral_constant<std::size_t, 0> {};
-
-// True iff T is a variant alternative AND trivially copyable — i.e. safe to
-// stage by memcpy. SFINAE-safe for any T (including the variant itself), so
-// it can gate an overload without hard errors.
-template <class T, class V>
-struct IsPodAlternative : std::false_type {};
-template <class T, class... Ts>
-struct IsPodAlternative<T, std::variant<Ts...>>
-    : std::bool_constant<(std::is_same_v<T, Ts> || ...) &&
-                         std::is_trivially_copyable_v<T>> {};
-
-// Largest trivially-copyable alternative — the deferred slot payload size.
-template <class V>
-struct MaxPodSize;
-template <class... Ts>
-struct MaxPodSize<std::variant<Ts...>> {
-  static constexpr std::size_t value =
-      std::max({(std::is_trivially_copyable_v<Ts> ? sizeof(Ts) : std::size_t{0})...});
-};
-
-}  // namespace detail
-
 struct RecorderConfig {
   std::size_t journal_capacity = 1 << 16;
-  // Deferred-encode ring slots. 0 journals every event eagerly (useful to
-  // A/B the staging path); the default batches a control-loop round's worth
-  // of decision events per flush.
-  std::size_t deferred_capacity = 256;
   // Master switch: a disabled recorder drops events/timings at the emit
   // site (subsystems check enabled() once per emit).
   bool enabled = true;
@@ -92,42 +40,11 @@ class Recorder {
   void set_enabled(bool enabled) { enabled_ = enabled; }
 
   // Journals the event and bumps the per-type "events.<type>" counter.
-  // String-bearing alternatives land here; staged events are flushed first
-  // so journal order always matches emit order.
   void record(Event event) {
     if (!enabled_) return;
     type_counters_[event.index()]->inc();
-    flush_deferred();
     journal_.record(std::move(event));
   }
-
-  // Fast path for trivially-copyable alternatives: bump the counter, stage
-  // the raw payload, return. Encoding into the journal happens at the next
-  // flush point.
-  template <class T,
-            std::enable_if_t<detail::IsPodAlternative<T, Event>::value, int> = 0>
-  void record(const T& event) {
-    if (!enabled_) return;
-    constexpr std::size_t kIndex = detail::AltIndex<T, Event>::value;
-    type_counters_[kIndex]->inc();
-    if (deferred_.empty()) {  // staging disabled: journal eagerly
-      journal_.record(Event(std::in_place_type<T>, event));
-      return;
-    }
-    if (deferred_count_ == deferred_.size()) flush_deferred();
-    DeferredSlot& slot = deferred_[deferred_count_++];
-    slot.type = static_cast<std::uint8_t>(kIndex);
-    std::memcpy(slot.payload, &event, sizeof(T));
-  }
-
-  // Encodes staged events into the journal, oldest first. Safe to call at
-  // any time; record() and journal() call it at every point where order
-  // could become observable. Non-empty flushes feed the
-  // "obs.journal_flush_us" stall timer.
-  void flush_deferred();
-
-  // Staged events not yet encoded (diagnostics/tests).
-  std::size_t deferred_pending() const { return deferred_count_; }
 
   // ---- Causal spans ----
   //
@@ -146,57 +63,21 @@ class Recorder {
     if (!span_stack_.empty()) span_stack_.pop_back();
   }
 
-  EventJournal& journal() {
-    flush_deferred();
-    return journal_;
-  }
-  const EventJournal& journal() const {
-    const_cast<Recorder*>(this)->flush_deferred();
-    return journal_;
-  }
+  EventJournal& journal() { return journal_; }
+  const EventJournal& journal() const { return journal_; }
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  struct DeferredSlot {
-    std::uint8_t type = 0;
-    alignas(alignof(std::max_align_t)) std::byte
-        payload[detail::MaxPodSize<Event>::value];
-  };
-
-  template <std::size_t I>
-  bool try_emit(const DeferredSlot& slot) {
-    using T = std::variant_alternative_t<I, Event>;
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      if (slot.type != I) return false;
-      T event;
-      std::memcpy(&event, slot.payload, sizeof(T));
-      journal_.record(Event(std::in_place_type<T>, event));
-      return true;
-    } else {
-      return false;  // string-bearing alternatives are never staged
-    }
-  }
-
-  template <std::size_t... Is>
-  void emit_slot(const DeferredSlot& slot, std::index_sequence<Is...>) {
-    (try_emit<Is>(slot) || ...);
-  }
-
   bool enabled_ = true;
   EventJournal journal_;
   MetricsRegistry metrics_;
   // Per-type event counters, indexed by variant alternative — cached so
   // record() on hot paths never hashes a metric name.
   std::vector<Counter*> type_counters_;
-  // Deferred-encode ring: preallocated, drained FIFO at flush points.
-  std::vector<DeferredSlot> deferred_;
-  std::size_t deferred_count_ = 0;
   // Causal-span state: monotonic id source + active-scope stack.
   SpanId last_span_ = 0;
   std::vector<SpanId> span_stack_;
-  // Journal flush stalls, cached at construction (wall clock; not journaled).
-  LogHistogram* m_flush_us_ = nullptr;
 };
 
 // RAII span scope: pushes `span` as the current cause for the duration.

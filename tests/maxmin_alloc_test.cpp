@@ -85,22 +85,6 @@ TEST(MaxMinAlloc, SolverSteadyStateAllocatesNothing) {
   EXPECT_GT(solver.scratch_bytes(), 0u);
 }
 
-TEST(MaxMinAlloc, ScalarPathIsAlsoZeroAlloc) {
-  SolverWorkload w(/*links=*/60, /*flows=*/80);
-  MaxMinSolver solver;
-  solver.set_use_simd(false);
-  for (int round = 0; round < 100; ++round) {
-    w.churn();
-    solver.solve(w.capacities, w.entities);
-  }
-  const auto snap = testing::take_alloc_snapshot();
-  for (int round = 0; round < 300; ++round) {
-    w.churn();
-    solver.solve(w.capacities, w.entities);
-  }
-  EXPECT_EQ(testing::allocations_since(snap), 0);
-}
-
 // End-to-end: the engine's stream churn path (open → reallocate → close →
 // reallocate) is allocation-free once slot pools, occupancy lists, and the
 // solver arena are warm.

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
+#include "maxmin_reference.h"
 #include "net/network.h"
 #include "util/rng.h"
 
@@ -30,6 +32,22 @@ constexpr double kUnlimited = static_cast<double>(kUnlimitedRate);
 constexpr double kRateTol = 1.0;
 
 // ---- Layer 1: kernel vs. brute-force reference ----
+
+// The kernel-vs-oracle check every Layer-1 instance runs through: rates
+// agree within `tol`, and every kernel rate is a clean non-negative number
+// (the final clamp maps float-noise negatives and -0.0 to +0.0).
+void expect_matches_reference(const std::vector<double>& caps,
+                              const std::vector<AllocEntity>& entities,
+                              double tol) {
+  const auto fast = max_min_allocate(caps, entities);
+  const auto ref = max_min_allocate_reference(caps, entities);
+  ASSERT_EQ(fast.size(), ref.size());
+  for (std::size_t f = 0; f < ref.size(); ++f) {
+    EXPECT_NEAR(fast[f], ref[f], tol) << "flow " << f;
+    EXPECT_GE(fast[f], 0.0) << "flow " << f;
+    EXPECT_FALSE(std::signbit(fast[f])) << "flow " << f << " is -0.0";
+  }
+}
 
 struct KernelCase {
   std::uint64_t seed;
@@ -60,13 +78,7 @@ TEST_P(KernelEquivalence, ActiveSetMatchesReference) {
     }
     entities.push_back(std::move(e));
   }
-
-  const auto fast = max_min_allocate(caps, entities);
-  const auto ref = max_min_allocate_reference(caps, entities);
-  ASSERT_EQ(fast.size(), ref.size());
-  for (std::size_t f = 0; f < ref.size(); ++f) {
-    EXPECT_NEAR(fast[f], ref[f], kRateTol) << "flow " << f;
-  }
+  expect_matches_reference(caps, entities, kRateTol);
 }
 
 TEST_P(KernelEquivalence, SolverScratchReuseIsClean) {
@@ -92,6 +104,7 @@ TEST_P(KernelEquivalence, SolverScratchReuseIsClean) {
     const auto ref = max_min_allocate_reference(caps, owned);
     for (std::size_t f = 0; f < ref.size(); ++f) {
       EXPECT_NEAR(fast[f], ref[f], kRateTol) << "round " << round << " flow " << f;
+      EXPECT_FALSE(std::signbit(fast[f])) << "round " << round << " flow " << f;
     }
   }
 }
@@ -104,6 +117,35 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, KernelEquivalence,
                                            KernelCase{13}, KernelCase{14}, KernelCase{15},
                                            KernelCase{16}, KernelCase{17}, KernelCase{18},
                                            KernelCase{19}, KernelCase{20}));
+
+TEST(KernelEquivalenceEdges, RaggedPathsInfiniteDemandsExtremeCapacities) {
+  // Path lengths 0/1/3/5 in one solve; capacities span 1e-6..1e15 so shares
+  // underflow toward the freeze threshold and dwarf every demand
+  // respectively; idle entities (demand 0, empty path) ride along legally.
+  const std::vector<double> caps = {1e-6, 1e15, 3e7, 5e5, 1e12, 2.5e6, 1e-3};
+  std::vector<AllocEntity> entities;
+  entities.push_back({0.0, {}});                               // 0 links, idle
+  entities.push_back({kUnlimited, {0}});                       // 1 link, tiny cap
+  entities.push_back({kUnlimited, {1}});                       // 1 link, huge cap
+  entities.push_back({5e6, {2, 3, 4}});                        // 3 links
+  entities.push_back({kUnlimited, {0, 2, 4, 5, 6}});           // 5 links
+  entities.push_back({3e5, {6, 5, 3, 1, 0}});                  // 5 links reversed
+  entities.push_back({0.0, {}});                               // another idle
+  entities.push_back({kUnlimited, {3}});
+  expect_matches_reference(caps, entities, kAllocEps);
+}
+
+TEST(KernelEquivalenceEdges, SignedZeroAndDeadLinksGivePositiveZeroRates) {
+  // A -0.0 capacity yields a -0.0 fair share; no rate may inherit the sign.
+  const std::vector<double> caps = {-0.0, 0.0, 1e6};
+  std::vector<AllocEntity> entities;
+  entities.push_back({kUnlimited, {0}});
+  entities.push_back({kUnlimited, {0, 2}});
+  entities.push_back({4e5, {1}});
+  entities.push_back({-0.0, {2}});  // a -0.0 demand is idle
+  entities.push_back({kUnlimited, {2}});
+  expect_matches_reference(caps, entities, kAllocEps);
+}
 
 // ---- Layer 2: incremental engine vs. from-scratch reference ----
 
@@ -331,128 +373,6 @@ TEST(ContentionComponents, IdleLinkChangeTouchesNoFlows) {
   }
   EXPECT_EQ(net.alloc_stats().last_flows_touched, 0);
   EXPECT_GT(net.alloc_stats().reallocations, 0);
-}
-
-// ---- SIMD vs scalar: bit-for-bit, not "close" ----
-//
-// Every SIMD kernel is element-wise, so its results must be IDENTICAL to
-// the scalar path — exact double equality, no tolerance. On builds without
-// compiled SIMD support set_use_simd(true) stays scalar and these pass
-// trivially.
-
-std::vector<double> solve_with(bool simd, const std::vector<double>& caps,
-                               const std::vector<AllocEntity>& entities) {
-  std::vector<AllocEntityRef> refs;
-  refs.reserve(entities.size());
-  for (const AllocEntity& e : entities) refs.push_back({e.demand, &e.links});
-  MaxMinSolver solver;
-  solver.set_use_simd(simd);
-  return solver.solve(caps, refs);
-}
-
-void expect_bitwise_equal(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "flow " << i << " differs between SIMD and scalar";
-  }
-}
-
-class SimdEquivalence : public ::testing::TestWithParam<KernelCase> {};
-
-TEST_P(SimdEquivalence, SimdMatchesScalarBitForBit) {
-  util::Rng rng(GetParam().seed * 104729);
-  const int n_links = static_cast<int>(rng.uniform_int(1, 48));
-  const int n_flows = static_cast<int>(rng.uniform_int(1, 96));
-  std::vector<double> caps;
-  for (int l = 0; l < n_links; ++l) {
-    caps.push_back(rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 50e6));
-  }
-  std::vector<AllocEntity> entities;
-  for (int f = 0; f < n_flows; ++f) {
-    AllocEntity e;
-    e.demand = rng.chance(0.3) ? kUnlimited : rng.uniform(0.1e6, 40e6);
-    const int path_len = static_cast<int>(rng.uniform_int(1, std::min(n_links, 7)));
-    for (int i = 0; i < path_len; ++i) {
-      const LinkId l = static_cast<LinkId>(rng.uniform_int(0, n_links - 1));
-      if (std::find(e.links.begin(), e.links.end(), l) == e.links.end()) {
-        e.links.push_back(l);
-      }
-    }
-    entities.push_back(std::move(e));
-  }
-  expect_bitwise_equal(solve_with(true, caps, entities),
-                       solve_with(false, caps, entities));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomInstances, SimdEquivalence,
-                         ::testing::Values(KernelCase{1}, KernelCase{2}, KernelCase{3},
-                                           KernelCase{4}, KernelCase{5}, KernelCase{6},
-                                           KernelCase{7}, KernelCase{8}, KernelCase{9},
-                                           KernelCase{10}, KernelCase{11}, KernelCase{12}));
-
-TEST(SimdEquivalenceEdges, RaggedPathsInfiniteDemandsExtremeCapacities) {
-  // Path lengths 0/1/3/5 exercise every vector-tail combination; capacities
-  // span 1e-6..1e15 so shares underflow toward the freeze threshold and
-  // dwarf every demand respectively; idle entities (demand 0, empty path)
-  // ride along legally.
-  const std::vector<double> caps = {1e-6, 1e15, 3e7, 5e5, 1e12, 2.5e6, 1e-3};
-  std::vector<AllocEntity> entities;
-  entities.push_back({0.0, {}});                               // 0 links, idle
-  entities.push_back({kUnlimited, {0}});                       // 1 link, tiny cap
-  entities.push_back({kUnlimited, {1}});                       // 1 link, huge cap
-  entities.push_back({5e6, {2, 3, 4}});                        // 3 links
-  entities.push_back({kUnlimited, {0, 2, 4, 5, 6}});           // 5 links
-  entities.push_back({3e5, {6, 5, 3, 1, 0}});                  // 5 links reversed
-  entities.push_back({0.0, {}});                               // another idle
-  entities.push_back({kUnlimited, {3}});
-  expect_bitwise_equal(solve_with(true, caps, entities),
-                       solve_with(false, caps, entities));
-}
-
-TEST(SimdKernels, FairShareClampAndFreezeMatchScalarExactly) {
-  // Direct kernel-level cross-check across ragged sizes, including values
-  // chosen to produce inf/denormal shares.
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                              std::size_t{5}, std::size_t{8}, std::size_t{13}}) {
-    std::vector<double> remaining(n), unfrozen(n);
-    std::vector<std::uint32_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      remaining[i] = (i % 3 == 0) ? 1e-300 : (i % 3 == 1 ? 1e15 : -4.2e6);
-      unfrozen[i] = (i % 4 == 0) ? 0.0 : static_cast<double>(i);  // div by 0 → inf
-      idx[i] = static_cast<std::uint32_t>(n - 1 - i);
-    }
-    std::vector<double> out_simd(n, -1.0), out_scalar(n, -1.0);
-    util::simd::fair_share(out_simd.data(), remaining.data(), unfrozen.data(), n, true);
-    util::simd::fair_share(out_scalar.data(), remaining.data(), unfrozen.data(), n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out_simd[i], out_scalar[i]) << "fair_share n=" << n << " i=" << i;
-    }
-
-    std::vector<double> clamp_simd = remaining, clamp_scalar = remaining;
-    clamp_simd.push_back(-0.0);  // -0.0 must map to +0.0 on both paths
-    clamp_scalar.push_back(-0.0);
-    util::simd::clamp_nonnegative(clamp_simd.data(), clamp_simd.size(), true);
-    util::simd::clamp_nonnegative(clamp_scalar.data(), clamp_scalar.size(), false);
-    for (std::size_t i = 0; i < clamp_simd.size(); ++i) {
-      EXPECT_EQ(clamp_simd[i], clamp_scalar[i]) << "clamp n=" << n << " i=" << i;
-      EXPECT_GE(clamp_simd[i], 0.0);
-    }
-
-    // freeze_subtract has one implementation (unrolled scalar scatter); run
-    // it against a plain loop to pin its semantics.
-    std::vector<double> rem_a = remaining, unf_a = unfrozen;
-    std::vector<double> rem_b = remaining, unf_b = unfrozen;
-    util::simd::freeze_subtract(rem_a.data(), unf_a.data(), idx.data(), n, 7.5e5);
-    for (std::size_t j = 0; j < n; ++j) {
-      rem_b[idx[j]] -= 7.5e5;
-      unf_b[idx[j]] -= 1.0;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(rem_a[i], rem_b[i]) << "freeze remaining n=" << n << " i=" << i;
-      EXPECT_EQ(unf_a[i], unf_b[i]) << "freeze unfrozen n=" << n << " i=" << i;
-    }
-  }
 }
 
 TEST(ContentionComponents, StatsAccumulate) {

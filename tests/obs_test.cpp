@@ -122,90 +122,16 @@ TEST(Metrics, HandlesAreStableAndLabelled) {
   EXPECT_EQ(reg.instrument_count(), 2u);
 }
 
-TEST(Metrics, HistogramBucketsAndExtremes) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat_ms", {1.0, 10.0, 100.0});
-  h.observe(0.5);   // bucket 0
-  h.observe(10.0);  // bucket 1 (inclusive upper bound)
-  h.observe(50.0);  // bucket 2
-  h.observe(1e6);   // overflow
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.bucket_counts(), (std::vector<std::int64_t>{1, 1, 1, 1}));
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 1e6);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 10.0 + 50.0 + 1e6);
-}
-
-TEST(Metrics, HistogramPercentileAtBucketBoundary) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("edge_ms", {1.0, 10.0, 100.0});
-  // Regression: all samples sit exactly ON a bucket boundary. The quantile
-  // must report that value, not the bucket's nominal upper edge of a
-  // neighbouring bucket or an unclamped boundary.
-  for (int i = 0; i < 8; ++i) h.observe(10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.50), 10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(0.99), 10.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), h.max());
-  // A sample past every boundary lands in the overflow bucket, which has no
-  // upper edge — the observed max is the honest answer.
-  h.observe(1e9);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 1e9);
-  // And a single tiny sample clamps to min from below.
-  Histogram& low = reg.histogram("low_ms", {1.0, 10.0});
-  low.observe(0.25);
-  EXPECT_DOUBLE_EQ(low.percentile(0.5), 0.25);
-}
-
 TEST(Metrics, EmptyHistogramExtremesAreNaN) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("empty_ms", {1.0, 10.0});
-  EXPECT_TRUE(h.empty());
-  EXPECT_TRUE(std::isnan(h.min()));
-  EXPECT_TRUE(std::isnan(h.max()));
   LogHistogram lh;
   EXPECT_TRUE(lh.empty());
   EXPECT_TRUE(std::isnan(lh.min()));
   EXPECT_TRUE(std::isnan(lh.max()));
   // One observation resolves both to the sample, even a literal 0.0 — the
   // ambiguity the NaN sentinel exists to remove.
-  h.observe(0.0);
   lh.observe(0.0);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_DOUBLE_EQ(h.max(), 0.0);
   EXPECT_DOUBLE_EQ(lh.min(), 0.0);
   EXPECT_DOUBLE_EQ(lh.max(), 0.0);
-}
-
-TEST(Metrics, HistogramMergeEmptySideIsIdentityBothOrders) {
-  MetricsRegistry reg;
-  // Non-empty <- empty: nothing changes.
-  Histogram& a = reg.histogram("a_ms", {1.0, 10.0, 100.0});
-  a.observe(5.0);
-  a.observe(50.0);
-  Histogram& empty = reg.histogram("e_ms", {1.0, 10.0, 100.0});
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.min(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max(), 50.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 55.0);
-  EXPECT_EQ(a.bucket_counts(), (std::vector<std::int64_t>{0, 1, 1, 0}));
-
-  // Empty <- non-empty: adopts the source exactly; the empty side's 0.0
-  // min/max sentinels must not leak in as fabricated extremes.
-  Histogram& b = reg.histogram("b_ms", {1.0, 10.0, 100.0});
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_DOUBLE_EQ(b.min(), 5.0);
-  EXPECT_DOUBLE_EQ(b.max(), 50.0);
-  EXPECT_DOUBLE_EQ(b.sum(), 55.0);
-  EXPECT_EQ(b.bucket_counts(), a.bucket_counts());
-
-  // Empty <- empty stays empty (and NaN-extremed).
-  Histogram& c = reg.histogram("c_ms", {1.0, 10.0, 100.0});
-  Histogram& d = reg.histogram("d_ms", {1.0, 10.0, 100.0});
-  c.merge(d);
-  EXPECT_TRUE(c.empty());
-  EXPECT_TRUE(std::isnan(c.min()));
 }
 
 TEST(Metrics, LogHistogramMergeEmptySideIsIdentityBothOrders) {
@@ -288,7 +214,7 @@ TEST(Metrics, PrometheusExportCoversEveryKind) {
   MetricsRegistry reg;
   reg.counter("events.probe_completed", {{"full", "true"}}).add(3);
   reg.gauge("cluster.cpu_free").set(1.5);
-  reg.histogram("core.downtime_ms", {1.0, 10.0}).observe(5.0);
+  reg.log_histogram("core.downtime_ms").observe(5.0);
   reg.log_timer_us("orchestrator.decision_us").observe(42.0);
   const std::string prom = reg.to_prometheus(sim::seconds(1));
   EXPECT_NE(prom.find("# TYPE bass_events_probe_completed counter"),
@@ -296,8 +222,13 @@ TEST(Metrics, PrometheusExportCoversEveryKind) {
   EXPECT_NE(prom.find("bass_events_probe_completed{full=\"true\"} 3"),
             std::string::npos);
   EXPECT_NE(prom.find("bass_cluster_cpu_free 1.5"), std::string::npos);
-  EXPECT_NE(prom.find("bass_core_downtime_ms_bucket{le=\"+Inf\"} 1"),
+  // Every histogram exports as a summary: quantiles, _sum and _count.
+  EXPECT_NE(prom.find("# TYPE bass_core_downtime_ms summary"), std::string::npos);
+  EXPECT_NE(prom.find("bass_core_downtime_ms{quantile=\"0.5\"} 5"),
             std::string::npos);
+  EXPECT_NE(prom.find("bass_core_downtime_ms_sum 5"), std::string::npos);
+  EXPECT_NE(prom.find("bass_core_downtime_ms_count 1"), std::string::npos);
+  EXPECT_EQ(prom.find("_bucket"), std::string::npos);
   EXPECT_NE(prom.find("bass_orchestrator_decision_us{quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(prom.find("bass_orchestrator_decision_us_count 1"),
@@ -377,7 +308,7 @@ TEST(Metrics, JsonSnapshotListsEveryInstrument) {
   MetricsRegistry reg;
   reg.counter("net.reallocations").add(7);
   reg.gauge("cluster.cpu_free").set(1.5);
-  reg.histogram("core.downtime_ms", {1.0, 10.0}).observe(5.0);
+  reg.log_histogram("core.downtime_ms").observe(5.0);
   reg.log_timer_us("sched.place_us").observe(42.0);
   const std::string json = reg.to_json(sim::seconds(9));
   EXPECT_NE(json.find("\"t_us\":" + std::to_string(sim::seconds(9))),
@@ -386,10 +317,14 @@ TEST(Metrics, JsonSnapshotListsEveryInstrument) {
   EXPECT_NE(json.find("\"value\":7"), std::string::npos);
   EXPECT_NE(json.find("\"cluster.cpu_free\""), std::string::npos);
   EXPECT_NE(json.find("\"sched.place_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"boundaries\""), std::string::npos);
-  // Log2 timers carry their kind and pre-computed percentiles.
-  EXPECT_NE(json.find("\"kind\":\"log2\""), std::string::npos);
+  // Every histogram carries its log2 kind, pre-computed percentiles and
+  // sparse [upper, count] buckets; none has a fixed boundary ladder.
+  EXPECT_NE(json.find("\"name\":\"core.downtime_ms\",\"labels\":{},"
+                      "\"kind\":\"log2\",\"count\":1,\"sum\":5"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"buckets\":[[5,1]]"), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  EXPECT_EQ(json.find("\"boundaries\""), std::string::npos);
 }
 
 // ---- Recorder ----
@@ -427,74 +362,6 @@ TEST(Recorder, ScopedTimerFeedsTimerHistogram) {
     ScopedTimer null_ok(nullptr, "ignored");  // must not crash
   }
   EXPECT_EQ(rec.metrics().log_timer_us("solve_us").count(), 1);
-}
-
-// ---- Deferred-encode ring ----
-
-TEST(Recorder, DeferredEventsFlushInEmitOrder) {
-  Recorder rec({.journal_capacity = 64, .deferred_capacity = 8});
-  // POD events stage; the string-bearing ScheduleDecision must flush them
-  // first so the journal preserves interleaved emit order exactly.
-  rec.record(HeadroomViolation{sim::seconds(1), 3, 100});
-  rec.record(ControllerRound{sim::seconds(2), 0, 1, 1});
-  EXPECT_EQ(rec.deferred_pending(), 2u);
-  ScheduleDecision sd;
-  sd.at = sim::seconds(3);
-  sd.scheduler = "bass-auto";
-  rec.record(Event{sd});
-  rec.record(HeadroomViolation{sim::seconds(4), 5, 200});
-
-  std::vector<std::string> order;
-  rec.journal().for_each(
-      [&](const Event& e) { order.emplace_back(event_type_name(e)); });
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], "headroom_violation");
-  EXPECT_EQ(order[1], "controller_round");
-  EXPECT_EQ(order[2], "schedule_decision");
-  EXPECT_EQ(order[3], "headroom_violation");
-  EXPECT_EQ(rec.deferred_pending(), 0u);  // journal() access flushed
-
-  // Payloads survive the memcpy round trip intact.
-  int seen = 0;
-  rec.journal().for_each([&](const Event& e) {
-    if (const auto* hv = std::get_if<HeadroomViolation>(&e)) {
-      ++seen;
-      EXPECT_TRUE((hv->link == 3 && hv->delivered_bps == 100) ||
-                  (hv->link == 5 && hv->delivered_bps == 200));
-    }
-  });
-  EXPECT_EQ(seen, 2);
-}
-
-TEST(Recorder, DeferredRingFullFlushesBeforeStaging) {
-  Recorder rec({.journal_capacity = 64, .deferred_capacity = 4});
-  for (int i = 0; i < 11; ++i) {
-    rec.record(HeadroomViolation{sim::seconds(i), i, i});
-  }
-  // 11 = 2 full ring drains + 3 still staged.
-  EXPECT_EQ(rec.deferred_pending(), 3u);
-  // Counters are live at record time, before any flush.
-  EXPECT_EQ(rec.metrics().counter("events.headroom_violation").value(), 11);
-  // Journal access drains the rest, in order.
-  EXPECT_EQ(rec.journal().size(), 11u);
-  int expect_link = 0;
-  rec.journal().for_each([&](const Event& e) {
-    EXPECT_EQ(std::get<HeadroomViolation>(e).link, expect_link++);
-  });
-}
-
-TEST(Recorder, DeferredCapacityZeroJournalsEagerly) {
-  Recorder rec({.journal_capacity = 16, .deferred_capacity = 0});
-  rec.record(HeadroomViolation{sim::seconds(1), 0, 0});
-  EXPECT_EQ(rec.deferred_pending(), 0u);
-  EXPECT_EQ(rec.journal().size(), 1u);
-}
-
-TEST(Recorder, DisabledRecorderDropsDeferredToo) {
-  Recorder rec({.journal_capacity = 16, .deferred_capacity = 8, .enabled = false});
-  rec.record(HeadroomViolation{sim::seconds(1), 0, 0});
-  EXPECT_EQ(rec.deferred_pending(), 0u);
-  EXPECT_TRUE(rec.journal().empty());
 }
 
 TEST(Recorder, GlobalRecorderDrivesKernelScopes) {
