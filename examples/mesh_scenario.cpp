@@ -4,6 +4,7 @@
 //   ./build/examples/mesh_scenario examples/scenarios/community_mesh.ini
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "app/dot.h"
 #include "scenario/scenario.h"
@@ -51,9 +52,9 @@ int main(int argc, char** argv) {
 
   if (!scene.dot_path().empty()) {
     std::ofstream out(scene.dot_path());
-    std::unordered_map<app::ComponentId, net::NodeId> placement;
+    std::vector<net::NodeId> placement;
     for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
-      placement[c] = scene.orchestrator().node_of(scene.deployment(), c);
+      placement.push_back(scene.orchestrator().node_of(scene.deployment(), c));
     }
     out << app::to_dot(graph, &placement);
     std::printf("  placement graph written to %s\n", scene.dot_path().c_str());

@@ -22,8 +22,7 @@ std::string bandwidth_label(net::Bps bps) {
 
 }  // namespace
 
-std::string to_dot(const AppGraph& app,
-                   const std::unordered_map<ComponentId, net::NodeId>* placement) {
+std::string to_dot(const AppGraph& app, const std::vector<net::NodeId>* placement) {
   std::ostringstream out;
   out << "digraph \"" << app.name() << "\" {\n";
   out << "  rankdir=LR;\n  node [shape=box, style=rounded];\n";
@@ -36,8 +35,7 @@ std::string to_dot(const AppGraph& app,
     // Cluster components by their node.
     std::map<net::NodeId, std::vector<ComponentId>> by_node;
     for (ComponentId c = 0; c < app.component_count(); ++c) {
-      const auto it = placement->find(c);
-      by_node[it == placement->end() ? net::kInvalidNode : it->second].push_back(c);
+      by_node[placement->at(static_cast<std::size_t>(c))].push_back(c);
     }
     for (const auto& [node, comps] : by_node) {
       out << "  subgraph cluster_node" << (node < 0 ? 999 : node) << " {\n";
@@ -52,12 +50,9 @@ std::string to_dot(const AppGraph& app,
   for (const Edge& e : app.edges()) {
     out << "  c" << e.from << " -> c" << e.to << " [label=\""
         << bandwidth_label(e.bandwidth) << "\"";
-    if (placement != nullptr) {
-      const auto fa = placement->find(e.from);
-      const auto fb = placement->find(e.to);
-      const bool crossing = fa != placement->end() && fb != placement->end() &&
-                            fa->second != fb->second;
-      if (crossing) out << ", color=red, penwidth=2";
+    if (placement != nullptr && placement->at(static_cast<std::size_t>(e.from)) !=
+                                    placement->at(static_cast<std::size_t>(e.to))) {
+      out << ", color=red, penwidth=2";
     }
     out << "];\n";
   }

@@ -4,17 +4,16 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "app/app_graph.h"
 
 namespace bass::app {
 
 // DOT source for the component DAG. Edge labels carry the bandwidth
-// requirement; when `placement` is given, components are clustered by node
-// and mesh-crossing edges are highlighted.
+// requirement; when `placement` (node per ComponentId) is given, components
+// are clustered by node and mesh-crossing edges are highlighted.
 std::string to_dot(const AppGraph& app,
-                   const std::unordered_map<ComponentId, net::NodeId>* placement =
-                       nullptr);
+                   const std::vector<net::NodeId>* placement = nullptr);
 
 }  // namespace bass::app

@@ -28,9 +28,7 @@ AdmissionQueue::AdmissionQueue(sim::Simulation& sim, Orchestrator& orchestrator,
                                AdmissionConfig config)
     : sim_(&sim), orch_(&orchestrator), config_(config) {}
 
-AdmissionQueue::~AdmissionQueue() {
-  if (retry_timer_ != sim::kInvalidEvent) sim_->cancel(retry_timer_);
-}
+AdmissionQueue::~AdmissionQueue() { sim_->cancel(retry_timer_); }
 
 void AdmissionQueue::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;

@@ -48,11 +48,7 @@ Orchestrator::Orchestrator(sim::Simulation& sim, net::Network& network,
     : sim_(&sim), network_(&network), cluster_(&cluster), config_(config) {}
 
 Orchestrator::~Orchestrator() {
-  for (auto& d : deployments_) {
-    if (d->controller_tick != sim::kInvalidEvent) {
-      sim_->cancel_periodic(d->controller_tick);
-    }
-  }
+  for (auto& d : deployments_) sim_->cancel(d->controller_tick);
 }
 
 Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) {
@@ -316,8 +312,7 @@ void Orchestrator::disable_migration(DeploymentId id) {
   Deployment& d = dep(id);
   if (!d.migration_enabled) return;
   d.migration_enabled = false;
-  sim_->cancel_periodic(d.controller_tick);
-  d.controller_tick = sim::kInvalidEvent;
+  sim_->cancel(d.controller_tick);
   d.cooldown.reset();
 }
 

@@ -48,14 +48,8 @@ void NetMonitor::start() {
 void NetMonitor::stop() {
   if (!started_) return;
   started_ = false;
-  if (periodic_ != sim::kInvalidEvent) {
-    network_->simulation().cancel_periodic(periodic_);
-    periodic_ = sim::kInvalidEvent;
-  }
-  if (refresh_ != sim::kInvalidEvent) {
-    network_->simulation().cancel_periodic(refresh_);
-    refresh_ = sim::kInvalidEvent;
-  }
+  network_->simulation().cancel(periodic_);
+  network_->simulation().cancel(refresh_);
 }
 
 void NetMonitor::set_recorder(obs::Recorder* recorder) {

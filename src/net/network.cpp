@@ -251,10 +251,7 @@ bool Network::cancel_transfer(TransferId id) {
   transfer_channel_.erase(it);
   ch.fifo.erase(pos);
   if (was_head) {
-    if (ch.head_event != sim::kInvalidEvent) {
-      sim_->cancel(ch.head_event);
-      ch.head_event = sim::kInvalidEvent;
-    }
+    sim_->cancel(ch.head_event);
     if (ch.fifo.empty()) {
       remove_entity(ch.entity_slot);
       ch.entity_slot = -1;
@@ -592,10 +589,7 @@ void Network::reallocate() {
 
 void Network::schedule_head_event(std::int64_t key) {
   Channel& ch = channels_.at(key);
-  if (ch.head_event != sim::kInvalidEvent) {
-    sim_->cancel(ch.head_event);
-    ch.head_event = sim::kInvalidEvent;
-  }
+  sim_->cancel(ch.head_event);
   if (ch.fifo.empty()) return;
   const sim::Duration drain = drain_micros(ch.fifo.front().bytes_remaining, ch.rate_bps);
   if (drain < 0) return;  // stalled: wait for a rate change
@@ -604,7 +598,6 @@ void Network::schedule_head_event(std::int64_t key) {
 
 void Network::complete_head(std::int64_t key) {
   Channel& ch = channels_.at(key);
-  ch.head_event = sim::kInvalidEvent;
   settle_channel(ch);
   assert(!ch.fifo.empty());
   Transfer head = std::move(ch.fifo.front());

@@ -21,8 +21,7 @@ void OnlineProfiler::start() {
 void OnlineProfiler::stop() {
   if (!running_) return;
   running_ = false;
-  orch_->simulation().cancel_periodic(tick_);
-  tick_ = sim::kInvalidEvent;
+  orch_->simulation().cancel(tick_);
 }
 
 net::Bps OnlineProfiler::estimate(app::ComponentId from, app::ComponentId to) const {

@@ -13,6 +13,19 @@ namespace {
 
 util::Error err(const std::string& message) { return util::make_error(message); }
 
+// Reads `key` (seconds) as a timer period: schedule_periodic needs > 0 µs. The
+// range check comes first, as NaN, infinity or a value past the int64 µs
+// clock would make the conversion undefined.
+util::Expected<sim::Duration> parse_period(const util::IniSection& section,
+                                           const std::string& key, double fallback_s) {
+  const double seconds = section.number_or(key, fallback_s);
+  if (seconds > 0 && seconds < 1e12 && sim::seconds_f(seconds) > 0) {
+    return sim::seconds_f(seconds);
+  }
+  return err("[" + section.kind() + "] " + key + " must be > 0 and < 1e12 s (got " +
+             util::str_format("%g", seconds) + ")");
+}
+
 // Generation parameters for a synthetic [trace] section (no file= key).
 trace::GeneratorParams parse_trace_gen_params(const util::IniSection& section,
                                               sim::Duration duration) {
@@ -144,7 +157,9 @@ util::Expected<AppBuild> build_app(
 
 }  // namespace
 
-core::SchedulerKind parse_scheduler_kind(const std::string& kind) {
+core::SchedulerKind parse_scheduler_kind(const util::IniFile& ini) {
+  const auto* sched = ini.first_of_kind("scheduler");
+  const std::string kind = sched ? sched->get_or("kind", "auto") : "auto";
   if (kind == "bfs") return core::SchedulerKind::kBassBfs;
   if (kind == "longest-path") return core::SchedulerKind::kBassLongestPath;
   if (kind == "k3s") return core::SchedulerKind::kK3sDefault;
@@ -158,12 +173,15 @@ sim::Duration parse_run_duration(const util::IniFile& ini) {
 
 // Shared between from_ini's one-shot enable_migration and the serving
 // loop's per-admission controller parameters.
-controller::MigrationParams parse_migration_params(const util::IniSection& mig) {
+util::Expected<controller::MigrationParams> parse_migration_params(
+    const util::IniSection& mig) {
+  auto interval = parse_period(mig, "interval_s", 30);
+  if (!interval.ok()) return err(interval.error());
   controller::MigrationParams params;
   params.utilization_threshold = mig.number_or("threshold", 0.65);
   params.headroom_frac = mig.number_or("headroom", 0.2);
   params.goodput_floor = mig.number_or("goodput_floor", 0.5);
-  params.evaluation_interval = sim::seconds_f(mig.number_or("interval_s", 30));
+  params.evaluation_interval = interval.value();
   params.cooldown = sim::seconds_f(mig.number_or("cooldown_s", 30));
   params.min_migration_gap = sim::seconds_f(mig.number_or("min_gap_s", 90));
   return params;
@@ -195,16 +213,54 @@ util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
   cfg.admission.retry_interval = sim::seconds_f(serve.number_or("retry_s", 30));
   cfg.admission.max_retries = static_cast<int>(serve.number_or("max_retries", 5));
 
-  const auto* sched = ini.first_of_kind("scheduler");
-  cfg.scheduler = parse_scheduler_kind(sched ? sched->get_or("kind", "auto") : "auto");
+  cfg.scheduler = parse_scheduler_kind(ini);
   if (const auto* mig = ini.first_of_kind("migration")) {
-    cfg.migration = parse_migration_params(*mig);
+    auto params = parse_migration_params(*mig);
+    if (!params.ok()) return err(params.error());
+    cfg.migration = params.value();
   }
-  cfg.rebalance_interval =
-      sim::seconds_f(serve.number_or("rebalance_interval_s", 120));
+  auto rebalance = parse_period(serve, "rebalance_interval_s", 120);
+  if (!rebalance.ok()) return err(rebalance.error());
+  cfg.rebalance_interval = rebalance.value();
   cfg.rebalance_max_moves = static_cast<int>(serve.number_or("rebalance_max_moves", 1));
   cfg.rebalance_cpu_threshold = serve.number_or("rebalance_cpu_threshold", 0.85);
   return cfg;
+}
+
+util::Expected<std::optional<monitor::MonitorConfig>> parse_monitor_config(
+    const util::IniFile& ini) {
+  monitor::MonitorConfig cfg;
+  const auto* mon = ini.first_of_kind("monitor");
+  if (mon == nullptr) return std::optional(cfg);
+  if (!mon->flag_or("enabled", true)) return std::optional<monitor::MonitorConfig>();
+  auto interval = parse_period(*mon, "probe_interval_s", 30);
+  if (!interval.ok()) return err(interval.error());
+  cfg.probe_interval = interval.value();
+  cfg.headroom_frac = mon->number_or("headroom_frac", 0.10);
+  return std::optional(cfg);
+}
+
+obs::RecorderConfig parse_recorder_config(const util::IniFile& ini) {
+  obs::RecorderConfig cfg;
+  if (const auto* obs_sec = ini.first_of_kind("obs")) {
+    cfg.enabled = obs_sec->flag_or("enabled", true);
+    cfg.journal_capacity = static_cast<std::size_t>(
+        obs_sec->number_or("journal_capacity", static_cast<double>(cfg.journal_capacity)));
+  }
+  return cfg;
+}
+
+core::OrchestratorConfig parse_orchestrator_config(const util::IniFile& ini) {
+  core::OrchestratorConfig cfg;
+  if (const auto* mig = ini.first_of_kind("migration")) {
+    cfg.restart_duration = sim::seconds_f(mig->number_or("restart_s", 10.0));
+  }
+  return cfg;
+}
+
+bool parse_invariants_enabled(const util::IniFile& ini) {
+  const auto* inv = ini.first_of_kind("invariants");
+  return inv == nullptr || inv->flag_or("enabled", true);
 }
 
 util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
@@ -374,13 +430,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   // ---- Observability ----
   // Created before any subsystem so construction-time activity (the initial
   // probe round, the deploy decision) lands in the journal too.
-  obs::RecorderConfig obs_cfg;
-  if (const auto* obs_sec = ini.first_of_kind("obs")) {
-    obs_cfg.enabled = obs_sec->flag_or("enabled", true);
-    obs_cfg.journal_capacity = static_cast<std::size_t>(
-        obs_sec->number_or("journal_capacity", static_cast<double>(obs_cfg.journal_capacity)));
-  }
-  s->recorder_ = std::make_unique<obs::Recorder>(obs_cfg);
+  s->recorder_ = std::make_unique<obs::Recorder>(parse_recorder_config(ini));
 
   // ---- Nodes & topology ----
   auto built_topo = build_topology(ini);
@@ -410,22 +460,13 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   }
 
   // ---- Orchestrator & monitor ----
-  core::OrchestratorConfig orch_cfg;
-  if (const auto* mig = ini.first_of_kind("migration")) {
-    orch_cfg.restart_duration =
-        sim::seconds_f(mig->number_or("restart_s", 10.0));
-  }
   s->orch_ = std::make_unique<core::Orchestrator>(s->sim_, *s->network_, s->cluster_,
-                                                  orch_cfg);
+                                                  parse_orchestrator_config(ini));
   s->orch_->set_recorder(s->recorder_.get());
-  const auto* mon = ini.first_of_kind("monitor");
-  if (mon == nullptr || mon->flag_or("enabled", true)) {
-    monitor::MonitorConfig mon_cfg;
-    if (mon != nullptr) {
-      mon_cfg.probe_interval = sim::seconds_f(mon->number_or("probe_interval_s", 30));
-      mon_cfg.headroom_frac = mon->number_or("headroom_frac", 0.10);
-    }
-    s->monitor_ = std::make_unique<monitor::NetMonitor>(*s->network_, mon_cfg);
+  auto mon_cfg = parse_monitor_config(ini);
+  if (!mon_cfg.ok()) return err(mon_cfg.error());
+  if (mon_cfg.value()) {
+    s->monitor_ = std::make_unique<monitor::NetMonitor>(*s->network_, *mon_cfg.value());
     s->monitor_->set_recorder(s->recorder_.get());
     s->orch_->attach_monitor(s->monitor_.get());
   }
@@ -511,8 +552,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   app::AppGraph& graph = app_build.graph;
 
   // ---- Deploy / serving loop ----
-  const auto* sched = ini.first_of_kind("scheduler");
-  const auto kind = parse_scheduler_kind(sched ? sched->get_or("kind", "auto") : "auto");
+  const auto kind = parse_scheduler_kind(ini);
   // Probe the links once before placing if a monitor exists, so the
   // scheduler sees measured capacities.
   if (s->monitor_) {
@@ -532,28 +572,29 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
     s->deployment_ = deployed.value();
 
     // ---- Migration & profiler ----
-    if (const auto* mig = ini.first_of_kind("migration")) {
-      if (mig->flag_or("enabled", true)) {
-        s->orch_->enable_migration(s->deployment_, parse_migration_params(*mig));
-      }
+    const auto* mig = ini.first_of_kind("migration");
+    if (mig != nullptr && mig->flag_or("enabled", true)) {
+      auto params = parse_migration_params(*mig);
+      if (!params.ok()) return err(params.error());
+      s->orch_->enable_migration(s->deployment_, params.value());
     }
-    if (const auto* prof = ini.first_of_kind("profiler")) {
-      if (prof->flag_or("enabled", false)) {
-        profiler::ProfilerConfig pcfg;
-        pcfg.sample_interval = sim::seconds_f(prof->number_or("sample_interval_s", 10));
-        pcfg.safety_factor = prof->number_or("safety_factor", 1.25);
-        s->profiler_ = std::make_unique<profiler::OnlineProfiler>(*s->orch_,
-                                                                  s->deployment_, pcfg);
-        s->profiler_->start();
-      }
+    const auto* prof = ini.first_of_kind("profiler");
+    if (prof != nullptr && prof->flag_or("enabled", false)) {
+      auto interval = parse_period(*prof, "sample_interval_s", 10);
+      if (!interval.ok()) return err(interval.error());
+      profiler::ProfilerConfig pcfg;
+      pcfg.sample_interval = interval.value();
+      pcfg.safety_factor = prof->number_or("safety_factor", 1.25);
+      s->profiler_ = std::make_unique<profiler::OnlineProfiler>(*s->orch_,
+                                                                s->deployment_, pcfg);
+      s->profiler_->start();
     }
   }
 
   // ---- Faults & invariants ----
   // The continuous safety checker is on by default — every scenario run
   // doubles as a robustness test. [invariants] enabled = false opts out.
-  const auto* inv = ini.first_of_kind("invariants");
-  if (inv == nullptr || inv->flag_or("enabled", true)) {
+  if (parse_invariants_enabled(ini)) {
     s->invariants_ = std::make_unique<fault::Invariants>(
         *s->orch_, s->recorder_.get());
     s->invariants_->attach();

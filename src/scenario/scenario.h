@@ -88,6 +88,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,7 @@
 #include "core/orchestrator.h"
 #include "fault/injector.h"
 #include "fault/invariants.h"
+#include "monitor/net_monitor.h"
 #include "obs/flight.h"
 #include "obs/recorder.h"
 #include "profiler/online_profiler.h"
@@ -183,13 +185,23 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini);
 
 // ---- Shared ini parsers ----
 // Exported so the sharded orchestrator configures per-zone worlds with the
-// exact semantics (defaults included) of the unsharded scenario path.
-core::SchedulerKind parse_scheduler_kind(const std::string& kind);
+// exact semantics (defaults included) of the unsharded scenario path. Timer
+// periods ([migration] interval_s, [monitor] probe_interval_s, [serve]
+// rebalance_interval_s, [profiler] sample_interval_s) must round to > 0 µs.
+core::SchedulerKind parse_scheduler_kind(const util::IniFile& ini);
 sim::Duration parse_run_duration(const util::IniFile& ini);
-controller::MigrationParams parse_migration_params(const util::IniSection& mig);
+util::Expected<controller::MigrationParams> parse_migration_params(
+    const util::IniSection& mig);
 // Requires a [serve] section to be present.
 util::Expected<ServeConfig> parse_serve_config(const util::IniFile& ini,
                                                sim::Duration duration);
+// [monitor] (nullopt when enabled = false), [obs], [migration] restart_s and
+// [invariants] enabled.
+util::Expected<std::optional<monitor::MonitorConfig>> parse_monitor_config(
+    const util::IniFile& ini);
+obs::RecorderConfig parse_recorder_config(const util::IniFile& ini);
+core::OrchestratorConfig parse_orchestrator_config(const util::IniFile& ini);
+bool parse_invariants_enabled(const util::IniFile& ini);
 
 class Scenario {
  public:

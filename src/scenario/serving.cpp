@@ -70,10 +70,7 @@ void ServingLoop::stop() {
   for (auto& [instance, live] : live_) {
     if (live.engine) live.engine->stop();
   }
-  if (rebalance_timer_ != sim::kInvalidEvent) {
-    orch_->simulation().cancel_periodic(rebalance_timer_);
-    rebalance_timer_ = sim::kInvalidEvent;
-  }
+  orch_->simulation().cancel(rebalance_timer_);
 }
 
 bool ServingLoop::churn_due(sim::Time until) const {

@@ -1,38 +1,40 @@
-// Cancellable priority event queue. Events at equal timestamps fire in
-// insertion order (FIFO), which keeps runs deterministic.
+// Cancellable priority event queue behind every timer, one-shot or periodic.
+// Equal timestamps fire in push order (FIFO), which keeps runs deterministic.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace bass::sim {
 
-// Opaque handle used to cancel a scheduled event. 0 is never a valid id.
+// Handle used to cancel a scheduled event: generation << 32 | slot.
+// Generations start at 1 and never wrap, so 0 is never a valid id and an id
+// that fired or was cancelled stays inert: holders need not reset it.
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
-  // Enqueues `fn` to fire at absolute time `at`. Returns a cancellation id.
-  EventId push(Time at, std::function<void()> fn);
+  // Enqueues `fn` to fire at absolute time `at`; with `period` > 0 it
+  // re-arms at `at + period` after each firing until cancelled.
+  EventId push(Time at, std::function<void()> fn, Duration period = 0);
 
-  // Cancels a pending event; returns false if it already fired or was
-  // cancelled. Cancellation is lazy: the entry is dropped when popped.
+  // Cancels a one-shot or periodic event (a periodic also from inside its own
+  // callback); false if it already fired or was cancelled. The slot is freed
+  // at once; its heap entry is dropped when it reaches the top.
   bool cancel(EventId id);
 
   bool empty() const { return live_count_ == 0; }
+  // Live events; an armed periodic counts once.
   std::size_t size() const { return live_count_; }
 
-  // Cancelled entries still sitting in the heap awaiting lazy removal.
-  // Bounded by the number of pending events: cancel() only accepts ids that
-  // are live, so every tombstone is guaranteed to be compacted when its heap
-  // entry reaches the top (regression coverage in tests/sim_test.cpp).
-  std::size_t cancelled_backlog() const { return cancelled_.size(); }
+  // Cancelled entries still in the heap: at most one per cancel, each dropped
+  // once it reaches the top (regression coverage in tests/sim_test.cpp).
+  std::size_t cancelled_backlog() const { return heap_.size() - live_count_; }
 
   // Timestamp of the next live event; only valid when !empty().
   Time next_time();
@@ -41,29 +43,35 @@ class EventQueue {
   Time pop_and_run();
 
  private:
+  // kFiring: a periodic whose callback is running, re-armed when it returns.
+  enum class SlotState : std::uint8_t { kFree, kArmed, kFiring };
+  struct Slot {
+    std::function<void()> fn;
+    Duration period = 0;
+    std::uint32_t generation = 1;
+    SlotState state = SlotState::kFree;
+  };
+  // Ties break on seq, drawn at every push (a re-arm draws after its callback).
   struct Entry {
     Time at;
-    EventId id;  // doubles as the FIFO tiebreaker: ids are monotonic
-    std::function<void()> fn;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t generation;  // stale once the slot's generation moves on
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
   };
 
-  // Drops cancelled entries from the top of the heap.
+  void arm(std::uint32_t slot, Time at);
+  void release(std::uint32_t slot);
   void skip_cancelled();
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  // Ids of heap entries not yet popped or cancelled. Membership gates
-  // cancel(): cancelling an id that already fired (or was never issued) is a
-  // no-op instead of planting an uncollectable tombstone and corrupting
-  // live_count_.
-  std::unordered_set<EventId> live_;
-  std::unordered_set<EventId> cancelled_;
-  EventId next_id_ = 1;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace bass::sim {
@@ -14,36 +15,15 @@ EventId Simulation::schedule_at(Time at, std::function<void()> fn) {
 }
 
 EventId Simulation::schedule_periodic(Duration period, std::function<void()> fn) {
-  const EventId handle = next_periodic_++;
-  periodics_[handle] = Periodic{period, std::move(fn), kInvalidEvent, false};
-  arm_periodic(handle);
-  return handle;
-}
-
-void Simulation::arm_periodic(EventId handle) {
-  auto it = periodics_.find(handle);
-  if (it == periodics_.end() || it->second.cancelled) return;
-  it->second.current_event = schedule_after(it->second.period, [this, handle] {
-    auto iter = periodics_.find(handle);
-    if (iter == periodics_.end() || iter->second.cancelled) return;
-    iter->second.fn();
-    // The callback may have cancelled this periodic task; re-check.
-    arm_periodic(handle);
-  });
-}
-
-bool Simulation::cancel_periodic(EventId handle) {
-  auto it = periodics_.find(handle);
-  if (it == periodics_.end() || it->second.cancelled) return false;
-  it->second.cancelled = true;
-  if (it->second.current_event != kInvalidEvent) queue_.cancel(it->second.current_event);
-  periodics_.erase(it);
-  return true;
+  assert(period > 0);
+  return queue_.push(now_ + period, std::move(fn), period);
 }
 
 void Simulation::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    now_ = queue_.next_time();
+  while (!queue_.empty()) {
+    const Time at = queue_.next_time();
+    if (at > deadline) break;
+    now_ = at;
     queue_.pop_and_run();
   }
   now_ = std::max(now_, deadline);

@@ -1,11 +1,10 @@
-// The simulation driver: a virtual clock plus the event queue. Everything in
+// The simulation engine: a virtual clock over the event queue. Everything in
 // the repository (network, workloads, monitors, controllers) schedules
 // callbacks here; running the simulation advances virtual time with zero
 // wall-clock dependence.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -22,15 +21,12 @@ class Simulation {
   // Schedules `fn` at absolute time `at` (clamped to >= now).
   EventId schedule_at(Time at, std::function<void()> fn);
 
-  bool cancel(EventId id) { return queue_.cancel(id); }
-
   // Repeats `fn` every `period` starting at now + period, until the returned
-  // handle is cancelled via cancel_periodic().
-  class PeriodicHandle;
+  // id is cancelled. Requires period > 0.
   EventId schedule_periodic(Duration period, std::function<void()> fn);
-  // Periodic tasks re-arm themselves, so the live EventId changes every
-  // tick; cancel them through this map-based API instead of cancel().
-  bool cancel_periodic(EventId handle);
+
+  // Cancels a one-shot or periodic event; false once it fired or was cancelled.
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Runs events until the queue drains or the next event is past `deadline`.
   // The clock lands exactly on `deadline`.
@@ -53,19 +49,8 @@ class Simulation {
   std::size_t cancelled_backlog() const { return queue_.cancelled_backlog(); }
 
  private:
-  struct Periodic {
-    Duration period;
-    std::function<void()> fn;
-    EventId current_event = kInvalidEvent;
-    bool cancelled = false;
-  };
-
-  void arm_periodic(EventId handle);
-
   EventQueue queue_;
   Time now_ = 0;
-  EventId next_periodic_ = 1;
-  std::unordered_map<EventId, Periodic> periodics_;
 };
 
 }  // namespace bass::sim

@@ -41,8 +41,7 @@ void CameraPipelineEngine::start() {
 void CameraPipelineEngine::stop() {
   if (!running_) return;
   running_ = false;
-  orch_->simulation().cancel_periodic(ticker_);
-  ticker_ = sim::kInvalidEvent;
+  orch_->simulation().cancel(ticker_);
 }
 
 bool CameraPipelineEngine::stage_up(app::ComponentId c) const {

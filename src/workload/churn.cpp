@@ -183,10 +183,7 @@ void ChurnTrafficEngine::stop() {
   if (!running_) return;
   running_ = false;
   for (Flow& flow : flows_) close(flow);
-  if (sampler_ != sim::kInvalidEvent) {
-    orch_->simulation().cancel_periodic(sampler_);
-    sampler_ = sim::kInvalidEvent;
-  }
+  orch_->simulation().cancel(sampler_);
 }
 
 void ChurnTrafficEngine::open(Flow& flow) {

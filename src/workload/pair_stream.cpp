@@ -26,10 +26,7 @@ void PairStreamEngine::stop() {
   if (!running_) return;
   running_ = false;
   close();
-  if (sampler_ != sim::kInvalidEvent) {
-    orch_->simulation().cancel_periodic(sampler_);
-    sampler_ = sim::kInvalidEvent;
-  }
+  orch_->simulation().cancel(sampler_);
 }
 
 void PairStreamEngine::open() {

@@ -36,10 +36,7 @@ void RequestEngine::start() {
 void RequestEngine::stop() {
   if (!running_) return;
   running_ = false;
-  if (arrival_event_ != sim::kInvalidEvent) {
-    orch_->simulation().cancel(arrival_event_);
-    arrival_event_ = sim::kInvalidEvent;
-  }
+  orch_->simulation().cancel(arrival_event_);
 }
 
 void RequestEngine::schedule_next_arrival() {
@@ -48,7 +45,6 @@ void RequestEngine::schedule_next_arrival() {
                            ? 1.0 / config_.rps
                            : rng_.exponential(1.0 / config_.rps);
   arrival_event_ = orch_->simulation().schedule_after(sim::seconds_f(gap_s), [this] {
-    arrival_event_ = sim::kInvalidEvent;
     arrive();
     schedule_next_arrival();
   });

@@ -46,10 +46,7 @@ void VideoConferenceEngine::stop() {
   if (!running_) return;
   running_ = false;
   close_streams();
-  if (sampler_ != sim::kInvalidEvent) {
-    orch_->simulation().cancel_periodic(sampler_);
-    sampler_ = sim::kInvalidEvent;
-  }
+  orch_->simulation().cancel(sampler_);
 }
 
 void VideoConferenceEngine::open_streams(net::NodeId sfu_node) {

@@ -125,23 +125,13 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
     return err("[zones]: active_zones must be >= 0");
   }
 
-  const auto* mon = ini.first_of_kind("monitor");
-  build.monitor_enabled = mon == nullptr || mon->flag_or("enabled", true);
-  if (mon != nullptr) {
-    build.monitor.probe_interval =
-        sim::seconds_f(mon->number_or("probe_interval_s", 30));
-    build.monitor.headroom_frac = mon->number_or("headroom_frac", 0.10);
-  }
-  const auto* inv = ini.first_of_kind("invariants");
-  build.invariants_enabled = inv == nullptr || inv->flag_or("enabled", true);
-  if (const auto* mig = ini.first_of_kind("migration")) {
-    build.orch.restart_duration = sim::seconds_f(mig->number_or("restart_s", 10.0));
-  }
-  if (const auto* obs_sec = ini.first_of_kind("obs")) {
-    build.recorder.enabled = obs_sec->flag_or("enabled", true);
-    build.recorder.journal_capacity = static_cast<std::size_t>(obs_sec->number_or(
-        "journal_capacity", static_cast<double>(build.recorder.journal_capacity)));
-  }
+  auto monitor = scenario::parse_monitor_config(ini);
+  if (!monitor.ok()) return err(monitor.error());
+  build.monitor_enabled = monitor.value().has_value();
+  if (build.monitor_enabled) build.monitor = *monitor.value();
+  build.invariants_enabled = scenario::parse_invariants_enabled(ini);
+  build.orch = scenario::parse_orchestrator_config(ini);
+  build.recorder = scenario::parse_recorder_config(ini);
   return create(std::move(build), jobs);
 }
 

@@ -154,7 +154,7 @@ TEST(Dot, PlacementClustersAndHighlightsCrossings) {
   g.add_component({.name = "z"});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::kbps(500)});
   g.add_dependency({.from = 1, .to = 2, .bandwidth = net::mbps(2)});
-  const std::unordered_map<ComponentId, net::NodeId> placement{{0, 0}, {1, 0}, {2, 1}};
+  const std::vector<net::NodeId> placement{0, 0, 1};
   const std::string dot = to_dot(g, &placement);
   EXPECT_NE(dot.find("cluster_node0"), std::string::npos);
   EXPECT_NE(dot.find("cluster_node1"), std::string::npos);

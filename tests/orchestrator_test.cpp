@@ -164,7 +164,7 @@ TEST(Orchestrator, ControllerMigratesUnderViolation) {
   });
 
   f.sim.run_until(sim::minutes(3));
-  f.sim.cancel_periodic(feeder);
+  f.sim.cancel(feeder);
   EXPECT_GE(f.orch->migration_events().size(), 1u);
   // After migration the pair is colocated (the rescheduler prefers the
   // dependency's node).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "scenario/scenario.h"
 
 namespace bass::scenario {
@@ -297,3 +300,39 @@ TEST(Scenario, TraceFileMissingIsAnError) {
 
 }  // namespace
 }  // namespace bass::scenario
+
+// A timer period of zero (or one that rounds to 0 µs) would re-fire at the
+// same instant forever; every periodic key must be rejected at parse time.
+namespace bass::scenario::period_test {
+
+struct TimerKey {
+  const char* section;  // section text preceding the key
+  const char* key;      // "[section] key" as the error names it
+};
+
+class Scenario
+    : public ::testing::TestWithParam<std::tuple<TimerKey, const char*>> {};
+
+TEST_P(Scenario, RejectsNonPositiveTimerPeriods) {
+  const auto& [timer, value] = GetParam();
+  const std::string name = timer.key;
+  const std::string text = std::string(kMinimal) + timer.section +
+                           name.substr(name.find(' ') + 1) + " = " + value + "\n";
+  const auto ini = util::parse_ini(text);
+  ASSERT_TRUE(ini.ok()) << ini.error();
+  const auto s = bass::scenario::Scenario::from_ini(ini.value());
+  ASSERT_FALSE(s.ok()) << name << " = " << value << " was accepted";
+  EXPECT_NE(s.error().find(name), std::string::npos) << s.error();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Keys, Scenario,
+    ::testing::Combine(
+        ::testing::Values(TimerKey{"[migration]\nenabled = true\n", "[migration] interval_s"},
+                          TimerKey{"[monitor]\n", "[monitor] probe_interval_s"},
+                          TimerKey{"[serve]\nmode = dynamic\n", "[serve] rebalance_interval_s"},
+                          TimerKey{"[profiler]\nenabled = true\n",
+                                   "[profiler] sample_interval_s"}),
+        ::testing::Values("0", "-5", "1e-7", "nan", "inf")));
+
+}  // namespace bass::scenario::period_test

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -92,7 +93,7 @@ TEST(Simulation, PeriodicRepeats) {
   const EventId handle = sim.schedule_periodic(seconds(10), [&] { ++ticks; });
   sim.run_until(seconds(35));
   EXPECT_EQ(ticks, 3);  // t=10,20,30
-  EXPECT_TRUE(sim.cancel_periodic(handle));
+  EXPECT_TRUE(sim.cancel(handle));
   sim.run_until(seconds(100));
   EXPECT_EQ(ticks, 3);
 }
@@ -102,17 +103,107 @@ TEST(Simulation, PeriodicCancelFromInsideCallback) {
   int ticks = 0;
   EventId handle = 0;
   handle = sim.schedule_periodic(seconds(1), [&] {
-    if (++ticks == 2) sim.cancel_periodic(handle);
+    if (++ticks == 2) {
+      EXPECT_TRUE(sim.cancel(handle));
+    }
   });
   sim.run_until(seconds(10));
   EXPECT_EQ(ticks, 2);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.cancelled_backlog(), 0u);
 }
 
 TEST(Simulation, CancelPeriodicTwiceFails) {
   Simulation sim;
   const EventId handle = sim.schedule_periodic(seconds(1), [] {});
-  EXPECT_TRUE(sim.cancel_periodic(handle));
-  EXPECT_FALSE(sim.cancel_periodic(handle));
+  EXPECT_TRUE(sim.cancel(handle));
+  EXPECT_FALSE(sim.cancel(handle));
+}
+
+// Periodic and one-shot events share one id space: cancelling a periodic
+// id touches nothing else, even the one-shot pushed just before it.
+TEST(Simulation, CancelStopsPeriodicAndSparesEarlierOneShot) {
+  Simulation sim;
+  bool one_shot_fired = false;
+  int ticks = 0;
+  sim.schedule_at(seconds(5), [&] { one_shot_fired = true; });
+  const EventId periodic = sim.schedule_periodic(seconds(1), [&] { ++ticks; });
+  sim.run_until(seconds(2));
+  EXPECT_TRUE(sim.cancel(periodic));
+  sim.run_until(seconds(10));
+  EXPECT_EQ(ticks, 2);
+  EXPECT_TRUE(one_shot_fired);
+}
+
+TEST(EventQueue, StaleIdCannotCancelSlotsNextOccupant) {
+  Simulation sim;
+  const EventId cancelled = sim.schedule_at(seconds(1), [] {});
+  EXPECT_TRUE(sim.cancel(cancelled));
+  bool fired = false;
+  const EventId reused = sim.schedule_at(seconds(2), [&] { fired = true; });
+  // Same slot, new generation.
+  EXPECT_EQ(static_cast<std::uint32_t>(reused), static_cast<std::uint32_t>(cancelled));
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(sim.cancel(cancelled));
+  sim.run_until(seconds(2));
+  EXPECT_TRUE(fired);
+
+  // A fired id is just as stale once its slot is reused.
+  bool later_fired = false;
+  const EventId later = sim.schedule_at(seconds(3), [&] { later_fired = true; });
+  EXPECT_EQ(static_cast<std::uint32_t>(later), static_cast<std::uint32_t>(reused));
+  EXPECT_FALSE(sim.cancel(reused));
+  sim.run_all();
+  EXPECT_TRUE(later_fired);
+}
+
+TEST(Simulation, PeriodicCancelledInCallbackStaysDeadWhenSlotIsReused) {
+  Simulation sim;
+  int ticks = 0;
+  int follow_ups = 0;
+  EventId handle = kInvalidEvent;
+  EventId follow_up = kInvalidEvent;
+  handle = sim.schedule_periodic(seconds(1), [&] {
+    ++ticks;
+    EXPECT_TRUE(sim.cancel(handle));
+    follow_up = sim.schedule_after(seconds(1), [&] { ++follow_ups; });
+  });
+  sim.run_until(seconds(10));
+  EXPECT_EQ(static_cast<std::uint32_t>(follow_up), static_cast<std::uint32_t>(handle));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(follow_ups, 1);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.cancelled_backlog(), 0u);
+}
+
+// A periodic re-arms after its callback returns, so an event the callback
+// schedules for the next tick's exact time was pushed first and fires first.
+TEST(Simulation, EventScheduledForNextTickFiresBeforeIt) {
+  Simulation sim;
+  std::vector<std::string> order;
+  sim.schedule_periodic(seconds(1), [&] {
+    order.push_back("tick");
+    if (order.size() == 1) {
+      sim.schedule_at(sim.now() + seconds(1), [&] { order.push_back("event"); });
+    }
+  });
+  sim.run_until(seconds(2));
+  EXPECT_EQ(order, (std::vector<std::string>{"tick", "event", "tick"}));
+}
+
+TEST(Simulation, ArmedPeriodicCountsOnceAsPending) {
+  Simulation sim;
+  const EventId handle = sim.schedule_periodic(seconds(1), [] {});
+  sim.schedule_at(seconds(30), [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run_until(seconds(10));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.has_event_before(seconds(11)));
+  EXPECT_TRUE(sim.cancel(handle));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.cancelled_backlog(), 1u);
+  EXPECT_FALSE(sim.has_event_before(seconds(29)));
+  EXPECT_EQ(sim.cancelled_backlog(), 0u);
 }
 
 TEST(Simulation, EventsScheduledDuringRunExecute) {

@@ -521,6 +521,17 @@ TEST(Sharded, FromIniValidatesSections) {
   auto a = ShardedOrchestrator::from_ini(bad_active.value(), 1);
   ASSERT_FALSE(a.ok());
   EXPECT_NE(a.error().find("active_zones"), std::string::npos);
+
+  // Shared sections go through the scenario parsers, period checks included.
+  auto bad_probe = util::parse_ini(
+      "[topology]\nkind = city_grid\n"
+      "[zones]\ncount = 2\n"
+      "[monitor]\nprobe_interval_s = 0\n"
+      "[serve]\nmode = adaptive\n");
+  ASSERT_TRUE(bad_probe.ok());
+  auto p = ShardedOrchestrator::from_ini(bad_probe.value(), 1);
+  ASSERT_FALSE(p.ok());
+  EXPECT_NE(p.error().find("[monitor] probe_interval_s"), std::string::npos);
 }
 
 }  // namespace

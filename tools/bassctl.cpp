@@ -71,9 +71,8 @@
 #include <fstream>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -617,9 +616,9 @@ int cmd_dot(const std::string& path, const std::string& out_path) {
     return 1;
   }
   auto& scene = *s.value();
-  std::unordered_map<app::ComponentId, net::NodeId> placement;
+  std::vector<net::NodeId> placement;
   for (app::ComponentId c = 0; c < scene.app().component_count(); ++c) {
-    placement[c] = scene.orchestrator().node_of(scene.deployment(), c);
+    placement.push_back(scene.orchestrator().node_of(scene.deployment(), c));
   }
   const std::string dot = app::to_dot(scene.app(), &placement);
   if (out_path.empty()) {
@@ -1023,9 +1022,9 @@ int cmd_report(const std::vector<std::string>& args) {
 
   // Causal chains: every completed migration traced back through its span's
   // parent to the controller round or fault that decided it.
-  std::unordered_map<std::uint64_t, const JournalLine*> cause_by_span;
-  std::unordered_map<std::uint64_t, const JournalLine*> started_by_span;
-  std::unordered_map<std::uint64_t, std::size_t> reallocs_by_parent;
+  std::map<std::uint64_t, const JournalLine*> cause_by_span;
+  std::map<std::uint64_t, const JournalLine*> started_by_span;
+  std::map<std::uint64_t, std::size_t> reallocs_by_parent;
   for (const JournalLine& e : events) {
     if (e.span != 0 &&
         (e.type == "controller_round" || e.type == "fault_injected" ||
@@ -1156,7 +1155,7 @@ int cmd_journal(const std::vector<std::string>& args) {
   // it transitively caused. Span ids are allocated parent-first, so one
   // forward pass closes the tree; iterate to a fixpoint anyway — journals
   // get truncated and concatenated by hand.
-  std::unordered_set<std::uint64_t> in_tree;
+  std::set<std::uint64_t> in_tree;
   if (have_span) {
     in_tree.insert(span);
     for (bool changed = true; changed;) {
