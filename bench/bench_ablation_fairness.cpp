@@ -38,8 +38,9 @@ Point run(net::FairnessPolicy policy, int participants) {
 
   const net::Bps kStream = net::mbps(3);
   auto graph = app::video_conference_app({{2, participants}}, kStream);
-  sched::Placement manual;
-  manual[graph.find("pion-sfu")] = 1;
+  sched::Placement manual(static_cast<std::size_t>(graph.component_count()),
+                          net::kInvalidNode);
+  manual[static_cast<std::size_t>(graph.find("pion-sfu"))] = 1;
   const auto id = orch.deploy_with_placement(std::move(graph), manual).take();
 
   workload::VideoConferenceConfig cfg;

@@ -33,7 +33,7 @@ void score(const app::AppGraph& g, const cluster::ClusterState& cluster,
       continue;
     }
     std::set<net::NodeId> nodes;
-    for (const auto& [c, n] : r.value()) nodes.insert(n);
+    for (net::NodeId n : r.value()) nodes.insert(n);
     std::printf("  %-18s crossing bandwidth %7.2f Mbps on %zu nodes\n",
                 s->name().c_str(),
                 static_cast<double>(sched::crossing_bandwidth(g, r.value())) / 1e6,

@@ -25,8 +25,9 @@ int main() {
 
     const std::vector<std::pair<net::NodeId, int>> groups{{2, participants}};
     auto app_graph = app::video_conference_app(groups, kStream);
-    sched::Placement manual;
-    manual[app_graph.find("pion-sfu")] = 1;  // server fixed on node 2
+    sched::Placement manual(static_cast<std::size_t>(app_graph.component_count()),
+                            net::kInvalidNode);
+    manual[static_cast<std::size_t>(app_graph.find("pion-sfu"))] = 1;  // server fixed on node 2
     const auto id = rig.orch->deploy_with_placement(std::move(app_graph), manual);
     if (!id.ok()) {
       std::printf("deploy failed: %s\n", id.error().c_str());

@@ -26,7 +26,7 @@ void print_placement(const char* name, const app::AppGraph& g,
                      const sched::Placement& p) {
   std::printf("%-13s placement: ", name);
   for (app::ComponentId c = 0; c < g.component_count(); ++c) {
-    std::printf("%s->node%d  ", g.component(c).name.c_str(), p.at(c) + 1);
+    std::printf("%s->node%d  ", g.component(c).name.c_str(), sched::node_of(p, c) + 1);
   }
   std::printf("\n");
 }

@@ -45,7 +45,7 @@ int main() {
   g.add_component(anchor);
   g.add_component({.name = "worker", .cpu_milli = 500, .memory_mb = 128});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
-  sched::Placement manual{{0, 3}, {1, 4}};
+  sched::Placement manual{3, 4};
   const auto id = orch.deploy_with_placement(std::move(g), manual);
   if (!id.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", id.error().c_str());

@@ -30,8 +30,9 @@ metrics::TimeSeries run(bool migration_enabled, sim::Duration interval) {
   const net::Bps kStream = net::mbps(2);
   const int kParticipants = 9;
   auto graph = app::video_conference_app({{2, kParticipants}}, kStream);
-  sched::Placement manual;
-  manual[graph.find("pion-sfu")] = 1;  // server starts on node 2
+  sched::Placement manual(static_cast<std::size_t>(graph.component_count()),
+                          net::kInvalidNode);
+  manual[static_cast<std::size_t>(graph.find("pion-sfu"))] = 1;  // server starts on node 2
   const auto id = rig.orch->deploy_with_placement(std::move(graph), manual);
   if (!id.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", id.error().c_str());

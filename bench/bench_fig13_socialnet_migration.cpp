@@ -72,7 +72,7 @@ Result run(bool migration, sim::Duration interval) {
   // (whichever two host the most components); lift after 3 minutes.
   rig.sim.schedule_at(sim::seconds(10), [&] {
     std::vector<int> count(3, 0);
-    for (const auto& [c, n] : rig.orch->placement(id.value())) ++count[n];
+    for (net::NodeId n : rig.orch->placement(id.value())) ++count[n];
     std::vector<net::NodeId> nodes{0, 1, 2};
     std::sort(nodes.begin(), nodes.end(),
               [&](net::NodeId a, net::NodeId b) { return count[a] > count[b]; });

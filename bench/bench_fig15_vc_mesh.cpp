@@ -34,8 +34,9 @@ Row run(bool migration, double threshold) {
   // only over the weak 7.62 Mbps link, which cannot carry the forwarding
   // load; BASS's own scheduler would never pick it (it chooses node 1).
   auto graph = app::video_conference_app(groups, kStream);
-  sched::Placement manual;
-  manual[graph.find("pion-sfu")] = 3;
+  sched::Placement manual(static_cast<std::size_t>(graph.component_count()),
+                          net::kInvalidNode);
+  manual[static_cast<std::size_t>(graph.find("pion-sfu"))] = 3;
   const auto id = rig.orch->deploy_with_placement(std::move(graph), manual);
   if (!id.ok()) {
     std::fprintf(stderr, "deploy failed: %s\n", id.error().c_str());

@@ -52,11 +52,7 @@ int main(int argc, char** argv) {
 
   if (!scene.dot_path().empty()) {
     std::ofstream out(scene.dot_path());
-    std::vector<net::NodeId> placement;
-    for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
-      placement.push_back(scene.orchestrator().node_of(scene.deployment(), c));
-    }
-    out << app::to_dot(graph, &placement);
+    out << app::to_dot(graph, &scene.orchestrator().placement(scene.deployment()));
     std::printf("  placement graph written to %s\n", scene.dot_path().c_str());
   }
   return 0;

@@ -49,6 +49,8 @@ class ClusterState {
   // All registered nodes, in registration order.
   const std::vector<net::NodeId>& nodes() const { return order_; }
   std::vector<net::NodeId> schedulable_nodes() const;
+  // One past the largest registered NodeId: the size of NodeId-indexed arrays.
+  std::size_t node_bound() const { return entries_.size(); }
 
  private:
   struct Entry {

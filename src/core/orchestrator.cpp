@@ -147,9 +147,10 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
   d->deployed_at = sim_->now();
   d->placement = result.take();
   d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
-  for (const auto& [component, node] : d->placement) {
-    const auto& comp = d->app.component(component);
+  for (app::ComponentId c = 0; c < d->app.component_count(); ++c) {
+    const auto& comp = d->app.component(c);
     if (!needs_resources(comp)) continue;
+    const net::NodeId node = d->placement[static_cast<std::size_t>(c)];
     const bool ok = cluster_->allocate(node, comp.cpu_milli, comp.memory_mb);
     assert(ok && "scheduler produced an infeasible placement");
     (void)ok;
@@ -166,26 +167,28 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
     app::AppGraph app, sched::Placement placement) {
   std::string error;
   if (!app.validate(&error)) return util::make_error(error);
+  placement.resize(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
-    if (comp.pinned_node) placement[c] = *comp.pinned_node;
-    if (!placement.count(c)) {
+    if (comp.pinned_node) placement[static_cast<std::size_t>(c)] = *comp.pinned_node;
+    if (placement[static_cast<std::size_t>(c)] == net::kInvalidNode) {
       return util::make_error("manual placement misses component '" + comp.name + "'");
     }
   }
   // All-or-nothing resource reservation.
-  std::vector<std::pair<net::NodeId, app::ComponentId>> reserved;
-  for (const auto& [component, node] : placement) {
-    const auto& comp = app.component(component);
+  for (app::ComponentId c = 0; c < app.component_count(); ++c) {
+    const auto& comp = app.component(c);
     if (!needs_resources(comp)) continue;
-    if (!cluster_->allocate(node, comp.cpu_milli, comp.memory_mb)) {
-      for (const auto& [n, c] : reserved) {
-        const auto& rc = app.component(c);
-        cluster_->release(n, rc.cpu_milli, rc.memory_mb);
+    if (!cluster_->allocate(placement[static_cast<std::size_t>(c)], comp.cpu_milli,
+                            comp.memory_mb)) {
+      for (app::ComponentId r = 0; r < c; ++r) {
+        const auto& rc = app.component(r);
+        if (needs_resources(rc)) {
+          cluster_->release(placement[static_cast<std::size_t>(r)], rc.cpu_milli, rc.memory_mb);
+        }
       }
       return util::make_error("node cannot fit component '" + comp.name + "'");
     }
-    reserved.emplace_back(node, component);
   }
 
   auto d = std::make_unique<Deployment>();
@@ -635,7 +638,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
       retry();
       return;
     }
-    d.placement[component] = pinned;
+    d.placement[static_cast<std::size_t>(component)] = pinned;
     d.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, failed_node, pinned, went_down,
                         MoveReason::kFailover, span, parent);
@@ -646,7 +649,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
   const auto target =
       sched::pick_migration_target(d.app, d.placement, component, *cluster_, *view);
   if (target && cluster_->allocate(*target, comp.cpu_milli, comp.memory_mb)) {
-    d.placement[component] = *target;
+    d.placement[static_cast<std::size_t>(component)] = *target;
     d.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, failed_node, *target, went_down,
                         MoveReason::kFailover, span, parent);
@@ -708,7 +711,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
         return;
       }
     }
-    d2.placement[component] = final_target;
+    d2.placement[static_cast<std::size_t>(component)] = final_target;
     d2.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, from, final_target, went_down, reason, span,
                         parent);

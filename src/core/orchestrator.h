@@ -125,8 +125,10 @@ class Orchestrator {
 
   // Deploys with a caller-chosen placement (experiments reproducing the
   // paper's fixed initial deployments, e.g. "Pion server on node 2").
-  // Validates resource fit; does NOT check bandwidth feasibility — that is
-  // the experimenter's prerogative.
+  // `placement` is indexed by ComponentId; pinned components take their pin
+  // and any other entry left at kInvalidNode is an error. Validates resource
+  // fit; does NOT check bandwidth feasibility — that is the experimenter's
+  // prerogative.
   util::Expected<DeploymentId> deploy_with_placement(app::AppGraph app,
                                                      sched::Placement placement);
 

@@ -1,9 +1,7 @@
 #include "sched/k3s_scheduler.h"
 
-#include <unordered_map>
-
 #include "obs/recorder.h"
-
+#include "sched/packer.h"
 #include "util/strings.h"
 
 namespace bass::sched {
@@ -16,38 +14,33 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
   std::string error;
   if (!app.validate(&error)) return util::make_error(error);
 
-  std::unordered_map<net::NodeId, std::int64_t> cpu_free;
-  std::unordered_map<net::NodeId, std::int64_t> mem_free;
-  for (net::NodeId n : cluster.schedulable_nodes()) {
-    cpu_free[n] = cluster.cpu_free(n);
-    mem_free[n] = cluster.memory_free(n);
-  }
-  if (cpu_free.empty()) return util::make_error("no schedulable nodes");
+  const std::vector<net::NodeId> nodes = cluster.schedulable_nodes();
+  if (nodes.empty()) return util::make_error("no schedulable nodes");
 
-  Placement placement;
+  NodeBudget budget(cluster);
+  auto pinned = place_pinned(app, cluster, budget);
+  if (!pinned.ok()) return pinned;
+  Placement placement = pinned.take();
   // Pods arrive at the scheduler one at a time, in submission (id) order.
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
-    if (comp.pinned_node) {
-      placement[c] = *comp.pinned_node;
-      continue;
-    }
+    if (comp.pinned_node) continue;
     net::NodeId best = net::kInvalidNode;
     double best_score = -1.0;
-    for (net::NodeId n : cluster.schedulable_nodes()) {
-      if (cpu_free[n] < comp.cpu_milli || mem_free[n] < comp.memory_mb) continue;
+    for (net::NodeId n : nodes) {
+      if (!budget.fits(n, comp)) continue;
       // Average free fraction after placing the pod; LeastAllocated prefers
       // the emptiest node, MostAllocated the fullest that still fits.
       const auto& spec = cluster.spec(n);
       const double cpu_frac =
           spec.cpu_milli == 0
               ? 0.0
-              : static_cast<double>(cpu_free[n] - comp.cpu_milli) /
+              : static_cast<double>(budget.cpu_free(n) - comp.cpu_milli) /
                     static_cast<double>(spec.cpu_milli);
       const double mem_frac =
           spec.memory_mb == 0
               ? 0.0
-              : static_cast<double>(mem_free[n] - comp.memory_mb) /
+              : static_cast<double>(budget.memory_free(n) - comp.memory_mb) /
                     static_cast<double>(spec.memory_mb);
       double score = (cpu_frac + mem_frac) / 2.0;
       if (scoring_ == K3sScoring::kMostAllocated) score = 1.0 - score;
@@ -60,9 +53,8 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
       return util::make_error(util::str_format(
           "k3s: no node fits component '%s'", comp.name.c_str()));
     }
-    cpu_free[best] -= comp.cpu_milli;
-    mem_free[best] -= comp.memory_mb;
-    placement[c] = best;
+    budget.charge(best, comp);
+    placement[static_cast<std::size_t>(c)] = best;
   }
   return placement;
 }

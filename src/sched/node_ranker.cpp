@@ -7,13 +7,18 @@ namespace bass::sched {
 
 std::vector<net::NodeId> rank_nodes(const cluster::ClusterState& cluster,
                                     const NetworkView& view) {
-  std::vector<net::NodeId> nodes = cluster.schedulable_nodes();
-  std::sort(nodes.begin(), nodes.end(), [&](net::NodeId a, net::NodeId b) {
-    return std::make_tuple(-cluster.cpu_free(a), -view.node_link_capacity(a),
-                           -cluster.memory_free(a), a) <
-           std::make_tuple(-cluster.cpu_free(b), -view.node_link_capacity(b),
-                           -cluster.memory_free(b), b);
-  });
+  // Each node's key is computed once; the id makes the order strict and total.
+  std::vector<std::tuple<std::int64_t, net::Bps, std::int64_t, net::NodeId>> keys;
+  keys.reserve(cluster.nodes().size());
+  for (net::NodeId n : cluster.nodes()) {
+    if (!cluster.spec(n).schedulable) continue;
+    keys.emplace_back(-cluster.cpu_free(n), -view.node_link_capacity(n),
+                      -cluster.memory_free(n), n);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<net::NodeId> nodes;
+  nodes.reserve(keys.size());
+  for (const auto& key : keys) nodes.push_back(std::get<3>(key));
   return nodes;
 }
 

@@ -1,6 +1,8 @@
-// Greedy bin packing of an ordered component list onto ranked nodes, with
-// CPU/memory as hard constraints and edge bandwidth reservations checked
-// against link capacities along routed paths (§3.2.1).
+// The placement core (§3.2.1): greedy bin packing of an ordered component
+// list onto ranked nodes, with CPU/memory as hard constraints and edge
+// bandwidth reservations checked against link capacities along routed
+// paths. The rescheduler re-places one component against the same link
+// bookkeeping (LinkLedger).
 //
 // Two filling disciplines, matching the two heuristics' intent:
 //  * sequential_pack — fill the current node until something doesn't fit,
@@ -9,9 +11,13 @@
 //  * path_pack — each heaviest path restarts from the best-ranked node so
 //    whole chains co-locate; leftover short paths first-fit into remaining
 //    gaps (longest-path heuristic).
-// Both fall back to a first-fit scan before declaring failure, so a large
+// Both are one loop (sequential_pack is path_pack over a single path) and
+// fall back to a first-fit scan before declaring failure, so a large
 // mid-order component cannot strand free capacity.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "app/app_graph.h"
 #include "cluster/cluster.h"
@@ -20,6 +26,70 @@
 #include "util/expected.h"
 
 namespace bass::sched {
+
+// Free CPU and memory per node, indexed by NodeId, as a placement is built.
+class NodeBudget {
+ public:
+  explicit NodeBudget(const cluster::ClusterState& cluster);
+
+  std::int64_t cpu_free(net::NodeId n) const { return cpu_[static_cast<std::size_t>(n)]; }
+  std::int64_t memory_free(net::NodeId n) const { return mem_[static_cast<std::size_t>(n)]; }
+  bool fits(net::NodeId n, const app::Component& comp) const {
+    return cpu_free(n) >= comp.cpu_milli && memory_free(n) >= comp.memory_mb;
+  }
+  void charge(net::NodeId n, const app::Component& comp) {
+    cpu_[static_cast<std::size_t>(n)] -= comp.cpu_milli;
+    mem_[static_cast<std::size_t>(n)] -= comp.memory_mb;
+  }
+
+ private:
+  std::vector<std::int64_t> cpu_;
+  std::vector<std::int64_t> mem_;
+};
+
+// Starts a placement with every pinned component on its node, charged to
+// `budget` first. Fails naming the first pin whose node the cluster does
+// not know, or whose non-zero demand cannot be hosted there (unschedulable
+// or out of room). Zero-demand attachment points sit on any known node.
+util::Expected<Placement> place_pinned(const app::AppGraph& app,
+                                       const cluster::ClusterState& cluster,
+                                       NodeBudget& budget);
+
+// Calls fn(edge, peer_node) for each edge of `c` whose other end is placed.
+template <typename Fn>
+void for_each_placed_peer(const app::AppGraph& app, const Placement& placement,
+                          app::ComponentId c, Fn&& fn) {
+  for (const app::Edge& e : app.edges()) {
+    if (e.from != c && e.to != c) continue;
+    const net::NodeId peer = node_of(placement, e.from == c ? e.to : e.from);
+    if (peer != net::kInvalidNode) fn(e, peer);
+  }
+}
+
+// Bandwidth reserved per directed link by the mesh-crossing edges of a
+// placement (components at kInvalidNode are not placed yet).
+class LinkLedger {
+ public:
+  explicit LinkLedger(const NetworkView& view);
+
+  // Reserves the crossing edges between placed components that touch `c`
+  // (`of_c`) or that do not (`!of_c`; c = kInvalidComponent selects all).
+  void reserve(const app::AppGraph& app, const Placement& placement, app::ComponentId c,
+               bool of_c);
+  // True when `c`'s edges to its placed peers, routed from `node`, fit
+  // *cumulatively* on top of the reservations: two of c's edges whose paths
+  // share a link must fit together. An unreachable peer or a path over an
+  // edge's max_latency (§3.2) is infeasible. `c`'s own entry is ignored.
+  bool fits(const app::AppGraph& app, const Placement& placement, app::ComponentId c,
+            net::NodeId node);
+
+ private:
+  const NetworkView& view_;
+  std::vector<net::Bps> reserved_;  // by LinkId
+  // fits() scratch: tentative additions by LinkId, and the links they touch.
+  std::vector<net::Bps> scratch_;
+  std::vector<net::LinkId> touched_;
+};
 
 struct PackInput {
   const app::AppGraph& app;

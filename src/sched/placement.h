@@ -1,19 +1,20 @@
-// A placement maps every component of an application to a mesh node.
+// A placement maps every component of an application to a mesh node: a
+// dense vector indexed by ComponentId, kInvalidNode meaning "not placed".
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "app/app_graph.h"
 #include "net/types.h"
 
 namespace bass::sched {
 
-using Placement = std::unordered_map<app::ComponentId, net::NodeId>;
+using Placement = std::vector<net::NodeId>;
 
-// Convenience lookup with an explicit miss value.
+// Bounds-checked lookup: kInvalidNode for an id the placement does not cover.
 inline net::NodeId node_of(const Placement& p, app::ComponentId c) {
-  const auto it = p.find(c);
-  return it == p.end() ? net::kInvalidNode : it->second;
+  return c >= 0 && static_cast<std::size_t>(c) < p.size() ? p[static_cast<std::size_t>(c)]
+                                                          : net::kInvalidNode;
 }
 
 }  // namespace bass::sched

@@ -64,7 +64,7 @@ TEST(CrossingBandwidth, CountsOnlyMeshEdges) {
   g.add_component({.name = "c"});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(5)});
   g.add_dependency({.from = 1, .to = 2, .bandwidth = net::mbps(3)});
-  const sched::Placement p{{0, 0}, {1, 0}, {2, 1}};
+  const sched::Placement p{0, 0, 1};
   EXPECT_EQ(sched::crossing_bandwidth(g, p), net::mbps(3));
 }
 
@@ -144,7 +144,7 @@ TEST(StatefulMigration, StateTransferDelaysRecovery) {
   app::Component c{.name = "db", .cpu_milli = 1000, .memory_mb = 512};
   c.state_mb = 100;  // 100 MiB of checkpoint over an 80 Mbps link: ~10.5 s
   g.add_component(c);
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0}).take();
   ASSERT_TRUE(f.orch->migrate(id, 0, 1));
   // At t=10s (restart alone) the component must still be down: the state
   // transfer (~10.5 s) has to land first.
@@ -159,7 +159,7 @@ TEST(StatefulMigration, StatelessComponentRestartsInRestartTime) {
   OrchFixture f;
   app::AppGraph g("stateless");
   g.add_component({.name = "svc", .cpu_milli = 1000, .memory_mb = 256});
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0}).take();
   f.orch->migrate(id, 0, 1);
   f.sim.run_until(sim::seconds(11));
   EXPECT_TRUE(f.orch->is_up(id, 0));
@@ -171,7 +171,7 @@ TEST(StatefulMigration, InPlaceRestartSkipsTransfer) {
   app::Component c{.name = "db", .cpu_milli = 1000, .memory_mb = 512};
   c.state_mb = 500;
   g.add_component(c);
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0}).take();
   f.orch->restart_component(id, 0);  // same node: no state movement
   f.sim.run_until(sim::seconds(11));
   EXPECT_TRUE(f.orch->is_up(id, 0));
@@ -184,7 +184,7 @@ TEST(StatefulMigration, TransferConsumesLinkBandwidth) {
   app::Component c{.name = "db", .cpu_milli = 1000, .memory_mb = 512};
   c.state_mb = 10;
   g.add_component(c);
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0}).take();
   f.orch->migrate(id, 0, 1);
   f.sim.run_until(sim::minutes(1));
   EXPECT_NEAR(static_cast<double>(f.network->total_bytes_delivered()),
@@ -222,7 +222,7 @@ TEST(PairStream, TracksGoodputAndMigration) {
   g.add_component(anchor);
   g.add_component({.name = "worker", .cpu_milli = 100, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
 
   workload::PairStreamConfig cfg{.from = 0, .to = 1, .demand = net::mbps(8)};
   workload::PairStreamEngine engine(*f.orch, id, cfg);
@@ -248,7 +248,7 @@ TEST(PairStream, GoesQuietWhileComponentDown) {
   g.add_component({.name = "a", .cpu_milli = 100, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 100, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{0, 0}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
   workload::PairStreamConfig cfg{.from = 0, .to = 1, .demand = net::mbps(8)};
   workload::PairStreamEngine engine(*f.orch, id, cfg);
   engine.start();

@@ -100,8 +100,9 @@ TEST(Integration, MigrationsOnlyMoveUnpinnedComponents) {
   MeshRig rig(/*fades=*/true, /*seed=*/11);
   const std::vector<std::pair<net::NodeId, int>> groups{{1, 3}, {2, 3}, {3, 3}, {4, 3}};
   auto graph = app::video_conference_app(groups, net::kbps(250));
-  sched::Placement manual;
-  manual[graph.find("pion-sfu")] = 3;
+  sched::Placement manual(static_cast<std::size_t>(graph.component_count()),
+                          net::kInvalidNode);
+  manual[static_cast<std::size_t>(graph.find("pion-sfu"))] = 3;
   const auto id = rig.orch->deploy_with_placement(std::move(graph), manual).take();
   controller::MigrationParams params;
   params.evaluation_interval = sim::seconds(30);
@@ -247,7 +248,7 @@ TEST(Integration, Fig8WalkthroughMigratesThereAndBack) {
   g.add_component(anchor);
   g.add_component({.name = "worker", .cpu_milli = 500, .memory_mb = 128});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
-  const auto id = orch.deploy_with_placement(std::move(g), {{0, 3}, {1, 4}}).take();
+  const auto id = orch.deploy_with_placement(std::move(g), {3, 4}).take();
 
   controller::MigrationParams params;
   params.utilization_threshold = 0.50;

@@ -209,7 +209,7 @@ namespace {
 
 TEST(Orchestrator, DeployWithPlacementValidatesAndReserves) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 2});
   ASSERT_TRUE(id.ok()) << id.error();
   EXPECT_EQ(f.orch->node_of(id.value(), 0), 1);
   EXPECT_EQ(f.orch->node_of(id.value(), 1), 2);
@@ -219,7 +219,7 @@ TEST(Orchestrator, DeployWithPlacementValidatesAndReserves) {
 
 TEST(Orchestrator, DeployWithPlacementRejectsMissingComponent) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1});
   EXPECT_FALSE(id.ok());
   EXPECT_NE(id.error().find("b"), std::string::npos);
   for (int n = 0; n < 3; ++n) EXPECT_EQ(f.cluster.usage(n).cpu_milli, 0);
@@ -228,7 +228,7 @@ TEST(Orchestrator, DeployWithPlacementRejectsMissingComponent) {
 TEST(Orchestrator, DeployWithPlacementRollsBackOnOverflow) {
   Fixture f;
   f.cluster.allocate(1, 11500, 0);  // node 1 nearly full
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}});
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1});
   EXPECT_FALSE(id.ok());
   EXPECT_EQ(f.cluster.usage(1).cpu_milli, 11500);  // reservation rolled back
 }
@@ -264,12 +264,8 @@ TEST(Orchestrator, MigrationBudgetCapsPerRound) {
                       .request_bytes = 1000, .response_bytes = 1000});
   }
   // Spread each pair across the throttled 0-1 boundary.
-  sched::Placement p;
-  for (int i = 0; i < 4; ++i) {
-    p[2 * i] = 0;
-    p[2 * i + 1] = 1;
-  }
-  const auto id = f.orch->deploy_with_placement(std::move(g), std::move(p)).take();
+  const sched::Placement p{0, 1, 0, 1, 0, 1, 0, 1};
+  const auto id = f.orch->deploy_with_placement(std::move(g), p).take();
 
   controller::MigrationParams params;
   params.evaluation_interval = sim::seconds(10);
@@ -318,7 +314,7 @@ namespace {
 
 TEST(Orchestrator, DrainNodeEvacuatesAndCordons) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1}).take();
   const int moved = f.orch->drain_node(1);
   EXPECT_EQ(moved, 2);
   EXPECT_FALSE(f.cluster.spec(1).schedulable);
@@ -338,7 +334,7 @@ TEST(Orchestrator, DrainSkipsPinnedComponents) {
   g.add_component(pinned);
   g.add_component({.name = "svc", .cpu_milli = 100, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
-  const auto id = f.orch->deploy_with_placement(std::move(g), {{1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(std::move(g), {net::kInvalidNode, 2}).take();
   const int moved = f.orch->drain_node(2);
   EXPECT_EQ(moved, 1);  // only the unpinned service leaves
   f.sim.run_until(sim::seconds(30));
@@ -348,8 +344,8 @@ TEST(Orchestrator, DrainSkipsPinnedComponents) {
 
 TEST(Orchestrator, DrainAcrossDeployments) {
   Fixture f;
-  const auto a = f.orch->deploy_with_placement(tiny_app(), {{0, 0}, {1, 1}}).take();
-  const auto b = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}}).take();
+  const auto a = f.orch->deploy_with_placement(tiny_app(), {0, 1}).take();
+  const auto b = f.orch->deploy_with_placement(tiny_app(), {1, 2}).take();
   EXPECT_EQ(f.orch->drain_node(1), 2);
   f.sim.run_until(sim::seconds(30));
   EXPECT_NE(f.orch->node_of(a, 1), 1);
@@ -364,7 +360,7 @@ namespace {
 
 TEST(Orchestrator, FailNodeDropsAndRecovers) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 1}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 1}).take();
   f.orch->fail_node(1, sim::seconds(10));
   // Both components are down immediately; the node is cordoned and empty.
   EXPECT_FALSE(f.orch->is_up(id, 0));
@@ -382,7 +378,7 @@ TEST(Orchestrator, FailNodeDropsAndRecovers) {
 
 TEST(Orchestrator, FailNodeRetriesWhenClusterFull) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 1}, {1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {1, 2}).take();
   // Fill the survivors so recovery cannot land at first.
   f.cluster.allocate(0, f.cluster.cpu_free(0), 0);
   f.cluster.allocate(2, f.cluster.cpu_free(2) - 1000, 0);  // 1000m free on 2... minus a's 1000
@@ -397,7 +393,7 @@ TEST(Orchestrator, FailNodeRetriesWhenClusterFull) {
 
 TEST(Orchestrator, FailNodeLeavesOtherNodesAlone) {
   Fixture f;
-  const auto id = f.orch->deploy_with_placement(tiny_app(), {{0, 0}, {1, 2}}).take();
+  const auto id = f.orch->deploy_with_placement(tiny_app(), {0, 2}).take();
   f.orch->fail_node(1, sim::seconds(5));
   EXPECT_TRUE(f.orch->is_up(id, 0));
   EXPECT_TRUE(f.orch->is_up(id, 1));

@@ -69,7 +69,8 @@ void check_placement(const World& w, const Placement& p) {
 
   // CPU / memory fit per node.
   std::map<net::NodeId, std::int64_t> cpu, mem;
-  for (const auto& [c, n] : p) {
+  for (app::ComponentId c = 0; c < w.app.component_count(); ++c) {
+    const net::NodeId n = p.at(c);
     ASSERT_TRUE(w.cluster.has_node(n));
     cpu[n] += w.app.component(c).cpu_milli;
     mem[n] += w.app.component(c).memory_mb;
@@ -145,9 +146,13 @@ TEST_P(PackerProperty, K3sRespectsComputeButMayBreakBandwidth) {
   if (!r.ok()) return;
   // k3s honours cpu/mem and pins but is *allowed* to oversubscribe links —
   // that gap is the paper's thesis. Check only the compute half.
-  std::map<net::NodeId, std::int64_t> cpu;
-  for (const auto& [c, n] : r.value()) cpu[n] += w->app.component(c).cpu_milli;
+  std::map<net::NodeId, std::int64_t> cpu, mem;
+  for (app::ComponentId c = 0; c < w->app.component_count(); ++c) {
+    cpu[r.value().at(c)] += w->app.component(c).cpu_milli;
+    mem[r.value().at(c)] += w->app.component(c).memory_mb;
+  }
   for (const auto& [n, used] : cpu) EXPECT_LE(used, w->cluster.spec(n).cpu_milli);
+  for (const auto& [n, used] : mem) EXPECT_LE(used, w->cluster.spec(n).memory_mb);
   for (app::ComponentId c = 0; c < w->app.component_count(); ++c) {
     if (w->app.component(c).pinned_node) {
       EXPECT_EQ(r.value().at(c), *w->app.component(c).pinned_node);
@@ -168,7 +173,7 @@ TEST_P(PackerProperty, SchedulingIsDeterministic) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PackerProperty, ::testing::Range<std::uint64_t>(1, 26));
+INSTANTIATE_TEST_SUITE_P(Seeds, PackerProperty, ::testing::Range<std::uint64_t>(1, 201));
 
 }  // namespace
 }  // namespace bass::sched

@@ -85,7 +85,7 @@ TEST(Packer, EverythingOnOneNodeWhenItFits) {
   const auto r = sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
-  for (const auto& [c, n] : r.value()) used.insert(n);
+  for (net::NodeId n : r.value()) used.insert(n);
   EXPECT_EQ(used.size(), 1u);
 }
 
@@ -184,6 +184,24 @@ TEST(Packer, PinnedComponentsStayPut) {
   const auto r = sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().at(1), 1);
+}
+
+TEST(Packer, RejectsPinnedComponentThatDoesNotFit) {
+  TwoNodeFixture f;
+  app::AppGraph g("pinned");
+  g.add_component({.name = "svc", .cpu_milli = 1000, .memory_mb = 64});
+  // Each pin fits node2 alone; together they need 14 of its 12 cores.
+  for (const char* name : {"gw-a", "gw-b"}) {
+    app::Component gw{.name = name, .cpu_milli = 7000, .memory_mb = 64};
+    gw.pinned_node = 1;
+    g.add_component(gw);
+  }
+  f.set_app(std::move(g));
+  for (const auto& r : {sequential_pack(f.input(), bfs_order(f.app())),
+                        path_pack(f.input(), longest_path_paths(f.app()))}) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("gw-b"), std::string::npos) << r.error();
+  }
 }
 
 }  // namespace

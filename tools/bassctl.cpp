@@ -269,8 +269,14 @@ int cmd_run(const std::vector<std::string>& args) {
     std::printf("faults     %d injected, %d invariant violations\n",
                 report.faults_injected, report.invariant_violations);
   }
-  return export_observability(scene, journal_path, metrics_path, trace_path,
-                              prom_path);
+  const int rc = export_observability(scene, journal_path, metrics_path, trace_path,
+                                      prom_path);
+  if (report.invariant_violations > 0) {
+    std::fprintf(stderr, "FAIL: %d invariant violations\n",
+                 report.invariant_violations);
+    return rc != 0 ? rc : 1;
+  }
+  return rc;
 }
 
 // ---- bassctl serve ----
@@ -616,11 +622,8 @@ int cmd_dot(const std::string& path, const std::string& out_path) {
     return 1;
   }
   auto& scene = *s.value();
-  std::vector<net::NodeId> placement;
-  for (app::ComponentId c = 0; c < scene.app().component_count(); ++c) {
-    placement.push_back(scene.orchestrator().node_of(scene.deployment(), c));
-  }
-  const std::string dot = app::to_dot(scene.app(), &placement);
+  const std::string dot =
+      app::to_dot(scene.app(), &scene.orchestrator().placement(scene.deployment()));
   if (out_path.empty()) {
     std::fputs(dot.c_str(), stdout);
   } else {
