@@ -227,7 +227,8 @@ SideResult run_baseline(const net::Topology& topo,
     std::vector<net::AllocEntity> entities;
     entities.reserve(live.size());
     for (const FlowSpec& f : live) {
-      entities.push_back({static_cast<double>(f.demand), routing.path(f.src, f.dst)});
+      const auto path = routing.path(f.src, f.dst);
+      entities.push_back({static_cast<double>(f.demand), {path.begin(), path.end()}});
     }
     rates = net::max_min_allocate_reference(caps, entities);
   };
@@ -288,14 +289,14 @@ ChurnResult solver_churn(int rounds) {
   for (int f = 0; f < nflows; ++f) {
     const FlowSpec spec = random_flow(nodes, rng);
     entities.push_back({static_cast<double>(spec.demand),
-                        routing.path_ptr(spec.src, spec.dst)});
+                        routing.path(spec.src, spec.dst)});
   }
   net::MaxMinSolver solver;
   auto churn_round = [&] {
     const auto victim = static_cast<std::size_t>(rng.uniform_int(0, nflows - 1));
     const FlowSpec spec = random_flow(nodes, rng);
     entities[victim] = {static_cast<double>(spec.demand),
-                        routing.path_ptr(spec.src, spec.dst)};
+                        routing.path(spec.src, spec.dst)};
     solver.solve(caps, entities);
   };
   for (int i = 0; i < 200; ++i) churn_round();  // warm-up to arena high-water

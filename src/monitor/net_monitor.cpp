@@ -85,7 +85,7 @@ net::Bps NetMonitor::cached_capacity(net::LinkId link) const {
 
 net::Bps NetMonitor::cached_path_capacity(net::NodeId src, net::NodeId dst) const {
   if (src == dst) return net::kUnlimitedRate;
-  const auto& path = network_->routing().path(src, dst);
+  const auto path = network_->routing().path(src, dst);
   if (path.empty()) return 0;
   net::Bps bottleneck = net::kUnlimitedRate;
   for (net::LinkId l : path) bottleneck = std::min(bottleneck, cached_capacity(l));

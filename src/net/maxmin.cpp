@@ -75,7 +75,7 @@ const std::vector<double>& MaxMinSolver::solve(
   // past the worst-case carve sum (nf·29 + T·60 + ~112 incl. alignment).
   std::size_t total_links = 0;
   for (const AllocEntityRef& e : entities) {
-    if (e.demand > 0.0) total_links += e.links->size();
+    if (e.demand > 0.0) total_links += e.links.size();
   }
   const std::size_t T = total_links;
   arena_.reset(nf * 32 + T * 72 + 128);
@@ -109,7 +109,7 @@ const std::vector<double>& MaxMinSolver::solve(
       flow_off_[f + 1] = cursor;
       continue;
     }
-    assert(e.links != nullptr && !e.links->empty() &&
+    assert(!e.links.empty() &&
            "demanding entity must traverse links");
     frozen_[f] = 0;
     demand_[f] = e.demand;
@@ -117,7 +117,7 @@ const std::vector<double>& MaxMinSolver::solve(
     if (e.demand < static_cast<double>(kUnlimitedRate)) {
       demand_events_[num_finite++] = {e.demand, static_cast<std::uint32_t>(f)};
     }
-    for (LinkId l : *e.links) {
+    for (LinkId l : e.links) {
       const auto li = static_cast<std::size_t>(l);
       assert(l >= 0 && li < capacities.size());
       if (link_stamp_[li] != stamp_) {
@@ -288,7 +288,7 @@ std::vector<double> max_min_allocate(const std::vector<double>& capacities,
   thread_local MaxMinSolver solver;
   std::vector<AllocEntityRef> refs;
   refs.reserve(entities.size());
-  for (const AllocEntity& e : entities) refs.push_back({e.demand, &e.links});
+  for (const AllocEntity& e : entities) refs.push_back({e.demand, e.links});
   return solver.solve(capacities, refs);
 }
 
@@ -310,16 +310,16 @@ std::vector<double> proportional_impl(const std::vector<double>& capacities,
 
   std::vector<double> offered(nl, 0.0);
   for (const AllocEntityRef& e : entities) {
-    if (e.demand <= 0.0 || e.links == nullptr) continue;
-    for (LinkId l : *e.links) offered[static_cast<std::size_t>(l)] += effective_demand(e);
+    if (e.demand <= 0.0) continue;
+    for (LinkId l : e.links) offered[static_cast<std::size_t>(l)] += effective_demand(e);
   }
 
   std::vector<double> alloc(nf, 0.0);
   for (std::size_t f = 0; f < nf; ++f) {
     const AllocEntityRef& e = entities[f];
-    if (e.demand <= 0.0 || e.links == nullptr) continue;
+    if (e.demand <= 0.0) continue;
     double scale = 1.0;
-    for (LinkId l : *e.links) {
+    for (LinkId l : e.links) {
       const std::size_t li = static_cast<std::size_t>(l);
       if (offered[li] > capacities[li]) {
         scale = std::min(scale, offered[li] <= 0.0 ? 0.0 : capacities[li] / offered[li]);
@@ -336,7 +336,7 @@ std::vector<double> proportional_allocate(const std::vector<double>& capacities,
                                           const std::vector<AllocEntity>& entities) {
   std::vector<AllocEntityRef> refs;
   refs.reserve(entities.size());
-  for (const AllocEntity& e : entities) refs.push_back({e.demand, &e.links});
+  for (const AllocEntity& e : entities) refs.push_back({e.demand, e.links});
   return proportional_impl(capacities, refs);
 }
 

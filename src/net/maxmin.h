@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,7 +46,7 @@ struct AllocEntity {
 // Network's case) and must outlive the solve call.
 struct AllocEntityRef {
   double demand = 0.0;
-  const std::vector<LinkId>* links = nullptr;
+  std::span<const LinkId> links;
 };
 
 // Absolute slack below which a link counts as saturated / a demand as met.

@@ -144,7 +144,7 @@ Network::Channel& Network::channel_for(NodeId src, NodeId dst) {
   return it->second;
 }
 
-int Network::add_entity(double demand, const std::vector<LinkId>* path,
+int Network::add_entity(double demand, std::span<const LinkId> path,
                         Channel* ch, Stream* st, std::int64_t key) {
   int slot;
   if (!free_slots_.empty()) {
@@ -163,10 +163,10 @@ int Network::add_entity(double demand, const std::vector<LinkId>* path,
   e.stream = st;
   e.key = key;
   e.active = true;
-  assert(path->size() <= link_pos_stride_ && "path exceeds routed maximum");
+  assert(path.size() <= link_pos_stride_ && "path exceeds routed maximum");
   std::uint32_t* pos = link_pos(slot);
-  for (std::size_t i = 0; i < path->size(); ++i) {
-    auto& occupants = link_entities_[static_cast<std::size_t>((*path)[i])];
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    auto& occupants = link_entities_[static_cast<std::size_t>(path[i])];
     pos[i] = static_cast<std::uint32_t>(occupants.size());
     occupants.push_back({slot, static_cast<std::uint32_t>(i)});
   }
@@ -180,8 +180,8 @@ void Network::remove_entity(int slot) {
   Entity& e = entities_[static_cast<std::size_t>(slot)];
   assert(e.active);
   const std::uint32_t* my_pos = link_pos(slot);
-  for (std::size_t i = 0; i < e.path->size(); ++i) {
-    const LinkId l = (*e.path)[i];
+  for (std::size_t i = 0; i < e.path.size(); ++i) {
+    const LinkId l = e.path[i];
     auto& occupants = link_entities_[static_cast<std::size_t>(l)];
     const std::uint32_t pos = my_pos[i];
     occupants[pos] = occupants.back();
@@ -196,7 +196,7 @@ void Network::remove_entity(int slot) {
   e.active = false;
   e.channel = nullptr;
   e.stream = nullptr;
-  e.path = nullptr;
+  e.path = {};
   free_slots_.push_back(slot);
 }
 
@@ -231,7 +231,7 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
     ch.last_update = sim_->now();
     ch.entity_slot =
         add_entity(static_cast<double>(kUnlimitedRate),
-                   routing_.path_ptr(src, dst), &ch, nullptr, channel_key(src, dst));
+                   routing_.path(src, dst), &ch, nullptr, channel_key(src, dst));
     reallocate();  // a new contender changes its component's shares
   }
   // else: the channel was already backlogged; rates are unchanged.
@@ -305,7 +305,7 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   if (placed.demand > 0) {
     placed.entity_slot =
         add_entity(static_cast<double>(placed.demand),
-                   routing_.path_ptr(src, dst), nullptr, &placed, id);
+                   routing_.path(src, dst), nullptr, &placed, id);
     reallocate();
   }
   return id;
@@ -338,7 +338,7 @@ void Network::set_stream_demand(StreamId id, Bps demand) {
     reallocate();
   } else if (demand > 0) {
     st.entity_slot = add_entity(static_cast<double>(demand),
-                                routing_.path_ptr(st.src, st.dst), nullptr, &st, id);
+                                routing_.path(st.src, st.dst), nullptr, &st, id);
     reallocate();
   }
 }
@@ -392,7 +392,7 @@ Bps Network::path_available(NodeId src, NodeId dst) const {
     const Entity& e = entities_[static_cast<std::size_t>(slot)];
     refs_.push_back({e.demand, e.path});
   }
-  refs_.push_back({static_cast<double>(kUnlimitedRate), routing_.path_ptr(src, dst)});
+  refs_.push_back({static_cast<double>(kUnlimitedRate), routing_.path(src, dst)});
   if (config_.fairness == FairnessPolicy::kProportional) {
     return static_cast<Bps>(proportional_allocate_refs(capacities_, refs_).back());
   }
@@ -454,7 +454,7 @@ void Network::settle_all() {
   }
 }
 
-void Network::collect_component(const std::vector<LinkId>& seed_links,
+void Network::collect_component(std::span<const LinkId> seed_links,
                                 const std::vector<int>& seed_entities) const {
   ++visit_stamp_;
   if (visit_stamp_ == 0) {  // wrapped: invalidate every stale stamp
@@ -485,7 +485,7 @@ void Network::collect_component(const std::vector<LinkId>& seed_links,
   for (int slot : seed_entities) {
     visit_entity(slot);
     if (entities_[static_cast<std::size_t>(slot)].active) {
-      for (LinkId l : *entities_[static_cast<std::size_t>(slot)].path) visit_link(l);
+      for (LinkId l : entities_[static_cast<std::size_t>(slot)].path) visit_link(l);
     }
   }
   // comp_links_ doubles as the BFS frontier: every link appended past
@@ -497,7 +497,7 @@ void Network::collect_component(const std::vector<LinkId>& seed_links,
       if (entity_visit_[si] == visit_stamp_) continue;
       entity_visit_[si] = visit_stamp_;
       comp_entities_.push_back(ref.slot);
-      for (LinkId l : *entities_[si].path) visit_link(l);
+      for (LinkId l : entities_[si].path) visit_link(l);
     }
   }
 }
@@ -555,7 +555,7 @@ void Network::reallocate() {
     for (std::size_t i = 0; i < comp_entities_.size(); ++i) {
       Entity& e = entities_[static_cast<std::size_t>(comp_entities_[i])];
       const double rate = (*rates)[i];
-      for (LinkId l : *e.path) link_allocated_[static_cast<std::size_t>(l)] += rate;
+      for (LinkId l : e.path) link_allocated_[static_cast<std::size_t>(l)] += rate;
       if (e.channel != nullptr) {
         e.channel->rate_bps = rate;
         schedule_head_event(e.key);

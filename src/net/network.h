@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -209,7 +210,7 @@ class Network {
   // lists and dirty sets can hold slot indices across churn.
   struct Entity {
     double demand = 0.0;
-    const std::vector<LinkId>* path = nullptr;  // owned by routing_
+    std::span<const LinkId> path;  // owned by routing_
     Channel* channel = nullptr;  // exactly one of channel/stream is set
     Stream* stream = nullptr;
     std::int64_t key = 0;  // channel key (head-event scheduling)
@@ -233,14 +234,14 @@ class Network {
   // Entity cache maintenance. Adding marks the entity dirty; removing
   // marks its links dirty, so the next reallocate() reprices exactly the
   // affected contention component.
-  int add_entity(double demand, const std::vector<LinkId>* path, Channel* ch,
+  int add_entity(double demand, std::span<const LinkId> path, Channel* ch,
                  Stream* st, std::int64_t key);
   void remove_entity(int slot);
 
   // Flood-fills links ↔ entities from the dirty seeds into comp_links_ /
   // comp_entities_ (every flow on an included link is included, so the
   // result is closed under link sharing).
-  void collect_component(const std::vector<LinkId>& seed_links,
+  void collect_component(std::span<const LinkId> seed_links,
                          const std::vector<int>& seed_entities) const;
   // Settles and reprices the dirty contention component(s), then
   // reschedules head events for repriced channels.

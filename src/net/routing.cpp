@@ -2,113 +2,117 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+#include <numeric>
 
 namespace bass::net {
 
 void RoutingTable::recompute() {
-  const int n = topo_->node_count();
-  paths_.assign(static_cast<std::size_t>(n) * n, {});
-  reachable_.assign(static_cast<std::size_t>(n) * n, false);
-  if (policy_ == RoutingPolicy::kWidestPath) {
-    recompute_widest();
-  } else {
-    recompute_min_hop();
+  const auto n = static_cast<std::size_t>(topo_->node_count());
+  // Pass 1: one search per source. Row src of `tree` holds the link into
+  // each node the search reached, and offsets_[src * n + dst + 1] the hop
+  // count of the src -> dst path (0 when colocated or unreachable).
+  std::vector<LinkId> tree(n * n, kInvalidLink);
+  offsets_.assign(n * n + 1, 0);
+  for (NodeId src = 0; src < static_cast<NodeId>(n); ++src) {
+    LinkId* in_link = tree.data() + src * n;
+    std::size_t* hops = offsets_.data() + src * n + 1;
+    if (policy_ == RoutingPolicy::kWidestPath) {
+      search_widest(src, in_link, hops);
+    } else {
+      search_min_hop(src, in_link, hops);
+    }
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+
+  // Pass 2: each path is its parent's path plus the link into it, so a
+  // node's path is copied once its parent's is in place. `chain` holds the
+  // nodes between dst and its nearest filled ancestor.
+  pool_.assign(offsets_.back(), kInvalidLink);
+  std::vector<char> filled(n);
+  std::vector<NodeId> chain;
+  for (std::size_t src = 0; src < n; ++src) {
+    const LinkId* in_link = tree.data() + src * n;
+    const std::size_t* off = offsets_.data() + src * n;
+    std::fill(filled.begin(), filled.end(), 0);
+    filled[src] = 1;
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      if (filled[dst] || off[dst + 1] == off[dst]) continue;  // done or unreachable
+      chain.clear();
+      for (auto v = static_cast<NodeId>(dst); !filled[v]; v = topo_->link(in_link[v]).src) {
+        chain.push_back(v);
+      }
+      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+        const LinkId l = in_link[*it];
+        const NodeId u = topo_->link(l).src;
+        const auto tail = std::copy(pool_.begin() + static_cast<std::ptrdiff_t>(off[u]),
+                                    pool_.begin() + static_cast<std::ptrdiff_t>(off[u + 1]),
+                                    pool_.begin() + static_cast<std::ptrdiff_t>(off[*it]));
+        *tail = l;
+        filled[*it] = 1;
+      }
+    }
   }
 }
 
-void RoutingTable::recompute_min_hop() {
-  const int n = topo_->node_count();
+void RoutingTable::search_min_hop(NodeId src, LinkId* in_link, std::size_t* hops) {
+  // BFS. Neighbors are explored in out-link insertion order, which fixes
+  // the tie-break deterministically; `queue` is FIFO by its read index.
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(topo_->node_count()));
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (LinkId l : topo_->out_links(u)) {
+      const NodeId v = topo_->link(l).dst;
+      if (v == src || in_link[v] != kInvalidLink) continue;
+      in_link[v] = l;
+      hops[v] = hops[u] + 1;
+      queue.push_back(v);
+    }
+  }
+}
 
-  // BFS from every source. Neighbors are explored in out-link insertion
-  // order, which fixes the tie-break deterministically.
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<LinkId> in_link(n, kInvalidLink);
-    std::vector<NodeId> parent(n, kInvalidNode);
-    std::vector<bool> seen(n, false);
-    std::queue<NodeId> queue;
-    seen[src] = true;
-    queue.push(src);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop();
-      for (LinkId l : topo_->out_links(u)) {
-        const NodeId v = topo_->link(l).dst;
-        if (seen[v]) continue;
-        seen[v] = true;
-        parent[v] = u;
+void RoutingTable::search_widest(NodeId src, LinkId* in_link, std::size_t* hops) {
+  // Dijkstra maximizing the bottleneck capacity, ties broken by hop count,
+  // then by lower node id.
+  const int n = topo_->node_count();
+  std::vector<Bps> width(n, -1);
+  std::vector<bool> done(n, false);
+  width[src] = kUnlimitedRate;
+
+  for (int round = 0; round < n; ++round) {
+    NodeId u = kInvalidNode;
+    for (NodeId v = 0; v < n; ++v) {
+      if (done[v] || width[v] < 0) continue;
+      if (u == kInvalidNode || width[v] > width[u] ||
+          (width[v] == width[u] && hops[v] < hops[u])) {
+        u = v;
+      }
+    }
+    if (u == kInvalidNode) break;
+    done[u] = true;
+    for (LinkId l : topo_->out_links(u)) {
+      const NodeId v = topo_->link(l).dst;
+      if (done[v]) continue;
+      const Bps through = std::min(width[u], topo_->link(l).capacity);
+      const std::size_t h = hops[u] + 1;
+      if (through > width[v] || (through == width[v] && h < hops[v])) {
+        width[v] = through;
+        hops[v] = h;
         in_link[v] = l;
-        queue.push(v);
       }
-    }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (!seen[dst]) continue;
-      reachable_[static_cast<std::size_t>(src) * n + dst] = true;
-      if (dst == src) continue;
-      std::vector<LinkId> rev;
-      for (NodeId v = dst; v != src; v = parent[v]) rev.push_back(in_link[v]);
-      std::reverse(rev.begin(), rev.end());
-      paths_[static_cast<std::size_t>(src) * n + dst] = std::move(rev);
     }
   }
 }
 
-void RoutingTable::recompute_widest() {
-  const int n = topo_->node_count();
-
-  // Widest-path Dijkstra from every source: maximize the bottleneck
-  // capacity, break ties by hop count, then by lower node id.
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<Bps> width(n, -1);
-    std::vector<int> hops(n, 0);
-    std::vector<LinkId> in_link(n, kInvalidLink);
-    std::vector<NodeId> parent(n, kInvalidNode);
-    std::vector<bool> done(n, false);
-    width[src] = kUnlimitedRate;
-
-    for (int round = 0; round < n; ++round) {
-      NodeId u = kInvalidNode;
-      for (NodeId v = 0; v < n; ++v) {
-        if (done[v] || width[v] < 0) continue;
-        if (u == kInvalidNode || width[v] > width[u] ||
-            (width[v] == width[u] && hops[v] < hops[u])) {
-          u = v;
-        }
-      }
-      if (u == kInvalidNode) break;
-      done[u] = true;
-      for (LinkId l : topo_->out_links(u)) {
-        const NodeId v = topo_->link(l).dst;
-        if (done[v]) continue;
-        const Bps through = std::min(width[u], topo_->link(l).capacity);
-        const int h = hops[u] + 1;
-        if (through > width[v] || (through == width[v] && h < hops[v])) {
-          width[v] = through;
-          hops[v] = h;
-          parent[v] = u;
-          in_link[v] = l;
-        }
-      }
-    }
-
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (width[dst] < 0) continue;
-      reachable_[static_cast<std::size_t>(src) * n + dst] = true;
-      if (dst == src) continue;
-      std::vector<LinkId> rev;
-      for (NodeId v = dst; v != src; v = parent[v]) rev.push_back(in_link[v]);
-      std::reverse(rev.begin(), rev.end());
-      paths_[static_cast<std::size_t>(src) * n + dst] = std::move(rev);
-    }
-  }
-}
-
-const std::vector<LinkId>& RoutingTable::path(NodeId src, NodeId dst) const {
-  return paths_.at(static_cast<std::size_t>(src) * topo_->node_count() + dst);
+std::span<const LinkId> RoutingTable::path(NodeId src, NodeId dst) const {
+  const std::size_t i = index(src, dst);
+  return {pool_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
 }
 
 bool RoutingTable::reachable(NodeId src, NodeId dst) const {
-  return reachable_.at(static_cast<std::size_t>(src) * topo_->node_count() + dst);
+  const std::size_t i = index(src, dst);
+  return src == dst || offsets_[i + 1] > offsets_[i];
 }
 
 }  // namespace bass::net

@@ -13,6 +13,8 @@
 // explicitly does not chase routing dynamics.
 #pragma once
 
+#include <cassert>
+#include <span>
 #include <vector>
 
 #include "net/topology.h"
@@ -36,17 +38,12 @@ class RoutingTable {
   // re-evaluate widest paths against current capacities).
   void recompute();
 
-  // Directed links traversed from src to dst; empty when src == dst.
-  // The path is precomputed and stable — our "traceroute". The returned
-  // vector lives until the next recompute(), so callers (Network's entity
-  // cache, the allocator) may hold pointers to it instead of copying.
-  const std::vector<LinkId>& path(NodeId src, NodeId dst) const;
-
-  // Pointer form of path() for long-lived references (see above for the
-  // lifetime guarantee).
-  const std::vector<LinkId>* path_ptr(NodeId src, NodeId dst) const {
-    return &path(src, dst);
-  }
+  // Directed links traversed from src to dst; empty when src == dst or
+  // unreachable. The path is precomputed and stable — our "traceroute".
+  // The span points into the table's path pool and stays valid until the
+  // next recompute(), so callers (Network's entity cache, the allocator)
+  // may hold it instead of copying.
+  std::span<const LinkId> path(NodeId src, NodeId dst) const;
 
   // Number of hops from src to dst (0 when colocated).
   int hops(NodeId src, NodeId dst) const {
@@ -56,14 +53,22 @@ class RoutingTable {
   bool reachable(NodeId src, NodeId dst) const;
 
  private:
-  void recompute_min_hop();
-  void recompute_widest();
+  // Pass 1 of recompute() for one source: fills `in_link` (the link into
+  // each reached node) and `hops` (path lengths), both indexed by NodeId.
+  void search_min_hop(NodeId src, LinkId* in_link, std::size_t* hops);
+  void search_widest(NodeId src, LinkId* in_link, std::size_t* hops);
+  std::size_t index(NodeId src, NodeId dst) const {
+    assert(src >= 0 && src < topo_->node_count() && dst >= 0 && dst < topo_->node_count());
+    return static_cast<std::size_t>(src) * static_cast<std::size_t>(topo_->node_count()) +
+           static_cast<std::size_t>(dst);
+  }
 
   const Topology* topo_;
   RoutingPolicy policy_;
-  // paths_[src * n + dst]
-  std::vector<std::vector<LinkId>> paths_;
-  std::vector<bool> reachable_;
+  // All paths back to back: path (src, dst) is
+  // pool_[offsets_[i], offsets_[i + 1]) with i = src * n + dst.
+  std::vector<LinkId> pool_;
+  std::vector<std::size_t> offsets_;
 };
 
 }  // namespace bass::net

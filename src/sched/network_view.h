@@ -4,7 +4,7 @@
 // that choice implement this interface.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "net/network.h"
 #include "net/types.h"
@@ -18,7 +18,7 @@ class NetworkView {
   virtual int link_count() const = 0;
   virtual net::Bps link_capacity(net::LinkId link) const = 0;
   // Directed links traversed from src to dst (empty when src == dst).
-  virtual const std::vector<net::LinkId>& path(net::NodeId src, net::NodeId dst) const = 0;
+  virtual std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const = 0;
   // Combined outgoing link capacity of a node (for node ranking).
   virtual net::Bps node_link_capacity(net::NodeId node) const = 0;
 
@@ -40,7 +40,7 @@ class LiveNetworkView final : public NetworkView {
   net::Bps link_capacity(net::LinkId link) const override {
     return network_->topology().link(link).capacity;
   }
-  const std::vector<net::LinkId>& path(net::NodeId src, net::NodeId dst) const override {
+  std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const override {
     return network_->routing().path(src, dst);
   }
   net::Bps node_link_capacity(net::NodeId node) const override {

@@ -63,7 +63,7 @@ bool LinkLedger::fits(const app::AppGraph& app, const Placement& placement,
     if (!ok || peer == node) return;
     const net::NodeId from = e.from == c ? node : peer;
     const net::NodeId to = e.from == c ? peer : node;
-    const auto& path = view_.path(from, to);
+    const auto path = view_.path(from, to);
     ok = !path.empty() &&
          (e.max_latency <= 0 || view_.path_latency(from, to) <= e.max_latency);
     for (std::size_t i = 0; ok && i < path.size(); ++i) {

@@ -43,7 +43,7 @@ struct SolverWorkload {
         for (LinkId seen : paths[f]) dup |= (seen == l);
         if (!dup) paths[f].push_back(l);
       }
-      entities[f] = {demand_for(f), &paths[f]};
+      entities[f] = {demand_for(f), paths[f]};
     }
   }
 
@@ -60,7 +60,7 @@ struct SolverWorkload {
     entities[a].demand = demand_for(a);
     const std::size_t b = rng.uniform_int(0, entities.size() - 1);
     const std::size_t p = rng.uniform_int(0, paths.size() - 1);
-    entities[b] = {demand_for(b), &paths[p]};
+    entities[b] = {demand_for(b), paths[p]};
   }
 };
 

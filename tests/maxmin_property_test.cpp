@@ -99,7 +99,7 @@ TEST_P(KernelEquivalence, SolverScratchReuseIsClean) {
       e.links.push_back(static_cast<LinkId>(rng.uniform_int(0, n_links - 1)));
       owned.push_back(std::move(e));
     }
-    for (const AllocEntity& e : owned) refs.push_back({e.demand, &e.links});
+    for (const AllocEntity& e : owned) refs.push_back({e.demand, e.links});
     const auto& fast = solver.solve(caps, refs);
     const auto ref = max_min_allocate_reference(caps, owned);
     for (std::size_t f = 0; f < ref.size(); ++f) {
@@ -172,12 +172,14 @@ struct Shadow {
     std::vector<StreamId> ids;
     for (const auto& [pair, backlog] : channel_backlog) {
       if (backlog <= 0) continue;
-      entities.push_back({kUnlimited, net.routing().path(pair.first, pair.second)});
+      const auto path = net.routing().path(pair.first, pair.second);
+      entities.push_back({kUnlimited, {path.begin(), path.end()}});
       ids.push_back(0);  // channel: no stream id
     }
     for (const auto& [id, flow] : streams) {
       if (flow.demand <= 0.0) continue;
-      entities.push_back({flow.demand, net.routing().path(flow.src, flow.dst)});
+      const auto path = net.routing().path(flow.src, flow.dst);
+      entities.push_back({flow.demand, {path.begin(), path.end()}});
       ids.push_back(id);
     }
     const auto rates = max_min_allocate_reference(caps, entities);

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/network.h"
 #include "net/routing.h"
+#include "util/rng.h"
 
 namespace bass::net {
 namespace {
@@ -80,7 +84,7 @@ TEST(Routing, DeterministicTieBreak) {
   ASSERT_EQ(rt.path(a, d).size(), 2u);
   EXPECT_EQ(t.link(rt.path(a, d)[0]).dst, b);
   RoutingTable rt2(t);
-  EXPECT_EQ(rt.path(a, d), rt2.path(a, d));
+  EXPECT_TRUE(std::ranges::equal(rt.path(a, d), rt2.path(a, d)));
 }
 
 TEST(Routing, SymmetricReachability) {
@@ -174,6 +178,105 @@ TEST(WidestPath, NetworkUsesConfiguredPolicy) {
   network.start_transfer(0, 3, 20'000'000 / 8, [&] { done_at = sim.now(); });
   sim.run_all();
   EXPECT_NEAR(bass::sim::to_seconds(done_at), 1.0, 0.05);
+}
+
+// Reference router: one search per source with every path copied out as
+// its own vector — the table's results must equal it pair by pair.
+struct ReferenceRoutes {
+  std::vector<std::vector<LinkId>> paths;  // [src * n + dst]
+  std::vector<bool> reachable;
+};
+
+ReferenceRoutes reference_routes(const Topology& topo, RoutingPolicy policy) {
+  const int n = topo.node_count();
+  ReferenceRoutes out{std::vector<std::vector<LinkId>>(static_cast<std::size_t>(n) * n),
+                      std::vector<bool>(static_cast<std::size_t>(n) * n, false)};
+  for (NodeId src = 0; src < n; ++src) {
+    std::vector<LinkId> in_link(n, kInvalidLink);
+    std::vector<bool> reached(n, false);
+    reached[src] = true;
+    if (policy == RoutingPolicy::kMinHop) {
+      std::vector<NodeId> queue{src};
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (LinkId l : topo.out_links(queue[head])) {
+          const NodeId v = topo.link(l).dst;
+          if (reached[v]) continue;
+          reached[v] = true;
+          in_link[v] = l;
+          queue.push_back(v);
+        }
+      }
+    } else {
+      std::vector<Bps> width(n, -1);
+      std::vector<int> hops(n, 0);
+      std::vector<bool> done(n, false);
+      width[src] = kUnlimitedRate;
+      for (;;) {
+        NodeId u = kInvalidNode;
+        for (NodeId v = 0; v < n; ++v) {
+          if (done[v] || width[v] < 0) continue;
+          if (u == kInvalidNode || width[v] > width[u] ||
+              (width[v] == width[u] && hops[v] < hops[u])) {
+            u = v;
+          }
+        }
+        if (u == kInvalidNode) break;
+        done[u] = true;
+        reached[u] = true;
+        for (LinkId l : topo.out_links(u)) {
+          const NodeId v = topo.link(l).dst;
+          const Bps through = std::min(width[u], topo.link(l).capacity);
+          if (done[v]) continue;
+          if (through > width[v] || (through == width[v] && hops[u] + 1 < hops[v])) {
+            width[v] = through;
+            hops[v] = hops[u] + 1;
+            in_link[v] = l;
+          }
+        }
+      }
+    }
+    for (NodeId dst = 0; dst < n; ++dst) {
+      const std::size_t i = static_cast<std::size_t>(src) * n + dst;
+      out.reachable[i] = reached[dst];
+      if (!reached[dst]) continue;
+      for (NodeId v = dst; v != src; v = topo.link(in_link[v]).src) {
+        out.paths[i].push_back(in_link[v]);
+      }
+      std::reverse(out.paths[i].begin(), out.paths[i].end());
+    }
+  }
+  return out;
+}
+
+TEST(Routing, PathPoolMatchesPerPathReference) {
+  util::Rng rng(0x5EED);
+  for (int round = 0; round < 60; ++round) {
+    // Sparse random meshes with isolated nodes and repeated capacities, so
+    // both unreachable pairs and equal-cost ties occur.
+    Topology t;
+    const int n = static_cast<int>(rng.uniform_int(1, 30));
+    for (int i = 0; i < n; ++i) t.add_node();
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (!rng.chance(0.12)) continue;
+        t.add_link(a, b, mbps(5 * rng.uniform_int(1, 3)), mbps(5 * rng.uniform_int(1, 3)));
+      }
+    }
+    for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+      const RoutingTable rt(t, policy);
+      const ReferenceRoutes ref = reference_routes(t, policy);
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = 0; v < n; ++v) {
+          const std::size_t i = static_cast<std::size_t>(u) * n + v;
+          ASSERT_EQ(rt.reachable(u, v), ref.reachable[i])
+              << "round " << round << " " << u << "->" << v;
+          ASSERT_TRUE(std::ranges::equal(rt.path(u, v), ref.paths[i]))
+              << "round " << round << " " << u << "->" << v;
+          ASSERT_EQ(rt.hops(u, v), static_cast<int>(ref.paths[i].size()));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
