@@ -145,7 +145,7 @@ Network::Channel& Network::channel_for(NodeId src, NodeId dst) {
 }
 
 int Network::add_entity(double demand, std::span<const LinkId> path,
-                        Channel* ch, Stream* st, std::int64_t key) {
+                        Channel* ch, std::uint32_t stream) {
   int slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -160,8 +160,7 @@ int Network::add_entity(double demand, std::span<const LinkId> path,
   e.demand = demand;
   e.path = path;
   e.channel = ch;
-  e.stream = st;
-  e.key = key;
+  e.stream = stream;
   e.active = true;
   assert(path.size() <= link_pos_stride_ && "path exceeds routed maximum");
   std::uint32_t* pos = link_pos(slot);
@@ -195,7 +194,7 @@ void Network::remove_entity(int slot) {
   if (e.channel != nullptr) --active_channel_entities_;
   e.active = false;
   e.channel = nullptr;
-  e.stream = nullptr;
+  e.stream = kNoSlot;
   e.path = {};
   free_slots_.push_back(slot);
 }
@@ -203,61 +202,91 @@ void Network::remove_entity(int slot) {
 TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
                                    TransferCallback done, Tag tag) {
   assert(bytes >= 0);
-  const TransferId id = next_transfer_++;
-
   if (src == dst) {
-    // Colocated components talk over loopback; no mesh involvement.
+    // Colocated components talk over loopback; no mesh involvement. An
+    // empty callback still takes its event, so event order is the same
+    // whether or not the caller listens.
     const sim::Duration dt =
         config_.loopback_latency +
         std::max<sim::Duration>(drain_micros(static_cast<double>(bytes),
                                              static_cast<double>(config_.loopback_bps)),
                                 0);
     account_bytes(tag, static_cast<double>(bytes));
-    sim_->schedule_after(dt, [done = std::move(done)] {
-      if (done) done();
-    });
-    return id;
+    sim_->schedule_after(dt, done ? std::move(done) : TransferCallback([] {}));
+    return kInvalidTransfer;
   }
 
   assert(routing_.reachable(src, dst) && "transfer between partitioned nodes");
   Channel& ch = channel_for(src, dst);
-  const bool was_idle = ch.fifo.empty();
-  ch.fifo.push_back(Transfer{id, static_cast<double>(bytes), bytes, std::move(done), tag});
-  transfer_channel_[id] = channel_key(src, dst);
-  if (was_idle) {
-    // Fresh contender: nothing to settle (it moved no bytes while idle),
-    // but the stale idle-period rate must not leak into settlement.
-    ch.rate_bps = 0.0;
-    ch.last_update = sim_->now();
-    ch.entity_slot =
-        add_entity(static_cast<double>(kUnlimitedRate),
-                   routing_.path(src, dst), &ch, nullptr, channel_key(src, dst));
-    reallocate();  // a new contender changes its component's shares
+  std::uint32_t slot = transfer_free_;
+  if (slot != kNoSlot) {
+    transfer_free_ = transfers_[slot].next;
+  } else {
+    slot = static_cast<std::uint32_t>(transfers_.size());
+    transfers_.emplace_back();
   }
-  // else: the channel was already backlogged; rates are unchanged.
+  Transfer& t = transfers_[slot];
+  t.bytes_remaining = static_cast<double>(bytes);
+  t.done = std::move(done);
+  t.tag = tag;
+  t.channel = &ch;
+  t.next = kNoSlot;
+  const TransferId id = (static_cast<TransferId>(t.generation) << 32) | slot;
+
+  if (!ch.idle()) {
+    // The channel was already backlogged; rates are unchanged.
+    transfers_[ch.tail].next = slot;
+    ch.tail = slot;
+    return id;
+  }
+  ch.head = ch.tail = slot;
+  // Fresh contender: nothing to settle (it moved no bytes while idle), but
+  // the stale idle-period rate must not leak into settlement.
+  ch.rate_bps = 0.0;
+  ch.last_update = sim_->now();
+  ch.entity_slot = add_entity(static_cast<double>(kUnlimitedRate),
+                              routing_.path(src, dst), &ch, kNoSlot);
+  reallocate();  // a new contender changes its component's shares
   return id;
 }
 
+void Network::release_transfer(std::uint32_t slot) {
+  Transfer& t = transfers_[slot];
+  Channel& ch = *t.channel;
+  std::uint32_t prev = kNoSlot;
+  for (std::uint32_t i = ch.head; i != slot; i = transfers_[i].next) prev = i;
+  if (prev == kNoSlot) {
+    ch.head = t.next;
+  } else {
+    transfers_[prev].next = t.next;
+  }
+  if (ch.tail == slot) ch.tail = prev;
+  t.done = nullptr;
+  t.channel = nullptr;
+  if (++t.generation == 0) return;  // retired: its ids must never repeat
+  t.next = transfer_free_;
+  transfer_free_ = slot;
+}
+
 bool Network::cancel_transfer(TransferId id) {
-  const auto it = transfer_channel_.find(id);
-  if (it == transfer_channel_.end()) return false;
-  const std::int64_t key = it->second;
-  Channel& ch = channels_.at(key);
-  auto pos = std::find_if(ch.fifo.begin(), ch.fifo.end(),
-                          [id](const Transfer& t) { return t.id == id; });
-  if (pos == ch.fifo.end()) return false;
-  const bool was_head = (pos == ch.fifo.begin());
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= transfers_.size()) return false;
+  const Transfer& t = transfers_[slot];
+  if (t.channel == nullptr || t.generation != static_cast<std::uint32_t>(id >> 32)) {
+    return false;
+  }
+  Channel& ch = *t.channel;
+  const bool was_head = ch.head == slot;
   if (was_head) settle_channel(ch);
-  transfer_channel_.erase(it);
-  ch.fifo.erase(pos);
+  release_transfer(slot);
   if (was_head) {
     sim_->cancel(ch.head_event);
-    if (ch.fifo.empty()) {
+    if (ch.idle()) {
       remove_entity(ch.entity_slot);
       ch.entity_slot = -1;
       reallocate();
     } else {
-      schedule_head_event(key);
+      schedule_head_event(ch);
     }
   }
   return true;
@@ -303,9 +332,8 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   }
   assert(routing_.reachable(src, dst) && "stream between partitioned nodes");
   if (placed.demand > 0) {
-    placed.entity_slot =
-        add_entity(static_cast<double>(placed.demand),
-                   routing_.path(src, dst), nullptr, &placed, id);
+    placed.entity_slot = add_entity(static_cast<double>(placed.demand),
+                                    routing_.path(src, dst), nullptr, slot);
     reallocate();
   }
   return id;
@@ -338,7 +366,8 @@ void Network::set_stream_demand(StreamId id, Bps demand) {
     reallocate();
   } else if (demand > 0) {
     st.entity_slot = add_entity(static_cast<double>(demand),
-                                routing_.path(st.src, st.dst), nullptr, &st, id);
+                                routing_.path(st.src, st.dst), nullptr,
+                                stream_slot_of(id));
     reallocate();
   }
 }
@@ -426,9 +455,9 @@ void Network::settle_channel(Channel& ch) {
   const sim::Time now = sim_->now();
   const sim::Duration dt = now - ch.last_update;
   ch.last_update = now;
-  if (dt <= 0 || ch.fifo.empty() || ch.rate_bps <= 0.0) return;
+  if (dt <= 0 || ch.idle() || ch.rate_bps <= 0.0) return;
   double moved = bytes_in(dt, ch.rate_bps);
-  Transfer& head = ch.fifo.front();
+  Transfer& head = transfers_[ch.head];
   // Rounding of the completion event can make `moved` overshoot slightly.
   moved = std::min(moved, head.bytes_remaining);
   head.bytes_remaining -= moved;
@@ -538,7 +567,7 @@ void Network::reallocate() {
       if (e.channel != nullptr) {
         settle_channel(*e.channel);
       } else {
-        settle_stream(*e.stream);
+        settle_stream(stream_slots_[e.stream].stream);
       }
       refs_.push_back({e.demand, e.path});
     }
@@ -558,9 +587,9 @@ void Network::reallocate() {
       for (LinkId l : e.path) link_allocated_[static_cast<std::size_t>(l)] += rate;
       if (e.channel != nullptr) {
         e.channel->rate_bps = rate;
-        schedule_head_event(e.key);
+        schedule_head_event(*e.channel);
       } else {
-        e.stream->rate_bps = rate;
+        stream_slots_[e.stream].stream.rate_bps = rate;
       }
     }
   }
@@ -587,39 +616,37 @@ void Network::reallocate() {
   }
 }
 
-void Network::schedule_head_event(std::int64_t key) {
-  Channel& ch = channels_.at(key);
+void Network::schedule_head_event(Channel& ch) {
   sim_->cancel(ch.head_event);
-  if (ch.fifo.empty()) return;
-  const sim::Duration drain = drain_micros(ch.fifo.front().bytes_remaining, ch.rate_bps);
+  if (ch.idle()) return;
+  const sim::Duration drain =
+      drain_micros(transfers_[ch.head].bytes_remaining, ch.rate_bps);
   if (drain < 0) return;  // stalled: wait for a rate change
-  ch.head_event = sim_->schedule_after(drain, [this, key] { complete_head(key); });
+  Channel* c = &ch;
+  ch.head_event = sim_->schedule_after(drain, [this, c] { complete_head(*c); });
 }
 
-void Network::complete_head(std::int64_t key) {
-  Channel& ch = channels_.at(key);
+void Network::complete_head(Channel& ch) {
   settle_channel(ch);
-  assert(!ch.fifo.empty());
-  Transfer head = std::move(ch.fifo.front());
-  ch.fifo.pop_front();
-  transfer_channel_.erase(head.id);
+  assert(!ch.idle());
+  Transfer& head = transfers_[ch.head];
   // Account any residue lost to event rounding.
   if (head.bytes_remaining > 0.0) account_bytes(head.tag, head.bytes_remaining);
+  TransferCallback done = std::move(head.done);
+  release_transfer(ch.head);
 
-  if (ch.fifo.empty()) {
+  if (ch.idle()) {
     remove_entity(ch.entity_slot);
     ch.entity_slot = -1;
     reallocate();
   } else {
-    schedule_head_event(key);
+    schedule_head_event(ch);
   }
 
   // Delivery completes after propagation over the path's hops.
   const sim::Duration hop_delay =
       config_.per_hop_latency * routing_.hops(ch.src, ch.dst);
-  if (head.done) {
-    sim_->schedule_after(hop_delay, [done = std::move(head.done)] { done(); });
-  }
+  if (done) sim_->schedule_after(hop_delay, std::move(done));
 }
 
 }  // namespace bass::net

@@ -3,7 +3,9 @@
 //  * Transfer — a finite byte payload between two nodes (an RPC message, a
 //    video frame). Transfers between the same node pair share a FIFO
 //    "channel" served at the channel's max-min fair rate, which gives
-//    natural queueing behaviour when links saturate.
+//    natural queueing behaviour when links saturate. Transfers live in
+//    free-listed slots threaded into their channel's FIFO, so steady-state
+//    request traffic reuses storage instead of allocating.
 //  * Stream — a constant-demand flow (a video feed, a probe). Its delivered
 //    rate is its max-min allocation; shortfall against demand models loss.
 //
@@ -21,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -38,6 +39,7 @@
 namespace bass::net {
 
 using TransferId = std::int64_t;
+constexpr TransferId kInvalidTransfer = 0;
 using StreamId = std::int64_t;
 using Tag = std::uint64_t;  // caller-defined traffic class for byte counters
 
@@ -126,12 +128,20 @@ class Network {
   };
 
   // ---- Transfers ----
+  // `done` is moved into the event queue on completion, never wrapped: a
+  // callback whose captures fit std::function's inline buffer (two words,
+  // e.g. `[this, index]`) keeps the whole transfer allocation-free.
   using TransferCallback = std::function<void()>;
   // Moves `bytes` from src to dst; `done` fires when the last byte lands
-  // (drain time + per-hop latency). Returns an id usable with cancel().
+  // (drain time + per-hop latency). Returns an id usable with
+  // cancel_transfer(): a generation-tagged slot handle ((generation << 32)
+  // | slot), as for streams, so the id of a completed or cancelled transfer
+  // stays inert after its slot is reused. Loopback (src == dst) transfers
+  // never touch the mesh and return kInvalidTransfer.
   TransferId start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
                             TransferCallback done, Tag tag = 0);
-  // Cancels a queued/in-flight transfer. False if it already completed.
+  // Cancels a queued/in-flight transfer. False if it already completed, was
+  // cancelled, or the id is stale or a loopback id.
   bool cancel_transfer(TransferId id);
 
   // ---- Streams ----
@@ -176,22 +186,32 @@ class Network {
   std::size_t stream_count() const { return open_streams_; }
 
  private:
-  struct Transfer {
-    TransferId id = 0;
-    double bytes_remaining = 0.0;
-    std::int64_t bytes_total = 0;
-    TransferCallback done;
-    Tag tag = 0;
-  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   struct Channel {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
-    std::deque<Transfer> fifo;
+    // FIFO of transfer slots, linked through Transfer::next.
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
     double rate_bps = 0.0;
     sim::Time last_update = 0;
     sim::EventId head_event = sim::kInvalidEvent;
     int entity_slot = -1;  // slot in entities_ while backlogged, else -1
+    bool idle() const { return head == kNoSlot; }
+  };
+
+  // A transfer slot: queued in `channel`'s FIFO while live, else on the
+  // free list. Both lists thread through `next`. The generation moves on
+  // at every release, which makes outstanding ids stale; a slot whose
+  // generation would wrap to 0 is retired, so no id is handed out twice.
+  struct Transfer {
+    double bytes_remaining = 0.0;
+    TransferCallback done;
+    Tag tag = 0;
+    Channel* channel = nullptr;  // channels_ nodes are stable
+    std::uint32_t next = kNoSlot;
+    std::uint32_t generation = 1;
   };
 
   struct Stream {
@@ -211,9 +231,8 @@ class Network {
   struct Entity {
     double demand = 0.0;
     std::span<const LinkId> path;  // owned by routing_
-    Channel* channel = nullptr;  // exactly one of channel/stream is set
-    Stream* stream = nullptr;
-    std::int64_t key = 0;  // channel key (head-event scheduling)
+    Channel* channel = nullptr;  // set for a channel, else `stream` is
+    std::uint32_t stream = kNoSlot;  // index into stream_slots_
     bool active = false;
   };
   struct LinkRef {
@@ -235,7 +254,7 @@ class Network {
   // marks its links dirty, so the next reallocate() reprices exactly the
   // affected contention component.
   int add_entity(double demand, std::span<const LinkId> path, Channel* ch,
-                 Stream* st, std::int64_t key);
+                 std::uint32_t stream);
   void remove_entity(int slot);
 
   // Flood-fills links ↔ entities from the dirty seeds into comp_links_ /
@@ -246,8 +265,10 @@ class Network {
   // Settles and reprices the dirty contention component(s), then
   // reschedules head events for repriced channels.
   void reallocate();
-  void schedule_head_event(std::int64_t key);
-  void complete_head(std::int64_t key);
+  void schedule_head_event(Channel& ch);
+  void complete_head(Channel& ch);
+  // Unlinks `slot` from its channel's FIFO, drops its callback and frees it.
+  void release_transfer(std::uint32_t slot);
   void account_bytes(Tag tag, double bytes);
 
   sim::Simulation* sim_;
@@ -255,11 +276,10 @@ class Network {
   RoutingTable routing_;
   NetworkConfig config_;
 
-  // Stream storage. A deque gives pointer stability (Entity::stream points
-  // into a slot) without per-stream allocations; closed slots are
-  // free-listed and their generation bumped, so stale StreamIds miss in
-  // O(1). A slot's generation wraps after 2^32 closes — accepted: an id
-  // would have to be held across four billion reuses of its slot to alias.
+  // Stream storage. Closed slots are free-listed and their generation
+  // bumped, so stale StreamIds miss in O(1). A slot's generation wraps
+  // after 2^32 closes — accepted: an id would have to be held across four
+  // billion reuses of its slot to alias.
   struct StreamSlot {
     Stream stream;
     std::uint32_t generation = 1;
@@ -271,11 +291,14 @@ class Network {
   Stream* find_stream(StreamId id);
   const Stream* find_stream(StreamId id) const;
 
-  std::unordered_map<std::int64_t, Channel> channels_;  // keyed by (src,dst)
-  std::deque<StreamSlot> stream_slots_;
+  // Keyed by (src,dst). A map, not a dense n² array: it allocates only on a
+  // pair's first transfer, and its nodes stay put for Transfer::channel.
+  std::unordered_map<std::int64_t, Channel> channels_;
+  std::vector<StreamSlot> stream_slots_;
   std::vector<std::uint32_t> stream_free_;
   std::size_t open_streams_ = 0;
-  std::unordered_map<TransferId, std::int64_t> transfer_channel_;  // id -> key
+  std::vector<Transfer> transfers_;
+  std::uint32_t transfer_free_ = kNoSlot;  // free list through Transfer::next
 
   // ---- Entity cache ----
   std::vector<Entity> entities_;
@@ -330,7 +353,6 @@ class Network {
   obs::Counter* m_links_touched_ = nullptr;
   obs::LogHistogram* m_alloc_pass_us_ = nullptr;
 
-  TransferId next_transfer_ = 1;
   std::int64_t total_bytes_delivered_ = 0;
   AllocStats alloc_stats_;
   int batch_depth_ = 0;

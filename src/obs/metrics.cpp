@@ -10,14 +10,14 @@ namespace bass::obs {
 
 namespace {
 
-std::string instrument_key(const std::string& name, const Labels& labels) {
+std::string instrument_key(std::string_view name, const Labels& labels) {
   // Label order is canonicalized so {a=1,b=2} and {b=2,a=1} resolve to the
   // same instrument — dynamic-cardinality call sites (one instrument per
   // zone) must not mint duplicates just by listing labels differently. The
   // instrument's display labels keep first-registration order.
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
-  std::string key = name;
+  std::string key(name);
   for (const auto& [k, v] : sorted) {
     key += '\x1f';  // unit separator: cannot appear in sane label text
     key += k;
@@ -107,8 +107,12 @@ void LogHistogram::for_each_nonzero(
 }
 
 MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
-    const std::string& name, const Labels& labels, Kind kind) {
-  const std::string key = instrument_key(name, labels);
+    std::string_view name, const Labels& labels, Kind kind) {
+  // An unlabelled instrument's key is its bare name, so its lookup builds
+  // no key string.
+  const std::string labelled =
+      labels.empty() ? std::string() : instrument_key(name, labels);
+  const std::string_view key = labels.empty() ? name : std::string_view(labelled);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     Instrument& inst = *order_[it->second];
@@ -138,25 +142,25 @@ MetricsRegistry::Instrument& MetricsRegistry::find_or_create(
       inst->log_histogram = std::make_unique<LogHistogram>();
       break;
   }
-  index_.emplace(key, order_.size());
+  index_.emplace(std::string(key), order_.size());
   order_.push_back(std::move(inst));
   return *order_.back();
 }
 
-Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels) {
+Counter& MetricsRegistry::counter(std::string_view name, const Labels& labels) {
   return *find_or_create(name, labels, Kind::kCounter).counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
+Gauge& MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
   return *find_or_create(name, labels, Kind::kGauge).gauge;
 }
 
-LogHistogram& MetricsRegistry::log_histogram(const std::string& name,
+LogHistogram& MetricsRegistry::log_histogram(std::string_view name,
                                              const Labels& labels) {
   return *find_or_create(name, labels, Kind::kLogHistogram).log_histogram;
 }
 
-LogHistogram& MetricsRegistry::log_timer_us(const std::string& name,
+LogHistogram& MetricsRegistry::log_timer_us(std::string_view name,
                                             const Labels& labels) {
   return log_histogram(name, labels);
 }

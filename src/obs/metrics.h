@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -139,13 +140,15 @@ class MetricsRegistry {
 
   // Find-or-create. A name+labels pair must keep one instrument kind for
   // the registry's lifetime; a kind clash trips an assert in debug builds
-  // and returns a detached scratch instrument in release builds.
-  Counter& counter(const std::string& name, const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const Labels& labels = {});
+  // and returns a detached scratch instrument in release builds. Finding an
+  // unlabelled instrument allocates nothing, so a per-call lookup by a
+  // string literal (BASS_OBS_SCOPE) stays off the heap once registered.
+  Counter& counter(std::string_view name, const Labels& labels = {});
+  Gauge& gauge(std::string_view name, const Labels& labels = {});
   // Log2-bucketed histogram; `log_timer_us` is the naming-convention entry
   // point for wall-clock timers (values in microseconds).
-  LogHistogram& log_histogram(const std::string& name, const Labels& labels = {});
-  LogHistogram& log_timer_us(const std::string& name, const Labels& labels = {});
+  LogHistogram& log_histogram(std::string_view name, const Labels& labels = {});
+  LogHistogram& log_timer_us(std::string_view name, const Labels& labels = {});
 
   std::size_t instrument_count() const { return order_.size(); }
 
@@ -188,10 +191,19 @@ class MetricsRegistry {
     std::unique_ptr<LogHistogram> log_histogram;
   };
 
-  Instrument& find_or_create(const std::string& name, const Labels& labels,
+  Instrument& find_or_create(std::string_view name, const Labels& labels,
                              Kind kind);
 
-  std::unordered_map<std::string, std::size_t> index_;  // key -> order_ slot
+  // Transparent, so an unlabelled lookup hashes the name in place: its key
+  // is the bare name.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  std::unordered_map<std::string, std::size_t, KeyHash, std::equal_to<>>
+      index_;  // key -> order_ slot
   std::vector<std::unique_ptr<Instrument>> order_;
 };
 

@@ -1,7 +1,7 @@
 #include "workload/request_engine.h"
 
+#include <algorithm>
 #include <cassert>
-#include <memory>
 
 #include "util/logging.h"
 
@@ -56,112 +56,140 @@ void RequestEngine::arrive() {
     return;
   }
   ++issued_;
-  const sim::Time started = orch_->simulation().now();
-  call(root_, config_.client_node, config_.request_bytes, config_.response_bytes,
-       [this, started] {
-         ++completed_;
-         const sim::Time now = orch_->simulation().now();
-         latencies_.record(now, now - started);
-       });
+  call(new_frame({.component = root_,
+                  .caller_node = config_.client_node,
+                  .request_bytes = config_.request_bytes,
+                  .response_bytes = config_.response_bytes,
+                  .started = orch_->simulation().now()}));
 }
 
-void RequestEngine::call(app::ComponentId component, net::NodeId caller_node,
-                         std::int64_t request_bytes, std::int64_t response_bytes,
-                         std::function<void()> done) {
-  if (!orch_->is_up(deployment_, component)) {
+RequestEngine::FrameId RequestEngine::new_frame(const Frame& frame) {
+  FrameId f = free_frames_;
+  if (f != kNoFrame) {
+    free_frames_ = frames_[f].next;
+  } else {
+    f = static_cast<FrameId>(frames_.size());
+    frames_.emplace_back();
+  }
+  frames_[f] = frame;
+  return f;
+}
+
+void RequestEngine::push(FrameQueue& queue, FrameId f) {
+  frames_[f].next = kNoFrame;
+  if (queue.empty()) {
+    queue.head = f;
+  } else {
+    frames_[queue.tail].next = f;
+  }
+  queue.tail = f;
+}
+
+RequestEngine::FrameId RequestEngine::pop(FrameQueue& queue) {
+  const FrameId f = queue.head;
+  queue.head = frames_[f].next;
+  if (queue.empty()) queue.tail = kNoFrame;
+  return f;
+}
+
+void RequestEngine::call(FrameId f) {
+  const Frame& frame = frames_[f];
+  if (!orch_->is_up(deployment_, frame.component)) {
     // Park the whole invocation; it re-resolves the node once the component
     // restarts (possibly elsewhere).
-    parked_[static_cast<std::size_t>(component)].push_back(
-        [this, component, caller_node, request_bytes, response_bytes,
-         done = std::move(done)]() mutable {
-          call(component, caller_node, request_bytes, response_bytes, std::move(done));
-        });
+    push(parked_[static_cast<std::size_t>(frame.component)], f);
     return;
   }
-  const net::NodeId target_node = orch_->node_of(deployment_, component);
-  orch_->network().start_transfer(
-      caller_node, target_node, request_bytes,
-      [this, component, caller_node, response_bytes, done = std::move(done)]() mutable {
-        process(component, caller_node, response_bytes, std::move(done));
-      });
+  const net::NodeId target_node = orch_->node_of(deployment_, frame.component);
+  orch_->network().start_transfer(frame.caller_node, target_node, frame.request_bytes,
+                                  [this, f] { process(f); });
 }
 
-void RequestEngine::process(app::ComponentId component, net::NodeId caller_node,
-                            std::int64_t response_bytes, std::function<void()> done) {
-  acquire_slot(component, [this, component, caller_node, response_bytes,
-                           done = std::move(done)]() mutable {
-    const auto& comp = orch_->app(deployment_).component(component);
-    orch_->simulation().schedule_after(
-        comp.service_time,
-        [this, component, caller_node, response_bytes, done = std::move(done)]() mutable {
-          release_slot(component);
-
-          // Fan out to the children this request actually touches.
-          std::vector<app::Edge> invoked;
-          for (const app::Edge& e : orch_->app(deployment_).out_edges(component)) {
-            if (e.probability >= 1.0 || rng_.chance(e.probability)) invoked.push_back(e);
-          }
-
-          const net::NodeId my_node = orch_->node_of(deployment_, component);
-          // Joined when all children have responded; then the response
-          // travels back to the caller.
-          auto remaining = std::make_shared<int>(static_cast<int>(invoked.size()) + 1);
-          auto finish = [this, component, caller_node, my_node, response_bytes,
-                         remaining, done = std::move(done)]() mutable {
-            if (--*remaining > 0) return;
-            orch_->network().start_transfer(my_node, caller_node, response_bytes,
-                                            [done = std::move(done)] { done(); });
-          };
-
-          for (const app::Edge& e : invoked) {
-            // Passive per-pair accounting: bytes offered when the call is
-            // issued, delivered when the response lands. Their ratio is
-            // the pair's goodput the controller watches.
-            orch_->traffic_stats(deployment_)
-                .record_offered(e.from, e.to, e.request_bytes + e.response_bytes);
-            call(e.to, my_node, e.request_bytes, e.response_bytes,
-                 [this, e, finish]() mutable {
-                   orch_->traffic_stats(deployment_)
-                       .record(e.from, e.to, e.request_bytes + e.response_bytes);
-                   finish();
-                 });
-          }
-          finish();  // the +1 guard: fires immediately when no children
-        });
-  });
-}
-
-void RequestEngine::acquire_slot(app::ComponentId component, std::function<void()> ready) {
+void RequestEngine::process(FrameId f) {
+  const app::ComponentId component = frames_[f].component;
   Server& server = servers_[static_cast<std::size_t>(component)];
   const int concurrency =
       std::max(orch_->app(deployment_).component(component).concurrency, 1);
   if (server.busy < concurrency) {
     ++server.busy;
-    ready();
+    start_service(f);
     return;
   }
-  server.waiting.push_back(std::move(ready));
+  push(server.waiting, f);
 }
 
-void RequestEngine::release_slot(app::ComponentId component) {
+void RequestEngine::start_service(FrameId f) {
+  const auto& comp = orch_->app(deployment_).component(frames_[f].component);
+  orch_->simulation().schedule_after(comp.service_time, [this, f] { service_done(f); });
+}
+
+void RequestEngine::service_done(FrameId f) {
+  const app::ComponentId component = frames_[f].component;
   Server& server = servers_[static_cast<std::size_t>(component)];
   if (!server.waiting.empty()) {
-    auto next = std::move(server.waiting.front());
-    server.waiting.pop_front();
-    next();  // slot handed over directly
+    start_service(pop(server.waiting));  // slot handed over directly
+  } else {
+    --server.busy;
+  }
+
+  // Fan out to the children this request actually touches, drawing in edge
+  // declaration order.
+  const std::vector<app::Edge>& edges = orch_->app(deployment_).edges();
+  invoked_.clear();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const app::Edge& e = edges[i];
+    if (e.from != component) continue;
+    if (e.probability >= 1.0 || rng_.chance(e.probability)) invoked_.push_back(i);
+  }
+
+  const net::NodeId my_node = orch_->node_of(deployment_, component);
+  frames_[f].node = my_node;
+  // Joined when all children have responded; then the response travels
+  // back to the caller.
+  frames_[f].pending = static_cast<int>(invoked_.size()) + 1;
+  for (std::size_t i : invoked_) {
+    const app::Edge& e = edges[i];
+    // Passive per-pair accounting: bytes offered when the call is issued,
+    // delivered when the response lands. Their ratio is the pair's goodput
+    // the controller watches.
+    orch_->traffic_stats(deployment_)
+        .record_offered(e.from, e.to, e.request_bytes + e.response_bytes);
+    call(new_frame({.component = e.to,
+                    .caller_node = my_node,
+                    .request_bytes = e.request_bytes,
+                    .response_bytes = e.response_bytes,
+                    .parent = f}));
+  }
+  finish(f);  // the +1 guard: fires immediately when no children
+}
+
+void RequestEngine::finish(FrameId f) {
+  Frame& frame = frames_[f];
+  if (--frame.pending > 0) return;
+  orch_->network().start_transfer(frame.node, frame.caller_node, frame.response_bytes,
+                                  [this, f] { response_landed(f); });
+}
+
+void RequestEngine::response_landed(FrameId f) {
+  const Frame frame = frames_[f];
+  frames_[f].next = free_frames_;
+  free_frames_ = f;
+  if (frame.parent == kNoFrame) {
+    ++completed_;
+    const sim::Time now = orch_->simulation().now();
+    latencies_.record(now, now - frame.started);
     return;
   }
-  --server.busy;
+  orch_->traffic_stats(deployment_)
+      .record(frames_[frame.parent].component, frame.component,
+              frame.request_bytes + frame.response_bytes);
+  finish(frame.parent);
 }
 
 void RequestEngine::on_component_up(app::ComponentId component, net::NodeId node) {
   (void)node;
-  auto& parked = parked_[static_cast<std::size_t>(component)];
-  while (!parked.empty()) {
-    auto fn = std::move(parked.front());
-    parked.pop_front();
-    fn();
-  }
+  FrameQueue& parked = parked_[static_cast<std::size_t>(component)];
+  while (!parked.empty()) call(pop(parked));
 }
 
 }  // namespace bass::workload

@@ -15,11 +15,14 @@
 // Components that are down (mid-migration) queue incoming invocations and
 // drain them on restart, reproducing the paper's migration latency spikes
 // (Fig. 14(a)).
+//
+// Each invocation is a frame in a free-listed slab, and every callback the
+// engine hands the network or the event queue captures only (this, frame
+// index), which fits std::function's inline buffer: once the slab reaches
+// its high-water mark, a request allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "core/orchestrator.h"
@@ -70,18 +73,50 @@ class RequestEngine final : public core::DeploymentListener {
   void on_component_up(app::ComponentId component, net::NodeId node) override;
 
  private:
+  using FrameId = std::uint32_t;
+  static constexpr FrameId kNoFrame = ~FrameId{0};
+
+  // One invocation of `component` by `caller_node`.
+  struct Frame {
+    app::ComponentId component = app::kInvalidComponent;
+    net::NodeId caller_node = net::kInvalidNode;
+    // Where the component ran; fixed when its service ends, and the source
+    // of its children's requests and of its response.
+    net::NodeId node = net::kInvalidNode;
+    std::int64_t request_bytes = 0;
+    std::int64_t response_bytes = 0;
+    FrameId parent = kNoFrame;  // kNoFrame: the root of a request
+    int pending = 0;            // children outstanding, plus one guard
+    sim::Time started = 0;      // root frames: when the request arrived
+    // Links the free list, a server's wait queue or a parked list; a frame
+    // is on at most one of them.
+    FrameId next = kNoFrame;
+  };
+  // FIFO of frames linked through Frame::next.
+  struct FrameQueue {
+    FrameId head = kNoFrame;
+    FrameId tail = kNoFrame;
+    bool empty() const { return head == kNoFrame; }
+  };
+
+  FrameId new_frame(const Frame& frame);
+  void push(FrameQueue& queue, FrameId f);
+  FrameId pop(FrameQueue& queue);
+
   void schedule_next_arrival();
   void arrive();
-  // Invokes `component` from `caller_node`: request transfer, service,
-  // children, response transfer; `done` fires when the response lands back
-  // at the caller.
-  void call(app::ComponentId component, net::NodeId caller_node,
-            std::int64_t request_bytes, std::int64_t response_bytes,
-            std::function<void()> done);
-  void process(app::ComponentId component, net::NodeId caller_node,
-               std::int64_t response_bytes, std::function<void()> done);
-  void acquire_slot(app::ComponentId component, std::function<void()> ready);
-  void release_slot(app::ComponentId component);
+  // The continuations of one invocation, in order: call sends the request
+  // (or parks the frame while its component is down), process waits for a
+  // server slot, start_service computes, service_done releases the slot and
+  // invokes the children, finish sends the response once the last child
+  // has answered, and response_landed completes the request or reports to
+  // the parent frame.
+  void call(FrameId f);
+  void process(FrameId f);
+  void start_service(FrameId f);
+  void service_done(FrameId f);
+  void finish(FrameId f);
+  void response_landed(FrameId f);
 
   core::Orchestrator* orch_;
   core::DeploymentId deployment_;
@@ -91,11 +126,15 @@ class RequestEngine final : public core::DeploymentListener {
 
   struct Server {
     int busy = 0;
-    std::deque<std::function<void()>> waiting;
+    FrameQueue waiting;
   };
   std::vector<Server> servers_;
   // Invocations parked while their component is down.
-  std::vector<std::deque<std::function<void()>>> parked_;
+  std::vector<FrameQueue> parked_;
+
+  std::vector<Frame> frames_;
+  FrameId free_frames_ = kNoFrame;  // free list through Frame::next
+  std::vector<std::size_t> invoked_;  // service_done's fan-out, edge indices
 
   metrics::LatencyRecorder latencies_;
   std::int64_t issued_ = 0;

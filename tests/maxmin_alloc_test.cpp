@@ -13,6 +13,7 @@
 
 #include "net/maxmin.h"
 #include "net/network.h"
+#include "obs/recorder.h"
 #include "util/rng.h"
 
 namespace bass::net {
@@ -144,5 +145,89 @@ TEST(MaxMinAlloc, NetworkStreamChurnSteadyStateAllocatesNothing) {
   EXPECT_EQ(network.stream_count(), 48u);
 }
 
+// The request path's traffic: finite transfers over the mesh and over
+// loopback, each completing into a callback whose captures fit
+// std::function's inline buffer. Transfers live in free-listed slots and a
+// completion moves the callback into the event queue, so once the slot
+// pools reach their high-water mark a round of transfers allocates nothing.
+TEST(MaxMinAlloc, NetworkTransferChurnSteadyStateAllocatesNothing) {
+  util::Rng rng(11);
+  sim::Simulation sim;
+  Topology topo;
+  const int n = 16;
+  for (int i = 0; i < n; ++i) topo.add_node();
+  for (int i = 0; i < n; ++i) {
+    topo.add_link(i, (i + 1) % n, mbps(rng.uniform_int(5, 60)));
+  }
+  Network network(sim, topo);
+
+  struct Triple {
+    NodeId src, dst;
+    std::int64_t bytes;
+  };
+  std::vector<Triple> triples;
+  for (int i = 0; i < 64; ++i) {
+    const auto src = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    // Every fourth transfer is colocated and goes over loopback.
+    const auto dst =
+        i % 4 == 0 ? src : static_cast<NodeId>(rng.uniform_int(0, n - 1));
+    triples.push_back({src, dst, rng.uniform_int(1'000, 200'000)});
+  }
+  std::vector<int> hits(triples.size(), 0);
+  std::vector<TransferId> ids(triples.size());
+
+  // One round: every transfer starts, one queued mesh transfer is
+  // cancelled, and the simulation drains.
+  int cancelled = 0;
+  auto round = [&] {
+    for (std::size_t i = 0; i < triples.size(); ++i) {
+      const Triple& t = triples[i];
+      ids[i] = network.start_transfer(t.src, t.dst, t.bytes, [&hits, i] { ++hits[i]; });
+    }
+    for (std::size_t i = triples.size(); i-- > 0;) {
+      if (network.cancel_transfer(ids[i])) {
+        ++cancelled;
+        break;
+      }
+    }
+    sim.run_all();
+  };
+  for (int i = 0; i < 5; ++i) round();  // warm-up: pools reach high-water
+
+  const auto snap = testing::take_alloc_snapshot();
+  for (int i = 0; i < 20; ++i) round();
+  EXPECT_EQ(testing::allocations_since(snap), 0)
+      << "transfer churn allocated after warm-up";
+  EXPECT_EQ(cancelled, 25);
+  int delivered = 0;
+  for (int h : hits) delivered += h;
+  EXPECT_EQ(delivered, 25 * static_cast<int>(triples.size()) - cancelled);
+  EXPECT_EQ(network.active_channel_count(), 0u);
+}
+
 }  // namespace
 }  // namespace bass::net
+
+namespace bass::obs {
+namespace {
+
+// Timed by BASS_OBS_SCOPE, as the max-min kernel is. The name is longer than
+// std::string's inline buffer, so building a key from it would allocate.
+void profiled_kernel() { BASS_OBS_SCOPE("net.maxmin.solve_us"); }
+
+// A profiling scope resolves its timer by name at every exit; once the timer
+// is registered that lookup must not touch the heap.
+TEST(Recorder, ScopedTimerAllocatesNothingOnceRegistered) {
+  Recorder recorder;
+  ScopedGlobalRecorder guard(&recorder);
+  profiled_kernel();  // registers the timer
+
+  const auto snap = testing::take_alloc_snapshot();
+  for (int i = 0; i < 100; ++i) profiled_kernel();
+  EXPECT_EQ(testing::allocations_since(snap), 0)
+      << "a profiling scope allocated after its timer was registered";
+  EXPECT_EQ(recorder.metrics().log_timer_us("net.maxmin.solve_us").count(), 101);
+}
+
+}  // namespace
+}  // namespace bass::obs

@@ -124,6 +124,59 @@ TEST(Network, CancelHeadPromotesNext) {
   EXPECT_LT(f.sim.now(), sim::seconds(3));
 }
 
+TEST(Network, StaleTransferIdsAreInertAfterSlotReuse) {
+  Fixture f;
+  bool first_done = false, second_done = false, third_done = false;
+  const TransferId first =
+      f.net->start_transfer(0, 1, 1'000, [&] { first_done = true; });
+  f.sim.run_all();
+  ASSERT_TRUE(first_done);
+  // The completed transfer's slot is reused, but the generation tag makes
+  // the new id distinct and the old one stale.
+  const TransferId second =
+      f.net->start_transfer(0, 1, 1'000'000, [&] { second_done = true; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(f.net->cancel_transfer(first));
+  EXPECT_TRUE(f.net->cancel_transfer(second));
+  EXPECT_FALSE(f.net->cancel_transfer(second));  // double cancel: no-op
+
+  // Same for a cancelled transfer's id once a third one takes the slot.
+  const TransferId third =
+      f.net->start_transfer(0, 1, 1'000, [&] { third_done = true; });
+  EXPECT_NE(second, third);
+  EXPECT_FALSE(f.net->cancel_transfer(second));
+  f.sim.run_all();
+  EXPECT_FALSE(second_done);
+  EXPECT_TRUE(third_done);
+  EXPECT_EQ(f.net->active_channel_count(), 0u);
+
+  // Loopback transfers never enter the mesh: their id is not cancellable.
+  bool loopback_done = false;
+  const TransferId loopback =
+      f.net->start_transfer(1, 1, 1'000, [&] { loopback_done = true; });
+  EXPECT_FALSE(f.net->cancel_transfer(loopback));
+  f.sim.run_all();
+  EXPECT_TRUE(loopback_done);
+}
+
+TEST(Network, CancelMiddleOfChannelKeepsFifoOrder) {
+  Fixture f;
+  std::vector<int> completed;
+  std::vector<TransferId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(
+        f.net->start_transfer(0, 1, 100'000, [&completed, i] { completed.push_back(i); }));
+  }
+  EXPECT_TRUE(f.net->cancel_transfer(ids[2]));
+  EXPECT_TRUE(f.net->cancel_transfer(ids[4]));  // the tail
+  // A transfer queued after a cancelled tail still joins the FIFO's end.
+  f.net->start_transfer(0, 1, 100'000, [&completed] { completed.push_back(5); });
+  f.sim.run_all();
+  EXPECT_EQ(completed, (std::vector<int>{0, 1, 3, 5}));
+  // Conservation: only the four delivered transfers' bytes moved.
+  EXPECT_NEAR(static_cast<double>(f.net->total_bytes_delivered()), 400'000.0, 10.0);
+}
+
 TEST(Network, StreamGetsDemandWhenUncontended) {
   Fixture f;
   const StreamId s = f.net->open_stream(0, 1, mbps(3));

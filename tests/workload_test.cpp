@@ -317,6 +317,68 @@ TEST(RequestEngine, ServerConcurrencyBoundsThroughput) {
   EXPECT_GT(engine.latencies().max_ms(), 1'000.0);
 }
 
+// Arrival time of every completed request, in completion order.
+std::vector<double> arrivals_in_completion_order(const RequestEngine& engine) {
+  std::vector<double> arrivals;
+  for (const metrics::Sample& s : engine.latencies().series().samples()) {
+    arrivals.push_back(static_cast<double>(s.at) - s.value * 1000.0);
+  }
+  return arrivals;
+}
+
+app::AppGraph single_server_app(sim::Duration service_time) {
+  app::AppGraph g("single");
+  g.add_component({.name = "only", .cpu_milli = 100, .memory_mb = 64,
+                   .service_time = service_time, .concurrency = 1});
+  return g;
+}
+
+TEST(RequestEngine, ServerWaitQueueIsFifo) {
+  Fixture f;
+  const auto id =
+      f.orch->deploy(single_server_app(sim::millis(100)), core::SchedulerKind::kBassBfs)
+          .take();
+  RequestWorkloadConfig cfg;
+  cfg.rps = 50;  // 5x the single slot's capacity: a long wait queue builds
+  cfg.client_node = f.orch->node_of(id, 0);
+  RequestEngine engine(*f.orch, id, cfg);
+  engine.start();
+  f.sim.run_until(sim::seconds(10));
+  engine.stop();
+  f.sim.run_until(sim::seconds(80));
+  ASSERT_EQ(engine.in_flight(), 0);
+  ASSERT_GT(engine.completed(), 400);
+  // One slot served in queue order: requests complete in arrival order.
+  const std::vector<double> arrivals = arrivals_in_completion_order(engine);
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    ASSERT_LT(arrivals[i - 1], arrivals[i]) << "completion " << i << " overtook";
+  }
+}
+
+TEST(RequestEngine, ParkedInvocationsDrainInArrivalOrder) {
+  Fixture f;
+  const auto id =
+      f.orch->deploy(single_server_app(sim::millis(1)), core::SchedulerKind::kBassBfs)
+          .take();
+  RequestWorkloadConfig cfg;
+  cfg.rps = 20;
+  RequestEngine engine(*f.orch, id, cfg);
+  engine.start();
+  // The only component is down for 20 s from t=10: arrivals park.
+  f.sim.schedule_at(sim::seconds(10), [&] { f.orch->restart_component(id, 0); });
+  f.sim.run_until(sim::seconds(40));
+  engine.stop();
+  f.sim.run_until(sim::seconds(60));
+  ASSERT_EQ(engine.in_flight(), 0);
+  // The first parked request waited out the whole outage.
+  EXPECT_GT(engine.latencies().max_ms(), 19'000.0);
+  const std::vector<double> arrivals = arrivals_in_completion_order(engine);
+  ASSERT_EQ(static_cast<std::int64_t>(arrivals.size()), engine.completed());
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    ASSERT_LT(arrivals[i - 1], arrivals[i]) << "completion " << i << " overtook";
+  }
+}
+
 TEST(VideoConference, SurvivesBackToBackMigrations) {
   Fixture f(net::mbps(100));
   const std::vector<std::pair<net::NodeId, int>> groups{{0, 3}};
