@@ -426,8 +426,9 @@ int run(int argc, char** argv) {
   // sparse: all arrivals confined to zone 0 of 8, fat transit — the other
   //   seven zones tick and almost every border component stays clean, so
   //   gated rounds should beat always-full rounds by min_sparse_speedup.
-  // dense:  every zone busy (the main scenario) — the gate predicate runs
-  //   but never fires; gated must stay within min_dense_ratio of ungated.
+  // dense:  every zone busy (the main scenario) — every zone's queue holds
+  //   an event each round, so none skips; gated must stay within
+  //   min_dense_ratio of ungated.
   // idle:   no churn at all — after transit settles, steady-state rounds
   //   must hold at max_idle_allocs_per_round heap allocations.
   std::printf("\nactivity gating (gated vs always-full rounds,"

@@ -26,6 +26,7 @@
 #include "common.h"
 #include "exec/sweep.h"
 #include "obs/metrics.h"
+#include "util/ini.h"
 #include "util/strings.h"
 
 namespace bass {
@@ -56,7 +57,7 @@ int run(int argc, char** argv) {
 
   // Resolve the scenario relative to common launch directories (repo root,
   // build/, build/bench/).
-  util::Expected<exec::SweepArtifacts> artifacts = util::make_error("unset");
+  util::Expected<util::IniFile> base = util::make_error("unset");
   const std::vector<std::string> candidates =
       path.empty() ? std::vector<std::string>{
                          "examples/scenarios/chaos_soak.ini",
@@ -64,14 +65,14 @@ int run(int argc, char** argv) {
                          "../../examples/scenarios/chaos_soak.ini"}
                    : std::vector<std::string>{path};
   for (const auto& candidate : candidates) {
-    artifacts = exec::SweepArtifacts::load(candidate);
-    if (artifacts.ok()) {
+    base = util::load_ini(candidate);
+    if (base.ok()) {
       std::printf("scenario: %s\n", candidate.c_str());
       break;
     }
   }
-  if (!artifacts.ok()) {
-    std::fprintf(stderr, "bench_sweep: %s\n", artifacts.error().c_str());
+  if (!base.ok()) {
+    std::fprintf(stderr, "bench_sweep: %s\n", base.error().c_str());
     return 1;
   }
 
@@ -102,7 +103,7 @@ int run(int argc, char** argv) {
   for (const std::size_t jobs : job_points) {
     const auto alloc_snap = testing::take_alloc_snapshot();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto outcomes = exec::run_sweep(artifacts.value(), specs, jobs);
+    const auto outcomes = exec::run_sweep(base.value(), specs, jobs);
     const double allocs_per_run =
         static_cast<double>(testing::allocations_since(alloc_snap)) / seeds;
     const double wall_ms =

@@ -33,38 +33,23 @@ void apply_overrides(util::IniFile& ini, const std::vector<IniOverride>& overrid
   }
 }
 
-util::Expected<SweepArtifacts> SweepArtifacts::load(const std::string& path) {
-  auto ini = util::load_ini(path);
-  if (!ini.ok()) return util::make_error(ini.error());
-  return from_ini(ini.take());
-}
-
-util::Expected<SweepArtifacts> SweepArtifacts::from_ini(util::IniFile ini) {
-  SweepArtifacts out;
-  out.ini = std::make_shared<const util::IniFile>(std::move(ini));
-  auto assets = scenario::ScenarioAssets::preload(*out.ini);
-  if (!assets.ok()) return util::make_error(assets.error());
-  out.assets = assets.take();
-  return out;
-}
-
 namespace {
 
-RunOutcome run_one(const SweepArtifacts& artifacts, const RunSpec& spec) {
+RunOutcome run_one(const util::IniFile& base, const RunSpec& spec) {
   RunOutcome out;
   out.label = spec.label;
 
-  // Runs with no deltas share the parsed ini outright; otherwise patch a
-  // private copy (still far cheaper than re-reading the file).
-  const util::IniFile* ini = artifacts.ini.get();
+  // Runs with no deltas read the base ini outright; otherwise patch a
+  // private copy.
+  const util::IniFile* ini = &base;
   util::IniFile patched;
   if (!spec.overrides.empty()) {
-    patched = *artifacts.ini;
+    patched = base;
     apply_overrides(patched, spec.overrides);
     ini = &patched;
   }
 
-  auto s = scenario::Scenario::from_ini(*ini, artifacts.assets.get());
+  auto s = scenario::Scenario::from_ini(*ini);
   if (!s.ok()) {
     out.error = s.error();
     return out;
@@ -115,15 +100,15 @@ RunOutcome run_one(const SweepArtifacts& artifacts, const RunSpec& spec) {
 
 }  // namespace
 
-std::vector<RunOutcome> run_sweep(const SweepArtifacts& artifacts,
+std::vector<RunOutcome> run_sweep(const util::IniFile& base,
                                   const std::vector<RunSpec>& specs,
                                   std::size_t jobs) {
   if (jobs == 0) {
     jobs = std::max(1u, std::thread::hardware_concurrency());
   }
   std::vector<RunOutcome> outcomes(specs.size());
-  parallel_for(jobs, specs.size(), [&artifacts, &specs, &outcomes](std::size_t i) {
-    outcomes[i] = run_one(artifacts, specs[i]);
+  parallel_for(jobs, specs.size(), [&base, &specs, &outcomes](std::size_t i) {
+    outcomes[i] = run_one(base, specs[i]);
   });
   return outcomes;
 }

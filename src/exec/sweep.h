@@ -5,9 +5,9 @@
 //  * Per-run isolation — every run owns its Scenario (simulation, Rng
 //    streams, obs::Recorder); the worker installs the run's recorder as the
 //    thread's global profiling recorder for the duration of the run.
-//  * Shared immutable artifacts — the scenario ini, trace CSVs, seeded
-//    generated traces, and the validated app graph are parsed once into
-//    SweepArtifacts and shared read-only via shared_ptr.
+//  * One build path — every run hands its own (overridden) ini to
+//    Scenario::from_ini, exactly as `bassctl run` does; runs without
+//    overrides read the caller's base ini in place.
 //  * Deterministic aggregation — outcomes land in a vector indexed by run
 //    id, so reports/journals are byte-identical to the serial order no
 //    matter how completions interleave (`--jobs 1` vs `--jobs 8` parity is
@@ -15,13 +15,11 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "scenario/scenario.h"
-#include "util/expected.h"
 #include "util/ini.h"
 
 namespace bass::exec {
@@ -41,15 +39,6 @@ void apply_overrides(util::IniFile& ini, const std::vector<IniOverride>& overrid
 struct RunSpec {
   std::string label;
   std::vector<IniOverride> overrides;
-};
-
-// The parse-once inputs every run shares read-only.
-struct SweepArtifacts {
-  std::shared_ptr<const util::IniFile> ini;
-  std::shared_ptr<const scenario::ScenarioAssets> assets;
-
-  static util::Expected<SweepArtifacts> load(const std::string& path);
-  static util::Expected<SweepArtifacts> from_ini(util::IniFile ini);
 };
 
 // Everything a harness reports about one run, captured while the run's
@@ -72,10 +61,11 @@ struct RunOutcome {
   int components_down = 0;         // components still down at run end
 };
 
-// Runs every spec against the shared artifacts on `jobs` worker threads
-// (0 = hardware_concurrency, 1 = inline serial baseline). Outcomes are
+// Runs every spec against `base` on `jobs` worker threads (0 =
+// hardware_concurrency, 1 = inline serial baseline). Runs without overrides
+// share `base` read-only; the rest patch a private copy. Outcomes are
 // indexed by spec position.
-std::vector<RunOutcome> run_sweep(const SweepArtifacts& artifacts,
+std::vector<RunOutcome> run_sweep(const util::IniFile& base,
                                   const std::vector<RunSpec>& specs,
                                   std::size_t jobs);
 

@@ -223,7 +223,6 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
           const bool ok = delivered_in_full && !displaced;
           state.headroom_ok = ok;
           if (!ok) {
-            ++violations_;
             util::log_debug() << "headroom violation on link " << link
                               << " delivered " << measured << " of " << demand;
             if (recorder_ != nullptr) {

@@ -99,10 +99,6 @@ class NetMonitor {
   std::int64_t probe_bytes_sent() const { return probe_bytes_; }
   int full_probe_count() const { return full_probes_; }
   int headroom_probe_count() const { return headroom_probes_; }
-  // Headroom violations detected since start(); monotonic, so deltas tell
-  // "did a probe come up short since I last looked" (the gated sharded
-  // orchestrator's probe-activity signal).
-  int violation_count() const { return violations_; }
 
   const net::Network& network() const { return *network_; }
   const MonitorConfig& config() const { return config_; }
@@ -135,7 +131,6 @@ class NetMonitor {
   std::int64_t probe_bytes_ = 0;
   int full_probes_ = 0;
   int headroom_probes_ = 0;
-  int violations_ = 0;
   double probe_loss_rate_ = 0.0;
   std::unique_ptr<util::Rng> loss_rng_;
   int probes_dropped_ = 0;

@@ -1,7 +1,5 @@
 #include "scenario/scenario.h"
 
-#include <functional>
-
 #include "app/catalog.h"
 #include "topo/city_grid.h"
 #include "trace/generator.h"
@@ -12,19 +10,6 @@ namespace bass::scenario {
 namespace {
 
 util::Error err(const std::string& message) { return util::make_error(message); }
-
-// Reads `key` (seconds) as a timer period: schedule_periodic needs > 0 µs. The
-// range check comes first, as NaN, infinity or a value past the int64 µs
-// clock would make the conversion undefined.
-util::Expected<sim::Duration> parse_period(const util::IniSection& section,
-                                           const std::string& key, double fallback_s) {
-  const double seconds = section.number_or(key, fallback_s);
-  if (seconds > 0 && seconds < 1e12 && sim::seconds_f(seconds) > 0) {
-    return sim::seconds_f(seconds);
-  }
-  return err("[" + section.kind() + "] " + key + " must be > 0 and < 1e12 s (got " +
-             util::str_format("%g", seconds) + ")");
-}
 
 // Generation parameters for a synthetic [trace] section (no file= key).
 trace::GeneratorParams parse_trace_gen_params(const util::IniSection& section,
@@ -41,36 +26,21 @@ trace::GeneratorParams parse_trace_gen_params(const util::IniSection& section,
   return params;
 }
 
-// Cache key for a generated trace: every input that shapes the points.
-std::string trace_cache_key(const util::IniSection& section, sim::Duration duration) {
-  std::string key;
-  for (const auto& word : section.heading) {
-    key += word;
-    key += ' ';
-  }
-  for (const auto& [k, v] : section.entries) {
-    key += k;
-    key += '=';
-    key += v;
-    key += ';';
-  }
-  key += "duration=" + std::to_string(duration);
-  return key;
-}
-
 // The application graph plus the conference wiring derived from the ini's
-// [component]/[edge]/[clients]/[workload] sections. Built once per sweep by
-// ScenarioAssets::preload() and copied per run, or built inline by
-// from_ini() when no matching assets are supplied.
+// [component]/[edge]/[clients]/[workload] sections; pinned= and [clients]
+// names resolve against the scenario's node map.
 struct AppBuild {
   app::AppGraph graph{"scenario-app"};
   std::vector<std::pair<net::NodeId, int>> conference_groups;
   bool is_conference = false;
 };
 
-util::Expected<AppBuild> build_app(
-    const util::IniFile& ini,
-    const std::function<net::NodeId(const std::string&)>& node_id) {
+util::Expected<AppBuild> build_app(const util::IniFile& ini,
+                                   const std::map<std::string, net::NodeId>& nodes) {
+  const auto node_id = [&nodes](const std::string& name) {
+    const auto it = nodes.find(name);
+    return it == nodes.end() ? net::kInvalidNode : it->second;
+  };
   AppBuild out;
   const auto* wl = ini.first_of_kind("workload");
   out.is_conference = wl != nullptr && wl->get_or("type", "requests") == "conference";
@@ -156,6 +126,18 @@ util::Expected<AppBuild> build_app(
 }
 
 }  // namespace
+
+// The range check comes first, as NaN, infinity or a value past the int64 µs
+// clock would make the conversion undefined.
+util::Expected<sim::Duration> parse_period(const util::IniSection& section,
+                                           const std::string& key, double fallback_s) {
+  const double seconds = section.number_or(key, fallback_s);
+  if (seconds > 0 && seconds < 1e12 && sim::seconds_f(seconds) > 0) {
+    return sim::seconds_f(seconds);
+  }
+  return err("[" + section.kind() + "] " + key + " must be > 0 and < 1e12 s (got " +
+             util::str_format("%g", seconds) + ")");
+}
 
 core::SchedulerKind parse_scheduler_kind(const util::IniFile& ini) {
   const auto* sched = ini.first_of_kind("scheduler");
@@ -321,90 +303,6 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
   return spec;
 }
 
-std::string app_fingerprint(const util::IniFile& ini) {
-  std::string fp;
-  for (const auto& section : ini.sections) {
-    const std::string& kind = section.kind();
-    const bool app_shaping =
-        kind == "component" || kind == "edge" || kind == "clients";
-    if (kind == "node") {
-      // Only names and order matter: they fix the NodeId assignment that
-      // pinned= and [clients] resolve against.
-      for (const auto& word : section.heading) {
-        fp += word;
-        fp += ' ';
-      }
-      fp += '\n';
-    } else if (app_shaping) {
-      for (const auto& word : section.heading) {
-        fp += word;
-        fp += ' ';
-      }
-      fp += '\n';
-      for (const auto& [k, v] : section.entries) {
-        fp += k;
-        fp += '=';
-        fp += v;
-        fp += '\n';
-      }
-    } else if (kind == "workload") {
-      // Of the workload keys, only these shape the graph itself — seeds and
-      // rates deliberately stay out so seed sweeps share the cached app.
-      fp += "workload type=" + section.get_or("type", "requests") +
-            " per_stream_kbps=" + section.get_or("per_stream_kbps", "250") + '\n';
-    }
-  }
-  return fp;
-}
-
-util::Expected<std::shared_ptr<const ScenarioAssets>> ScenarioAssets::preload(
-    const util::IniFile& ini) {
-  auto assets = std::make_shared<ScenarioAssets>();
-
-  // Mirror from_ini's NodeId assignment: ids follow [node] section order.
-  std::map<std::string, net::NodeId> nodes;
-  net::NodeId next_id = 0;
-  for (const auto* section : ini.of_kind("node")) {
-    if (section->heading.size() != 2) return err("[node] needs exactly one name");
-    if (!nodes.count(section->heading[1])) nodes[section->heading[1]] = next_id++;
-  }
-  const auto node_id = [&nodes](const std::string& name) {
-    const auto it = nodes.find(name);
-    return it == nodes.end() ? net::kInvalidNode : it->second;
-  };
-
-  const sim::Duration duration = parse_run_duration(ini);
-  for (const auto* section : ini.of_kind("trace")) {
-    if (section->heading.size() != 3) return err("[trace] needs two node names");
-    if (const auto file = section->get("file")) {
-      if (assets->file_traces.count(*file)) continue;
-      auto recorded = trace::BandwidthTrace::load_csv(*file);
-      if (!recorded) return err("[trace]: cannot load '" + *file + "'");
-      assets->file_traces[*file] =
-          std::make_shared<const trace::BandwidthTrace>(std::move(*recorded));
-      continue;
-    }
-    const std::string key = trace_cache_key(*section, duration);
-    if (assets->generated_traces.count(key)) continue;
-    util::Rng rng(static_cast<std::uint64_t>(section->number_or("seed", 1)));
-    assets->generated_traces[key] = std::make_shared<const trace::BandwidthTrace>(
-        trace::generate_trace(parse_trace_gen_params(*section, duration), rng));
-  }
-
-  // Serving scenarios build their apps per-arrival from the churn schedule;
-  // there is no one-shot graph to preload (traces above still cache).
-  if (ini.first_of_kind("serve") == nullptr) {
-    auto built = build_app(ini, node_id);
-    if (!built.ok()) return err(built.error());
-    AppBuild build = built.take();
-    assets->app = std::make_shared<const app::AppGraph>(std::move(build.graph));
-    assets->conference_groups = std::move(build.conference_groups);
-    assets->is_conference = build.is_conference;
-  }
-  assets->fingerprint = app_fingerprint(ini);
-  return std::shared_ptr<const ScenarioAssets>(std::move(assets));
-}
-
 net::NodeId Scenario::node_id(const std::string& name) const {
   const auto it = nodes_by_name_.find(name);
   return it == nodes_by_name_.end() ? net::kInvalidNode : it->second;
@@ -423,8 +321,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_file(const std::string&
   return from_ini(ini.value());
 }
 
-util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
-    const util::IniFile& ini, const ScenarioAssets* assets) {
+util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile& ini) {
   auto s = std::unique_ptr<Scenario>(new Scenario());
 
   // ---- Observability ----
@@ -489,32 +386,11 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
     if (const auto file = section->get("file")) {
       // Replay a recorded trace (CSV: t_seconds,bps — bassctl trace emits
       // this format, and real testbed traces can be converted to it).
-      // Preloaded assets spare the per-run disk read + parse.
-      if (assets != nullptr) {
-        const auto it = assets->file_traces.find(*file);
-        if (it != assets->file_traces.end()) {
-          s->player_->add_bidirectional(a, b, *it->second);
-          has_traces = true;
-          continue;
-        }
-      }
       auto recorded = trace::BandwidthTrace::load_csv(*file);
       if (!recorded) return err("[trace]: cannot load '" + *file + "'");
       s->player_->add_bidirectional(a, b, std::move(*recorded));
       has_traces = true;
       continue;
-    }
-    // Synthetic trace: reuse the pre-generated points when the assets were
-    // built with identical parameters (generation is seeded, so the cached
-    // copy is exactly what this run would have produced).
-    if (assets != nullptr) {
-      const auto it =
-          assets->generated_traces.find(trace_cache_key(*section, s->duration_));
-      if (it != assets->generated_traces.end()) {
-        s->player_->add_bidirectional(a, b, *it->second);
-        has_traces = true;
-        continue;
-      }
     }
     util::Rng rng(static_cast<std::uint64_t>(section->number_or("seed", 1)));
     s->player_->add_bidirectional(
@@ -532,19 +408,9 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(
   AppBuild app_build;
   bool is_conference = false;
   if (!serving) {
-    if (assets != nullptr && assets->app != nullptr &&
-        assets->fingerprint == app_fingerprint(ini)) {
-      // The cached graph was built from sections identical to ours: take a
-      // copy and skip the rebuild + validation.
-      app_build.graph = *assets->app;
-      app_build.conference_groups = assets->conference_groups;
-      app_build.is_conference = assets->is_conference;
-    } else {
-      auto built = build_app(
-          ini, [&s](const std::string& name) { return s->node_id(name); });
-      if (!built.ok()) return err(built.error());
-      app_build = built.take();
-    }
+    auto built = build_app(ini, s->nodes_by_name_);
+    if (!built.ok()) return err(built.error());
+    app_build = built.take();
     is_conference = app_build.is_conference;
   }
   const std::vector<std::pair<net::NodeId, int>>& conference_groups =

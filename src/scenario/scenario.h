@@ -138,35 +138,6 @@ struct RunReport {
   std::int64_t serve_rebalance_moves = 0;
 };
 
-// Immutable, pre-parsed scenario inputs that many runs share read-only
-// (via shared_ptr from exec::SweepArtifacts): a sweep preloads the trace
-// CSVs, the seeded generated traces, and the validated application graph
-// exactly once instead of re-parsing them for every seed. Passing assets
-// built from a *different* scenario is safe — from_ini() only consumes an
-// entry when it matches what the ini asks for (file path, generated-trace
-// parameters, app fingerprint) and falls back to parsing otherwise.
-struct ScenarioAssets {
-  // [trace ...] file= CSVs, keyed by the path string in the ini.
-  std::map<std::string, std::shared_ptr<const trace::BandwidthTrace>> file_traces;
-  // Seeded synthetic traces, keyed by generation parameters + duration.
-  std::map<std::string, std::shared_ptr<const trace::BandwidthTrace>> generated_traces;
-  // The validated app graph (and its conference wiring), reused only when
-  // the run's ini has the same app fingerprint.
-  std::shared_ptr<const app::AppGraph> app;
-  std::vector<std::pair<net::NodeId, int>> conference_groups;
-  bool is_conference = false;
-  std::string fingerprint;
-
-  static util::Expected<std::shared_ptr<const ScenarioAssets>> preload(
-      const util::IniFile& ini);
-};
-
-// Serializes the sections that determine the application graph and the
-// node-id assignment ([node] order, [component]/[edge]/[clients], the
-// app-shaping [workload] keys). Two inis with equal fingerprints build
-// identical graphs, so assets built from one can serve the other.
-std::string app_fingerprint(const util::IniFile& ini);
-
 // The mesh substrate a scenario runs on, parsed once so Scenario::from_ini
 // and zone::ShardedOrchestrator build identical worlds from the same file.
 struct TopologySpec {
@@ -187,7 +158,14 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini);
 // Exported so the sharded orchestrator configures per-zone worlds with the
 // exact semantics (defaults included) of the unsharded scenario path. Timer
 // periods ([migration] interval_s, [monitor] probe_interval_s, [serve]
-// rebalance_interval_s, [profiler] sample_interval_s) must round to > 0 µs.
+// rebalance_interval_s, [profiler] sample_interval_s, [zones]
+// round_interval_s) must round to > 0 µs.
+
+// Reads `key` (seconds, default `fallback_s`) as a timer period; the error
+// names the section and key unless 0 < value < 1e12 s and it rounds to at
+// least 1 µs.
+util::Expected<sim::Duration> parse_period(const util::IniSection& section,
+                                           const std::string& key, double fallback_s);
 core::SchedulerKind parse_scheduler_kind(const util::IniFile& ini);
 sim::Duration parse_run_duration(const util::IniFile& ini);
 util::Expected<controller::MigrationParams> parse_migration_params(
@@ -206,11 +184,8 @@ bool parse_invariants_enabled(const util::IniFile& ini);
 class Scenario {
  public:
   // Builds a fully wired world from a parsed scenario. The returned object
-  // owns the simulation and every subsystem. `assets` (optional) supplies
-  // pre-parsed shared artifacts; everything it does not cover is parsed
-  // from the ini as usual.
-  static util::Expected<std::unique_ptr<Scenario>> from_ini(
-      const util::IniFile& ini, const ScenarioAssets* assets = nullptr);
+  // owns the simulation and every subsystem.
+  static util::Expected<std::unique_ptr<Scenario>> from_ini(const util::IniFile& ini);
   static util::Expected<std::unique_ptr<Scenario>> from_file(const std::string& path);
 
   // Runs the configured duration and returns the report. Callable once.

@@ -44,8 +44,7 @@ void ServingLoop::start() {
   if (running_) return;
   running_ = true;
   schedule_ = workload::build_churn_schedule(config_.churn);
-  t0_ = orch_->simulation().now();
-  const sim::Time t0 = t0_;
+  const sim::Time t0 = orch_->simulation().now();
   for (std::size_t i = 0; i < schedule_.size(); ++i) {
     // Index capture: schedule_ never changes after this loop.
     orch_->simulation().schedule_at(t0 + schedule_[i].at, [this, i] {
@@ -71,16 +70,6 @@ void ServingLoop::stop() {
     if (live.engine) live.engine->stop();
   }
   orch_->simulation().cancel(rebalance_timer_);
-}
-
-bool ServingLoop::churn_due(sim::Time until) const {
-  if (!running_ || schedule_.empty()) return false;
-  const sim::Time now = orch_->simulation().now();
-  // schedule_ is ordered by `at`; find the first event strictly after now.
-  const auto it = std::upper_bound(
-      schedule_.begin(), schedule_.end(), now - t0_,
-      [](sim::Duration t, const workload::ChurnEvent& e) { return t < e.at; });
-  return it != schedule_.end() && t0_ + it->at <= until;
 }
 
 void ServingLoop::arrive(const workload::ChurnEvent& event) {

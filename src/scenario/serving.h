@@ -86,12 +86,6 @@ class ServingLoop {
   int live_count() const { return static_cast<int>(live_.size()); }
   const std::vector<workload::ChurnEvent>& schedule() const { return schedule_; }
 
-  // True when a churn event (arrival or departure) is armed strictly after
-  // the simulation's current time and at or before `until`. The activity
-  // probe for gated sharded rounds: events at or before now have already
-  // fired, so this is exactly "would the schedule do anything this window".
-  bool churn_due(sim::Time until) const;
-
  private:
   struct Live {
     core::DeploymentId deployment = core::kInvalidDeployment;
@@ -109,7 +103,6 @@ class ServingLoop {
   core::AdmissionQueue admission_;
   obs::Recorder* recorder_ = nullptr;
   std::vector<workload::ChurnEvent> schedule_;
-  sim::Time t0_ = 0;  // sim time the schedule was armed against
   // Keyed by churn instance id; std::map keeps iteration deterministic for
   // the rebalance sweep.
   std::map<int, Live> live_;

@@ -40,8 +40,8 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::create
   auto s = std::unique_ptr<ShardedOrchestrator>(new ShardedOrchestrator());
   s->cfg_ = build.zones;
   s->duration_ = build.duration;
-  const sim::Duration interval = std::max<sim::Duration>(s->cfg_.round_interval, 1);
-  s->cfg_.round_interval = interval;
+  const sim::Duration interval = s->cfg_.round_interval;
+  if (interval <= 0) return err("zones: round_interval must be > 0");
   s->rounds_total_ = static_cast<int>(
       std::max<sim::Duration>(1, (build.duration + interval - 1) / interval));
 
@@ -53,7 +53,6 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::create
   s->recon_caps_.assign(links, 0.0);
   s->caps_stamp_.assign(links, 0);
 
-  s->cfg_.max_skip = std::max(s->cfg_.max_skip, 1);
   for (int z = 0; z < s->partition_.zones; ++z) {
     s->worlds_.push_back(std::make_unique<World>(build.recorder));
     s->worlds_.back()->zone = z;
@@ -107,8 +106,9 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   } else {
     return err("[zones]: unknown method '" + method + "' (bfs | chunks)");
   }
-  build.zones.round_interval =
-      sim::seconds_f(zsec->number_or("round_interval_s", 10));
+  auto round_interval = scenario::parse_period(*zsec, "round_interval_s", 10);
+  if (!round_interval.ok()) return err(round_interval.error());
+  build.zones.round_interval = round_interval.value();
   build.zones.transit_per_border =
       static_cast<int>(zsec->number_or("transit_per_border", 1));
   build.zones.transit_bps =
@@ -117,8 +117,6 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   build.zones.max_reconcile_iterations =
       static_cast<int>(zsec->number_or("max_reconcile_iterations", 4));
   build.zones.gating = zsec->flag_or("gating", true);
-  build.zones.max_skip = static_cast<int>(zsec->number_or("max_skip", 8));
-  if (build.zones.max_skip < 1) return err("[zones]: max_skip must be >= 1");
   build.zones.active_zones =
       static_cast<int>(zsec->number_or("active_zones", 0));
   if (build.zones.active_zones < 0) {
@@ -383,29 +381,7 @@ void ShardedOrchestrator::cache_instruments() {
   }
 }
 
-void ShardedOrchestrator::advance_all(sim::Time deadline, bool timed) {
-  const auto task = [deadline, timed](World& w) {
-    obs::ScopedGlobalRecorder guard(&w.recorder);
-    const auto t0 = std::chrono::steady_clock::now();
-    w.sim.run_until(deadline);
-    if (timed) {
-      w.round_wall_us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    }
-  };
-  if (pool_) {
-    for (auto& w : worlds_) {
-      World* wp = w.get();
-      pool_->submit([task, wp] { task(*wp); });
-    }
-    pool_->wait();
-  } else {
-    for (auto& w : worlds_) task(*w);
-  }
-}
-
-void ShardedOrchestrator::advance_due(sim::Time deadline) {
+void ShardedOrchestrator::advance(sim::Time deadline) {
   const auto task = [deadline](World& w) {
     obs::ScopedGlobalRecorder guard(&w.recorder);
     const auto t0 = std::chrono::steady_clock::now();
@@ -428,46 +404,6 @@ void ShardedOrchestrator::advance_due(sim::Time deadline) {
   }
 }
 
-bool ShardedOrchestrator::zone_due(World& w, sim::Time deadline) {
-  // The activity summary. Every class but the heartbeat is also visible as
-  // a scheduled event, so the kActTimer probe alone decides correctness;
-  // the named classes exist for the census and cost nothing measurable.
-  bool due = false;
-  if (w.serving != nullptr && w.serving->churn_due(deadline)) {
-    ++w.activity[kActChurn];
-    due = true;
-  }
-  if (w.serving != nullptr && w.serving->queue_depth() > 0) {
-    ++w.activity[kActQueue];
-    due = true;
-  }
-  if (w.orch->live_deployment_count() > 0) {
-    ++w.activity[kActLive];
-    due = true;
-  }
-  if (!w.orch->failed_nodes().empty()) {
-    ++w.activity[kActFault];
-    due = true;
-  }
-  if (w.monitor != nullptr) {
-    const int violations = w.monitor->violation_count();
-    if (violations != w.probe_violations_seen) {
-      w.probe_violations_seen = violations;
-      ++w.activity[kActProbe];
-      due = true;
-    }
-  }
-  if (w.sim.has_event_before(deadline)) {
-    ++w.activity[kActTimer];
-    due = true;
-  }
-  if (!due && w.consecutive_skips >= cfg_.max_skip) {
-    ++w.activity[kActHeartbeat];
-    due = true;
-  }
-  return due;
-}
-
 void ShardedOrchestrator::start() {
   if (started_) return;
   started_ = true;
@@ -480,7 +416,7 @@ void ShardedOrchestrator::start() {
       w->monitor->start();
     }
   }
-  advance_all(sim::seconds(2), false);
+  advance(sim::seconds(2));  // every world starts due
   base_ = sim::seconds(2);
 
   // Border transit comes up at the end of warmup, serially in border-link
@@ -699,11 +635,12 @@ void ShardedOrchestrator::run_round() {
   const sim::Time deadline =
       base_ + static_cast<sim::Time>(r + 1) * cfg_.round_interval;
 
-  // Serial activity scan — a pure function of zone state, so the due set
-  // is identical at any --jobs value.
-  const bool gate = cfg_.gating;
+  // A zone is due exactly when its own queue holds an event at or before the
+  // deadline: every source of zone work (churn, admission retries,
+  // controller and probe timers, fault recoveries) lives there. Serial and a
+  // pure function of zone state, so the due set is identical at any --jobs.
   for (auto& w : worlds_) {
-    w->due = !gate || zone_due(*w, deadline);
+    w->due = !cfg_.gating || w->sim.has_event_before(deadline);
   }
 
   const auto now_wall = [] { return std::chrono::steady_clock::now(); };
@@ -713,33 +650,25 @@ void ShardedOrchestrator::run_round() {
         .count();
   };
 
-  // Quiescent zones: nothing is scheduled in their window, so run_until
-  // only moves the clock — the exact instructions the full pass would
-  // execute, minus the pool round-trip. Journals stay byte-identical.
+  // Quiescent zones: nothing is scheduled in their window, so the tick is
+  // the same run_until the full pass makes, minus the pool dispatch, the
+  // recorder guard and the wall-clock reads. Journals stay byte-identical.
   auto t0 = now_wall();
   int due_count = 0;
   for (auto& w : worlds_) {
     if (w->due) {
       ++due_count;
+      ++w->rounds_full;
       continue;
     }
     w->sim.run_until(deadline);
     ++w->rounds_skipped;
-    ++w->consecutive_skips;
-    w->max_skip_streak = std::max(w->max_skip_streak, w->consecutive_skips);
     w->m_skipped_rounds->inc();
   }
   tick_wall_us_ += us_since(t0);
 
   t0 = now_wall();
-  if (due_count > 0) {
-    advance_due(deadline);
-    for (auto& w : worlds_) {
-      if (!w->due) continue;
-      ++w->rounds_full;
-      w->consecutive_skips = 0;
-    }
-  }
+  if (due_count > 0) advance(deadline);
   advance_wall_us_ += us_since(t0);
 
   t0 = now_wall();
@@ -796,7 +725,8 @@ void ShardedOrchestrator::finish() {
   // loops live so in-flight admissions and migrations resolve.
   const sim::Time end =
       base_ + static_cast<sim::Time>(round_) * cfg_.round_interval;
-  advance_all(end + sim::minutes(2), false);
+  for (auto& w : worlds_) w->due = true;
+  advance(end + sim::minutes(2));
 
   report_ = ShardedReport{};
   for (auto& w : worlds_) {
@@ -861,26 +791,10 @@ void ShardedOrchestrator::finish() {
   report_.advance_wall_us = advance_wall_us_;
   report_.reconcile_wall_us = reconcile_wall_us_;
 
-  // Activity census: why each zone's rounds could not be skipped.
-  static constexpr const char* kActivityNames[kActivityKinds] = {
-      "churn", "queue", "live", "fault", "probe", "timer", "heartbeat"};
   for (auto& w : worlds_) {
     report_.zone_rounds_full += w->rounds_full;
     report_.zone_rounds_skipped += w->rounds_skipped;
-    const std::string zone_label = std::to_string(w->zone);
-    for (int k = 0; k < kActivityKinds; ++k) {
-      if (w->activity[static_cast<std::size_t>(k)] == 0) continue;
-      dst.counter("zone.activity",
-                  {{"kind", kActivityNames[k]}, {"zone", zone_label}})
-          .add(w->activity[static_cast<std::size_t>(k)]);
-    }
   }
-}
-
-int ShardedOrchestrator::max_consecutive_skips() const {
-  int streak = 0;
-  for (const auto& w : worlds_) streak = std::max(streak, w->max_skip_streak);
-  return streak;
 }
 
 ShardedReport ShardedOrchestrator::run() {

@@ -27,15 +27,15 @@
 // zero passes change anything; a capacity shift settles in one).
 //
 // Activity gating (this file + DESIGN.md §11): round cost tracks churn,
-// not city size. Zones with nothing scheduled in the round window take a
-// serial clock-advance tick (run_until over an empty window — the exact
-// instructions the full path would execute — so journals stay
-// byte-identical); reconciliation partitions transit flows into
-// link-disjoint border components and re-solves only those whose owner
-// zones reallocated since the last look, skipping the pass outright when
-// none did. Both halves are provably bitwise-neutral: a skipped zone
-// processed no events either way, and a clean component's residuals and
-// solved rates are unchanged by construction.
+// not city size. A zone whose event queue holds nothing at or before the
+// round deadline takes a serial clock-advance tick (the same run_until the
+// full pass makes, so journals stay byte-identical); reconciliation
+// partitions transit flows into link-disjoint border components and
+// re-solves only those whose owner zones reallocated since the last look,
+// skipping the pass outright when none did. Both halves are provably
+// bitwise-neutral: a skipped zone processed no events either way, and a
+// clean component's residuals and solved rates are unchanged by
+// construction.
 #pragma once
 
 #include <array>
@@ -76,17 +76,13 @@ struct ZonesConfig {
   // (classic transit), keeping each border's contention link-disjoint from
   // the others — the regime where dirty-border reconciliation pays off.
   bool transit_local = false;
-  // Activity gating: quiescent zones (nothing scheduled in the round
-  // window) take a clock-advance tick instead of a full pooled pass, and
+  // Activity gating: quiescent zones (no event at or before the round
+  // deadline) take a clock-advance tick instead of a full pooled pass, and
   // reconciliation only rebuilds border components whose owner zones
   // reallocated. Gated and ungated runs produce byte-identical journals
   // and bitwise-equal final allocations (zone_test locks both); the knob
   // exists as the bench/CI baseline, not as a semantic switch.
   bool gating = true;
-  // Heartbeat: force a full pass after this many consecutive skips so no
-  // zone coasts unboundedly on the cheap tick. Deterministic — a pure
-  // function of the skip history, identical at any --jobs.
-  int max_skip = 8;
   // Sparse-churn shaping: 0 spreads arrivals over every zone (default);
   // K > 0 confines the configured total arrival rate to zones [0, K) —
   // the bench/test handle for "activity lives in one corner of the city".
@@ -168,9 +164,6 @@ class ShardedOrchestrator {
   const Partition& partition() const { return partition_; }
   const ShardedReport& report() const { return report_; }
   const ZonesConfig& config() const { return cfg_; }
-  // Longest consecutive-skip streak any zone has accumulated so far; the
-  // heartbeat contract (zone_test) bounds it by ZonesConfig::max_skip.
-  int max_consecutive_skips() const;
 
   // Cumulative phase wall-clock (µs), live during the round loop, so a
   // bench can window out bring-up rounds: round 0's reconcile imposes
@@ -223,22 +216,6 @@ class ShardedOrchestrator {
     net::Bps imposed_b = -1;
   };
 
-  // Why a zone's round could not be skipped, for the per-zone activity
-  // census (`zone.activity{kind}` counters). kTimer — any event armed in
-  // the window — is the safety superset of the rest: churn, probes,
-  // admission retries, controller ticks and fault recoveries all live in
-  // the zone's event queue, so gating can never miss activity.
-  enum ActivityKind {
-    kActChurn = 0,   // churn arrival/departure due this window
-    kActQueue,       // admission queue holds work
-    kActLive,        // live deployments (traffic samplers, controllers)
-    kActFault,       // failed nodes awaiting recovery
-    kActProbe,       // headroom violation since the last look
-    kActTimer,       // any scheduled event at or before the deadline
-    kActHeartbeat,   // max_skip forced a full pass
-    kActivityKinds
-  };
-
   struct World {
     int zone = -1;
     obs::Recorder recorder;
@@ -262,12 +239,8 @@ class ShardedOrchestrator {
     // Activity gating (coordinator-side, touched serially only).
     bool due = true;
     std::int64_t recon_marker = -1;  // alloc_stats().reallocations last seen
-    int probe_violations_seen = 0;
-    int consecutive_skips = 0;
-    int max_skip_streak = 0;
     std::int64_t rounds_full = 0;
     std::int64_t rounds_skipped = 0;
-    std::array<std::int64_t, kActivityKinds> activity{};
     // Coordinator instruments resolved once at create(): per-round metric
     // updates must not rebuild Labels (zero-alloc steady state).
     obs::LogHistogram* m_round_wall = nullptr;
@@ -296,10 +269,10 @@ class ShardedOrchestrator {
   void setup_transit(const ShardedBuild& build);
   void build_components();
   void cache_instruments();
-  bool zone_due(World& w, sim::Time deadline);
   int reconcile();
-  void advance_all(sim::Time deadline, bool timed);
-  void advance_due(sim::Time deadline);
+  // Runs every due world to `deadline` (on the pool when there is one),
+  // timing each for the zone.round_wall_us histogram.
+  void advance(sim::Time deadline);
 
   Partition partition_;
   std::vector<std::unique_ptr<World>> worlds_;

@@ -189,7 +189,7 @@ TEST(RecorderSlotTest, ThreadLocalSlotWinsOverProcessDefault) {
   EXPECT_EQ(obs::global_recorder(), nullptr);
 }
 
-// ---- Sweep artifacts ----
+// ---- Sweep inputs ----
 
 TEST(SweepTest, ApplyOverridesCreatesMissingSection) {
   util::IniFile ini = chaos_ini();
@@ -206,59 +206,52 @@ TEST(SweepTest, ApplyOverridesCreatesMissingSection) {
   EXPECT_EQ(ini.first_of_kind("chaos")->get_or("seed", ""), "9");
 }
 
-TEST(SweepTest, PreloadedFileTracesMatchPerRunParsing) {
-  // A scenario that replays a recorded CSV trace on one link.
+// A sweep run builds exactly the world `bassctl run` builds from the same
+// overridden ini. Two inputs: a recorded CSV trace replayed on one link, and
+// a generated city grid whose component and client name a generated node.
+TEST(SweepTest, OutcomesMatchScenarioFromIni) {
   trace::BandwidthTrace recorded;
   for (int t = 0; t <= 60; t += 5) {
     recorded.append(sim::seconds(t), net::Bps{(8 + t % 3) * 1000 * 1000});
   }
   const std::string csv = testing::TempDir() + "exec_test_trace.csv";
   ASSERT_TRUE(recorded.save_csv(csv));
-
-  util::IniFile ini = chaos_ini();
-  ini.sections.push_back(
+  util::IniFile file_trace = chaos_ini();
+  file_trace.sections.push_back(
       util::IniSection{{"trace", "a", "b"}, {{"file", csv}}});
 
-  auto assets = scenario::ScenarioAssets::preload(ini);
-  ASSERT_TRUE(assets.ok()) << assets.error();
-  EXPECT_EQ(assets.value()->file_traces.size(), 1u);
-  EXPECT_EQ(assets.value()->file_traces.count(csv), 1u);
+  auto city = util::load_ini(std::string(BASS_TEST_DATA_DIR) + "/city_pinned.ini");
+  ASSERT_TRUE(city.ok()) << city.error();
 
-  auto cached = scenario::Scenario::from_ini(ini, assets.value().get());
-  auto parsed = scenario::Scenario::from_ini(ini);
-  ASSERT_TRUE(cached.ok()) << cached.error();
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  cached.value()->run();
-  parsed.value()->run();
-  EXPECT_EQ(cached.value()->recorder().journal().to_jsonl(),
-            parsed.value()->recorder().journal().to_jsonl());
-}
-
-TEST(SweepTest, AppFingerprintIgnoresSeedsButNotComponents) {
-  util::IniFile base = chaos_ini();
-  const std::string fp = scenario::app_fingerprint(base);
-
-  util::IniFile reseeded = base;
-  exec::apply_overrides(reseeded, {{"chaos", "seed", "42"},
-                                   {"workload", "seed", "42"},
-                                   {"migration", "threshold", "0.9"}});
-  EXPECT_EQ(scenario::app_fingerprint(reseeded), fp)
-      << "seed/controller overrides must keep the cached app shareable";
-
-  util::IniFile edited = base;
-  exec::apply_overrides(edited, {{"component", "cpu", "999"}});
-  EXPECT_NE(scenario::app_fingerprint(edited), fp);
+  const auto specs = seed_specs(1, 4);
+  for (const util::IniFile* base : {&file_trace, &city.value()}) {
+    const auto outcomes = exec::run_sweep(*base, specs, 4);
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_TRUE(outcomes[i].error.empty()) << outcomes[i].error;
+      util::IniFile ini = *base;
+      exec::apply_overrides(ini, specs[i].overrides);
+      auto s = scenario::Scenario::from_ini(ini);
+      ASSERT_TRUE(s.ok()) << s.error();
+      {
+        obs::ScopedGlobalRecorder bind(&s.value()->recorder());
+        s.value()->run();
+      }
+      EXPECT_FALSE(outcomes[i].journal.empty());
+      EXPECT_EQ(outcomes[i].journal, s.value()->recorder().journal().to_jsonl())
+          << specs[i].label;
+    }
+  }
 }
 
 // ---- Determinism: the serial-vs-parallel parity contract ----
 
 TEST(SweepTest, JournalsAreByteIdenticalAtAnyJobCount) {
-  auto artifacts = exec::SweepArtifacts::from_ini(chaos_ini());
-  ASSERT_TRUE(artifacts.ok()) << artifacts.error();
+  const util::IniFile base = chaos_ini();
   const auto specs = seed_specs(1, 3);
 
-  const auto serial = exec::run_sweep(artifacts.value(), specs, 1);
-  const auto parallel = exec::run_sweep(artifacts.value(), specs, 8);
+  const auto serial = exec::run_sweep(base, specs, 1);
+  const auto parallel = exec::run_sweep(base, specs, 8);
   ASSERT_EQ(serial.size(), specs.size());
   ASSERT_EQ(parallel.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -283,13 +276,12 @@ TEST(SweepTest, JournalsAreByteIdenticalAtAnyJobCount) {
 }
 
 TEST(SweepTest, ConcurrentRunsOfTheSameSeedCannotContaminateEachOther) {
-  auto artifacts = exec::SweepArtifacts::from_ini(chaos_ini());
-  ASSERT_TRUE(artifacts.ok()) << artifacts.error();
+  const util::IniFile base = chaos_ini();
   // Four copies of the same seed racing on the pool: per-run Rng and
   // recorder isolation means all four must come out identical.
   std::vector<exec::RunSpec> specs(4, exec::RunSpec{"seed 5",
                                                     {{"chaos", "seed", "5"}}});
-  const auto outcomes = exec::run_sweep(artifacts.value(), specs, 4);
+  const auto outcomes = exec::run_sweep(base, specs, 4);
   for (const auto& outcome : outcomes) {
     ASSERT_TRUE(outcome.error.empty()) << outcome.error;
     EXPECT_EQ(outcome.journal, outcomes[0].journal);
@@ -297,11 +289,10 @@ TEST(SweepTest, ConcurrentRunsOfTheSameSeedCannotContaminateEachOther) {
 }
 
 TEST(SweepTest, BuildErrorsAreReportedPerRunNotThrown) {
-  auto artifacts = exec::SweepArtifacts::from_ini(chaos_ini());
-  ASSERT_TRUE(artifacts.ok()) << artifacts.error();
+  const util::IniFile base = chaos_ini();
   std::vector<exec::RunSpec> specs = seed_specs(1, 1);
   specs.push_back({"bad", {{"workload", "client", "no-such-node"}}});
-  const auto outcomes = exec::run_sweep(artifacts.value(), specs, 2);
+  const auto outcomes = exec::run_sweep(base, specs, 2);
   EXPECT_TRUE(outcomes[0].error.empty());
   EXPECT_NE(outcomes[1].error.find("no-such-node"), std::string::npos);
   EXPECT_TRUE(outcomes[1].journal.empty());

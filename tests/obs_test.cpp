@@ -536,11 +536,9 @@ duration_s = 60
 )";
   auto ini = util::parse_ini(kIni);
   ASSERT_TRUE(ini.ok()) << ini.error();
-  auto artifacts = exec::SweepArtifacts::from_ini(ini.take());
-  ASSERT_TRUE(artifacts.ok()) << artifacts.error();
   const std::vector<exec::RunSpec> specs{{"a", {}}, {"b", {}}, {"c", {}}};
-  const auto serial = exec::run_sweep(artifacts.value(), specs, 1);
-  const auto parallel = exec::run_sweep(artifacts.value(), specs, 3);
+  const auto serial = exec::run_sweep(ini.value(), specs, 1);
+  const auto parallel = exec::run_sweep(ini.value(), specs, 3);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].error.empty()) << serial[i].error;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/sweep.h"
 #include "net/network.h"
 #include "scenario/scenario.h"
 #include "sim/simulation.h"
@@ -439,18 +440,42 @@ TEST(Sharded, MergedJournalMatchesStableSortReference) {
   EXPECT_EQ(merged, expected);
 }
 
-// An idle zone may coast on the cheap tick for at most max_skip
-// consecutive rounds before the heartbeat forces a full pass.
-TEST(Sharded, HeartbeatBoundsConsecutiveSkips) {
-  auto orch = serving_orchestrator(2, 1, 1, "active_zones = 1\nmax_skip = 3\n");
-  const ShardedReport report = orch->run();
-  EXPECT_GT(report.zone_rounds_skipped, 0);
-  EXPECT_LE(orch->max_consecutive_skips(), 3);
-  // 4 rounds, one idle zone: it skips rounds 1-3 (hitting the bound), then
-  // the heartbeat forces round 4 — while the busy zone runs full every
-  // round.
-  EXPECT_EQ(report.zone_rounds_skipped, 3);
-  EXPECT_EQ(report.zone_rounds_full, 5);
+// A zone skips a round exactly when its own queue holds no event at or
+// before the round deadline — no side signals, no periodic forced pass. The
+// idle zone under active_zones = 1 therefore skips every round, however long
+// the run (12 rounds here, more than any skip streak bound would allow).
+TEST(Sharded, ZoneSkipsExactlyWhenNoEventIsDue) {
+  auto ini = util::parse_ini(serving_ini(2, 1, "active_zones = 1\n"));
+  ASSERT_TRUE(ini.ok()) << ini.error();
+  exec::apply_overrides(ini.value(), {{"run", "duration_s", "120"}});
+  auto built = ShardedOrchestrator::from_ini(ini.value(), 1);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShardedOrchestrator& orch = *built.value();
+  orch.start();
+  ASSERT_GT(orch.rounds_total(), 9);
+
+  std::vector<std::int64_t> not_due(static_cast<std::size_t>(orch.zones()), 0);
+  while (orch.rounds_done() < orch.rounds_total()) {
+    const sim::Time deadline = orch.now() + orch.config().round_interval;
+    for (int z = 0; z < orch.zones(); ++z) {
+      if (!orch.zone_orchestrator(z).simulation().has_event_before(deadline)) {
+        ++not_due[static_cast<std::size_t>(z)];
+      }
+    }
+    orch.run_round();
+  }
+  orch.finish();
+
+  EXPECT_EQ(orch.report().zone_rounds_skipped, not_due[0] + not_due[1]);
+  EXPECT_EQ(not_due[1], orch.rounds_total());  // zone 1 draws no churn
+  for (int z = 0; z < orch.zones(); ++z) {
+    EXPECT_EQ(orch.recorder()
+                  .metrics()
+                  .counter("zone.skipped_rounds", {{"zone", std::to_string(z)}})
+                  .value(),
+              not_due[static_cast<std::size_t>(z)])
+        << "zone " << z;
+  }
 }
 
 // Chaos interaction across the shard boundary: with transit disabled the
@@ -504,14 +529,19 @@ TEST(Sharded, FromIniValidatesSections) {
   ASSERT_FALSE(m.ok());
   EXPECT_NE(m.error().find("voronoi"), std::string::npos);
 
-  auto bad_skip = util::parse_ini(
-      "[topology]\nkind = city_grid\n"
-      "[zones]\ncount = 2\nmax_skip = 0\n"
-      "[serve]\nmode = adaptive\n");
-  ASSERT_TRUE(bad_skip.ok());
-  auto s = ShardedOrchestrator::from_ini(bad_skip.value(), 1);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.error().find("max_skip"), std::string::npos);
+  // A non-positive round interval is rejected up front instead of being
+  // clamped to 1 µs (which turned a short serve into ~10^7 rounds).
+  for (const char* interval : {"0", "-5"}) {
+    auto bad_interval = util::parse_ini(
+        std::string("[topology]\nkind = city_grid\n"
+                    "[zones]\ncount = 2\nround_interval_s = ") +
+        interval + "\n[serve]\nmode = adaptive\n");
+    ASSERT_TRUE(bad_interval.ok());
+    auto i = ShardedOrchestrator::from_ini(bad_interval.value(), 1);
+    ASSERT_FALSE(i.ok()) << "round_interval_s = " << interval;
+    EXPECT_NE(i.error().find("[zones] round_interval_s"), std::string::npos)
+        << i.error();
+  }
 
   auto bad_active = util::parse_ini(
       "[topology]\nkind = city_grid\n"

@@ -1242,11 +1242,6 @@ int cmd_chaos(const std::vector<std::string>& args) {
                  path.c_str());
     return 1;
   }
-  auto artifacts = exec::SweepArtifacts::from_ini(loaded.take());
-  if (!artifacts.ok()) {
-    std::fprintf(stderr, "scenario error: %s\n", artifacts.error().c_str());
-    return 1;
-  }
   for (const std::string& dir : {journal_dir, flight_dir}) {
     if (dir.empty()) continue;
     std::error_code ec;
@@ -1270,7 +1265,7 @@ int cmd_chaos(const std::vector<std::string>& args) {
       spec.overrides.push_back({"obs", "flight_dir", flight_dir});
     }
   }
-  const auto outcomes = exec::run_sweep(artifacts.value(), specs, jobs);
+  const auto outcomes = exec::run_sweep(loaded.value(), specs, jobs);
 
   int total_violations = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -1333,7 +1328,7 @@ int cmd_chaos(const std::vector<std::string>& args) {
   // byte-identical fault-event journal regardless of how the parallel soak
   // interleaved (chaos generation + injection are all Rng-driven).
   const auto replay =
-      exec::run_sweep(artifacts.value(), chaos_specs(has_chaos, base_seed, 1), 1);
+      exec::run_sweep(loaded.value(), chaos_specs(has_chaos, base_seed, 1), 1);
   if (!replay[0].error.empty()) {
     std::fprintf(stderr, "scenario error (replay): %s\n", replay[0].error.c_str());
     return 1;
@@ -1394,13 +1389,13 @@ int cmd_sweep(const std::vector<std::string>& args) {
   }
   if (path.empty()) return usage();
 
-  auto artifacts = exec::SweepArtifacts::load(path);
-  if (!artifacts.ok()) {
-    std::fprintf(stderr, "scenario error: %s\n", artifacts.error().c_str());
+  auto loaded = util::load_ini(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "scenario error: %s\n", loaded.error().c_str());
     return 1;
   }
-  const bool has_chaos = artifacts.value().ini->first_of_kind("chaos") != nullptr;
-  const bool has_workload = artifacts.value().ini->first_of_kind("workload") != nullptr;
+  const bool has_chaos = loaded.value().first_of_kind("chaos") != nullptr;
+  const bool has_workload = loaded.value().first_of_kind("workload") != nullptr;
 
   std::vector<exec::RunSpec> specs;
   for (const double threshold : thresholds) {
@@ -1426,7 +1421,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
     }
   }
 
-  const auto outcomes = exec::run_sweep(artifacts.value(), specs, jobs);
+  const auto outcomes = exec::run_sweep(loaded.value(), specs, jobs);
 
   obs::MetricsRegistry registry;
   std::printf("%-26s %12s %12s %12s %8s %8s\n", "cell", "median(ms)", "p99(ms)",
