@@ -31,6 +31,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -227,8 +228,10 @@ SideResult run_baseline(const net::Topology& topo,
     std::vector<net::AllocEntity> entities;
     entities.reserve(live.size());
     for (const FlowSpec& f : live) {
-      const auto path = routing.path(f.src, f.dst);
-      entities.push_back({static_cast<double>(f.demand), {path.begin(), path.end()}});
+      net::AllocEntity& e = entities.emplace_back();
+      e.demand = static_cast<double>(f.demand);
+      e.links.resize(static_cast<std::size_t>(routing.hops(f.src, f.dst)));
+      routing.copy_path(f.src, f.dst, e.links);
     }
     rates = net::max_min_allocate_reference(caps, entities);
   };
@@ -285,18 +288,22 @@ ChurnResult solver_churn(int rounds) {
   for (int l = 0; l < topo.link_count(); ++l) {
     caps[static_cast<std::size_t>(l)] = static_cast<double>(topo.link(l).capacity);
   }
-  std::vector<net::AllocEntityRef> entities;
-  for (int f = 0; f < nflows; ++f) {
-    const FlowSpec spec = random_flow(nodes, rng);
-    entities.push_back({static_cast<double>(spec.demand),
-                        routing.path(spec.src, spec.dst)});
-  }
+  // Each flow's path lives in its own max_hops()-long slot of one pool, as
+  // Network's entities keep theirs, so replacing a flow copies, never allocates.
+  const auto stride = static_cast<std::size_t>(routing.max_hops());
+  std::vector<net::LinkId> path_pool(stride * nflows);
+  std::vector<net::AllocEntityRef> entities(nflows);
+  auto assign = [&](std::size_t f, const FlowSpec& spec) {
+    const std::span<net::LinkId> slot(path_pool.data() + f * stride, stride);
+    entities[f] = {static_cast<double>(spec.demand),
+                   slot.first(static_cast<std::size_t>(
+                       routing.copy_path(spec.src, spec.dst, slot)))};
+  };
+  for (int f = 0; f < nflows; ++f) assign(static_cast<std::size_t>(f), random_flow(nodes, rng));
   net::MaxMinSolver solver;
   auto churn_round = [&] {
     const auto victim = static_cast<std::size_t>(rng.uniform_int(0, nflows - 1));
-    const FlowSpec spec = random_flow(nodes, rng);
-    entities[victim] = {static_cast<double>(spec.demand),
-                        routing.path(spec.src, spec.dst)};
+    assign(victim, random_flow(nodes, rng));
     solver.solve(caps, entities);
   };
   for (int i = 0; i < 200; ++i) churn_round();  // warm-up to arena high-water

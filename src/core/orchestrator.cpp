@@ -375,12 +375,12 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   std::vector<double> link_usage(static_cast<std::size_t>(view->link_count()), 0.0);
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
-    for (net::LinkId l : view->path(a, b)) {
+    const auto charge = [&](net::LinkId l) {
       link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
-    }
-    for (net::LinkId l : view->path(b, a)) {
-      link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
-    }
+      return true;
+    };
+    view->routing().walk(a, b, charge);
+    view->routing().walk(b, a, charge);
   }
   auto link_headroom_ok = [&](net::LinkId l) {
     if (monitor_ != nullptr && !monitor_->headroom_ok(l)) return false;
@@ -390,12 +390,11 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   };
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
-    for (net::LinkId l : view->path(a, b)) {
-      if (!link_headroom_ok(l)) {
-        observations[i].path_headroom_ok = false;
-        break;
-      }
-    }
+    view->routing().walk(a, b, [&](net::LinkId l) {
+      if (link_headroom_ok(l)) return true;
+      observations[i].path_headroom_ok = false;
+      return false;
+    });
     util::log_debug() << "obs t=" << sim::to_seconds(now) << " "
                       << d.app.component(observations[i].from).name << "->"
                       << d.app.component(observations[i].to).name

@@ -85,10 +85,12 @@ net::Bps NetMonitor::cached_capacity(net::LinkId link) const {
 
 net::Bps NetMonitor::cached_path_capacity(net::NodeId src, net::NodeId dst) const {
   if (src == dst) return net::kUnlimitedRate;
-  const auto path = network_->routing().path(src, dst);
-  if (path.empty()) return 0;
+  if (!network_->routing().reachable(src, dst)) return 0;
   net::Bps bottleneck = net::kUnlimitedRate;
-  for (net::LinkId l : path) bottleneck = std::min(bottleneck, cached_capacity(l));
+  network_->routing().walk(src, dst, [&](net::LinkId l) {
+    bottleneck = std::min(bottleneck, cached_capacity(l));
+    return true;
+  });
   return bottleneck;
 }
 

@@ -149,8 +149,8 @@ class MonitorNetworkView final : public sched::NetworkView {
   net::Bps link_capacity(net::LinkId link) const override {
     return monitor_->cached_capacity(link);
   }
-  std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const override {
-    return monitor_->network().routing().path(src, dst);
+  const net::RoutingTable& routing() const override {
+    return monitor_->network().routing();
   }
   net::Bps node_link_capacity(net::NodeId node) const override;
   sim::Duration path_latency(net::NodeId src, net::NodeId dst) const override {

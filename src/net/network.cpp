@@ -42,13 +42,9 @@ Network::Network(sim::Simulation& sim, Topology topology, NetworkConfig config)
     nominal_capacity_[static_cast<std::size_t>(l)] = topology_.link(l).capacity;
   }
   // Routing is fixed for the Network's lifetime, so the longest routed path
-  // bounds every entity path forever — it sizes the flat link_pos pool.
-  for (NodeId s = 0; s < topology_.node_count(); ++s) {
-    for (NodeId d = 0; d < topology_.node_count(); ++d) {
-      link_pos_stride_ = std::max(
-          link_pos_stride_, static_cast<std::size_t>(routing_.hops(s, d)));
-    }
-  }
+  // bounds every entity path forever — it strides the flat entity pool.
+  stride_ = std::max<std::size_t>(1, static_cast<std::size_t>(routing_.max_hops()));
+  probe_path_.resize(stride_);
 }
 
 Network::BatchUpdate::BatchUpdate(Network& net) : net_(net) { ++net_.batch_depth_; }
@@ -144,8 +140,8 @@ Network::Channel& Network::channel_for(NodeId src, NodeId dst) {
   return it->second;
 }
 
-int Network::add_entity(double demand, std::span<const LinkId> path,
-                        Channel* ch, std::uint32_t stream) {
+int Network::add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
+                        std::uint32_t stream) {
   int slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -154,20 +150,20 @@ int Network::add_entity(double demand, std::span<const LinkId> path,
     slot = static_cast<int>(entities_.size());
     entities_.emplace_back();
     entity_visit_.push_back(0);
-    link_pos_pool_.resize(entities_.size() * link_pos_stride_);
+    link_pos_pool_.resize(entities_.size() * 2 * stride_);
   }
   Entity& e = entities_[static_cast<std::size_t>(slot)];
   e.demand = demand;
-  e.path = path;
   e.channel = ch;
   e.stream = stream;
   e.active = true;
-  assert(path.size() <= link_pos_stride_ && "path exceeds routed maximum");
-  std::uint32_t* pos = link_pos(slot);
-  for (std::size_t i = 0; i < path.size(); ++i) {
+  LinkId* path = entity_block(slot);
+  e.hops = static_cast<std::uint32_t>(routing_.copy_path(src, dst, {path, stride_}));
+  std::int32_t* pos = link_pos(slot);
+  for (std::uint32_t i = 0; i < e.hops; ++i) {
     auto& occupants = link_entities_[static_cast<std::size_t>(path[i])];
-    pos[i] = static_cast<std::uint32_t>(occupants.size());
-    occupants.push_back({slot, static_cast<std::uint32_t>(i)});
+    pos[i] = static_cast<std::int32_t>(occupants.size());
+    occupants.push_back({slot, i});
   }
   ++active_entity_count_;
   if (ch != nullptr) ++active_channel_entities_;
@@ -178,14 +174,15 @@ int Network::add_entity(double demand, std::span<const LinkId> path,
 void Network::remove_entity(int slot) {
   Entity& e = entities_[static_cast<std::size_t>(slot)];
   assert(e.active);
-  const std::uint32_t* my_pos = link_pos(slot);
-  for (std::size_t i = 0; i < e.path.size(); ++i) {
-    const LinkId l = e.path[i];
+  const LinkId* path = entity_block(slot);
+  const std::int32_t* my_pos = link_pos(slot);
+  for (std::uint32_t i = 0; i < e.hops; ++i) {
+    const LinkId l = path[i];
     auto& occupants = link_entities_[static_cast<std::size_t>(l)];
-    const std::uint32_t pos = my_pos[i];
+    const auto pos = static_cast<std::size_t>(my_pos[i]);
     occupants[pos] = occupants.back();
     const LinkRef moved = occupants[pos];
-    link_pos(moved.slot)[moved.path_idx] = pos;
+    link_pos(moved.slot)[moved.path_idx] = static_cast<std::int32_t>(pos);
     occupants.pop_back();
     // The vacated capacity may redistribute to whatever shared this link.
     dirty_links_.push_back(l);
@@ -195,7 +192,7 @@ void Network::remove_entity(int slot) {
   e.active = false;
   e.channel = nullptr;
   e.stream = kNoSlot;
-  e.path = {};
+  e.hops = 0;
   free_slots_.push_back(slot);
 }
 
@@ -244,8 +241,7 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
   // the stale idle-period rate must not leak into settlement.
   ch.rate_bps = 0.0;
   ch.last_update = sim_->now();
-  ch.entity_slot = add_entity(static_cast<double>(kUnlimitedRate),
-                              routing_.path(src, dst), &ch, kNoSlot);
+  ch.entity_slot = add_entity(static_cast<double>(kUnlimitedRate), src, dst, &ch, kNoSlot);
   reallocate();  // a new contender changes its component's shares
   return id;
 }
@@ -332,8 +328,8 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   }
   assert(routing_.reachable(src, dst) && "stream between partitioned nodes");
   if (placed.demand > 0) {
-    placed.entity_slot = add_entity(static_cast<double>(placed.demand),
-                                    routing_.path(src, dst), nullptr, slot);
+    placed.entity_slot =
+        add_entity(static_cast<double>(placed.demand), src, dst, nullptr, slot);
     reallocate();
   }
   return id;
@@ -365,8 +361,7 @@ void Network::set_stream_demand(StreamId id, Bps demand) {
     }
     reallocate();
   } else if (demand > 0) {
-    st.entity_slot = add_entity(static_cast<double>(demand),
-                                routing_.path(st.src, st.dst), nullptr,
+    st.entity_slot = add_entity(static_cast<double>(demand), st.src, st.dst, nullptr,
                                 stream_slot_of(id));
     reallocate();
   }
@@ -400,9 +395,10 @@ Bps Network::path_capacity(NodeId src, NodeId dst) const {
   if (src == dst) return config_.loopback_bps;
   if (!routing_.reachable(src, dst)) return 0;
   Bps bottleneck = kUnlimitedRate;
-  for (LinkId l : routing_.path(src, dst)) {
+  routing_.walk(src, dst, [&](LinkId l) {
     bottleneck = std::min(bottleneck, topology_.link(l).capacity);
-  }
+    return true;
+  });
   return bottleneck;
 }
 
@@ -414,14 +410,15 @@ Bps Network::path_available(NodeId src, NodeId dst) const {
   // component — flows sharing no link (transitively) with the path cannot
   // affect its share, and the cached entities already carry their paths.
   static const std::vector<int> kNoSeedEntities;
-  collect_component(routing_.path(src, dst), kNoSeedEntities);
+  const auto hops = static_cast<std::size_t>(routing_.copy_path(src, dst, probe_path_));
+  const std::span<const LinkId> path(probe_path_.data(), hops);
+  collect_component(path, kNoSeedEntities);
   refs_.clear();
   refs_.reserve(comp_entities_.size() + 1);
   for (int slot : comp_entities_) {
-    const Entity& e = entities_[static_cast<std::size_t>(slot)];
-    refs_.push_back({e.demand, e.path});
+    refs_.push_back({entities_[static_cast<std::size_t>(slot)].demand, entity_path(slot)});
   }
-  refs_.push_back({static_cast<double>(kUnlimitedRate), routing_.path(src, dst)});
+  refs_.push_back({static_cast<double>(kUnlimitedRate), path});
   if (config_.fairness == FairnessPolicy::kProportional) {
     return static_cast<Bps>(proportional_allocate_refs(capacities_, refs_).back());
   }
@@ -514,7 +511,7 @@ void Network::collect_component(std::span<const LinkId> seed_links,
   for (int slot : seed_entities) {
     visit_entity(slot);
     if (entities_[static_cast<std::size_t>(slot)].active) {
-      for (LinkId l : entities_[static_cast<std::size_t>(slot)].path) visit_link(l);
+      for (LinkId l : entity_path(slot)) visit_link(l);
     }
   }
   // comp_links_ doubles as the BFS frontier: every link appended past
@@ -526,7 +523,7 @@ void Network::collect_component(std::span<const LinkId> seed_links,
       if (entity_visit_[si] == visit_stamp_) continue;
       entity_visit_[si] = visit_stamp_;
       comp_entities_.push_back(ref.slot);
-      for (LinkId l : entities_[si].path) visit_link(l);
+      for (LinkId l : entity_path(ref.slot)) visit_link(l);
     }
   }
 }
@@ -569,7 +566,7 @@ void Network::reallocate() {
       } else {
         settle_stream(stream_slots_[e.stream].stream);
       }
-      refs_.push_back({e.demand, e.path});
+      refs_.push_back({e.demand, entity_path(slot)});
     }
 
     const std::vector<double>* rates;
@@ -584,7 +581,9 @@ void Network::reallocate() {
     for (std::size_t i = 0; i < comp_entities_.size(); ++i) {
       Entity& e = entities_[static_cast<std::size_t>(comp_entities_[i])];
       const double rate = (*rates)[i];
-      for (LinkId l : e.path) link_allocated_[static_cast<std::size_t>(l)] += rate;
+      for (LinkId l : entity_path(comp_entities_[i])) {
+        link_allocated_[static_cast<std::size_t>(l)] += rate;
+      }
       if (e.channel != nullptr) {
         e.channel->rate_bps = rate;
         schedule_head_event(*e.channel);

@@ -230,9 +230,9 @@ class Network {
   // lists and dirty sets can hold slot indices across churn.
   struct Entity {
     double demand = 0.0;
-    std::span<const LinkId> path;  // owned by routing_
     Channel* channel = nullptr;  // set for a channel, else `stream` is
     std::uint32_t stream = kNoSlot;  // index into stream_slots_
+    std::uint32_t hops = 0;  // length of the slot's path (entity_path)
     bool active = false;
   };
   struct LinkRef {
@@ -253,7 +253,7 @@ class Network {
   // Entity cache maintenance. Adding marks the entity dirty; removing
   // marks its links dirty, so the next reallocate() reprices exactly the
   // affected contention component.
-  int add_entity(double demand, std::span<const LinkId> path, Channel* ch,
+  int add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
                  std::uint32_t stream);
   void remove_entity(int slot);
 
@@ -304,18 +304,24 @@ class Network {
   std::vector<Entity> entities_;
   std::vector<int> free_slots_;
   std::vector<std::vector<LinkRef>> link_entities_;  // per-link active slots
-  // link_pos(slot)[i] is the slot's index within link_entities_[(*path)[i]],
-  // making detach an O(path) swap-remove instead of a list scan. Stored as
-  // one flat pool strided by the longest routed path (routing is fixed at
-  // construction), so entity-slot reuse never resizes anything — a reused
-  // slot with a longer path was the last steady-state allocation in the
-  // churn loop.
-  std::vector<std::uint32_t> link_pos_pool_;
-  std::size_t link_pos_stride_ = 1;
-  std::uint32_t* link_pos(int slot) {
-    return link_pos_pool_.data() +
-           static_cast<std::size_t>(slot) * link_pos_stride_;
+  // Each slot owns one block of the flat pool, two halves of `stride_`
+  // entries: the entity's path in src -> dst order (a contiguous span, as
+  // the solver takes it), then link_pos(slot)[i], the slot's index within
+  // link_entities_[path[i]], which makes detach an O(path) swap-remove
+  // instead of a list scan. The stride is the longest routed path (routing
+  // is fixed at construction), so entity churn never resizes anything.
+  std::vector<std::int32_t> link_pos_pool_;
+  std::size_t stride_ = 1;
+  std::int32_t* entity_block(int slot) {
+    return link_pos_pool_.data() + static_cast<std::size_t>(slot) * 2 * stride_;
   }
+  std::span<const LinkId> entity_path(int slot) const {
+    return {link_pos_pool_.data() + static_cast<std::size_t>(slot) * 2 * stride_,
+            entities_[static_cast<std::size_t>(slot)].hops};
+  }
+  std::int32_t* link_pos(int slot) { return entity_block(slot) + stride_; }
+  // path_available()'s phantom flow path, `stride_` long.
+  mutable std::vector<LinkId> probe_path_;
   int active_entity_count_ = 0;
   int active_channel_entities_ = 0;
 

@@ -2,63 +2,62 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 namespace bass::net {
 
+// Per-search buffers, sized once per recompute() and reused by every
+// source, so a rebuild allocates the two n² arrays plus O(n + m).
+struct RoutingTable::SearchScratch {
+  struct Candidate {
+    Bps width;
+    std::uint16_t hops;
+    NodeId node;
+  };
+  std::vector<NodeId> queue;     // min-hop BFS frontier
+  std::vector<Bps> width;        // widest: best bottleneck so far
+  std::vector<char> done;        // widest: node finalized
+  std::vector<Candidate> heap;   // widest: lazy-deletion candidates
+};
+
 void RoutingTable::recompute() {
   const auto n = static_cast<std::size_t>(topo_->node_count());
-  // Pass 1: one search per source. Row src of `tree` holds the link into
-  // each node the search reached, and offsets_[src * n + dst + 1] the hop
-  // count of the src -> dst path (0 when colocated or unreachable).
-  std::vector<LinkId> tree(n * n, kInvalidLink);
-  offsets_.assign(n * n + 1, 0);
-  for (NodeId src = 0; src < static_cast<NodeId>(n); ++src) {
-    LinkId* in_link = tree.data() + src * n;
-    std::size_t* hops = offsets_.data() + src * n + 1;
-    if (policy_ == RoutingPolicy::kWidestPath) {
-      search_widest(src, in_link, hops);
-    } else {
-      search_min_hop(src, in_link, hops);
-    }
-  }
-  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  assert(n <= 65535 && "hop counts are stored in 16 bits");
+  in_link_.assign(n * n, kInvalidLink);
+  hops_.assign(n * n, 0);
+  max_hops_ = 0;
+  unreachable_pairs_ = 0;
 
-  // Pass 2: each path is its parent's path plus the link into it, so a
-  // node's path is copied once its parent's is in place. `chain` holds the
-  // nodes between dst and its nearest filled ancestor.
-  pool_.assign(offsets_.back(), kInvalidLink);
-  std::vector<char> filled(n);
-  std::vector<NodeId> chain;
-  for (std::size_t src = 0; src < n; ++src) {
-    const LinkId* in_link = tree.data() + src * n;
-    const std::size_t* off = offsets_.data() + src * n;
-    std::fill(filled.begin(), filled.end(), 0);
-    filled[src] = 1;
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (filled[dst] || off[dst + 1] == off[dst]) continue;  // done or unreachable
-      chain.clear();
-      for (auto v = static_cast<NodeId>(dst); !filled[v]; v = topo_->link(in_link[v]).src) {
-        chain.push_back(v);
-      }
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        const LinkId l = in_link[*it];
-        const NodeId u = topo_->link(l).src;
-        const auto tail = std::copy(pool_.begin() + static_cast<std::ptrdiff_t>(off[u]),
-                                    pool_.begin() + static_cast<std::ptrdiff_t>(off[u + 1]),
-                                    pool_.begin() + static_cast<std::ptrdiff_t>(off[*it]));
-        *tail = l;
-        filled[*it] = 1;
-      }
+  SearchScratch scratch;
+  if (policy_ == RoutingPolicy::kWidestPath) {
+    scratch.width.resize(n);
+    scratch.done.resize(n);
+    scratch.heap.reserve(static_cast<std::size_t>(topo_->link_count()) + 1);
+  } else {
+    scratch.queue.reserve(n);
+  }
+  for (NodeId src = 0; src < static_cast<NodeId>(n); ++src) {
+    LinkId* in_link = in_link_.data() + index(src, 0);
+    std::uint16_t* hops = hops_.data() + index(src, 0);
+    if (policy_ == RoutingPolicy::kWidestPath) {
+      search_widest(src, in_link, hops, scratch);
+    } else {
+      search_min_hop(src, in_link, hops, scratch);
     }
+    std::size_t reached = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      max_hops_ = std::max<int>(max_hops_, hops[v]);
+      reached += hops[v] > 0 ? 1 : 0;
+    }
+    unreachable_pairs_ += n - 1 - reached;
   }
 }
 
-void RoutingTable::search_min_hop(NodeId src, LinkId* in_link, std::size_t* hops) {
+void RoutingTable::search_min_hop(NodeId src, LinkId* in_link, std::uint16_t* hops,
+                                  SearchScratch& scratch) const {
   // BFS. Neighbors are explored in out-link insertion order, which fixes
   // the tie-break deterministically; `queue` is FIFO by its read index.
-  std::vector<NodeId> queue;
-  queue.reserve(static_cast<std::size_t>(topo_->node_count()));
+  std::vector<NodeId>& queue = scratch.queue;
+  queue.clear();
   queue.push_back(src);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
@@ -66,53 +65,54 @@ void RoutingTable::search_min_hop(NodeId src, LinkId* in_link, std::size_t* hops
       const NodeId v = topo_->link(l).dst;
       if (v == src || in_link[v] != kInvalidLink) continue;
       in_link[v] = l;
-      hops[v] = hops[u] + 1;
+      hops[v] = static_cast<std::uint16_t>(hops[u] + 1);
       queue.push_back(v);
     }
   }
 }
 
-void RoutingTable::search_widest(NodeId src, LinkId* in_link, std::size_t* hops) {
+void RoutingTable::search_widest(NodeId src, LinkId* in_link, std::uint16_t* hops,
+                                 SearchScratch& scratch) const {
   // Dijkstra maximizing the bottleneck capacity, ties broken by hop count,
-  // then by lower node id.
-  const int n = topo_->node_count();
-  std::vector<Bps> width(n, -1);
-  std::vector<bool> done(n, false);
-  width[src] = kUnlimitedRate;
+  // then by lower node id. Improvements push a new candidate and leave the
+  // old one in the heap; a node's best candidate always pops first, so any
+  // later pop of a finalized node is stale and skipped.
+  using Candidate = SearchScratch::Candidate;
+  std::vector<Bps>& width = scratch.width;
+  std::vector<char>& done = scratch.done;
+  std::vector<Candidate>& heap = scratch.heap;
+  std::fill(width.begin(), width.end(), -1);
+  std::fill(done.begin(), done.end(), 0);
+  heap.clear();
+  // Max-heap order: wider first, then fewer hops, then lower id.
+  const auto worse = [](const Candidate& a, const Candidate& b) {
+    if (a.width != b.width) return a.width < b.width;
+    if (a.hops != b.hops) return a.hops > b.hops;
+    return a.node > b.node;
+  };
 
-  for (int round = 0; round < n; ++round) {
-    NodeId u = kInvalidNode;
-    for (NodeId v = 0; v < n; ++v) {
-      if (done[v] || width[v] < 0) continue;
-      if (u == kInvalidNode || width[v] > width[u] ||
-          (width[v] == width[u] && hops[v] < hops[u])) {
-        u = v;
-      }
-    }
-    if (u == kInvalidNode) break;
-    done[u] = true;
+  width[src] = kUnlimitedRate;
+  heap.push_back({kUnlimitedRate, 0, src});
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    const NodeId u = heap.back().node;
+    heap.pop_back();
+    if (done[u]) continue;
+    done[u] = 1;
     for (LinkId l : topo_->out_links(u)) {
       const NodeId v = topo_->link(l).dst;
       if (done[v]) continue;
       const Bps through = std::min(width[u], topo_->link(l).capacity);
-      const std::size_t h = hops[u] + 1;
+      const auto h = static_cast<std::uint16_t>(hops[u] + 1);
       if (through > width[v] || (through == width[v] && h < hops[v])) {
         width[v] = through;
         hops[v] = h;
         in_link[v] = l;
+        heap.push_back({through, h, v});
+        std::push_heap(heap.begin(), heap.end(), worse);
       }
     }
   }
-}
-
-std::span<const LinkId> RoutingTable::path(NodeId src, NodeId dst) const {
-  const std::size_t i = index(src, dst);
-  return {pool_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
-}
-
-bool RoutingTable::reachable(NodeId src, NodeId dst) const {
-  const std::size_t i = index(src, dst);
-  return src == dst || offsets_[i + 1] > offsets_[i];
 }
 
 }  // namespace bass::net

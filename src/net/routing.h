@@ -11,9 +11,17 @@
 // Routes are computed against the capacities at recompute() time and held
 // stable — real mesh protocols damp route flapping, and the paper's BASS
 // explicitly does not chase routing dynamics.
+//
+// Storage is the per-source trees the searches produce, not the paths: for
+// every (src, dst) the link into dst on src's tree and the hop count, 6 B
+// per pair. A path is read on demand, either walked from dst back to src
+// (walk(); for sums, minima and early-exit checks, which do not care about
+// link order) or copied out in src -> dst order (copy_path(); for callers
+// that keep the path, such as Network's entities).
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,25 +46,53 @@ class RoutingTable {
   // re-evaluate widest paths against current capacities).
   void recompute();
 
-  // Directed links traversed from src to dst; empty when src == dst or
-  // unreachable. The path is precomputed and stable — our "traceroute".
-  // The span points into the table's path pool and stays valid until the
-  // next recompute(), so callers (Network's entity cache, the allocator)
-  // may hold it instead of copying.
-  std::span<const LinkId> path(NodeId src, NodeId dst) const;
+  // Number of hops from src to dst (0 when colocated or unreachable).
+  int hops(NodeId src, NodeId dst) const { return hops_[index(src, dst)]; }
+  // The longest routed path, in hops: a bound for any copy_path() buffer.
+  int max_hops() const { return max_hops_; }
 
-  // Number of hops from src to dst (0 when colocated).
-  int hops(NodeId src, NodeId dst) const {
-    return static_cast<int>(path(src, dst).size());
+  bool reachable(NodeId src, NodeId dst) const {
+    return src == dst || hops_[index(src, dst)] > 0;
+  }
+  // Ordered pairs (src != dst) with no route; 0 on a connected mesh.
+  std::size_t unreachable_pairs() const { return unreachable_pairs_; }
+
+  // Visits the directed links of the src -> dst path from dst back to src,
+  // stopping early when `f(link)` returns false. Visits nothing when
+  // src == dst or dst is unreachable. The precomputed, stable route is our
+  // "traceroute".
+  template <class F>
+  void walk(NodeId src, NodeId dst, F&& f) const {
+    const LinkId* in_link = in_link_.data() + index(src, 0);
+    const Link* links = topo_->links().data();
+    for (NodeId v = dst; v != src;) {
+      const LinkId l = in_link[v];
+      if (l == kInvalidLink || !f(l)) return;
+      v = links[l].src;
+    }
   }
 
-  bool reachable(NodeId src, NodeId dst) const;
+  // Writes the src -> dst path, in src -> dst order, to the front of `out`
+  // and returns its length, hops(src, dst).
+  int copy_path(NodeId src, NodeId dst, std::span<LinkId> out) const {
+    const int n = hops(src, dst);
+    assert(out.size() >= static_cast<std::size_t>(n));
+    int i = n;
+    walk(src, dst, [&](LinkId l) {
+      out[static_cast<std::size_t>(--i)] = l;
+      return true;
+    });
+    return n;
+  }
 
  private:
-  // Pass 1 of recompute() for one source: fills `in_link` (the link into
-  // each reached node) and `hops` (path lengths), both indexed by NodeId.
-  void search_min_hop(NodeId src, LinkId* in_link, std::size_t* hops);
-  void search_widest(NodeId src, LinkId* in_link, std::size_t* hops);
+  struct SearchScratch;
+  // One source's search: fills `in_link` (the link into each reached node)
+  // and `hops` (path lengths), both indexed by NodeId.
+  void search_min_hop(NodeId src, LinkId* in_link, std::uint16_t* hops,
+                      SearchScratch& scratch) const;
+  void search_widest(NodeId src, LinkId* in_link, std::uint16_t* hops,
+                     SearchScratch& scratch) const;
   std::size_t index(NodeId src, NodeId dst) const {
     assert(src >= 0 && src < topo_->node_count() && dst >= 0 && dst < topo_->node_count());
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(topo_->node_count()) +
@@ -65,10 +101,13 @@ class RoutingTable {
 
   const Topology* topo_;
   RoutingPolicy policy_;
-  // All paths back to back: path (src, dst) is
-  // pool_[offsets_[i], offsets_[i + 1]) with i = src * n + dst.
-  std::vector<LinkId> pool_;
-  std::vector<std::size_t> offsets_;
+  // Row src of each array is src's tree: in_link_[src * n + v] is the link
+  // into v (kInvalidLink for src itself and unreachable v), hops_ the
+  // length of the src -> v path.
+  std::vector<LinkId> in_link_;
+  std::vector<std::uint16_t> hops_;
+  int max_hops_ = 0;
+  std::size_t unreachable_pairs_ = 0;
 };
 
 }  // namespace bass::net

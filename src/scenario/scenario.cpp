@@ -262,7 +262,6 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
     if (!grid.ok()) return err(grid.error());
     topo::CityGrid city = grid.take();
     spec.topology = std::move(city.topology);
-    spec.generated = true;
     cluster::NodeSpec node_spec;
     node_spec.cpu_milli = static_cast<std::int64_t>(gen->number_or("cpu", 4000));
     node_spec.memory_mb =
@@ -338,9 +337,9 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile
   s->network_->set_recorder(s->recorder_.get());
 
   // Every pair must be reachable — the paper (and BASS) assume no
-  // partitions (§3.1). Generated topologies are connected by construction;
-  // the all-pairs sweep would be O(n^2) at city scale, so they skip it.
-  if (!topo_spec.generated) {
+  // partitions (§3.1). The routing table counts unreachable pairs as it
+  // builds, so the O(n^2) sweep runs only to name one.
+  if (s->network_->routing().unreachable_pairs() > 0) {
     for (const auto& [na, a] : s->nodes_by_name_) {
       for (const auto& [nb, b] : s->nodes_by_name_) {
         if (!s->network_->routing().reachable(a, b)) {

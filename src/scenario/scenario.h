@@ -144,10 +144,6 @@ struct TopologySpec {
   net::Topology topology;
   std::vector<cluster::NodeSpec> specs;  // indexed by NodeId
   std::map<std::string, net::NodeId> nodes_by_name;
-  // True for [topology]-generated meshes: the generator guarantees
-  // connectivity, so callers skip the O(n^2) all-pairs reachability check
-  // that would dominate city-scale construction.
-  bool generated = false;
 };
 
 // Builds the mesh from [node]/[link] sections or a [topology] generator

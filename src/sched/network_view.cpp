@@ -6,10 +6,12 @@ namespace bass::sched {
 
 net::Bps NetworkView::path_capacity(net::NodeId src, net::NodeId dst) const {
   if (src == dst) return net::kUnlimitedRate;
-  const auto& links = path(src, dst);
-  if (links.empty()) return 0;  // unreachable
+  if (!routing().reachable(src, dst)) return 0;
   net::Bps bottleneck = net::kUnlimitedRate;
-  for (net::LinkId l : links) bottleneck = std::min(bottleneck, link_capacity(l));
+  routing().walk(src, dst, [&](net::LinkId l) {
+    bottleneck = std::min(bottleneck, link_capacity(l));
+    return true;
+  });
   return bottleneck;
 }
 

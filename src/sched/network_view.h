@@ -4,8 +4,6 @@
 // that choice implement this interface.
 #pragma once
 
-#include <span>
-
 #include "net/network.h"
 #include "net/types.h"
 
@@ -17,8 +15,9 @@ class NetworkView {
 
   virtual int link_count() const = 0;
   virtual net::Bps link_capacity(net::LinkId link) const = 0;
-  // Directed links traversed from src to dst (empty when src == dst).
-  virtual std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const = 0;
+  // The mesh's routes (walk/copy a path, hop counts). Both views observe
+  // the same network, so both return its table.
+  virtual const net::RoutingTable& routing() const = 0;
   // Combined outgoing link capacity of a node (for node ranking).
   virtual net::Bps node_link_capacity(net::NodeId node) const = 0;
 
@@ -40,9 +39,7 @@ class LiveNetworkView final : public NetworkView {
   net::Bps link_capacity(net::LinkId link) const override {
     return network_->topology().link(link).capacity;
   }
-  std::span<const net::LinkId> path(net::NodeId src, net::NodeId dst) const override {
-    return network_->routing().path(src, dst);
-  }
+  const net::RoutingTable& routing() const override { return network_->routing(); }
   net::Bps node_link_capacity(net::NodeId node) const override {
     return network_->topology().total_out_capacity(node);
   }

@@ -52,7 +52,10 @@ void LinkLedger::reserve(const app::AppGraph& app, const Placement& placement,
     const net::NodeId a = node_of(placement, e.from);
     const net::NodeId b = node_of(placement, e.to);
     if (a == net::kInvalidNode || b == net::kInvalidNode || a == b) continue;
-    for (net::LinkId l : view_.path(a, b)) reserved_[static_cast<std::size_t>(l)] += e.bandwidth;
+    view_.routing().walk(a, b, [&](net::LinkId l) {
+      reserved_[static_cast<std::size_t>(l)] += e.bandwidth;
+      return true;
+    });
   }
 }
 
@@ -63,15 +66,16 @@ bool LinkLedger::fits(const app::AppGraph& app, const Placement& placement,
     if (!ok || peer == node) return;
     const net::NodeId from = e.from == c ? node : peer;
     const net::NodeId to = e.from == c ? peer : node;
-    const auto path = view_.path(from, to);
-    ok = !path.empty() &&
+    ok = view_.routing().reachable(from, to) &&
          (e.max_latency <= 0 || view_.path_latency(from, to) <= e.max_latency);
-    for (std::size_t i = 0; ok && i < path.size(); ++i) {
-      const auto l = static_cast<std::size_t>(path[i]);
-      if (scratch_[l] == 0) touched_.push_back(path[i]);
+    if (!ok) return;
+    view_.routing().walk(from, to, [&](net::LinkId link) {
+      const auto l = static_cast<std::size_t>(link);
+      if (scratch_[l] == 0) touched_.push_back(link);
       scratch_[l] += e.bandwidth;
-      ok = reserved_[l] + scratch_[l] <= view_.link_capacity(path[i]);
-    }
+      ok = reserved_[l] + scratch_[l] <= view_.link_capacity(link);
+      return ok;
+    });
   });
   for (net::LinkId l : touched_) scratch_[static_cast<std::size_t>(l)] = 0;
   touched_.clear();

@@ -274,14 +274,14 @@ void ShardedOrchestrator::setup_transit(const ShardedBuild& build) {
 
       const auto map_path = [this](World& w, net::NodeId src, net::NodeId dst,
                                    std::vector<net::LinkId>& out) {
-        out.clear();
+        const net::RoutingTable& routing = w.network->routing();
+        out.resize(static_cast<std::size_t>(routing.hops(src, dst)));
         if (src == dst) return true;
-        const std::span<const net::LinkId> path = w.network->routing().path(src, dst);
-        if (path.empty()) return false;
-        for (const net::LinkId ll : path) {
-          const net::LinkId g = w.link_to_global[static_cast<std::size_t>(ll)];
-          if (g == net::kInvalidLink) return false;
-          out.push_back(g);
+        if (!routing.reachable(src, dst)) return false;
+        routing.copy_path(src, dst, out);
+        for (net::LinkId& l : out) {
+          l = w.link_to_global[static_cast<std::size_t>(l)];
+          if (l == net::kInvalidLink) return false;
         }
         return true;
       };

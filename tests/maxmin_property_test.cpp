@@ -149,6 +149,12 @@ TEST(KernelEquivalenceEdges, SignedZeroAndDeadLinksGivePositiveZeroRates) {
 
 // ---- Layer 2: incremental engine vs. from-scratch reference ----
 
+std::vector<LinkId> routed_path(const Network& net, NodeId src, NodeId dst) {
+  std::vector<LinkId> path(static_cast<std::size_t>(net.routing().hops(src, dst)));
+  net.routing().copy_path(src, dst, path);
+  return path;
+}
+
 // Shadow model of the Network's flow set, independent of its entity cache.
 struct Shadow {
   struct Flow {
@@ -172,14 +178,12 @@ struct Shadow {
     std::vector<StreamId> ids;
     for (const auto& [pair, backlog] : channel_backlog) {
       if (backlog <= 0) continue;
-      const auto path = net.routing().path(pair.first, pair.second);
-      entities.push_back({kUnlimited, {path.begin(), path.end()}});
+      entities.push_back({kUnlimited, routed_path(net, pair.first, pair.second)});
       ids.push_back(0);  // channel: no stream id
     }
     for (const auto& [id, flow] : streams) {
       if (flow.demand <= 0.0) continue;
-      const auto path = net.routing().path(flow.src, flow.dst);
-      entities.push_back({flow.demand, {path.begin(), path.end()}});
+      entities.push_back({flow.demand, routed_path(net, flow.src, flow.dst)});
       ids.push_back(id);
     }
     const auto rates = max_min_allocate_reference(caps, entities);

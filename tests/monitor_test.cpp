@@ -162,7 +162,7 @@ TEST(MonitorNetworkView, ReflectsCache) {
   EXPECT_EQ(view.link_count(), 4);
   EXPECT_NEAR(static_cast<double>(view.link_capacity(0)), 20e6, 1e6);
   EXPECT_NEAR(static_cast<double>(view.node_link_capacity(1)), 40e6, 2e6);
-  EXPECT_EQ(view.path(0, 2).size(), 2u);
+  EXPECT_EQ(view.routing().hops(0, 2), 2);
   EXPECT_NEAR(static_cast<double>(view.path_capacity(0, 2)), 20e6, 1e6);
   monitor.stop();
 }

@@ -96,9 +96,10 @@ void check_placement(const World& w, const Placement& p) {
     const net::NodeId a = p.at(e.from);
     const net::NodeId b = p.at(e.to);
     if (a == b) continue;
-    for (net::LinkId l : w.view->path(a, b)) {
+    w.view->routing().walk(a, b, [&](net::LinkId l) {
       reserved[static_cast<std::size_t>(l)] += e.bandwidth;
-    }
+      return true;
+    });
   }
   for (int l = 0; l < w.view->link_count(); ++l) {
     EXPECT_LE(reserved[static_cast<std::size_t>(l)], w.view->link_capacity(l))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -9,6 +10,13 @@
 
 namespace bass::net {
 namespace {
+
+// The src -> dst path as its own vector.
+std::vector<LinkId> path_of(const RoutingTable& rt, NodeId src, NodeId dst) {
+  std::vector<LinkId> path(static_cast<std::size_t>(rt.hops(src, dst)));
+  rt.copy_path(src, dst, path);
+  return path;
+}
 
 // Line topology a - b - c - d.
 Topology line4() {
@@ -24,14 +32,14 @@ TEST(Routing, DirectNeighbor) {
   Topology t = line4();
   RoutingTable rt(t);
   EXPECT_EQ(rt.hops(0, 1), 1);
-  ASSERT_EQ(rt.path(0, 1).size(), 1u);
-  EXPECT_EQ(t.link(rt.path(0, 1)[0]).dst, 1);
+  ASSERT_EQ(path_of(rt, 0, 1).size(), 1u);
+  EXPECT_EQ(t.link(path_of(rt, 0, 1)[0]).dst, 1);
 }
 
 TEST(Routing, MultiHopPathIsConnected) {
   Topology t = line4();
   RoutingTable rt(t);
-  const auto& p = rt.path(0, 3);
+  const auto p = path_of(rt, 0, 3);
   ASSERT_EQ(p.size(), 3u);
   NodeId at = 0;
   for (LinkId l : p) {
@@ -44,7 +52,7 @@ TEST(Routing, MultiHopPathIsConnected) {
 TEST(Routing, SelfPathIsEmpty) {
   Topology t = line4();
   RoutingTable rt(t);
-  EXPECT_TRUE(rt.path(2, 2).empty());
+  EXPECT_TRUE(path_of(rt, 2, 2).empty());
   EXPECT_EQ(rt.hops(2, 2), 0);
   EXPECT_TRUE(rt.reachable(2, 2));
 }
@@ -67,7 +75,7 @@ TEST(Routing, UnreachablePartition) {
   t.add_link(c, d, mbps(10));
   RoutingTable rt(t);
   EXPECT_FALSE(rt.reachable(a, c));
-  EXPECT_TRUE(rt.path(a, c).empty());
+  EXPECT_TRUE(path_of(rt, a, c).empty());
   EXPECT_TRUE(rt.reachable(a, b));
 }
 
@@ -81,10 +89,10 @@ TEST(Routing, DeterministicTieBreak) {
   t.add_link(b, d, mbps(10));
   t.add_link(c, d, mbps(10));
   RoutingTable rt(t);
-  ASSERT_EQ(rt.path(a, d).size(), 2u);
-  EXPECT_EQ(t.link(rt.path(a, d)[0]).dst, b);
+  ASSERT_EQ(path_of(rt, a, d).size(), 2u);
+  EXPECT_EQ(t.link(path_of(rt, a, d)[0]).dst, b);
   RoutingTable rt2(t);
-  EXPECT_TRUE(std::ranges::equal(rt.path(a, d), rt2.path(a, d)));
+  EXPECT_TRUE(std::ranges::equal(path_of(rt, a, d), path_of(rt2, a, d)));
 }
 
 TEST(Routing, SymmetricReachability) {
@@ -124,7 +132,7 @@ TEST(WidestPath, PrefersFatTwoHopOverSkinnyDirect) {
   EXPECT_EQ(min_hop.hops(0, 3), 1);
   ASSERT_EQ(widest.hops(0, 3), 2);
   Bps bottleneck = kUnlimitedRate;
-  for (LinkId l : widest.path(0, 3)) bottleneck = std::min(bottleneck, t.link(l).capacity);
+  for (LinkId l : path_of(widest, 0, 3)) bottleneck = std::min(bottleneck, t.link(l).capacity);
   EXPECT_EQ(bottleneck, mbps(20));
 }
 
@@ -147,7 +155,7 @@ TEST(WidestPath, PathsAreConnectedAndReachable) {
       EXPECT_TRUE(widest.reachable(u, v));
       if (u == v) continue;
       NodeId at = u;
-      for (LinkId l : widest.path(u, v)) {
+      for (LinkId l : path_of(widest, u, v)) {
         EXPECT_EQ(t.link(l).src, at);
         at = t.link(l).dst;
       }
@@ -248,7 +256,30 @@ ReferenceRoutes reference_routes(const Topology& topo, RoutingPolicy policy) {
   return out;
 }
 
-TEST(Routing, PathPoolMatchesPerPathReference) {
+// Checks every pair of `rt` against the reference router: reachability,
+// the exact link sequence, the hop count, and the table-wide summaries.
+void expect_matches_reference(const Topology& t, RoutingPolicy policy, const std::string& what) {
+  const int n = t.node_count();
+  const RoutingTable rt(t, policy);
+  const ReferenceRoutes ref = reference_routes(t, policy);
+  std::size_t unreachable = 0;
+  int max_hops = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      const std::size_t i = static_cast<std::size_t>(u) * n + v;
+      ASSERT_EQ(rt.reachable(u, v), ref.reachable[i]) << what << " " << u << "->" << v;
+      ASSERT_TRUE(std::ranges::equal(path_of(rt, u, v), ref.paths[i]))
+          << what << " " << u << "->" << v;
+      ASSERT_EQ(rt.hops(u, v), static_cast<int>(ref.paths[i].size()));
+      unreachable += ref.reachable[i] ? 0 : 1;
+      max_hops = std::max(max_hops, static_cast<int>(ref.paths[i].size()));
+    }
+  }
+  EXPECT_EQ(rt.unreachable_pairs(), unreachable) << what;
+  EXPECT_EQ(rt.max_hops(), max_hops) << what;
+}
+
+TEST(Routing, TreeWalkMatchesPerPathReference) {
   util::Rng rng(0x5EED);
   for (int round = 0; round < 60; ++round) {
     // Sparse random meshes with isolated nodes and repeated capacities, so
@@ -263,18 +294,27 @@ TEST(Routing, PathPoolMatchesPerPathReference) {
       }
     }
     for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
-      const RoutingTable rt(t, policy);
-      const ReferenceRoutes ref = reference_routes(t, policy);
-      for (NodeId u = 0; u < n; ++u) {
-        for (NodeId v = 0; v < n; ++v) {
-          const std::size_t i = static_cast<std::size_t>(u) * n + v;
-          ASSERT_EQ(rt.reachable(u, v), ref.reachable[i])
-              << "round " << round << " " << u << "->" << v;
-          ASSERT_TRUE(std::ranges::equal(rt.path(u, v), ref.paths[i]))
-              << "round " << round << " " << u << "->" << v;
-          ASSERT_EQ(rt.hops(u, v), static_cast<int>(ref.paths[i].size()));
-        }
+      expect_matches_reference(t, policy, "round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(Routing, TieHeavyMeshMatchesPerPathReference) {
+  // One capacity everywhere: every widest-path decision is a tie on width,
+  // so the heap's hops-then-id order alone must reproduce the reference's
+  // selection scan, across many equal-hop alternatives per pair.
+  util::Rng rng(0x71E5);
+  for (int round = 0; round < 2; ++round) {
+    Topology t;
+    const int n = 220;
+    for (int i = 0; i < n; ++i) t.add_node();
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = a + 1; b < n; ++b) {
+        if (rng.chance(0.025)) t.add_link(a, b, mbps(10));
       }
+    }
+    for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+      expect_matches_reference(t, policy, "tie mesh " + std::to_string(round));
     }
   }
 }

@@ -45,6 +45,7 @@ TEST(CityGrid, CountsNamesAndConnectivity) {
   for (net::NodeId n = 1; n < city.topology.node_count(); ++n) {
     ASSERT_TRUE(network.routing().reachable(0, n)) << "node " << n;
   }
+  EXPECT_EQ(network.routing().unreachable_pairs(), 0u);
 }
 
 TEST(CityGrid, BuildIsDeterministic) {
