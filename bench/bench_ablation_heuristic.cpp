@@ -49,7 +49,7 @@ int main() {
   {
     // The microbenchmark LAN cluster (generous links).
     bench::LanCluster rig(3, 12000, 131072);
-    sched::LiveNetworkView view(*rig.network);
+    sched::NetworkView view(*rig.network);
     score(app::camera_pipeline_app(), rig.cluster, view);
     score(app::social_network_app(), rig.cluster, view);
     score(app::fig6_example(), rig.cluster, view);
@@ -57,7 +57,7 @@ int main() {
   {
     // The CityLab mesh (constrained, heterogeneous links).
     bench::CityLabRig rig(sim::minutes(1), false, false);
-    sched::LiveNetworkView view(*rig.network);
+    sched::NetworkView view(*rig.network);
     score(app::camera_pipeline_app(), rig.cluster, view);
     score(app::social_network_app(100.0 / 400.0), rig.cluster, view);
   }

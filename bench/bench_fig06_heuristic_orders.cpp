@@ -46,7 +46,7 @@ int main() {
 
   // Two 4-core nodes, each component needs one core (figure caption).
   bench::LanCluster rig(2, 4000, 8192);
-  sched::LiveNetworkView view(*rig.network);
+  sched::NetworkView view(*rig.network);
   sched::PackInput in{g, rig.cluster, view, sched::rank_nodes(rig.cluster, view)};
 
   const auto bfs_placed = sched::sequential_pack(in, bfs);

@@ -18,7 +18,7 @@ struct Rig {
   sim::Simulation sim;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<sched::LiveNetworkView> view;
+  std::unique_ptr<sched::NetworkView> view;
 
   Rig() {
     net::Topology topo;
@@ -27,7 +27,7 @@ struct Rig {
       for (int j = i + 1; j < 4; ++j) topo.add_link(i, j, net::gbps(1));
     }
     network = std::make_unique<net::Network>(sim, std::move(topo));
-    view = std::make_unique<sched::LiveNetworkView>(*network);
+    view = std::make_unique<sched::NetworkView>(*network);
     for (int i = 0; i < 4; ++i) cluster.add_node(i, {16000, 131072, true});
   }
 };

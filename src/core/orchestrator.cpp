@@ -85,11 +85,9 @@ void Orchestrator::set_recorder(obs::Recorder* recorder) {
       &recorder->metrics().log_histogram("orchestrator.migration_downtime_ms");
 }
 
-std::unique_ptr<sched::NetworkView> Orchestrator::make_view() const {
-  if (monitor_ != nullptr) {
-    return std::make_unique<monitor::MonitorNetworkView>(*monitor_);
-  }
-  return std::make_unique<sched::LiveNetworkView>(*network_);
+sched::NetworkView Orchestrator::view() const {
+  return sched::NetworkView(
+      *network_, monitor_ != nullptr ? monitor_->cached_capacities().data() : nullptr);
 }
 
 util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKind kind,
@@ -101,7 +99,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     util::log_warn() << "deploy: instance '" << instance << "' is already active";
     return util::make_error("instance '" + instance + "' is already deployed");
   }
-  const auto view = make_view();
+  const sched::NetworkView view = this->view();
   std::unique_ptr<sched::Scheduler> scheduler;
   switch (kind) {
     case SchedulerKind::kBassBfs:
@@ -119,7 +117,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  auto result = scheduler->schedule(app, *cluster_, *view);
+  auto result = scheduler->schedule(app, *cluster_, view);
   const double place_us = std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -331,7 +329,7 @@ const controller::MigrationParams* Orchestrator::migration_params(DeploymentId i
 void Orchestrator::controller_evaluate(DeploymentId id) {
   Deployment& d = dep(id);
   if (!d.active) return;  // tick raced an undeploy in the same round
-  const auto view = make_view();
+  const sched::NetworkView view = this->view();
   const sim::Time now = sim_->now();
 
   // Every round gets a span up front (ids from the deterministic counter,
@@ -359,7 +357,7 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
     obs.required = e.bandwidth;
     obs.measured = window.delivered;
     obs.offered = window.offered;
-    obs.path_capacity = view->path_capacity(a, b);
+    obs.path_capacity = view.path_capacity(a, b);
     observations.push_back(obs);
     endpoints.emplace_back(a, b);
   }
@@ -372,25 +370,25 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   //    link to the extent that the headroom on the link shrinks even
   //    without capacity change on the link"). Pair traffic flows both ways
   //    (requests and responses), so it is charged to both directions.
-  std::vector<double> link_usage(static_cast<std::size_t>(view->link_count()), 0.0);
+  std::vector<double> link_usage(static_cast<std::size_t>(view.link_count()), 0.0);
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
     const auto charge = [&](net::LinkId l) {
       link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
       return true;
     };
-    view->routing().walk(a, b, charge);
-    view->routing().walk(b, a, charge);
+    view.routing().walk(a, b, charge);
+    view.routing().walk(b, a, charge);
   }
   auto link_headroom_ok = [&](net::LinkId l) {
     if (monitor_ != nullptr && !monitor_->headroom_ok(l)) return false;
-    const double capacity = static_cast<double>(view->link_capacity(l));
+    const double capacity = static_cast<double>(view.link_capacity(l));
     return link_usage[static_cast<std::size_t>(l)] <=
            capacity * (1.0 - d.params.headroom_frac);
   };
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
-    view->routing().walk(a, b, [&](net::LinkId l) {
+    view.routing().walk(a, b, [&](net::LinkId l) {
       if (link_headroom_ok(l)) return true;
       observations[i].path_headroom_ok = false;
       return false;
@@ -446,7 +444,7 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
     }
     if (moved_this_round.count(c)) continue;
     app::ComponentId mover = c;
-    auto target = sched::pick_migration_target(d.app, d.placement, c, *cluster_, *view);
+    auto target = sched::pick_migration_target(d.app, d.placement, c, *cluster_, view);
     if (!target) {
       // The pair rule held this candidate's partners back; moving a partner
       // *instead* (never in addition) is allowed and often feasible when
@@ -458,7 +456,7 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
         if (d.app.component(partner).pinned_node) continue;
         if (!eligible.count(partner)) continue;
         target = sched::pick_migration_target(d.app, d.placement, partner, *cluster_,
-                                              *view);
+                                              view);
         if (target) {
           mover = partner;
           break;
@@ -534,7 +532,7 @@ bool Orchestrator::migrate(DeploymentId id, app::ComponentId component,
 
 int Orchestrator::drain_node(net::NodeId node) {
   cluster_->set_schedulable(node, false);
-  const auto view = make_view();
+  const sched::NetworkView view = this->view();
   int started = 0;
   for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
     Deployment& d = dep(id);
@@ -546,7 +544,7 @@ int Orchestrator::drain_node(net::NodeId node) {
         continue;
       }
       const auto target = sched::pick_migration_target(d.app, d.placement, c,
-                                                       *cluster_, *view);
+                                                       *cluster_, view);
       if (!target) {
         util::log_warn() << "drain: no target for '" << d.app.component(c).name
                          << "'";
@@ -644,9 +642,9 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
     for (DeploymentListener* l : d.listeners) l->on_component_up(component, pinned);
     return;
   }
-  const auto view = make_view();
+  const sched::NetworkView view = this->view();
   const auto target =
-      sched::pick_migration_target(d.app, d.placement, component, *cluster_, *view);
+      sched::pick_migration_target(d.app, d.placement, component, *cluster_, view);
   if (target && cluster_->allocate(*target, comp.cpu_milli, comp.memory_mb)) {
     d.placement[static_cast<std::size_t>(component)] = *target;
     d.up[static_cast<std::size_t>(component)] = true;

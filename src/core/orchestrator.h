@@ -91,6 +91,9 @@ class Orchestrator {
   // cache (the real BASS deployment); without one they fall back to live
   // topology capacities (useful for oracle experiments and tests).
   void attach_monitor(monitor::NetMonitor* monitor) { monitor_ = monitor; }
+  // The mesh as placement and migration see it: the attached monitor's
+  // capacity cache, else live topology capacities. Decided here only.
+  sched::NetworkView view() const;
 
   // Attaches the run's recorder: deploys journal ScheduleDecision (with
   // wall-clock placement latency), moves journal MigrationStarted/
@@ -224,8 +227,6 @@ class Orchestrator {
   const Deployment& dep(DeploymentId id) const;
   // Journals an OrchestratorWarning (`what` must be a static literal).
   void warn(const char* what, DeploymentId id, net::NodeId node);
-  // The scheduler's view of the mesh: monitor cache when attached.
-  std::unique_ptr<sched::NetworkView> make_view() const;
   void controller_evaluate(DeploymentId id);
   // Executes a move; `target` may equal the current node (pure restart).
   void execute_move(DeploymentId id, app::ComponentId component, net::NodeId target,

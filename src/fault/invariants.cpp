@@ -8,9 +8,15 @@
 
 namespace bass::fault {
 
-Invariants::Invariants(core::Orchestrator& orchestrator, obs::Recorder* recorder,
-                       InvariantConfig config)
-    : orch_(&orchestrator), recorder_(recorder), config_(config) {
+namespace {
+// Slack on the capacity check for float accumulation in the allocator's
+// per-link sums: relative, with an absolute floor in bps.
+constexpr double kCapacityRelSlack = 1e-6;
+constexpr double kCapacityAbsSlack = 1000.0;
+}  // namespace
+
+Invariants::Invariants(core::Orchestrator& orchestrator, obs::Recorder* recorder)
+    : orch_(&orchestrator), recorder_(recorder) {
   if (recorder_ != nullptr) {
     m_violations_ = &recorder_->metrics().counter("fault.invariant_violations");
   }
@@ -54,8 +60,7 @@ void Invariants::check_capacity() {
   for (int l = 0; l < topology.link_count(); ++l) {
     const double capacity = static_cast<double>(topology.link(l).capacity);
     const double allocated = static_cast<double>(network.link_allocated(l));
-    const double slack = std::max(capacity * config_.capacity_rel_slack,
-                                  config_.capacity_abs_slack);
+    const double slack = std::max(capacity * kCapacityRelSlack, kCapacityAbsSlack);
     if (allocated > capacity + slack) {
       violate("link_overallocated",
               util::str_format("link%d allocated %.0f bps > capacity %.0f bps", l,
@@ -163,8 +168,9 @@ void Invariants::check_migration_discipline() {
   }
 }
 
+// Verifies journal MigrationCompleted records against migration_events().
 void Invariants::check_journal_consistency() {
-  if (!config_.check_journal || recorder_ == nullptr || !recorder_->enabled()) return;
+  if (recorder_ == nullptr || !recorder_->enabled()) return;
   const obs::EventJournal& journal = recorder_->journal();
   // A full ring has forgotten its oldest events; the count check is only
   // meaningful while nothing was dropped.

@@ -37,21 +37,10 @@
 
 namespace bass::fault {
 
-struct InvariantConfig {
-  // Relative slack on the capacity check (float accumulation in the
-  // allocator's per-link sums).
-  double capacity_rel_slack = 1e-6;
-  // Absolute slack floor, bps.
-  double capacity_abs_slack = 1000.0;
-  // Verify journal MigrationCompleted records against migration_events().
-  bool check_journal = true;
-};
-
 class Invariants {
  public:
   explicit Invariants(core::Orchestrator& orchestrator,
-                      obs::Recorder* recorder = nullptr,
-                      InvariantConfig config = {});
+                      obs::Recorder* recorder = nullptr);
   Invariants(const Invariants&) = delete;
   Invariants& operator=(const Invariants&) = delete;
 
@@ -82,7 +71,6 @@ class Invariants {
   core::Orchestrator* orch_;
   obs::Recorder* recorder_;
   obs::Counter* m_violations_ = nullptr;
-  InvariantConfig config_;
   std::function<void(const char*, const std::string&)> violation_hook_;
   int violations_ = 0;
   int violations_at_pass_start_ = 0;

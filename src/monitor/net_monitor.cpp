@@ -9,6 +9,12 @@ namespace bass::monitor {
 namespace {
 // Probe traffic is tagged so delivered bytes can be read back per probe.
 constexpr net::Tag kProbeTagBase = 0xBA55'0000'0000'0000ULL;
+// Every probe floods or offers its demand for this long (§6.3.4: 1 s probes).
+constexpr sim::Duration kProbeDuration = sim::seconds(1);
+// Delivered/offered ratio below which a headroom probe counts as failed.
+// A failed headroom probe always schedules a max-capacity probe of the link
+// (the Fig. 8 walkthrough behaviour).
+constexpr double kViolationRatio = 0.90;
 }  // namespace
 
 NetMonitor::NetMonitor(net::Network& network, MonitorConfig config)
@@ -18,9 +24,8 @@ NetMonitor::NetMonitor(net::Network& network, MonitorConfig config)
       next_probe_tag_(kProbeTagBase) {
   // Until the first probe round, fall back to nominal capacities (the
   // operator's initial link inventory).
-  for (int l = 0; l < network.topology().link_count(); ++l) {
-    links_[static_cast<std::size_t>(l)].cached_capacity = network.topology().link(l).capacity;
-  }
+  capacities_.reserve(links_.size());
+  for (const net::Link& l : network.topology().links()) capacities_.push_back(l.capacity);
 }
 
 NetMonitor::~NetMonitor() { stop(); }
@@ -79,21 +84,6 @@ void NetMonitor::set_probe_loss(double rate, std::uint64_t seed) {
   }
 }
 
-net::Bps NetMonitor::cached_capacity(net::LinkId link) const {
-  return links_.at(static_cast<std::size_t>(link)).cached_capacity;
-}
-
-net::Bps NetMonitor::cached_path_capacity(net::NodeId src, net::NodeId dst) const {
-  if (src == dst) return net::kUnlimitedRate;
-  if (!network_->routing().reachable(src, dst)) return 0;
-  net::Bps bottleneck = net::kUnlimitedRate;
-  network_->routing().walk(src, dst, [&](net::LinkId l) {
-    bottleneck = std::min(bottleneck, cached_capacity(l));
-    return true;
-  });
-  return bottleneck;
-}
-
 bool NetMonitor::headroom_ok(net::LinkId link) const {
   return links_.at(static_cast<std::size_t>(link)).headroom_ok;
 }
@@ -112,7 +102,8 @@ void NetMonitor::run_headroom_round() {
       continue;
     }
     const net::Bps demand = static_cast<net::Bps>(
-        static_cast<double>(state.cached_capacity) * config_.headroom_frac);
+        static_cast<double>(capacities_[static_cast<std::size_t>(l)]) *
+        config_.headroom_frac);
     if (demand <= 0) continue;
     ++headroom_probes_;
     launch_probe(l, demand, /*is_full=*/false, {});
@@ -123,7 +114,7 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
                               std::function<void(net::Bps)> done) {
   LinkState& state = links_[static_cast<std::size_t>(link)];
   if (state.probing) {
-    if (done) done(state.cached_capacity);
+    if (done) done(capacities_[static_cast<std::size_t>(link)]);
     return;
   }
   state.probing = true;
@@ -142,7 +133,7 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
   const net::StreamId stream = network_->open_stream(l.src, l.dst, demand, tag);
 
   network_->simulation().schedule_after(
-      config_.probe_duration,
+      kProbeDuration,
       [this, link, demand, is_full, tag, stream, usage_before, probe_span,
        launched, done = std::move(done)] {
         // Competing application traffic on the link while the probe ran,
@@ -175,12 +166,12 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
             lost_event.parent = probe_span;  // the probe whose result vanished
             recorder_->record(lost_event);
           }
-          if (done) done(lost.cached_capacity);
+          if (done) done(capacities_[static_cast<std::size_t>(link)]);
           return;
         }
         const net::Bps measured = static_cast<net::Bps>(
             static_cast<double>(delivered) * 8e6 /
-            static_cast<double>(config_.probe_duration));
+            static_cast<double>(kProbeDuration));
         if (recorder_ != nullptr) {
           m_probe_bytes_->add(delivered);
           (is_full ? m_full_probes_ : m_headroom_probes_)->inc();
@@ -207,13 +198,13 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
           // NOT clear a standing headroom violation — only a succeeding
           // headroom probe does, otherwise the violation signal would be
           // erased by the very probe it triggered.
-          state.cached_capacity = measured + others;
+          capacities_[static_cast<std::size_t>(link)] = measured + others;
           util::log_debug() << "full probe link " << link << " -> "
-                            << state.cached_capacity << " bps";
+                            << measured + others << " bps";
         } else {
           const bool delivered_in_full =
               static_cast<double>(measured) >=
-              static_cast<double>(demand) * config_.violation_ratio;
+              static_cast<double>(demand) * kViolationRatio;
           // Displacement: if the app's concurrent rate shrank by more than
           // measurement noise while the probe ran, the probe's bytes were
           // taken from the application, not from spare capacity.
@@ -238,19 +229,11 @@ void NetMonitor::launch_probe(net::LinkId link, net::Bps demand, bool is_full,
               recorder_->record(violation);
             }
             if (on_violation_) on_violation_(link, measured);
-            if (config_.full_probe_on_violation) full_probe(link);
+            full_probe(link);
           }
         }
-        if (done) done(state.cached_capacity);
+        if (done) done(capacities_[static_cast<std::size_t>(link)]);
       });
-}
-
-net::Bps MonitorNetworkView::node_link_capacity(net::NodeId node) const {
-  net::Bps total = 0;
-  for (net::LinkId l : monitor_->network().topology().out_links(node)) {
-    total += monitor_->cached_capacity(l);
-  }
-  return total;
 }
 
 }  // namespace bass::monitor

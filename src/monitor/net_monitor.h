@@ -2,7 +2,7 @@
 // links. Two probe types, both injected as real traffic into the flow
 // simulator so probe overhead and interference are modelled:
 //
-//  * max-capacity probe — flood the directed link for probe_duration and
+//  * max-capacity probe — flood the directed link for 1 s (§6.3.4) and
 //    take what arrives (plus the passively observed competing traffic) as
 //    the link's capacity estimate. Run once for every link at startup and
 //    again on demand.
@@ -25,7 +25,6 @@
 
 #include "net/network.h"
 #include "obs/recorder.h"
-#include "sched/network_view.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -33,13 +32,7 @@ namespace bass::monitor {
 
 struct MonitorConfig {
   sim::Duration probe_interval = sim::seconds(30);  // §6.3.4: every 30 s
-  sim::Duration probe_duration = sim::seconds(1);   // §6.3.4: 1 s probes
   double headroom_frac = 0.10;                      // §6.3.4: 10 % of capacity
-  // Delivered/offered ratio below which a headroom probe counts as failed.
-  double violation_ratio = 0.90;
-  // Automatically schedule a max-capacity probe after a headroom violation
-  // (the Fig. 8 walkthrough behaviour).
-  bool full_probe_on_violation = true;
   // Slow full-capacity refresh of every link. Headroom probes are sized by
   // the *cached* capacity, so a link that degraded and later recovered
   // would keep a stale-low estimate forever without an occasional flood
@@ -64,10 +57,9 @@ class NetMonitor {
   void stop();
 
   // ---- Cached measurements (what BASS actually schedules against) ----
-  net::Bps cached_capacity(net::LinkId link) const;
-  // Bottleneck of cached capacities along the routed path; kUnlimitedRate
-  // for src == dst.
-  net::Bps cached_path_capacity(net::NodeId src, net::NodeId dst) const;
+  // One cached capacity per link, indexed by LinkId — the measured array a
+  // sched::NetworkView schedules against.
+  const std::vector<net::Bps>& cached_capacities() const { return capacities_; }
   // Result of the latest headroom probe: true while the spare capacity was
   // delivered in full. Links never probed report true.
   bool headroom_ok(net::LinkId link) const;
@@ -105,7 +97,6 @@ class NetMonitor {
 
  private:
   struct LinkState {
-    net::Bps cached_capacity = 0;
     bool headroom_ok = true;
     bool probing = false;  // a probe stream is currently live on this link
   };
@@ -116,6 +107,7 @@ class NetMonitor {
 
   net::Network* network_;
   MonitorConfig config_;
+  std::vector<net::Bps> capacities_;  // the cache, per link
   std::vector<LinkState> links_;
   ViolationCallback on_violation_;
   obs::Recorder* recorder_ = nullptr;
@@ -135,30 +127,6 @@ class NetMonitor {
   std::unique_ptr<util::Rng> loss_rng_;
   int probes_dropped_ = 0;
   net::Tag next_probe_tag_;
-};
-
-// Scheduler view backed by the monitor's probe cache: BASS places
-// components against measured capacities.
-class MonitorNetworkView final : public sched::NetworkView {
- public:
-  explicit MonitorNetworkView(const NetMonitor& monitor) : monitor_(&monitor) {}
-
-  int link_count() const override {
-    return monitor_->network().topology().link_count();
-  }
-  net::Bps link_capacity(net::LinkId link) const override {
-    return monitor_->cached_capacity(link);
-  }
-  const net::RoutingTable& routing() const override {
-    return monitor_->network().routing();
-  }
-  net::Bps node_link_capacity(net::NodeId node) const override;
-  sim::Duration path_latency(net::NodeId src, net::NodeId dst) const override {
-    return monitor_->network().path_latency(src, dst);
-  }
-
- private:
-  const NetMonitor* monitor_;
 };
 
 }  // namespace bass::monitor

@@ -11,6 +11,10 @@ namespace bass::net {
 
 namespace {
 
+// Colocated (same-node) transfers bypass the mesh entirely.
+constexpr Bps kLoopbackBps = gbps(10);
+constexpr sim::Duration kLoopbackLatency = sim::micros(100);
+
 // Drain time in whole microseconds for `bytes` at `rate_bps`, rounded up.
 sim::Duration drain_micros(double bytes, double rate_bps) {
   if (rate_bps <= 0.0) return -1;  // stalled
@@ -44,7 +48,6 @@ Network::Network(sim::Simulation& sim, Topology topology, NetworkConfig config)
   // Routing is fixed for the Network's lifetime, so the longest routed path
   // bounds every entity path forever — it strides the flat entity pool.
   stride_ = std::max<std::size_t>(1, static_cast<std::size_t>(routing_.max_hops()));
-  probe_path_.resize(stride_);
 }
 
 Network::BatchUpdate::BatchUpdate(Network& net) : net_(net) { ++net_.batch_depth_; }
@@ -204,9 +207,9 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
     // empty callback still takes its event, so event order is the same
     // whether or not the caller listens.
     const sim::Duration dt =
-        config_.loopback_latency +
+        kLoopbackLatency +
         std::max<sim::Duration>(drain_micros(static_cast<double>(bytes),
-                                             static_cast<double>(config_.loopback_bps)),
+                                             static_cast<double>(kLoopbackBps)),
                                 0);
     account_bytes(tag, static_cast<double>(bytes));
     sim_->schedule_after(dt, done ? std::move(done) : TransferCallback([] {}));
@@ -391,40 +394,6 @@ Bps Network::stream_rate(StreamId id) const {
   return static_cast<Bps>(st->rate_bps);
 }
 
-Bps Network::path_capacity(NodeId src, NodeId dst) const {
-  if (src == dst) return config_.loopback_bps;
-  if (!routing_.reachable(src, dst)) return 0;
-  Bps bottleneck = kUnlimitedRate;
-  routing_.walk(src, dst, [&](LinkId l) {
-    bottleneck = std::min(bottleneck, topology_.link(l).capacity);
-    return true;
-  });
-  return bottleneck;
-}
-
-Bps Network::path_available(NodeId src, NodeId dst) const {
-  if (src == dst) return config_.loopback_bps;
-  if (!routing_.reachable(src, dst)) return 0;
-
-  // Price a phantom unbounded flow on the path against only its contention
-  // component — flows sharing no link (transitively) with the path cannot
-  // affect its share, and the cached entities already carry their paths.
-  static const std::vector<int> kNoSeedEntities;
-  const auto hops = static_cast<std::size_t>(routing_.copy_path(src, dst, probe_path_));
-  const std::span<const LinkId> path(probe_path_.data(), hops);
-  collect_component(path, kNoSeedEntities);
-  refs_.clear();
-  refs_.reserve(comp_entities_.size() + 1);
-  for (int slot : comp_entities_) {
-    refs_.push_back({entities_[static_cast<std::size_t>(slot)].demand, entity_path(slot)});
-  }
-  refs_.push_back({static_cast<double>(kUnlimitedRate), path});
-  if (config_.fairness == FairnessPolicy::kProportional) {
-    return static_cast<Bps>(proportional_allocate_refs(capacities_, refs_).back());
-  }
-  return static_cast<Bps>(solver_.solve(capacities_, refs_).back());
-}
-
 void Network::account_bytes(Tag tag, double bytes) {
   total_bytes_delivered_ += static_cast<std::int64_t>(bytes);
   if (tag == 0) return;
@@ -481,7 +450,7 @@ void Network::settle_all() {
 }
 
 void Network::collect_component(std::span<const LinkId> seed_links,
-                                const std::vector<int>& seed_entities) const {
+                                const std::vector<int>& seed_entities) {
   ++visit_stamp_;
   if (visit_stamp_ == 0) {  // wrapped: invalidate every stale stamp
     std::fill(link_visit_.begin(), link_visit_.end(), 0u);

@@ -51,9 +51,6 @@ enum class FairnessPolicy {
 struct NetworkConfig {
   // One-way propagation/processing latency added per traversed link.
   sim::Duration per_hop_latency = sim::millis(1);
-  // Colocated (same-node) transfers bypass the mesh entirely.
-  Bps loopback_bps = gbps(10);
-  sim::Duration loopback_latency = sim::micros(100);
   FairnessPolicy fairness = FairnessPolicy::kMaxMin;
   // The mesh's routing protocol behaviour (see net/routing.h).
   RoutingPolicy routing = RoutingPolicy::kMinHop;
@@ -165,13 +162,6 @@ class Network {
   // pointer increments. Pass nullptr to detach.
   void set_recorder(obs::Recorder* recorder);
 
-  // Bottleneck *raw* capacity along the routed path (ignores contention).
-  Bps path_capacity(NodeId src, NodeId dst) const;
-  // Rate a hypothetical new unbounded flow would receive on the path right
-  // now — the ground truth a flood probe estimates. Solves only the
-  // phantom flow's contention component against the entity cache.
-  Bps path_available(NodeId src, NodeId dst) const;
-
   // Delivered bytes for a tag since the last take (settles flows first).
   std::int64_t take_tag_bytes(Tag tag);
   // Delivered bytes for a tag since the start of the simulation.
@@ -261,7 +251,7 @@ class Network {
   // comp_entities_ (every flow on an included link is included, so the
   // result is closed under link sharing).
   void collect_component(std::span<const LinkId> seed_links,
-                         const std::vector<int>& seed_entities) const;
+                         const std::vector<int>& seed_entities);
   // Settles and reprices the dirty contention component(s), then
   // reschedules head events for repriced channels.
   void reallocate();
@@ -320,8 +310,6 @@ class Network {
             entities_[static_cast<std::size_t>(slot)].hops};
   }
   std::int32_t* link_pos(int slot) { return entity_block(slot) + stride_; }
-  // path_available()'s phantom flow path, `stride_` long.
-  mutable std::vector<LinkId> probe_path_;
   int active_entity_count_ = 0;
   int active_channel_entities_ = 0;
 
@@ -330,15 +318,14 @@ class Network {
   std::vector<LinkId> dirty_links_;
   std::vector<int> dirty_entities_;
 
-  // Component-walk + solver scratch. Mutable because path_available() is
-  // logically const but reuses the same buffers.
-  mutable MaxMinSolver solver_;
-  mutable std::vector<AllocEntityRef> refs_;
-  mutable std::vector<int> comp_entities_;
-  mutable std::vector<LinkId> comp_links_;
-  mutable std::vector<std::uint32_t> link_visit_;
-  mutable std::vector<std::uint32_t> entity_visit_;
-  mutable std::uint32_t visit_stamp_ = 0;
+  // Component-walk + solver scratch.
+  MaxMinSolver solver_;
+  std::vector<AllocEntityRef> refs_;
+  std::vector<int> comp_entities_;
+  std::vector<LinkId> comp_links_;
+  std::vector<std::uint32_t> link_visit_;
+  std::vector<std::uint32_t> entity_visit_;
+  std::uint32_t visit_stamp_ = 0;
 
   // Applies an effective-capacity change (journal + topology + mirror +
   // dirty seed + reallocate); set_link_capacity/set_link_down route here.

@@ -39,10 +39,4 @@ std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {
   return it->second;
 }
 
-Bps Topology::total_out_capacity(NodeId n) const {
-  Bps total = 0;
-  for (LinkId l : out_links_.at(n)) total += links_[l].capacity;
-  return total;
-}
-
 }  // namespace bass::net

@@ -43,10 +43,6 @@ class Topology {
   // Outgoing directed links of a node (for neighbor probing).
   const std::vector<LinkId>& out_links(NodeId n) const { return out_links_.at(n); }
 
-  // Sum of outgoing link capacities — the "combined capacity across all of
-  // the node's links" that BASS uses to rank nodes (§3.2.1).
-  Bps total_out_capacity(NodeId n) const;
-
  private:
   std::vector<std::string> node_names_;
   std::vector<Link> links_;

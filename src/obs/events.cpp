@@ -1,14 +1,11 @@
 #include "obs/events.h"
 
+#include "obs/json.h"
 #include "util/strings.h"
 
 namespace bass::obs {
 
-namespace {
-
-// Minimal JSON string escaping — event strings are scheduler names and the
-// like, but a scenario could name things creatively.
-void append_escaped(const std::string& s, std::string& out) {
+void append_json_string(const std::string& s, std::string& out) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -26,6 +23,8 @@ void append_escaped(const std::string& s, std::string& out) {
   }
   out += '"';
 }
+
+namespace {
 
 struct TimeVisitor {
   template <typename T>
@@ -67,7 +66,7 @@ struct JsonVisitor {
     // must be byte-identical across repeated runs of the same seed. The
     // measurement is still available via the sched.place_us metrics timer.
     out += util::str_format(",\"deployment\":%d,\"scheduler\":", e.deployment);
-    append_escaped(e.scheduler, out);
+    append_json_string(e.scheduler, out);
     out += util::str_format(
         ",\"components\":%d,\"crossing_bps\":%lld,\"success\":%s",
         e.components, static_cast<long long>(e.crossing_bps),
@@ -119,7 +118,7 @@ struct JsonVisitor {
   }
   void operator()(const InvariantViolation& e) const {
     out += util::str_format(",\"name\":\"%s\",\"detail\":", e.name);
-    append_escaped(e.detail, out);
+    append_json_string(e.detail, out);
   }
   void operator()(const DeploymentClosed& e) const {
     out += util::str_format(

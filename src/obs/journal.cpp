@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/json.h"
 #include "util/strings.h"
 
 namespace bass::obs {
@@ -96,15 +97,6 @@ struct TraceVisitor {
   }
 };
 
-void append_escaped(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 // Causal-slice context for the trace export: which spans have descendants,
 // and when each span's causal subtree ends. An instant event whose span
 // caused later work (a controller round that started migrations) is
@@ -127,7 +119,7 @@ void append_trace_entry(const Event& event, const SpanNesting* nesting,
     }
   }
   out += ",\n    {\"name\":";
-  append_escaped(shape.name, out);
+  append_json_string(shape.name, out);
   out += util::str_format(",\"cat\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%lld",
                           event_type_name(event), kPid, shape.tid,
                           static_cast<long long>(shape.ts));

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 
+#include "obs/json.h"
 #include "util/strings.h"
 
 namespace bass::obs {
@@ -27,35 +28,16 @@ std::string instrument_key(std::string_view name, const Labels& labels) {
   return key;
 }
 
-void append_escaped(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_name_labels(const std::string& name, const Labels& labels,
                         std::string& out) {
   out += "\"name\":";
-  append_escaped(name, out);
+  append_json_string(name, out);
   out += ",\"labels\":{";
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (i != 0) out += ',';
-    append_escaped(labels[i].first, out);
+    append_json_string(labels[i].first, out);
     out += ':';
-    append_escaped(labels[i].second, out);
+    append_json_string(labels[i].second, out);
   }
   out += '}';
 }

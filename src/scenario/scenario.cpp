@@ -428,8 +428,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile
   if (serving) {
     auto serve_cfg = parse_serve_config(ini, s->duration_);
     if (!serve_cfg.ok()) return err(serve_cfg.error());
-    s->serving_ = std::make_unique<ServingLoop>(*s->orch_, serve_cfg.take(),
-                                                s->monitor_.get());
+    s->serving_ = std::make_unique<ServingLoop>(*s->orch_, serve_cfg.take());
     s->serving_->set_recorder(s->recorder_.get());
   } else {
     auto deployed = s->orch_->deploy(std::move(graph), kind);

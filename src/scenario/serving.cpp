@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "monitor/net_monitor.h"
-#include "sched/network_view.h"
 #include "sched/rescheduler.h"
 #include "util/logging.h"
 
@@ -26,11 +24,9 @@ util::Expected<ServeMode> parse_serve_mode(const std::string& name) {
                           "' (expected static | adaptive | dynamic)");
 }
 
-ServingLoop::ServingLoop(core::Orchestrator& orchestrator, ServeConfig config,
-                         monitor::NetMonitor* monitor)
+ServingLoop::ServingLoop(core::Orchestrator& orchestrator, ServeConfig config)
     : orch_(&orchestrator),
       config_(config),
-      monitor_(monitor),
       admission_(orchestrator.simulation(), orchestrator, config.admission) {}
 
 ServingLoop::~ServingLoop() { stop(); }
@@ -137,12 +133,7 @@ void ServingLoop::rebalance() {
 
   // Shed up to the per-tick budget off that node. The rescheduler picks the
   // destination with the same dependency-aware ranking the controller uses.
-  std::unique_ptr<sched::NetworkView> view;
-  if (monitor_ != nullptr) {
-    view = std::make_unique<monitor::MonitorNetworkView>(*monitor_);
-  } else {
-    view = std::make_unique<sched::LiveNetworkView>(orch_->network());
-  }
+  const sched::NetworkView view = orch_->view();
   int budget = std::max(config_.rebalance_max_moves, 1);
   for (const auto& [instance, live] : live_) {
     if (budget == 0) break;
@@ -154,7 +145,7 @@ void ServingLoop::rebalance() {
       if (!orch_->is_up(id, c)) continue;
       if (app.component(c).pinned_node) continue;
       const auto target = sched::pick_migration_target(app, orch_->placement(id), c,
-                                                       orch_->cluster(), *view);
+                                                       orch_->cluster(), view);
       if (!target || *target == hot) continue;
       if (orch_->migrate(id, c, *target)) {
         ++stats_.rebalance_moves;

@@ -25,10 +25,6 @@
 #include "core/admission.h"
 #include "workload/churn.h"
 
-namespace bass::monitor {
-class NetMonitor;
-}
-
 namespace bass::scenario {
 
 enum class ServeMode { kStatic, kAdaptive, kDynamic };
@@ -62,10 +58,9 @@ struct ServeStats {
 
 class ServingLoop {
  public:
-  // `monitor` is optional; when present the dynamic rebalance tick reasons
-  // about measured capacities (like the scheduler), else simulator truth.
-  ServingLoop(core::Orchestrator& orchestrator, ServeConfig config,
-              monitor::NetMonitor* monitor = nullptr);
+  // The dynamic rebalance tick reasons about the orchestrator's view of the
+  // mesh (its monitor's capacity cache when one is attached).
+  ServingLoop(core::Orchestrator& orchestrator, ServeConfig config);
   ~ServingLoop();
   ServingLoop(const ServingLoop&) = delete;
   ServingLoop& operator=(const ServingLoop&) = delete;
@@ -99,7 +94,6 @@ class ServingLoop {
 
   core::Orchestrator* orch_;
   ServeConfig config_;
-  monitor::NetMonitor* monitor_;
   core::AdmissionQueue admission_;
   obs::Recorder* recorder_ = nullptr;
   std::vector<workload::ChurnEvent> schedule_;

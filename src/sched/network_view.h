@@ -1,7 +1,7 @@
 // The scheduler's window onto the mesh. BASS schedules against *measured*
 // link capacities (the net-monitor's probe cache), while tests and oracle
-// experiments can schedule against the live simulator truth; both sides of
-// that choice implement this interface.
+// experiments can schedule against the live simulator truth. The view is a
+// small value: the network plus, optionally, one measured capacity per link.
 #pragma once
 
 #include "net/network.h"
@@ -11,44 +11,35 @@ namespace bass::sched {
 
 class NetworkView {
  public:
-  virtual ~NetworkView() = default;
+  // `measured`, when given, holds one capacity per link of `network` and
+  // stands in for the live topology capacities; it must outlive the view.
+  explicit NetworkView(const net::Network& network, const net::Bps* measured = nullptr)
+      : network_(&network), measured_(measured) {}
 
-  virtual int link_count() const = 0;
-  virtual net::Bps link_capacity(net::LinkId link) const = 0;
-  // The mesh's routes (walk/copy a path, hop counts). Both views observe
-  // the same network, so both return its table.
-  virtual const net::RoutingTable& routing() const = 0;
-  // Combined outgoing link capacity of a node (for node ranking).
-  virtual net::Bps node_link_capacity(net::NodeId node) const = 0;
+  int link_count() const { return network_->topology().link_count(); }
+  net::Bps link_capacity(net::LinkId link) const {
+    return measured_ != nullptr ? measured_[link] : network_->link_capacity(link);
+  }
+  // The mesh's routes (walk/copy a path, hop counts).
+  const net::RoutingTable& routing() const { return network_->routing(); }
+  // Sum of the node's outgoing link capacities — the "combined capacity
+  // across all of the node's links" that BASS ranks nodes by (§3.2.1).
+  net::Bps node_link_capacity(net::NodeId node) const;
 
   // One-way propagation latency of the routed path (0 when colocated) —
   // the packer checks edge latency requirements against it (§3.2 lists
   // latency among the placement constraints).
-  virtual sim::Duration path_latency(net::NodeId src, net::NodeId dst) const = 0;
-
-  // Bottleneck capacity along the path (derived).
-  net::Bps path_capacity(net::NodeId src, net::NodeId dst) const;
-};
-
-// Ground-truth view straight off the live simulated network.
-class LiveNetworkView final : public NetworkView {
- public:
-  explicit LiveNetworkView(const net::Network& network) : network_(&network) {}
-
-  int link_count() const override { return network_->topology().link_count(); }
-  net::Bps link_capacity(net::LinkId link) const override {
-    return network_->topology().link(link).capacity;
-  }
-  const net::RoutingTable& routing() const override { return network_->routing(); }
-  net::Bps node_link_capacity(net::NodeId node) const override {
-    return network_->topology().total_out_capacity(node);
-  }
-  sim::Duration path_latency(net::NodeId src, net::NodeId dst) const override {
+  sim::Duration path_latency(net::NodeId src, net::NodeId dst) const {
     return network_->path_latency(src, dst);
   }
 
+  // Bottleneck capacity along the routed path: kUnlimitedRate when src ==
+  // dst, 0 when unreachable.
+  net::Bps path_capacity(net::NodeId src, net::NodeId dst) const;
+
  private:
   const net::Network* network_;
+  const net::Bps* measured_;
 };
 
 }  // namespace bass::sched

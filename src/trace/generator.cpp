@@ -11,7 +11,7 @@ BandwidthTrace generate_trace(const GeneratorParams& params, util::Rng& rng) {
   const double sigma = mean * params.stddev_frac;
   // Step the OU process so the stationary stddev matches sigma:
   // x' = x + k(mean - x) + N(0, sigma * sqrt(2k - k^2)).
-  const double k = std::clamp(params.reversion, 1e-3, 1.0);
+  constexpr double k = 0.10;  // pull toward the mean per step, in (0,1]
   const double step_sigma = sigma * std::sqrt(std::max(2.0 * k - k * k, 0.0));
 
   double x = mean;

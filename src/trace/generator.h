@@ -19,7 +19,6 @@ namespace bass::trace {
 struct GeneratorParams {
   net::Bps mean_bps = net::mbps(20);
   double stddev_frac = 0.10;        // σ as a fraction of the mean
-  double reversion = 0.10;          // pull toward the mean per step, in (0,1]
   sim::Duration step = sim::seconds(1);
   sim::Duration duration = sim::minutes(20);
 

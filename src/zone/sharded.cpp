@@ -237,8 +237,7 @@ void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
           build.serve.churn.arrival_per_min / partition_.zones;
     }
     cfg.churn.duration = build.duration;
-    w.serving = std::make_unique<scenario::ServingLoop>(*w.orch, cfg,
-                                                        w.monitor.get());
+    w.serving = std::make_unique<scenario::ServingLoop>(*w.orch, cfg);
     w.serving->set_recorder(&w.recorder);
   }
 }

@@ -83,7 +83,7 @@ TEST(NodeRanker, OrdersByCpuThenLinksThenMemory) {
   topo.add_link(b, c, net::mbps(30));
   topo.add_link(a, c, net::mbps(10));
   net::Network network(sim, std::move(topo));
-  sched::LiveNetworkView view(network);
+  sched::NetworkView view(network);
 
   ClusterState cl;
   cl.add_node(a, {4000, 1024, true});
@@ -109,7 +109,7 @@ TEST(NodeRanker, ExcludesUnschedulable) {
   const auto a = topo.add_node(), b = topo.add_node();
   topo.add_link(a, b, net::mbps(10));
   net::Network network(sim, std::move(topo));
-  sched::LiveNetworkView view(network);
+  sched::NetworkView view(network);
   ClusterState cl;
   cl.add_node(a, {4000, 1024, false});
   cl.add_node(b, {2000, 1024, true});

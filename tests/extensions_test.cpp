@@ -21,7 +21,7 @@ struct SchedFixture {
   sim::Simulation sim;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<sched::LiveNetworkView> view;
+  std::unique_ptr<sched::NetworkView> view;
 
   explicit SchedFixture(std::int64_t cpu = 12000) {
     net::Topology topo;
@@ -30,7 +30,7 @@ struct SchedFixture {
     topo.add_link(1, 2, net::gbps(1));
     topo.add_link(0, 2, net::gbps(1));
     network = std::make_unique<net::Network>(sim, std::move(topo));
-    view = std::make_unique<sched::LiveNetworkView>(*network);
+    view = std::make_unique<sched::NetworkView>(*network);
     for (int i = 0; i < 3; ++i) cluster.add_node(i, {cpu, 65536, true});
   }
 };

@@ -18,6 +18,7 @@
 #include "monitor/net_monitor.h"
 #include "net/network.h"
 #include "obs/recorder.h"
+#include "sched/network_view.h"
 #include "scenario/scenario.h"
 #include "sim/simulation.h"
 #include "util/ini.h"
@@ -189,21 +190,22 @@ TEST(FaultNetwork, LinkDownOverlayLayersUnderCapacityWrites) {
   topo.add_node("b");
   topo.add_link(0, 1, net::mbps(20));
   net::Network network(sim, topo);
+  const sched::NetworkView view(network);
 
   network.set_link_down_between(0, 1, true);
-  EXPECT_EQ(network.path_capacity(0, 1), 0);
+  EXPECT_EQ(view.path_capacity(0, 1), 0);
 
   // A trace tick lands while the link is down: remembered, not applied.
   network.set_link_capacity_between(0, 1, net::mbps(5));
-  EXPECT_EQ(network.path_capacity(0, 1), 0);
+  EXPECT_EQ(view.path_capacity(0, 1), 0);
 
   // Lifting the overlay resurfaces the latest written capacity.
   network.set_link_down_between(0, 1, false);
-  EXPECT_EQ(network.path_capacity(0, 1), net::mbps(5));
+  EXPECT_EQ(view.path_capacity(0, 1), net::mbps(5));
 
   // Idempotent and symmetric.
   network.set_link_down_between(0, 1, false);
-  EXPECT_EQ(network.path_capacity(0, 1), net::mbps(5));
+  EXPECT_EQ(view.path_capacity(0, 1), net::mbps(5));
 }
 
 // ---- Probe loss ----
@@ -397,12 +399,12 @@ TEST(FaultScenario, LinkFaultSectionsDriveTheOverlay) {
   text += "[fault link_down a b]\nat_s = 30\nduration_s = 60\n";
   auto s = build(text);
   ASSERT_NE(s, nullptr);
-  auto& net = s->network();
+  const sched::NetworkView view(s->network());
   const auto a = s->node_id("a"), b = s->node_id("b");
   s->orchestrator().simulation().run_until(sim::seconds(45));
-  EXPECT_EQ(net.path_capacity(a, b), 0);
+  EXPECT_EQ(view.path_capacity(a, b), 0);
   s->orchestrator().simulation().run_until(sim::seconds(120));
-  EXPECT_GT(net.path_capacity(a, b), 0);
+  EXPECT_GT(view.path_capacity(a, b), 0);
 }
 
 constexpr const char* kChaosMesh = R"(

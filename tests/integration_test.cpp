@@ -179,7 +179,7 @@ TEST(Integration, MonitorCacheConvergesToTraceReality) {
   // Every link's cached capacity is within 40% of the live trace value
   // (the trace keeps moving between probes, so exactness is impossible).
   for (int l = 0; l < rig.network->topology().link_count(); ++l) {
-    const double cached = static_cast<double>(rig.netmon->cached_capacity(l));
+    const double cached = static_cast<double>(rig.netmon->cached_capacities()[l]);
     const double live = static_cast<double>(rig.network->topology().link(l).capacity);
     EXPECT_GT(cached, live * 0.6) << "link " << l;
     EXPECT_LT(cached, live * 1.7) << "link " << l;

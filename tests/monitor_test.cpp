@@ -4,6 +4,7 @@
 
 #include "monitor/net_monitor.h"
 #include "monitor/traffic_stats.h"
+#include "sched/network_view.h"
 
 namespace bass::monitor {
 namespace {
@@ -61,7 +62,7 @@ TEST(NetMonitor, StartupFullProbesMeasureCapacity) {
   monitor.start();
   f.sim.run_until(sim::seconds(2));
   for (int l = 0; l < f.network->topology().link_count(); ++l) {
-    EXPECT_NEAR(static_cast<double>(monitor.cached_capacity(l)), 20e6, 20e6 * 0.02)
+    EXPECT_NEAR(static_cast<double>(monitor.cached_capacities()[l]), 20e6, 20e6 * 0.02)
         << "link " << l;
   }
   EXPECT_EQ(monitor.full_probe_count(), 4);
@@ -74,11 +75,12 @@ TEST(NetMonitor, CachedPathCapacityIsBottleneck) {
   monitor.start();
   f.sim.run_until(sim::seconds(2));
   f.network->set_link_capacity_between(1, 2, net::mbps(5));
+  const sched::NetworkView measured(*f.network, monitor.cached_capacities().data());
   // Cache still says 20 until the next probe discovers the change.
-  EXPECT_NEAR(static_cast<double>(monitor.cached_path_capacity(0, 2)), 20e6, 1e6);
+  EXPECT_NEAR(static_cast<double>(measured.path_capacity(0, 2)), 20e6, 1e6);
   monitor.full_probe(*f.network->topology().link_between(1, 2));
   f.sim.run_until(sim::seconds(4));
-  EXPECT_NEAR(static_cast<double>(monitor.cached_path_capacity(0, 2)), 5e6, 0.5e6);
+  EXPECT_NEAR(static_cast<double>(measured.path_capacity(0, 2)), 5e6, 0.5e6);
   monitor.stop();
 }
 
@@ -122,7 +124,7 @@ TEST(NetMonitor, HeadroomViolationDetectedAndFullProbeFollows) {
   EXPECT_GT(violations, 0);
   EXPECT_EQ(violated, link01);
   // The follow-up full probe updated the cache downward.
-  EXPECT_LT(monitor.cached_capacity(link01), net::mbps(3));
+  EXPECT_LT(monitor.cached_capacities()[link01], net::mbps(3));
   monitor.stop();
 }
 
@@ -153,12 +155,12 @@ TEST(NetMonitor, ProbeOverheadIsBounded) {
   EXPECT_GT(probe_bytes, 0);
 }
 
-TEST(MonitorNetworkView, ReflectsCache) {
+TEST(MeasuredNetworkView, ReflectsCache) {
   MonitorFixture f;
   NetMonitor monitor(*f.network);
   monitor.start();
   f.sim.run_until(sim::seconds(2));
-  MonitorNetworkView view(monitor);
+  const sched::NetworkView view(*f.network, monitor.cached_capacities().data());
   EXPECT_EQ(view.link_count(), 4);
   EXPECT_NEAR(static_cast<double>(view.link_capacity(0)), 20e6, 1e6);
   EXPECT_NEAR(static_cast<double>(view.node_link_capacity(1)), 40e6, 2e6);
@@ -207,13 +209,13 @@ TEST(NetMonitor, FullRefreshRecoversStaleLowCapacity) {
   // Saturate so the headroom probe notices the degradation.
   const auto hog = f.network->open_stream(0, 1, net::kUnlimitedRate);
   f.sim.run_until(sim::seconds(70));
-  EXPECT_LT(monitor.cached_capacity(link01), net::mbps(5));
+  EXPECT_LT(monitor.cached_capacities()[link01], net::mbps(5));
   // Recover the link; only the periodic refresh can discover it (headroom
   // probes are sized off the stale-low cache and keep passing).
   f.network->close_stream(hog);
   f.network->set_link_capacity(link01, net::mbps(20));
   f.sim.run_until(sim::minutes(5));
-  EXPECT_GT(monitor.cached_capacity(link01), net::mbps(15));
+  EXPECT_GT(monitor.cached_capacities()[link01], net::mbps(15));
   monitor.stop();
 }
 

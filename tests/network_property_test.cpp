@@ -112,28 +112,6 @@ TEST_P(NetworkChurn, LinkAllocationNeverExceedsCapacity) {
   }
 }
 
-TEST_P(NetworkChurn, PathAvailableNeverExceedsPathCapacity) {
-  util::Rng rng(GetParam().seed + 2000);
-  sim::Simulation sim;
-  Topology topo;
-  for (int i = 0; i < 4; ++i) topo.add_node();
-  topo.add_link(0, 1, mbps(rng.uniform_int(2, 20)));
-  topo.add_link(1, 2, mbps(rng.uniform_int(2, 20)));
-  topo.add_link(2, 3, mbps(rng.uniform_int(2, 20)));
-  Network network(sim, topo);
-  for (int s = 0; s < 4; ++s) {
-    network.open_stream(static_cast<NodeId>(rng.uniform_int(0, 2)), 3,
-                        mbps(rng.uniform_int(1, 8)));
-  }
-  for (NodeId u = 0; u < 4; ++u) {
-    for (NodeId v = 0; v < 4; ++v) {
-      if (u == v) continue;
-      EXPECT_LE(network.path_available(u, v), network.path_capacity(u, v));
-      EXPECT_GE(network.path_available(u, v), 0);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, NetworkChurn,
                          ::testing::Values(Scenario{1}, Scenario{2}, Scenario{3},
                                            Scenario{4}, Scenario{5}, Scenario{6},

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "sched/network_view.h"
 
 namespace bass::net {
 namespace {
@@ -267,18 +268,34 @@ TEST(Network, StreamTagAccountingMatchesRateTimesTime) {
   EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(7)), 5e6, 5e4);
 }
 
-TEST(Network, PathCapacityAndAvailable) {
+TEST(NetworkView, PathCapacityIsTheLiveBottleneck) {
   Fixture f;
-  EXPECT_EQ(f.net->path_capacity(0, 2), mbps(10));
+  const sched::NetworkView view(*f.net);
+  EXPECT_EQ(view.path_capacity(0, 2), mbps(10));
   f.net->set_link_capacity_between(1, 2, mbps(4));
-  EXPECT_EQ(f.net->path_capacity(0, 2), mbps(4));
-  // An unbounded stream on 0->1 leaves the 0->2 path bottlenecked at 1->2.
+  EXPECT_EQ(view.path_capacity(0, 2), mbps(4));
+  // Contention does not count: the view reads raw capacities.
   f.net->open_stream(0, 1, mbps(8));
-  const Bps avail = f.net->path_available(0, 2);
-  // Phantom flow would get max-min share: link0 10 shared (phantom vs 8 Mbps
-  // stream -> 5 each, stream capped at 8 but fair share 5) => phantom gets
-  // min(5 on link0... then 4 on link 1->2) = 4.
-  EXPECT_NEAR(static_cast<double>(avail), 4e6, 1e5);
+  EXPECT_EQ(view.path_capacity(0, 2), mbps(4));
+  EXPECT_EQ(view.path_capacity(1, 1), kUnlimitedRate);
+}
+
+TEST(NetworkView, NodeLinkCapacitySumsOutLinks) {
+  sim::Simulation sim;
+  Topology t;
+  const NodeId a = t.add_node(), b = t.add_node(), c = t.add_node();
+  t.add_link(a, b, mbps(10), mbps(4));
+  t.add_link(a, c, mbps(7));
+  const Network net(sim, std::move(t));
+  const sched::NetworkView live(net);
+  EXPECT_EQ(live.node_link_capacity(a), mbps(17));
+  EXPECT_EQ(live.node_link_capacity(b), mbps(4));
+  EXPECT_EQ(live.node_link_capacity(c), mbps(7));
+  // A measured array replaces every capacity the view reads.
+  const std::vector<Bps> measured = {mbps(1), mbps(2), mbps(3), mbps(4)};
+  const sched::NetworkView view(net, measured.data());
+  EXPECT_EQ(view.node_link_capacity(a), mbps(1) + mbps(3));
+  EXPECT_EQ(view.path_capacity(b, c), mbps(2));
 }
 
 TEST(Network, BatchUpdateCoalescesReallocations) {

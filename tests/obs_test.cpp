@@ -106,6 +106,29 @@ TEST(Journal, TraceExportCarriesTracksAndSlices) {
             std::string::npos);
 }
 
+TEST(Journal, TraceExportEscapesControlCharacters) {
+  EventJournal journal;
+  journal.record(ScheduleDecision{sim::seconds(1), 0, "a\nb\t\x01", 5, net::mbps(12),
+                                  37.5, true});
+  const std::string trace = journal.to_trace();
+  // Newlines between entries are fine; inside a string literal a raw
+  // control byte makes the document invalid JSON.
+  bool in_string = false;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const char c = trace[i];
+    if (in_string && c == '\\') {
+      ++i;  // skip the escaped character
+    } else if (c == '"') {
+      in_string = !in_string;
+    } else {
+      EXPECT_FALSE(in_string && static_cast<unsigned char>(c) < 0x20)
+          << "raw control byte " << static_cast<int>(c) << " at offset " << i;
+    }
+  }
+  EXPECT_FALSE(in_string);
+  EXPECT_NE(trace.find("schedule a\\nb\\t\\u0001"), std::string::npos);
+}
+
 // ---- Metrics registry ----
 
 TEST(Metrics, HandlesAreStableAndLabelled) {

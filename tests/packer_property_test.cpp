@@ -18,7 +18,7 @@ struct World {
   sim::Simulation sim;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<LiveNetworkView> view;
+  std::unique_ptr<NetworkView> view;
   app::AppGraph app{"random"};
 };
 
@@ -37,7 +37,7 @@ std::unique_ptr<World> random_world(std::uint64_t seed) {
     }
   }
   w->network = std::make_unique<net::Network>(w->sim, std::move(topo));
-  w->view = std::make_unique<LiveNetworkView>(*w->network);
+  w->view = std::make_unique<NetworkView>(*w->network);
   for (int i = 0; i < nodes; ++i) {
     w->cluster.add_node(i, {rng.uniform_int(4, 16) * 1000,
                             rng.uniform_int(2, 16) * 1024, true});

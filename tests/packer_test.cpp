@@ -19,13 +19,13 @@ struct TwoNodeFixture {
   net::Topology topo;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<LiveNetworkView> view;
+  std::unique_ptr<NetworkView> view;
 
   explicit TwoNodeFixture(net::Bps link = net::gbps(1)) {
     const auto a = topo.add_node("node1"), b = topo.add_node("node2");
     topo.add_link(a, b, link);
     network = std::make_unique<net::Network>(sim, topo);
-    view = std::make_unique<LiveNetworkView>(*network);
+    view = std::make_unique<NetworkView>(*network);
     cluster.add_node(a, {12000, 65536, true});
     cluster.add_node(b, {12000, 65536, true});
   }
@@ -218,7 +218,7 @@ TEST(Packer, LatencyConstraintForcesNearPlacement) {
   topo.add_link(0, 1, net::gbps(1));
   topo.add_link(1, 2, net::gbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   // Components of 8 cores each: two cannot share a 12-core node.
   cl.add_node(0, {12000, 65536, true});
@@ -250,7 +250,7 @@ TEST(Packer, LatencyConstraintCanMakePackingInfeasible) {
   topo.add_link(0, 1, net::gbps(1));
   topo.add_link(1, 2, net::gbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {8000, 65536, true});
   cl.add_node(2, {8000, 65536, true});  // node 1 not schedulable (absent)
@@ -274,7 +274,7 @@ TEST(Packer, UnconstrainedLatencyIgnoresHops) {
   topo.add_link(0, 1, net::gbps(1));
   topo.add_link(1, 2, net::gbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {8000, 65536, true});
   cl.add_node(2, {8000, 65536, true});

@@ -104,14 +104,9 @@ TEST(RoutingAlloc, PathConsumersAllocateNothingOnceWarm) {
   sim::Simulation sim;
   Network network(sim, ring_mesh(48, rng));
   const int n = network.topology().node_count();
-  // Background contention, so path_available() solves a real component.
-  for (int i = 0; i < 12; ++i) {
-    network.open_stream(static_cast<NodeId>(rng.uniform_int(0, n - 1)),
-                        static_cast<NodeId>(rng.uniform_int(0, n - 1)),
-                        mbps(rng.uniform_int(1, 20)));
-  }
   monitor::NetMonitor monitor(network);
-  const sched::LiveNetworkView view(network);
+  const sched::NetworkView view(network);
+  const sched::NetworkView measured(network, monitor.cached_capacities().data());
 
   // A four-component chain with every component placed, one per node.
   app::AppGraph app("chain");
@@ -126,10 +121,8 @@ TEST(RoutingAlloc, PathConsumersAllocateNothingOnceWarm) {
   auto queries = [&] {
     for (NodeId u = 0; u < n; u += 5) {
       for (NodeId v = 0; v < n; v += 3) {
-        sink += network.path_capacity(u, v);
-        sink += network.path_available(u, v);
-        sink += monitor.cached_path_capacity(u, v);
         sink += view.path_capacity(u, v);
+        sink += measured.path_capacity(u, v);
       }
     }
     for (app::ComponentId c = 0; c < 4; ++c) {

@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "scenario/scenario.h"
+#include "sched/network_view.h"
 
 namespace bass::scenario {
 namespace {
@@ -284,8 +285,8 @@ TEST(Scenario, TraceFileImport) {
   auto& scene = *s.value();
   // Let the replay reach t=10s+: the link must sit at 2 Mbps.
   scene.orchestrator().simulation().run_until(sim::seconds(15));
-  EXPECT_EQ(scene.network().path_capacity(scene.node_id("a"), scene.node_id("b")),
-            net::mbps(2));
+  const sched::NetworkView view(scene.network());
+  EXPECT_EQ(view.path_capacity(scene.node_id("a"), scene.node_id("b")), net::mbps(2));
 }
 
 TEST(Scenario, TraceFileMissingIsAnError) {

@@ -17,7 +17,7 @@ struct MeshFixture {
   sim::Simulation sim;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<LiveNetworkView> view;
+  std::unique_ptr<NetworkView> view;
 
   // 4 workers in a line with generous links, 4 cores / 12 GB each (the
   // Fig. 11 d710 cluster shape).
@@ -28,7 +28,7 @@ struct MeshFixture {
     topo.add_link(1, 2, net::gbps(1));
     topo.add_link(2, 3, net::gbps(1));
     network = std::make_unique<net::Network>(sim, std::move(topo));
-    view = std::make_unique<LiveNetworkView>(*network);
+    view = std::make_unique<NetworkView>(*network);
     for (int i = 0; i < 4; ++i) cluster.add_node(i, {4000, 12288, true});
   }
 };
@@ -104,7 +104,7 @@ TEST(K3sScheduler, IgnoresBandwidth) {
   topo.add_node();
   topo.add_link(0, 1, net::kbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {4000, 1024, true});
   cl.add_node(1, {4000, 1024, true});
@@ -184,7 +184,7 @@ TEST(Rescheduler, RespectsBandwidthOnTarget) {
   topo.add_link(0, 1, net::mbps(50));
   topo.add_link(0, 2, net::kbps(100));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   for (int i = 0; i < 3; ++i) cl.add_node(i, {4000, 1024, true});
   app::AppGraph g("bw");
@@ -210,7 +210,7 @@ TEST(Rescheduler, ReservationsAccumulateAcrossEdges) {
   topo.add_link(1, 2, net::mbps(5));
   topo.add_link(3, 2, net::gbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {4000, 1024, true});
   cl.add_node(1, {8000, 1024, true});
@@ -238,7 +238,7 @@ TEST(K3sScheduler, ChargesPinnedComponents) {
   topo.add_node();
   topo.add_link(0, 1, net::mbps(100));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {2000, 4096, true});
   cl.add_node(1, {1000, 4096, true});
@@ -311,7 +311,7 @@ TEST(K3sScheduler, MostAllocatedStillBandwidthOblivious) {
   topo.add_node();
   topo.add_link(0, 1, net::kbps(1));
   net::Network network(sim, std::move(topo));
-  LiveNetworkView view(network);
+  NetworkView view(network);
   cluster::ClusterState cl;
   cl.add_node(0, {1000, 1024, true});
   cl.add_node(1, {1000, 1024, true});
@@ -340,7 +340,7 @@ struct LanFixture {
   sim::Simulation sim;
   std::unique_ptr<net::Network> network;
   cluster::ClusterState cluster;
-  std::unique_ptr<LiveNetworkView> view;
+  std::unique_ptr<NetworkView> view;
 
   LanFixture(int nodes, std::int64_t cpu_milli, std::int64_t memory_mb) {
     net::Topology topo;
@@ -349,7 +349,7 @@ struct LanFixture {
       for (int j = i + 1; j < nodes; ++j) topo.add_link(i, j, net::gbps(1));
     }
     network = std::make_unique<net::Network>(sim, std::move(topo));
-    view = std::make_unique<LiveNetworkView>(*network);
+    view = std::make_unique<NetworkView>(*network);
     for (int i = 0; i < nodes; ++i) cluster.add_node(i, {cpu_milli, memory_mb, true});
   }
 };

@@ -7,7 +7,9 @@
 #include <set>
 
 #include "core/admission.h"
+#include "monitor/net_monitor.h"
 #include "scenario/scenario.h"
+#include "sched/network_view.h"
 #include "workload/churn.h"
 
 namespace bass {
@@ -440,6 +442,103 @@ TEST(ServingScenario, StaticModeNeverMigrates) {
   const auto report = s->run();
   EXPECT_EQ(report.migrations, 0u);
   EXPECT_EQ(report.invariant_violations, 0);
+}
+
+// ---- Measured-capacity seam ----
+
+// Hub 0 (16 cores) with spokes 1 and 2 (4 cores each): 0-1 at 50 Mbps, 0-2
+// at 20 Mbps. After the startup probes, 0-1 degrades to 0.5 Mbps; the
+// monitor's periodic probes are pushed past the test's horizon, so its
+// cache and the live mesh disagree about 0-1 throughout. The monitor runs
+// either way; `measured` decides whether the orchestrator has it attached.
+struct SeamRig {
+  sim::Simulation sim;
+  std::unique_ptr<net::Network> network;
+  cluster::ClusterState cluster;
+  std::unique_ptr<core::Orchestrator> orch;
+  std::unique_ptr<monitor::NetMonitor> netmon;
+
+  explicit SeamRig(bool measured) {
+    net::Topology topo;
+    for (int i = 0; i < 3; ++i) topo.add_node();
+    topo.add_link(0, 1, net::mbps(50));
+    topo.add_link(0, 2, net::mbps(20));
+    network = std::make_unique<net::Network>(sim, std::move(topo));
+    cluster.add_node(0, {16000, 16384, true});
+    cluster.add_node(1, {4000, 4096, true});
+    cluster.add_node(2, {4000, 4096, true});
+    orch = std::make_unique<core::Orchestrator>(sim, *network, cluster);
+    monitor::MonitorConfig no_reprobe;
+    no_reprobe.probe_interval = sim::minutes(10);
+    no_reprobe.full_refresh_interval = 0;
+    netmon = std::make_unique<monitor::NetMonitor>(*network, no_reprobe);
+    if (measured) orch->attach_monitor(netmon.get());
+    netmon->start();
+    sim.run_until(sim::seconds(2));
+    network->set_link_capacity_between(0, 1, net::kbps(500));
+  }
+};
+
+// A zero-footprint client pinned to the hub and a server it streams to.
+app::AppGraph client_server() {
+  app::AppGraph g("client-server");
+  g.add_component({.name = "client", .cpu_milli = 0, .memory_mb = 0, .pinned_node = 0});
+  g.add_component({.name = "server", .cpu_milli = 1000, .memory_mb = 128});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(10)});
+  return g;
+}
+
+TEST(MeasuredSeam, OrchestratorViewAndPlacementFollowTheCache) {
+  SeamRig rig(/*measured=*/true);
+  const net::LinkId degraded = *rig.network->topology().link_between(0, 1);
+  const sched::NetworkView view = rig.orch->view();
+  EXPECT_EQ(view.link_capacity(degraded), rig.netmon->cached_capacities()[degraded]);
+  EXPECT_GT(view.path_capacity(0, 1), net::mbps(40));
+  EXPECT_EQ(sched::NetworkView(*rig.network).path_capacity(0, 1), net::kbps(500));
+
+  // The cache still rates 0-1 at ~50 Mbps, so the server lands on node 1.
+  rig.cluster.set_schedulable(0, false);
+  const auto id = rig.orch->deploy(client_server(), core::SchedulerKind::kBassBfs);
+  ASSERT_TRUE(id.ok()) << id.error();
+  EXPECT_EQ(rig.orch->node_of(id.value(), 1), 1);
+
+  // Without the monitor the same deploy reads the live 0.5 Mbps.
+  SeamRig live(/*measured=*/false);
+  EXPECT_EQ(live.orch->view().path_capacity(0, 1), net::kbps(500));
+  live.cluster.set_schedulable(0, false);
+  const auto live_id = live.orch->deploy(client_server(), core::SchedulerKind::kBassBfs);
+  ASSERT_TRUE(live_id.ok()) << live_id.error();
+  EXPECT_EQ(live.orch->node_of(live_id.value(), 1), 2);
+}
+
+// Camera-pipeline instances all land on the roomy hub; the dynamic
+// rebalance tick then sheds one component to a spoke. Returns that spoke.
+net::NodeId first_rebalance_target(bool measured) {
+  SeamRig rig(measured);
+  scenario::ServeConfig cfg;
+  cfg.mode = scenario::ServeMode::kDynamic;
+  cfg.churn.seed = 3;
+  cfg.churn.arrival_per_min = 6.0;
+  cfg.churn.duration = sim::seconds(20);
+  cfg.churn.conference_weight = 0.0;
+  cfg.churn.social_weight = 0.0;
+  cfg.rebalance_interval = sim::minutes(1);
+  cfg.rebalance_cpu_threshold = 0.0;
+  scenario::ServingLoop loop(*rig.orch, cfg);
+  loop.start();
+  rig.sim.run_until(sim::seconds(120));
+  loop.stop();
+  EXPECT_GT(loop.stats().arrivals, 0);
+  EXPECT_EQ(loop.stats().rebalance_moves, 1);
+  for (const core::MigrationEvent& m : rig.orch->migration_events()) {
+    if (m.reason == core::MoveReason::kManual) return m.to;
+  }
+  return net::kInvalidNode;
+}
+
+TEST(MeasuredSeam, RebalanceTargetFollowsTheCache) {
+  EXPECT_EQ(first_rebalance_target(/*measured=*/true), 1);
+  EXPECT_EQ(first_rebalance_target(/*measured=*/false), 2);
 }
 
 }  // namespace

@@ -39,16 +39,6 @@ TEST(Topology, SetCapacity) {
   EXPECT_EQ(t.link(ab).capacity, mbps(3));
 }
 
-TEST(Topology, TotalOutCapacity) {
-  Topology t;
-  const NodeId a = t.add_node(), b = t.add_node(), c = t.add_node();
-  t.add_link(a, b, mbps(10), mbps(4));
-  t.add_link(a, c, mbps(7));
-  EXPECT_EQ(t.total_out_capacity(a), mbps(17));
-  EXPECT_EQ(t.total_out_capacity(b), mbps(4));
-  EXPECT_EQ(t.total_out_capacity(c), mbps(7));
-}
-
 TEST(Topology, OutLinks) {
   Topology t;
   const NodeId a = t.add_node(), b = t.add_node(), c = t.add_node();

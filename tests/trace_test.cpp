@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "net/network.h"
+#include "sched/network_view.h"
 #include "trace/citylab.h"
 #include "trace/generator.h"
 #include "trace/player.h"
@@ -110,6 +111,7 @@ TEST(Player, DrivesLinkCapacities) {
   const auto a = topo.add_node(), b = topo.add_node();
   topo.add_link(a, b, net::mbps(10));
   net::Network network(sim, std::move(topo));
+  const sched::NetworkView view(network);
 
   BandwidthTrace t;
   t.append(sim::seconds(5), net::mbps(4));
@@ -119,10 +121,10 @@ TEST(Player, DrivesLinkCapacities) {
   player.start();
 
   sim.run_until(sim::seconds(6));
-  EXPECT_EQ(network.path_capacity(a, b), net::mbps(4));
-  EXPECT_EQ(network.path_capacity(b, a), net::mbps(4));
+  EXPECT_EQ(view.path_capacity(a, b), net::mbps(4));
+  EXPECT_EQ(view.path_capacity(b, a), net::mbps(4));
   sim.run_until(sim::seconds(11));
-  EXPECT_EQ(network.path_capacity(a, b), net::mbps(2));
+  EXPECT_EQ(view.path_capacity(a, b), net::mbps(2));
 }
 
 TEST(Player, LoopsWhenRequested) {
@@ -131,6 +133,7 @@ TEST(Player, LoopsWhenRequested) {
   const auto a = topo.add_node(), b = topo.add_node();
   topo.add_link(a, b, net::mbps(10));
   net::Network network(sim, std::move(topo));
+  const sched::NetworkView view(network);
 
   BandwidthTrace t;
   t.append(sim::seconds(0), net::mbps(8));
@@ -142,7 +145,7 @@ TEST(Player, LoopsWhenRequested) {
   // One full cycle is ~3 s (2 s trace + 1 s restart gap); after several
   // cycles the capacity still alternates.
   sim.run_until(sim::seconds(30));
-  const net::Bps cap = network.path_capacity(a, b);
+  const net::Bps cap = view.path_capacity(a, b);
   EXPECT_TRUE(cap == net::mbps(8) || cap == net::mbps(3));
   EXPECT_GT(network.reallocation_count(), 10);
 }
@@ -243,10 +246,11 @@ TEST(Player, EmptyPlayerIsANoOp) {
   const auto a = topo.add_node(), b = topo.add_node();
   topo.add_link(a, b, net::mbps(10));
   net::Network network(sim, std::move(topo));
+  const sched::NetworkView view(network);
   TracePlayer player(network);
   player.start(/*loop=*/true);
   sim.run_until(sim::minutes(1));
-  EXPECT_EQ(network.path_capacity(a, b), net::mbps(10));
+  EXPECT_EQ(view.path_capacity(a, b), net::mbps(10));
   EXPECT_EQ(player.max_duration(), 0);
 }
 
