@@ -59,6 +59,16 @@ const Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) const {
   return *deployments_.at(static_cast<std::size_t>(id));
 }
 
+DeploymentId Orchestrator::add_deployment(std::unique_ptr<Deployment> d) {
+  const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
+  d->next_live = live_head_;
+  if (live_head_ != kInvalidDeployment) dep(live_head_).prev_live = id;
+  live_head_ = id;
+  ++live_count_;
+  deployments_.push_back(std::move(d));
+  return id;
+}
+
 void Orchestrator::warn(const char* what, DeploymentId id, net::NodeId node) {
   if (recorder_ == nullptr) return;
   obs::OrchestratorWarning w;
@@ -154,8 +164,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     (void)ok;
   }
 
-  const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
-  deployments_.push_back(std::move(d));
+  const DeploymentId id = add_deployment(std::move(d));
   util::log_info() << "deployed '" << deployments_.back()->app.name() << "' with "
                    << scheduler_kind_name(kind);
   return id;
@@ -194,8 +203,7 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   d->deployed_at = sim_->now();
   d->placement = std::move(placement);
   d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
-  const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
-  deployments_.push_back(std::move(d));
+  const DeploymentId id = add_deployment(std::move(d));
   if (recorder_ != nullptr) {
     const Deployment& placed = *deployments_.back();
     obs::ScheduleDecision decision;
@@ -223,7 +231,8 @@ net::NodeId Orchestrator::node_of(DeploymentId id, app::ComponentId component) c
 }
 
 bool Orchestrator::is_up(DeploymentId id, app::ComponentId component) const {
-  return dep(id).up.at(static_cast<std::size_t>(component));
+  const Deployment& d = dep(id);
+  return d.active && d.up.at(static_cast<std::size_t>(component));
 }
 
 void Orchestrator::add_listener(DeploymentId id, DeploymentListener* listener) {
@@ -246,19 +255,12 @@ bool Orchestrator::deployment_active(DeploymentId id) const {
 
 DeploymentId Orchestrator::find_instance(const std::string& instance) const {
   if (instance.empty()) return kInvalidDeployment;
-  for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
-    const Deployment& d = dep(id);
-    if (d.active && d.instance == instance) return id;
+  // Names are unique among active deployments, so the walk order cannot
+  // change the answer.
+  for (DeploymentId id = live_head_; id != kInvalidDeployment; id = dep(id).next_live) {
+    if (dep(id).instance == instance) return id;
   }
   return kInvalidDeployment;
-}
-
-int Orchestrator::live_deployment_count() const {
-  int live = 0;
-  for (const auto& d : deployments_) {
-    if (d->active) ++live;
-  }
-  return live;
 }
 
 bool Orchestrator::undeploy(DeploymentId id) {
@@ -282,8 +284,6 @@ bool Orchestrator::undeploy(DeploymentId id) {
     for (DeploymentListener* l : d.listeners) l->on_component_down(c);
     ++torn_down;
   }
-  d.active = false;
-  d.listeners.clear();
   util::log_info() << "undeployed '" << d.app.name() << "' (" << torn_down
                    << " components)";
   if (recorder_ != nullptr) {
@@ -296,6 +296,18 @@ bool Orchestrator::undeploy(DeploymentId id) {
     closed.parent = recorder_->current_span();
     recorder_->record(closed);
   }
+  if (d.prev_live != kInvalidDeployment) {
+    dep(d.prev_live).next_live = d.next_live;
+  } else {
+    live_head_ = d.next_live;
+  }
+  if (d.next_live != kInvalidDeployment) dep(d.next_live).prev_live = d.prev_live;
+  --live_count_;
+  // Leave a tombstone: every scheduled callback that captured `id` (bring-
+  // up, state transfer, recovery retry, controller tick) checks `active`
+  // before it touches a member released here.
+  d = Deployment{};
+  d.active = false;
   return true;
 }
 

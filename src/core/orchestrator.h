@@ -116,15 +116,20 @@ class Orchestrator {
   // on_component_down and close their streams), releases the node resources
   // deploy acquired, cancels the controller loop and any in-flight moves
   // (their bring-up lambdas become no-ops), and journals a typed
-  // DeploymentClosed event. Returns false — with a journaled warning — when
-  // `id` is unknown or already undeployed. DeploymentIds are never reused.
+  // DeploymentClosed event. Then the deployment's state (app graph,
+  // placement, listeners, traffic stats, controller history) is freed; the
+  // slot stays as a tombstone so memory follows live deployments, not
+  // arrivals. Returns false — with a journaled warning — when `id` is
+  // unknown or already undeployed. DeploymentIds are never reused: journals
+  // name deployments by id.
   bool undeploy(DeploymentId id);
 
-  // False once undeploy(id) ran (ids stay valid for read accessors).
+  // False once undeploy(id) ran. A retired id stays valid for the read
+  // accessors, which then see an empty app graph and placement.
   bool deployment_active(DeploymentId id) const;
   // Active deployment with this instance name, or kInvalidDeployment.
   DeploymentId find_instance(const std::string& instance) const;
-  int live_deployment_count() const;
+  int live_deployment_count() const { return live_count_; }
 
   // Deploys with a caller-chosen placement (experiments reproducing the
   // paper's fixed initial deployments, e.g. "Pion server on node 2").
@@ -221,10 +226,15 @@ class Orchestrator {
     std::unique_ptr<controller::CooldownTracker> cooldown;
     sim::EventId controller_tick = sim::kInvalidEvent;
     std::vector<ControllerRound> rounds;
+    // Neighbours in the list of active deployments.
+    DeploymentId prev_live = kInvalidDeployment;
+    DeploymentId next_live = kInvalidDeployment;
   };
 
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
+  // Appends a new deployment and links it into the live list.
+  DeploymentId add_deployment(std::unique_ptr<Deployment> d);
   // Journals an OrchestratorWarning (`what` must be a static literal).
   void warn(const char* what, DeploymentId id, net::NodeId node);
   void controller_evaluate(DeploymentId id);
@@ -253,7 +263,12 @@ class Orchestrator {
   obs::LogHistogram* m_decision_us_ = nullptr;
   obs::LogHistogram* m_downtime_ms_ = nullptr;
   OrchestratorConfig config_;
-  std::vector<std::unique_ptr<Deployment>> deployments_;
+  std::vector<std::unique_ptr<Deployment>> deployments_;  // every id ever issued
+  // Active deployments as a list threaded through their slots, so lookups
+  // walk what is live, not the run's history, and keeping it allocates
+  // nothing.
+  DeploymentId live_head_ = kInvalidDeployment;
+  int live_count_ = 0;
   std::vector<MigrationEvent> migrations_;
   std::set<net::NodeId> failed_nodes_;
   std::function<void(DeploymentId)> round_hook_;

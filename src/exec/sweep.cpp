@@ -70,7 +70,9 @@ RunOutcome run_one(const util::IniFile& base, const RunSpec& spec) {
       out.recovery_s.push_back(sim::to_seconds(ev.at - ev.started_at));
     }
   }
+  // Retired deployments are gone, not down: count active ones only.
   for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+    if (!orch.deployment_active(id)) continue;
     for (app::ComponentId c = 0; c < orch.app(id).component_count(); ++c) {
       if (!orch.is_up(id, c)) ++out.components_down;
     }

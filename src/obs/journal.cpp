@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -149,29 +150,35 @@ bool write_string(const std::string& path, const std::string& content) {
 
 }  // namespace
 
+// Growth moves every retained event into the new block; a throwing move
+// would make std::vector copy them instead.
+static_assert(std::is_nothrow_move_constructible_v<Event>);
+
 EventJournal::EventJournal(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1)) {}
+    : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 void EventJournal::record(Event event) {
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(event);
-    ++size_;
+  if (ring_.size() < capacity_) {
+    // Not full yet: the oldest event is still at slot 0, so appending keeps
+    // the ring order; grow geometrically but never reserve past capacity_.
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(std::min(capacity_, std::max(kFirstBlock, 2 * ring_.size())));
+    }
+    ring_.push_back(std::move(event));
   } else {
     ring_[head_] = std::move(event);
-    head_ = (head_ + 1) % ring_.size();
+    head_ = (head_ + 1) % capacity_;
     ++dropped_;
   }
 }
 
 void EventJournal::for_each(const std::function<void(const Event&)>& fn) const {
-  for (std::size_t i = 0; i < size_; ++i) {
-    fn(ring_[(head_ + i) % ring_.size()]);
-  }
+  for (std::size_t i = 0; i < ring_.size(); ++i) fn(at(i));
 }
 
 std::vector<Event> EventJournal::snapshot() const {
   std::vector<Event> out;
-  out.reserve(size_);
+  out.reserve(ring_.size());
   for_each([&out](const Event& e) { out.push_back(e); });
   return out;
 }

@@ -1,8 +1,11 @@
 // Structured event journal: a bounded ring of typed events. Recording is a
-// move into a preallocated slot — no I/O, no allocation beyond the strings
-// an event already owns — so subsystems can journal from hot paths. When
-// the ring fills, the oldest events are overwritten and counted as dropped
-// (an operator tailing a long run wants the recent window, not an OOM).
+// move into a ring slot — no I/O, no allocation beyond the strings an event
+// already owns, except the ring's own growth steps — so subsystems can
+// journal from hot paths. Storage follows the events, not the capacity: the
+// ring starts empty, takes a first block of at most kFirstBlock slots on
+// the first event and doubles as events arrive, never past `capacity`. Once
+// full, the oldest events are overwritten and counted as dropped (an
+// operator tailing a long run wants the recent window, not an OOM).
 //
 // Exports:
 //  * JSON Lines — one flat object per event; `bassctl events` and the CI
@@ -23,14 +26,22 @@ namespace bass::obs {
 
 class EventJournal {
  public:
-  // Capacity is clamped to >= 1.
+  // Slots allocated by the first record(); later growth doubles.
+  static constexpr std::size_t kFirstBlock = 1024;
+
+  // Capacity (the retained-event bound) is clamped to >= 1. Nothing is
+  // allocated until the first record().
   explicit EventJournal(std::size_t capacity = 1 << 16);
 
   void record(Event event);
 
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return ring_.size(); }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return ring_.size(); }
+  std::size_t capacity() const { return capacity_; }
+  bool empty() const { return ring_.empty(); }
+  // The i-th oldest retained event, i < size().
+  const Event& at(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
   // Events overwritten because the ring was full.
   std::int64_t dropped() const { return dropped_; }
 
@@ -52,9 +63,10 @@ class EventJournal {
   bool write_trace(const std::string& path) const;
 
  private:
+  // Retained events; grows until it holds capacity_ events, then wraps.
   std::vector<Event> ring_;
-  std::size_t head_ = 0;  // index of the oldest retained event
-  std::size_t size_ = 0;
+  std::size_t capacity_;
+  std::size_t head_ = 0;  // index of the oldest retained event (0 until full)
   std::int64_t dropped_ = 0;
 };
 

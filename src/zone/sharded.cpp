@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <thread>
 
 #include "util/strings.h"
@@ -836,72 +834,51 @@ net::NodeId ShardedOrchestrator::global_node(int z, net::NodeId local) const {
   return w.local_to_global[static_cast<std::size_t>(local)];
 }
 
-std::string ShardedOrchestrator::merged_journal() {
-  // Semantics are unchanged from the original stable_sort implementation:
-  // zone lines (annotated with their zone) in zone order, coordinator
-  // lines last, ordered by t_us with source order breaking ties. Each
-  // per-source journal is already time-ordered — recorders journal
-  // monotonically — so an incremental k-way heap merge keyed on
-  // (t, source index) reproduces the stable sort byte for byte without
-  // materializing or re-sorting the whole city's line set. A non-monotonic
-  // source (never expected; defensive) falls back to sorting indices.
+std::string ShardedOrchestrator::merged_journal() const {
+  // Zone events (annotated with their zone) in zone order, coordinator
+  // events last, ordered by event time with source order breaking ties —
+  // the order a stable sort of the concatenated lines by t_us gives. Each
+  // ring is already time-ordered (recorders journal monotonically), so a
+  // k-way heap merge keyed on (t, source index) serializes every event
+  // straight into the output once: no per-zone JSONL copy, no line index.
+  // A non-monotonic ring (never expected; defensive) falls back to sorting
+  // (t, source, position) triples.
   struct Source {
-    std::string jsonl;       // owns the bytes the views point into
+    const obs::EventJournal* journal;
     std::string annotation;  // ",\"zone\":N}" for zones, "" for coordinator
-    std::vector<std::pair<long long, std::string_view>> lines;
     std::size_t next = 0;
-    bool sorted = true;
   };
   std::vector<Source> sources;
   sources.reserve(worlds_.size() + 1);
-  std::size_t total_bytes = 0;
-  const auto add_source = [&sources, &total_bytes](std::string jsonl, int zone) {
-    Source src;
-    src.jsonl = std::move(jsonl);
-    if (zone >= 0) src.annotation = util::str_format(",\"zone\":%d}", zone);
-    long long prev = std::numeric_limits<long long>::min();
-    std::size_t start = 0;
-    const std::string& text = src.jsonl;
-    while (start < text.size()) {
-      std::size_t end = text.find('\n', start);
-      if (end == std::string::npos) end = text.size();
-      if (end > start) {
-        const std::string_view line(text.data() + start, end - start);
-        const long long t = std::strtoll(line.data() + 8, nullptr, 10);
-        if (t < prev) src.sorted = false;
-        prev = t;
-        src.lines.emplace_back(t, line);
-        total_bytes += line.size() + src.annotation.size() + 1;
-      }
-      start = end + 1;
-    }
-    sources.push_back(std::move(src));
-  };
   for (auto& w : worlds_) {
-    add_source(w->recorder.journal().to_jsonl(), w->zone);
+    sources.push_back({&w->recorder.journal(),
+                       util::str_format(",\"zone\":%d}", w->zone)});
   }
-  add_source(coordinator_.journal().to_jsonl(), -1);
+  sources.push_back({&coordinator_.journal(), ""});
 
   std::string out;
-  out.reserve(total_bytes);
-  const auto append = [&out](Source& src) {
-    const std::string_view line = src.lines[src.next++].second;
-    if (!src.annotation.empty() && !line.empty() && line.back() == '}') {
-      out.append(line.data(), line.size() - 1);
+  // The annotation replaces the event object's closing brace.
+  const auto append = [&out](const Source& src, std::size_t i) {
+    obs::append_jsonl(src.journal->at(i), out);
+    if (!src.annotation.empty()) {
+      out.pop_back();
       out += src.annotation;
-    } else {
-      out.append(line.data(), line.size());
     }
     out += '\n';
   };
+  const auto time_at = [](const Source& src, std::size_t i) {
+    return obs::event_time(src.journal->at(i));
+  };
 
   bool all_sorted = true;
-  for (const Source& src : sources) all_sorted &= src.sorted;
+  for (const Source& src : sources) {
+    for (std::size_t i = 1; all_sorted && i < src.journal->size(); ++i) {
+      all_sorted = time_at(src, i - 1) <= time_at(src, i);
+    }
+  }
   if (all_sorted) {
-    // Min-heap of (next timestamp, source index); the index tiebreak is
-    // exactly stable_sort's preserved concatenation order.
     struct Head {
-      long long t;
+      sim::Time t;
       std::size_t src;
     };
     const auto later = [](const Head& a, const Head& b) {
@@ -911,9 +888,7 @@ std::string ShardedOrchestrator::merged_journal() {
     std::vector<Head> heap;
     heap.reserve(sources.size());
     for (std::size_t s = 0; s < sources.size(); ++s) {
-      if (!sources[s].lines.empty()) {
-        heap.push_back({sources[s].lines.front().first, s});
-      }
+      if (!sources[s].journal->empty()) heap.push_back({time_at(sources[s], 0), s});
     }
     std::make_heap(heap.begin(), heap.end(), later);
     while (!heap.empty()) {
@@ -921,26 +896,24 @@ std::string ShardedOrchestrator::merged_journal() {
       const std::size_t s = heap.back().src;
       heap.pop_back();
       Source& src = sources[s];
-      append(src);
-      if (src.next < src.lines.size()) {
-        heap.push_back({src.lines[src.next].first, s});
+      append(src, src.next++);
+      if (src.next < src.journal->size()) {
+        heap.push_back({time_at(src, src.next), s});
         std::push_heap(heap.begin(), heap.end(), later);
       }
     }
     return out;
   }
 
-  // Fallback: order (t, source, position) triples — the same total order
-  // the merge produces, minus the monotonic-source assumption.
   struct Ref {
-    long long t;
+    sim::Time t;
     std::size_t src;
     std::size_t idx;
   };
   std::vector<Ref> refs;
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    for (std::size_t i = 0; i < sources[s].lines.size(); ++i) {
-      refs.push_back({sources[s].lines[i].first, s, i});
+    for (std::size_t i = 0; i < sources[s].journal->size(); ++i) {
+      refs.push_back({time_at(sources[s], i), s, i});
     }
   }
   std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
@@ -948,11 +921,7 @@ std::string ShardedOrchestrator::merged_journal() {
     if (a.src != b.src) return a.src < b.src;
     return a.idx < b.idx;
   });
-  for (const Ref& ref : refs) {
-    Source& src = sources[ref.src];
-    src.next = ref.idx;
-    append(src);
-  }
+  for (const Ref& ref : refs) append(sources[ref.src], ref.idx);
   return out;
 }
 

@@ -195,8 +195,8 @@ class ShardedOrchestrator {
 
   // Per-zone journals annotated with a "zone" field, plus coordinator
   // events, stable-sorted by t_us. Byte-identical for same seed across any
-  // jobs value. Flushes deferred events, hence non-const.
-  std::string merged_journal();
+  // jobs value.
+  std::string merged_journal() const;
 
  private:
   struct TransitFlow {

@@ -9,10 +9,13 @@
 // an instrumented interface.
 //
 // Counters are atomics so multi-threaded tests read coherent totals, and
-// the hooks never allocate themselves. Sized, array, nothrow, and aligned
-// variants all funnel through the same two counting functions; the
-// alignment overloads exist because the arena's aligned growth path would
-// otherwise bypass the probe.
+// the hooks never allocate themselves. Besides the allocation count and the
+// requested bytes, the probe keeps the live heap: malloc_usable_size of
+// every block added on allocation and taken off on free, so a test can ask
+// how much an object still holds after a workload has come and gone.
+// Sized, array, nothrow, and aligned variants all funnel through the same
+// two counting functions; the alignment overloads exist because the
+// arena's aligned growth path would otherwise bypass the probe.
 #pragma once
 
 #include <atomic>
@@ -20,12 +23,15 @@
 #include <cstdlib>
 #include <new>
 
+#include <malloc.h>
+
 namespace bass::testing {
 
 struct AllocCounters {
   std::atomic<std::int64_t> allocations{0};
   std::atomic<std::int64_t> deallocations{0};
   std::atomic<std::int64_t> bytes{0};
+  std::atomic<std::int64_t> live_bytes{0};
 };
 
 inline AllocCounters& alloc_counters() {
@@ -54,6 +60,11 @@ inline std::int64_t bytes_since(const AllocSnapshot& snap) {
   return alloc_counters().bytes.load(std::memory_order_relaxed) - snap.bytes;
 }
 
+// Heap bytes allocated through operator new and not yet freed.
+inline std::int64_t live_bytes() {
+  return alloc_counters().live_bytes.load(std::memory_order_relaxed);
+}
+
 namespace detail {
 
 inline void* counted_alloc(std::size_t size, std::size_t align) {
@@ -64,12 +75,17 @@ inline void* counted_alloc(std::size_t size, std::size_t align) {
                 ? std::aligned_alloc(align, (size + align - 1) / align * align)
                 : std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
+  c.live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   return p;
 }
 
 inline void counted_free(void* p) noexcept {
   if (p == nullptr) return;
-  alloc_counters().deallocations.fetch_add(1, std::memory_order_relaxed);
+  auto& c = alloc_counters();
+  c.deallocations.fetch_add(1, std::memory_order_relaxed);
+  c.live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
   std::free(p);
 }
 

@@ -244,6 +244,43 @@ TEST(SweepTest, OutcomesMatchScenarioFromIni) {
   }
 }
 
+// "Components down at end" counts the components of active deployments
+// that are not up. A serving run's departed instances are retired, not
+// down, so the sweep's count must match a recount over active deployments
+// of the same run built with Scenario::from_ini.
+TEST(SweepTest, ComponentsDownCountsActiveDeploymentsOnly) {
+  auto base = util::load_ini(std::string(BASS_TEST_DATA_DIR) + "/serve_chaos.ini");
+  ASSERT_TRUE(base.ok()) << base.error();
+  const auto specs = seed_specs(1, 2);
+  const auto outcomes = exec::run_sweep(base.value(), specs, 2);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].error.empty()) << outcomes[i].error;
+    util::IniFile ini = base.value();
+    exec::apply_overrides(ini, specs[i].overrides);
+    auto s = scenario::Scenario::from_ini(ini);
+    ASSERT_TRUE(s.ok()) << s.error();
+    {
+      obs::ScopedGlobalRecorder bind(&s.value()->recorder());
+      s.value()->run();
+    }
+    const core::Orchestrator& orch = s.value()->orchestrator();
+    int down = 0;
+    int retired = 0;
+    for (core::DeploymentId id = 0; id < orch.deployment_count(); ++id) {
+      if (!orch.deployment_active(id)) {
+        ++retired;
+        continue;
+      }
+      for (app::ComponentId c = 0; c < orch.app(id).component_count(); ++c) {
+        if (!orch.is_up(id, c)) ++down;
+      }
+    }
+    EXPECT_GT(retired, 0) << "the run must have departures";
+    EXPECT_EQ(outcomes[i].components_down, down) << specs[i].label;
+  }
+}
+
 // ---- Determinism: the serial-vs-parallel parity contract ----
 
 TEST(SweepTest, JournalsAreByteIdenticalAtAnyJobCount) {

@@ -1,0 +1,166 @@
+// Memory follows live state. A long-running control plane must hold memory
+// in proportion to what is live, not to a configured capacity or to its
+// history: an empty journal reserves nothing, a retired deployment keeps
+// only a tombstone, and the journal's on-demand ring keeps exactly the
+// overwrite-oldest semantics of a fixed one. The global operator new probe
+// counts live heap bytes, so anything left behind anywhere fails the test.
+#include "alloc_probe.h"  // must be the only TU in this binary including it
+
+#include <gtest/gtest.h>
+
+#include <deque>
+#include <string>
+#include <vector>
+
+#include "core/orchestrator.h"
+#include "obs/recorder.h"
+#include "workload/churn.h"
+
+namespace bass {
+namespace {
+
+TEST(Memory, DefaultRecorderHoldsLittleBeforeAnyEvent) {
+  const std::int64_t before = testing::live_bytes();
+  auto recorder = std::make_unique<obs::Recorder>();
+  const std::int64_t held = testing::live_bytes() - before;
+  EXPECT_EQ(recorder->journal().capacity(), std::size_t{1} << 16);
+  EXPECT_LE(held, 128 * 1024) << held << " bytes live after construction";
+}
+
+// One churn social instance through its whole life: admitted, traffic
+// flowing and sampled into its stats, the bandwidth controller evaluating
+// it, then departure. Running this over and over must not accumulate more
+// than a tombstone per retired deployment.
+TEST(Memory, RetiredDeploymentsKeepOnlyATombstone) {
+  sim::Simulation sim;
+  net::Topology topo;
+  constexpr int kNodes = 4;
+  for (int i = 0; i < kNodes; ++i) topo.add_node();
+  for (int i = 0; i + 1 < kNodes; ++i) topo.add_link(i, i + 1, net::mbps(100));
+  net::Network network(sim, std::move(topo));
+  cluster::ClusterState cluster;
+  for (int i = 0; i < kNodes; ++i) cluster.add_node(i, {16000, 32768, true});
+  core::Orchestrator orch(sim, network, cluster);
+  const std::vector<net::NodeId> nodes = cluster.nodes();
+
+  controller::MigrationParams params;
+  params.evaluation_interval = sim::seconds(2);
+  int instance = 0;
+  const auto cycle = [&] {
+    app::AppGraph app = workload::make_churn_app(workload::AppFamily::kSocialNetwork,
+                                                 instance, 0.25, 1, nodes);
+    const std::string name = app.name();
+    ++instance;
+    const auto id = orch.deploy(std::move(app), core::SchedulerKind::kBassAuto, name);
+    ASSERT_TRUE(id.ok()) << id.error();
+    {
+      // The serving loop's order: stop the traffic source, undeploy, then
+      // drop the engine (it stays a listener until undeploy).
+      workload::ChurnTrafficEngine engine(orch, id.value());
+      engine.start();
+      orch.enable_migration(id.value(), params);
+      sim.run_until(sim.now() + sim::seconds(5));
+      engine.stop();
+      ASSERT_TRUE(orch.undeploy(id.value()));
+    }
+    sim.run_until(sim.now() + sim::seconds(1));
+  };
+
+  // Warm-up: event, stream and transfer pools reach their high-water mark.
+  for (int i = 0; i < 50; ++i) cycle();
+  ASSERT_EQ(orch.live_deployment_count(), 0);
+
+  constexpr int kCycles = 1000;
+  const std::int64_t before = testing::live_bytes();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  const std::int64_t per_retired = (testing::live_bytes() - before) / kCycles;
+
+  EXPECT_EQ(orch.live_deployment_count(), 0);
+  EXPECT_EQ(orch.deployment_count(), 50 + kCycles);
+  EXPECT_TRUE(orch.migration_events().empty());
+  EXPECT_LE(per_retired, 1024) << per_retired << " bytes live per retired deployment";
+  // A tombstone answers the read accessors with an empty deployment.
+  EXPECT_FALSE(orch.deployment_active(0));
+  EXPECT_EQ(orch.app(0).component_count(), 0);
+  EXPECT_TRUE(orch.placement(0).empty());
+  EXPECT_FALSE(orch.is_up(0, 0));
+  EXPECT_EQ(orch.find_instance("social#0"), core::kInvalidDeployment);
+}
+
+// Reference semantics: a std::deque that drops its front past `capacity`.
+class DequeJournal {
+ public:
+  explicit DequeJournal(std::size_t capacity) : capacity_(capacity) {}
+  void record(const obs::Event& e) {
+    events_.push_back(e);
+    if (events_.size() > capacity_) {
+      events_.pop_front();
+      ++dropped_;
+    }
+  }
+  const std::deque<obs::Event>& events() const { return events_; }
+  std::int64_t dropped() const { return dropped_; }
+  std::string to_jsonl() const {
+    std::string out;
+    for (const obs::Event& e : events_) {
+      obs::append_jsonl(e, out);
+      out += '\n';
+    }
+    return out;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::deque<obs::Event> events_;
+  std::int64_t dropped_ = 0;
+};
+
+obs::Event numbered_event(int i) {
+  obs::ZoneRound e;
+  e.at = sim::seconds(i);
+  e.zone = i % 5;
+  e.round = i;
+  e.flows = 3 * i;
+  return e;
+}
+
+int round_of(const obs::Event& e) { return std::get<obs::ZoneRound>(e).round; }
+
+TEST(Memory, GrowingJournalWrapsLikeADeque) {
+  for (const std::size_t capacity : {1, 2, 3, 17, 1029}) {
+    SCOPED_TRACE(capacity);
+    obs::EventJournal journal(capacity);
+    DequeJournal reference(capacity);
+    EXPECT_EQ(journal.capacity(), capacity);
+    EXPECT_TRUE(journal.empty());
+    // Past the first block, through the growth step and two full wraps.
+    const int total = static_cast<int>(2 * capacity + obs::EventJournal::kFirstBlock + 7);
+    for (int i = 0; i < total; ++i) {
+      journal.record(numbered_event(i));
+      reference.record(numbered_event(i));
+      ASSERT_EQ(journal.size(), reference.events().size()) << "after event " << i;
+      ASSERT_EQ(journal.dropped(), reference.dropped()) << "after event " << i;
+      std::vector<int> order;
+      order.reserve(journal.size());
+      journal.for_each([&order](const obs::Event& e) { order.push_back(round_of(e)); });
+      std::size_t k = 0;
+      for (const obs::Event& e : reference.events()) {
+        ASSERT_EQ(order[k], round_of(e)) << "slot " << k << " after event " << i;
+        ASSERT_EQ(round_of(journal.at(k)), round_of(e));
+        ++k;
+      }
+      // The serializer is the expensive check: run it around the growth and
+      // wrap boundaries and at a stride in between.
+      const auto n = static_cast<std::size_t>(i) + 1;
+      const bool boundary = n <= 4 || n % 97 == 0 || (n + 2 >= capacity && n <= capacity + 2) ||
+                            (n >= 1022 && n <= 1026) || (n >= 2046 && n <= 2050) ||
+                            i + 1 == total;
+      if (boundary) {
+        ASSERT_EQ(journal.to_jsonl(), reference.to_jsonl()) << "after event " << i;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace bass

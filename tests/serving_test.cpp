@@ -195,6 +195,34 @@ TEST(Undeploy, CancelsInFlightMigrationBringUp) {
   EXPECT_FALSE(f.orch->deployment_active(id));
 }
 
+// Undeploy frees the deployment's state while callbacks that captured its
+// id are still queued: a checkpoint transfer, a failover recovery and the
+// controller tick. Each must see the tombstone and do nothing.
+TEST(Undeploy, PendingCallbacksSeeTheTombstone) {
+  Fixture f(12000);
+  app::AppGraph g("stateful");
+  g.add_component({.name = "db", .cpu_milli = 1000, .memory_mb = 128, .state_mb = 64});
+  g.add_component({.name = "web", .cpu_milli = 1000, .memory_mb = 128});
+  g.add_dependency({.from = 1, .to = 0, .bandwidth = net::mbps(4)});
+  const auto id = f.orch->deploy(std::move(g), core::SchedulerKind::kBassBfs).take();
+  f.orch->enable_migration(id, controller::MigrationParams{});
+  const net::NodeId db_node = f.orch->node_of(id, 0);
+  // The 64 MiB checkpoint needs seconds on a 50 Mbps link.
+  ASSERT_TRUE(f.orch->migrate(id, 0, (db_node + 1) % 3));
+  f.orch->fail_node(f.orch->node_of(id, 1), sim::seconds(1));
+  EXPECT_TRUE(f.orch->undeploy(id));
+  EXPECT_EQ(f.orch->app(id).component_count(), 0);
+  EXPECT_FALSE(f.orch->is_up(id, 0));
+  EXPECT_EQ(f.orch->migration_params(id), nullptr);
+
+  f.sim.run_until(sim::minutes(5));
+  EXPECT_EQ(f.total_cpu_used(), 0);
+  EXPECT_EQ(f.total_mem_used(), 0);
+  EXPECT_TRUE(f.orch->migration_events().empty());
+  EXPECT_TRUE(f.orch->controller_rounds(id).empty());
+  EXPECT_EQ(f.orch->live_deployment_count(), 0);
+}
+
 TEST(Undeploy, FreesNameForRedeployment) {
   Fixture f;
   const auto first =

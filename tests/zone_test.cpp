@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/sweep.h"
+#include "journal_merge_reference.h"
 #include "net/network.h"
 #include "scenario/scenario.h"
 #include "sim/simulation.h"
@@ -394,51 +394,44 @@ TEST(Sharded, ChaosGatedMatchesUngatedBitwise) {
   expect_bitwise_equal_outcomes(*gated, *ungated);
 }
 
-// The k-way heap merge against a from-scratch reference of the original
-// implementation: annotate each zone line, concatenate zones in order with
-// the coordinator last, stable_sort by t_us.
+// The merged journal against the line-level reference: annotate each zone
+// line, concatenate zones in order with the coordinator last, stable_sort
+// by t_us.
+std::string reference_journal(ShardedOrchestrator& orch) {
+  std::vector<std::string> zones;
+  for (int z = 0; z < orch.zones(); ++z) {
+    zones.push_back(orch.zone_recorder(z).journal().to_jsonl());
+  }
+  return merged_journal_reference(zones, orch.recorder().journal().to_jsonl());
+}
+
 TEST(Sharded, MergedJournalMatchesStableSortReference) {
   auto orch = serving_orchestrator(3, 2, 1);
   orch->run();
-  // merged_journal() flushes deferred events — call it before reading the
-  // per-zone journals the reference is built from.
   const std::string merged = orch->merged_journal();
   ASSERT_FALSE(merged.empty());
+  EXPECT_EQ(merged, reference_journal(*orch));
+}
 
-  struct Line {
-    long long t;
-    std::string text;
-  };
-  std::vector<Line> lines;
-  const auto add = [&lines](const std::string& jsonl, int zone) {
-    std::size_t start = 0;
-    while (start < jsonl.size()) {
-      std::size_t end = jsonl.find('\n', start);
-      if (end == std::string::npos) end = jsonl.size();
-      if (end > start) {
-        std::string text = jsonl.substr(start, end - start);
-        if (zone >= 0 && !text.empty() && text.back() == '}') {
-          text.pop_back();
-          text += util::str_format(",\"zone\":%d}", zone);
-        }
-        const long long t = std::strtoll(text.c_str() + 8, nullptr, 10);
-        lines.push_back({t, std::move(text)});
-      }
-      start = end + 1;
-    }
-  };
-  for (int z = 0; z < orch->zones(); ++z) {
-    add(orch->zone_recorder(z).journal().to_jsonl(), z);
+// Same oracle on a gated four-zone city with churn in two zones, so idle
+// zones skip rounds while busy ones interleave with them and with the
+// coordinator, at one worker and at four.
+TEST(Sharded, MergedJournalMatchesReferenceOnGatedChurnCity) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(jobs);
+    auto ini = util::parse_ini(serving_ini(4, 1, "active_zones = 2\n"));
+    ASSERT_TRUE(ini.ok()) << ini.error();
+    exec::apply_overrides(ini.value(), {{"run", "duration_s", "120"}});
+    auto built = ShardedOrchestrator::from_ini(ini.value(), jobs);
+    ASSERT_TRUE(built.ok()) << built.error();
+    ShardedOrchestrator& orch = *built.value();
+    const ShardedReport report = orch.run();
+    EXPECT_GT(report.serve_arrivals, 0);
+    EXPECT_GT(report.zone_rounds_skipped, 0);
+    const std::string merged = orch.merged_journal();
+    ASSERT_FALSE(merged.empty());
+    EXPECT_EQ(merged, reference_journal(orch));
   }
-  add(orch->recorder().journal().to_jsonl(), -1);
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const Line& a, const Line& b) { return a.t < b.t; });
-  std::string expected;
-  for (const Line& l : lines) {
-    expected += l.text;
-    expected += '\n';
-  }
-  EXPECT_EQ(merged, expected);
 }
 
 // A zone skips a round exactly when its own queue holds no event at or
