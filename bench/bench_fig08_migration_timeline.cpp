@@ -10,7 +10,8 @@
 // node3-node4 recovers -> the component migrates back.
 #include "common.h"
 
-#include "workload/pair_stream.h"
+#include "metrics/time_series.h"
+#include "workload/edge_streams.h"
 
 using namespace bass;
 
@@ -60,12 +61,12 @@ int main() {
   params.min_migration_gap = sim::seconds(120);
   orch.enable_migration(id.value(), params);
 
-  workload::PairStreamConfig pcfg;
-  pcfg.from = 0;
-  pcfg.to = 1;
-  pcfg.demand = net::mbps(8);
-  workload::PairStreamEngine pair(orch, id.value(), pcfg);
+  // One 8 Mbps stream over the pair's only edge; goodput sampled each second.
+  workload::EdgeStreamEngine pair(orch, id.value());
   pair.start();
+  metrics::TimeSeries goodput_series;
+  sim.schedule_periodic(sim::seconds(1),
+                        [&] { goodput_series.record(sim.now(), pair.goodput()); });
 
   // ---- The paper's capacity script ----
   sim.schedule_at(sim::seconds(540), [&] {
@@ -98,12 +99,12 @@ int main() {
   }
 
   std::printf("\ngoodput (60 s means):\n");
-  const auto goodput = pair.goodput_series().binned_mean(sim::minutes(1));
+  const auto goodput = goodput_series.binned_mean(sim::minutes(1));
   for (const auto& s : goodput.samples()) {
     std::printf("  t=%5.0fs  goodput=%4.0f%%\n", sim::to_seconds(s.at), s.value * 100);
   }
   if (bench::csv_enabled()) {
-    pair.goodput_series().write_csv("fig08_goodput.csv", "goodput_frac");
+    goodput_series.write_csv("fig08_goodput.csv", "goodput_frac");
   }
 
   std::printf("\nexpect: goodput collapses after t=540, recovers after the first\n"

@@ -11,7 +11,8 @@
 #include <cstdio>
 
 #include "core/orchestrator.h"
-#include "workload/pair_stream.h"
+#include "metrics/time_series.h"
+#include "workload/edge_streams.h"
 
 using namespace bass;
 
@@ -67,10 +68,12 @@ int main() {
   params.cooldown = sim::seconds(30);
   orch.enable_migration(id.value(), params);
 
-  workload::PairStreamConfig traffic{.from = producer, .to = consumer,
-                                     .demand = net::mbps(8)};
-  workload::PairStreamEngine engine(orch, id.value(), traffic);
+  // Stream the app's edge at its 8 Mbps and sample goodput every second.
+  workload::EdgeStreamEngine engine(orch, id.value());
   engine.start();
+  metrics::TimeSeries goodput;
+  sim.schedule_periodic(sim::seconds(1),
+                        [&] { goodput.record(sim.now(), engine.goodput()); });
 
   sim.schedule_at(sim::minutes(2), [&] {
     const auto a = orch.node_of(id.value(), producer);
@@ -97,7 +100,7 @@ int main() {
                 network.topology().node_name(m.to).c_str());
   }
   std::printf("goodput before degradation: %3.0f%%   after recovery: %3.0f%%\n",
-              100 * engine.goodput_series().mean_in(sim::seconds(30), sim::minutes(2)),
-              100 * engine.goodput_series().mean_in(sim::minutes(8), sim::minutes(10)));
+              100 * goodput.mean_in(sim::seconds(30), sim::minutes(2)),
+              100 * goodput.mean_in(sim::minutes(8), sim::minutes(10)));
   return 0;
 }

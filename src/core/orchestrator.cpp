@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <set>
+#include <utility>
 
 #include "sched/k3s_scheduler.h"
 #include "sched/rescheduler.h"
@@ -235,8 +236,41 @@ bool Orchestrator::is_up(DeploymentId id, app::ComponentId component) const {
   return d.active && d.up.at(static_cast<std::size_t>(component));
 }
 
-void Orchestrator::add_listener(DeploymentId id, DeploymentListener* listener) {
+Subscription Orchestrator::add_listener(DeploymentId id, DeploymentListener* listener) {
   dep(id).listeners.push_back(listener);
+  return Subscription(this, id, listener);
+}
+
+// Index loops: a listener may subscribe or unsubscribe from its callback.
+void Orchestrator::notify_down(const Deployment& d, app::ComponentId component) {
+  for (std::size_t i = 0; i < d.listeners.size(); ++i) {
+    d.listeners[i]->on_component_down(component);
+  }
+}
+
+void Orchestrator::notify_up(const Deployment& d, app::ComponentId component,
+                             net::NodeId node) {
+  for (std::size_t i = 0; i < d.listeners.size(); ++i) {
+    d.listeners[i]->on_component_up(component, node);
+  }
+}
+
+Subscription& Subscription::operator=(Subscription&& other) noexcept {
+  if (this != &other) {
+    reset();
+    orch_ = std::exchange(other.orch_, nullptr);
+    deployment_ = other.deployment_;
+    listener_ = other.listener_;
+  }
+  return *this;
+}
+
+void Subscription::reset() {
+  if (orch_ == nullptr) return;
+  std::vector<DeploymentListener*>& listeners = orch_->dep(deployment_).listeners;
+  const auto it = std::find(listeners.begin(), listeners.end(), listener_);
+  if (it != listeners.end()) listeners.erase(it);
+  orch_ = nullptr;
 }
 
 monitor::TrafficStats& Orchestrator::traffic_stats(DeploymentId id) {
@@ -281,7 +315,7 @@ bool Orchestrator::undeploy(DeploymentId id) {
     if (needs_resources(comp)) {
       cluster_->release(node_of(id, c), comp.cpu_milli, comp.memory_mb);
     }
-    for (DeploymentListener* l : d.listeners) l->on_component_down(c);
+    notify_down(d, c);
     ++torn_down;
   }
   util::log_info() << "undeployed '" << d.app.name() << "' (" << torn_down
@@ -588,7 +622,7 @@ void Orchestrator::fail_node(net::NodeId node, sim::Duration detection_delay) {
       if (comp.cpu_milli > 0 || comp.memory_mb > 0) {
         cluster_->release(node, comp.cpu_milli, comp.memory_mb);
       }
-      for (DeploymentListener* l : d.listeners) l->on_component_down(c);
+      notify_down(d, c);
       ++dropped;
       // Recovery after detection + cold restart; retries internally while
       // the cluster is too full.
@@ -651,7 +685,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
     d.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, failed_node, pinned, went_down,
                         MoveReason::kFailover, span, parent);
-    for (DeploymentListener* l : d.listeners) l->on_component_up(component, pinned);
+    notify_up(d, component, pinned);
     return;
   }
   const sched::NetworkView view = this->view();
@@ -662,7 +696,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
     d.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, failed_node, *target, went_down,
                         MoveReason::kFailover, span, parent);
-    for (DeploymentListener* l : d.listeners) l->on_component_up(component, *target);
+    notify_up(d, component, *target);
     return;
   }
   util::log_warn() << "no surviving node for '" << comp.name << "'; retrying";
@@ -682,7 +716,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
 
   d.up[static_cast<std::size_t>(component)] = false;
   cluster_->release(from, comp.cpu_milli, comp.memory_mb);
-  for (DeploymentListener* l : d.listeners) l->on_component_down(component);
+  notify_down(d, component);
   util::log_info() << "moving '" << comp.name << "' node" << from << " -> node"
                    << target << " (restart " << sim::to_seconds(config_.restart_duration)
                    << " s, state " << comp.state_mb << " MiB)";
@@ -724,9 +758,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
     d2.up[static_cast<std::size_t>(component)] = true;
     note_migration_done(id, component, from, final_target, went_down, reason, span,
                         parent);
-    for (DeploymentListener* l : d2.listeners) {
-      l->on_component_up(component, final_target);
-    }
+    notify_up(d2, component, final_target);
   };
 
   // Stateful components ship their checkpoint across the mesh first (§8);

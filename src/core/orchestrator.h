@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "app/app_graph.h"
@@ -47,6 +48,33 @@ class DeploymentListener {
     (void)component;
     (void)node;
   }
+};
+
+class Orchestrator;
+
+// One listener registration, owned. Destroying or resetting it removes the
+// listener from its deployment; on a retired deployment that is a no-op,
+// because undeploy already freed the listener list. It must not outlive
+// the orchestrator that issued it.
+class Subscription {
+ public:
+  Subscription() = default;
+  Subscription(Subscription&& other) noexcept { *this = std::move(other); }
+  Subscription& operator=(Subscription&& other) noexcept;
+  ~Subscription() { reset(); }
+
+  void reset();
+  explicit operator bool() const { return orch_ != nullptr; }
+
+ private:
+  friend class Orchestrator;
+  Subscription(Orchestrator* orch, DeploymentId deployment,
+               DeploymentListener* listener)
+      : orch_(orch), deployment_(deployment), listener_(listener) {}
+
+  Orchestrator* orch_ = nullptr;
+  DeploymentId deployment_ = kInvalidDeployment;
+  DeploymentListener* listener_ = nullptr;
 };
 
 // Why a component moved — carried on migration events and journal records
@@ -144,7 +172,9 @@ class Orchestrator {
   const sched::Placement& placement(DeploymentId id) const;
   net::NodeId node_of(DeploymentId id, app::ComponentId component) const;
   bool is_up(DeploymentId id, app::ComponentId component) const;
-  void add_listener(DeploymentId id, DeploymentListener* listener);
+  // Registers `listener` for the deployment's component down/up callbacks
+  // until the returned subscription is destroyed or reset.
+  [[nodiscard]] Subscription add_listener(DeploymentId id, DeploymentListener* listener);
 
   // Passive per-pair traffic counters for this deployment; workload engines
   // record into it, the controller reads from it.
@@ -231,8 +261,15 @@ class Orchestrator {
     DeploymentId next_live = kInvalidDeployment;
   };
 
+  friend class Subscription;
+
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
+  // Tell every listener of `d` that `component` went down / came up on
+  // `node`.
+  static void notify_down(const Deployment& d, app::ComponentId component);
+  static void notify_up(const Deployment& d, app::ComponentId component,
+                        net::NodeId node);
   // Appends a new deployment and links it into the live list.
   DeploymentId add_deployment(std::unique_ptr<Deployment> d);
   // Journals an OrchestratorWarning (`what` must be a static literal).

@@ -1,9 +1,9 @@
 #include "obs/flight.h"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <vector>
 
 #include "util/strings.h"
 
@@ -73,22 +73,22 @@ std::string FlightRecorder::path() const {
 
 bool FlightRecorder::dump(const char* why) {
   const EventJournal& journal = recorder_.journal();
-  const std::vector<Event> events = journal.snapshot();
-  const std::size_t keep = std::min(config_.last_events, events.size());
-  const std::size_t first = events.size() - keep;
+  const std::size_t size = journal.size();
+  const std::size_t keep = std::min(config_.last_events, size);
+  const std::size_t first = size - keep;
   const sim::Time last_t =
-      events.empty() ? 0 : event_time(events.back());  // sim time, not wall
+      size == 0 ? 0 : event_time(journal.at(size - 1));  // sim time, not wall
 
   std::string out = util::str_format(
       "{\"type\":\"flight_header\",\"why\":\"%s\",\"tag\":\"%s\","
       "\"t_us\":%lld,\"events\":%zu,\"journal_size\":%zu,"
       "\"journal_dropped\":%lld,\"build\":",
-      why, config_.tag.c_str(), static_cast<long long>(last_t), keep,
-      events.size(), static_cast<long long>(journal.dropped()));
+      why, config_.tag.c_str(), static_cast<long long>(last_t), keep, size,
+      static_cast<long long>(journal.dropped()));
   out += build_info_json();
   out += "}\n";
-  for (std::size_t i = first; i < events.size(); ++i) {
-    append_jsonl(events[i], out);
+  for (std::size_t i = first; i < size; ++i) {
+    append_jsonl(journal.at(i), out);
     out += '\n';
   }
   // The metrics snapshot as one line so the dump stays greppable JSONL;

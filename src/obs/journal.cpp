@@ -176,13 +176,6 @@ void EventJournal::for_each(const std::function<void(const Event&)>& fn) const {
   for (std::size_t i = 0; i < ring_.size(); ++i) fn(at(i));
 }
 
-std::vector<Event> EventJournal::snapshot() const {
-  std::vector<Event> out;
-  out.reserve(ring_.size());
-  for_each([&out](const Event& e) { out.push_back(e); });
-  return out;
-}
-
 std::string EventJournal::to_jsonl() const {
   std::string out;
   for_each([&out](const Event& e) {

@@ -48,9 +48,6 @@ class EventJournal {
   // Visits retained events oldest-first.
   void for_each(const std::function<void(const Event&)>& fn) const;
 
-  // Retained events oldest-first (copies; prefer for_each on large rings).
-  std::vector<Event> snapshot() const;
-
   // Serializes retained events as JSON Lines. write_* return false on any
   // I/O error (including a failed final flush).
   std::string to_jsonl() const;

@@ -86,7 +86,7 @@ void ServingLoop::arrive(const workload::ChurnEvent& event) {
 void ServingLoop::on_admitted(int instance, core::DeploymentId deployment) {
   Live live;
   live.deployment = deployment;
-  live.engine = std::make_unique<workload::ChurnTrafficEngine>(*orch_, deployment);
+  live.engine = std::make_unique<workload::EdgeStreamEngine>(*orch_, deployment);
   live.engine->start();
   if (config_.mode != ServeMode::kStatic) {
     orch_->enable_migration(deployment, config_.migration);

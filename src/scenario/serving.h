@@ -24,6 +24,7 @@
 
 #include "core/admission.h"
 #include "workload/churn.h"
+#include "workload/edge_streams.h"
 
 namespace bass::scenario {
 
@@ -84,7 +85,7 @@ class ServingLoop {
  private:
   struct Live {
     core::DeploymentId deployment = core::kInvalidDeployment;
-    std::unique_ptr<workload::ChurnTrafficEngine> engine;
+    std::unique_ptr<workload::EdgeStreamEngine> engine;
   };
 
   void arrive(const workload::ChurnEvent& event);

@@ -33,7 +33,6 @@ CameraPipelineEngine::~CameraPipelineEngine() { stop(); }
 void CameraPipelineEngine::start() {
   if (running_) return;
   running_ = true;
-  orch_->add_listener(deployment_, this);
   ticker_ = orch_->simulation().schedule_periodic(
       sim::seconds_f(1.0 / config_.fps), [this] { capture(); });
 }

@@ -28,12 +28,12 @@ struct CameraPipelineConfig {
   std::uint64_t seed = 1;
 };
 
-class CameraPipelineEngine final : public core::DeploymentListener {
+class CameraPipelineEngine final {
  public:
   // `deployment` must host app::camera_pipeline_app() (matched by names).
   CameraPipelineEngine(core::Orchestrator& orchestrator,
                        core::DeploymentId deployment, CameraPipelineConfig config);
-  ~CameraPipelineEngine() override;
+  ~CameraPipelineEngine();
   CameraPipelineEngine(const CameraPipelineEngine&) = delete;
   CameraPipelineEngine& operator=(const CameraPipelineEngine&) = delete;
 

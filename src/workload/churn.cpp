@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "app/catalog.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace bass::workload {
@@ -151,88 +152,6 @@ app::AppGraph make_churn_app(AppFamily family, int instance,
     }
   }
   return app::AppGraph(name);
-}
-
-ChurnTrafficEngine::ChurnTrafficEngine(core::Orchestrator& orchestrator,
-                                       core::DeploymentId deployment,
-                                       sim::Duration sample_interval)
-    : orch_(&orchestrator),
-      deployment_(deployment),
-      sample_interval_(sample_interval) {}
-
-ChurnTrafficEngine::~ChurnTrafficEngine() { stop(); }
-
-void ChurnTrafficEngine::start() {
-  if (running_) return;
-  running_ = true;
-  const app::AppGraph& graph = orch_->app(deployment_);
-  for (const app::Edge& e : graph.edges()) {
-    Flow flow;
-    flow.from = e.from;
-    flow.to = e.to;
-    flow.demand = e.bandwidth;
-    flows_.push_back(flow);
-  }
-  orch_->add_listener(deployment_, this);
-  for (Flow& flow : flows_) open(flow);
-  sampler_ = orch_->simulation().schedule_periodic(sample_interval_,
-                                                   [this] { sample(); });
-}
-
-void ChurnTrafficEngine::stop() {
-  if (!running_) return;
-  running_ = false;
-  for (Flow& flow : flows_) close(flow);
-  orch_->simulation().cancel(sampler_);
-}
-
-void ChurnTrafficEngine::open(Flow& flow) {
-  if (flow.connected) return;
-  if (!orch_->is_up(deployment_, flow.from) || !orch_->is_up(deployment_, flow.to)) {
-    return;
-  }
-  flow.stream = orch_->network().open_stream(orch_->node_of(deployment_, flow.from),
-                                             orch_->node_of(deployment_, flow.to),
-                                             flow.demand);
-  flow.connected = true;
-}
-
-void ChurnTrafficEngine::close(Flow& flow) {
-  if (!flow.connected) return;
-  orch_->network().close_stream(flow.stream);
-  flow.connected = false;
-}
-
-void ChurnTrafficEngine::sample() {
-  if (!running_) return;
-  const double dt = sim::to_seconds(sample_interval_);
-  monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
-  for (const Flow& flow : flows_) {
-    if (!flow.connected) continue;
-    const double rate = static_cast<double>(orch_->network().stream_rate(flow.stream));
-    stats.record(flow.from, flow.to, static_cast<std::int64_t>(rate * dt / 8.0));
-    stats.record_offered(flow.from, flow.to,
-                         static_cast<std::int64_t>(
-                             static_cast<double>(flow.demand) * dt / 8.0));
-  }
-}
-
-void ChurnTrafficEngine::on_component_down(app::ComponentId component) {
-  for (Flow& flow : flows_) {
-    if (flow.from == component || flow.to == component) close(flow);
-  }
-}
-
-void ChurnTrafficEngine::on_component_up(app::ComponentId component, net::NodeId node) {
-  (void)node;
-  if (!running_) return;
-  for (Flow& flow : flows_) {
-    if (flow.from != component && flow.to != component) continue;
-    // Reopen at the component's new node (close is a no-op if the outage
-    // already closed it).
-    close(flow);
-    open(flow);
-  }
 }
 
 }  // namespace bass::workload

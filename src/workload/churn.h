@@ -4,14 +4,16 @@
 // lifetime, and depart. The whole schedule is generated up front from the
 // seed as a plain data vector, so the arrival process is (a) trivially
 // testable for determinism and (b) replayable byte-for-byte: same seed ⇒
-// identical event list ⇒ identical journals.
+// identical event list ⇒ identical journals. Each admitted instance's
+// traffic comes from a workload::EdgeStreamEngine (edge_streams.h).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/orchestrator.h"
-#include "util/rng.h"
+#include "app/app_graph.h"
+#include "net/types.h"
+#include "sim/time.h"
 
 namespace bass::workload {
 
@@ -65,48 +67,5 @@ std::vector<ChurnEvent> build_churn_schedule(const ChurnConfig& config);
 app::AppGraph make_churn_app(AppFamily family, int instance,
                              double resource_scale, std::uint64_t seed,
                              const std::vector<net::NodeId>& mesh_nodes);
-
-// Per-deployment traffic source for churn instances: one network stream per
-// mesh-crossing app edge at the edge's profiled bandwidth, sampled into the
-// deployment's passive TrafficStats every second — the signal the adaptive
-// bandwidth controller reads. Streams follow migrations (close on
-// component-down, reopen at the new node on component-up) and vanish on
-// undeploy, exactly like the one-shot PairStreamEngine.
-class ChurnTrafficEngine final : public core::DeploymentListener {
- public:
-  ChurnTrafficEngine(core::Orchestrator& orchestrator,
-                     core::DeploymentId deployment,
-                     sim::Duration sample_interval = sim::seconds(1));
-  ~ChurnTrafficEngine() override;
-  ChurnTrafficEngine(const ChurnTrafficEngine&) = delete;
-  ChurnTrafficEngine& operator=(const ChurnTrafficEngine&) = delete;
-
-  void start();
-  void stop();
-
-  // DeploymentListener:
-  void on_component_down(app::ComponentId component) override;
-  void on_component_up(app::ComponentId component, net::NodeId node) override;
-
- private:
-  struct Flow {
-    app::ComponentId from = app::kInvalidComponent;
-    app::ComponentId to = app::kInvalidComponent;
-    net::Bps demand = 0;
-    net::StreamId stream = 0;
-    bool connected = false;
-  };
-
-  void open(Flow& flow);
-  void close(Flow& flow);
-  void sample();
-
-  core::Orchestrator* orch_;
-  core::DeploymentId deployment_;
-  sim::Duration sample_interval_;
-  std::vector<Flow> flows_;
-  bool running_ = false;
-  sim::EventId sampler_ = sim::kInvalidEvent;
-};
 
 }  // namespace bass::workload

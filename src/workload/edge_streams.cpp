@@ -1,0 +1,98 @@
+#include "workload/edge_streams.h"
+
+namespace bass::workload {
+
+namespace {
+constexpr sim::Duration kSampleInterval = sim::seconds(1);
+}  // namespace
+
+EdgeStreamEngine::EdgeStreamEngine(core::Orchestrator& orchestrator,
+                                   core::DeploymentId deployment)
+    : orch_(&orchestrator), deployment_(deployment) {
+  const app::AppGraph& graph = orch_->app(deployment_);
+  for (const app::Edge& e : graph.edges()) {
+    flows_.push_back({.from = e.from, .to = e.to, .demand = e.bandwidth});
+  }
+}
+
+EdgeStreamEngine::~EdgeStreamEngine() { stop(); }
+
+void EdgeStreamEngine::start() {
+  if (running_) return;
+  running_ = true;
+  if (!subscription_) subscription_ = orch_->add_listener(deployment_, this);
+  for (Flow& flow : flows_) open(flow);
+  sampler_ = orch_->simulation().schedule_periodic(kSampleInterval, [this] { sample(); });
+}
+
+void EdgeStreamEngine::stop() {
+  if (!running_) return;
+  running_ = false;
+  for (Flow& flow : flows_) close(flow);
+  orch_->simulation().cancel(sampler_);
+}
+
+net::Bps EdgeStreamEngine::delivered_bps() const {
+  net::Bps delivered = 0;
+  for (const Flow& flow : flows_) {
+    if (flow.connected) delivered += orch_->network().stream_rate(flow.stream);
+  }
+  return delivered;
+}
+
+double EdgeStreamEngine::goodput() const {
+  net::Bps demand = 0;
+  for (const Flow& flow : flows_) demand += flow.demand;
+  return demand > 0 ? static_cast<double>(delivered_bps()) / static_cast<double>(demand)
+                    : 0.0;
+}
+
+void EdgeStreamEngine::open(Flow& flow) {
+  if (flow.connected) return;
+  if (!orch_->is_up(deployment_, flow.from) || !orch_->is_up(deployment_, flow.to)) {
+    return;
+  }
+  flow.stream = orch_->network().open_stream(orch_->node_of(deployment_, flow.from),
+                                             orch_->node_of(deployment_, flow.to),
+                                             flow.demand);
+  flow.connected = true;
+}
+
+void EdgeStreamEngine::close(Flow& flow) {
+  if (!flow.connected) return;
+  orch_->network().close_stream(flow.stream);
+  flow.connected = false;
+}
+
+void EdgeStreamEngine::sample() {
+  const double dt = sim::to_seconds(kSampleInterval);
+  monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
+  for (const Flow& flow : flows_) {
+    if (!flow.connected) continue;
+    const double rate = static_cast<double>(orch_->network().stream_rate(flow.stream));
+    stats.record(flow.from, flow.to, static_cast<std::int64_t>(rate * dt / 8.0));
+    stats.record_offered(flow.from, flow.to,
+                         static_cast<std::int64_t>(
+                             static_cast<double>(flow.demand) * dt / 8.0));
+  }
+}
+
+void EdgeStreamEngine::on_component_down(app::ComponentId component) {
+  for (Flow& flow : flows_) {
+    if (flow.from == component || flow.to == component) close(flow);
+  }
+}
+
+void EdgeStreamEngine::on_component_up(app::ComponentId component, net::NodeId node) {
+  (void)node;
+  if (!running_) return;
+  for (Flow& flow : flows_) {
+    if (flow.from != component && flow.to != component) continue;
+    // Reopen at the component's new node (close is a no-op if the outage
+    // already closed it).
+    close(flow);
+    open(flow);
+  }
+}
+
+}  // namespace bass::workload

@@ -26,7 +26,7 @@ RequestEngine::~RequestEngine() { stop(); }
 void RequestEngine::start() {
   if (running_) return;
   running_ = true;
-  orch_->add_listener(deployment_, this);
+  if (!subscription_) subscription_ = orch_->add_listener(deployment_, this);
   if (config_.client_node == net::kInvalidNode) {
     config_.client_node = orch_->node_of(deployment_, root_);
   }

@@ -142,6 +142,7 @@ class RequestEngine final : public core::DeploymentListener {
   std::int64_t shed_ = 0;
   bool running_ = false;
   sim::EventId arrival_event_ = sim::kInvalidEvent;
+  core::Subscription subscription_;
 };
 
 }  // namespace bass::workload

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <utility>
 
 #include "util/stats.h"
 #include "util/strings.h"
@@ -18,11 +20,17 @@ VideoConferenceEngine::VideoConferenceEngine(core::Orchestrator& orchestrator,
   assert(sfu_ != app::kInvalidComponent && "not a video conference app");
   for (const auto& g : config_.groups) {
     total_participants_ += g.count;
-    const app::ComponentId cg =
-        graph.find(util::str_format("clients@node%d", g.node));
-    assert(cg != app::kInvalidComponent && "config groups must match the app");
-    group_component_[g.node] = cg;
-    metrics_[g.node];  // materialize series
+    Group& group = groups_.emplace_back();
+    group.node = g.node;
+    group.count = g.count;
+    // In single-publisher mode the publisher subscribes to nothing and must
+    // not dilute its group's per-client mean.
+    group.receivers = config_.single_publisher && groups_.size() == 1
+                          ? std::max(g.count - 1, 0)
+                          : g.count;
+    group.component = graph.find(util::str_format("clients@node%d", g.node));
+    assert(group.component != app::kInvalidComponent &&
+           "config groups must match the app");
   }
 }
 
@@ -36,7 +44,7 @@ net::Bps VideoConferenceEngine::expected_per_client() const {
 void VideoConferenceEngine::start() {
   if (running_) return;
   running_ = true;
-  orch_->add_listener(deployment_, this);
+  if (!subscription_) subscription_ = orch_->add_listener(deployment_, this);
   open_streams(orch_->node_of(deployment_, sfu_));
   sampler_ = orch_->simulation().schedule_periodic(config_.sample_interval,
                                                    [this] { sample(); });
@@ -47,41 +55,43 @@ void VideoConferenceEngine::stop() {
   running_ = false;
   close_streams();
   orch_->simulation().cancel(sampler_);
+  for (const sim::EventId reconnect : reconnects_) orch_->simulation().cancel(reconnect);
+  reconnects_.clear();
 }
 
 void VideoConferenceEngine::open_streams(net::NodeId sfu_node) {
   assert(!connected_);
   connected_ = true;
   net::Network& net = orch_->network();
+  auto open = [&](std::vector<GroupStream>& streams, std::size_t group,
+                  net::NodeId from, net::NodeId to) {
+    streams.push_back({net.open_stream(from, to, config_.per_stream), group});
+  };
 
   // Publishers uplink to the SFU.
   if (config_.single_publisher) {
-    const net::NodeId pub_node = config_.groups.front().node;
-    uplinks_.push_back(net.open_stream(pub_node, sfu_node, config_.per_stream));
+    open(uplinks_, 0, groups_.front().node, sfu_node);
+    groups_.front().uplinks = 1;
   } else {
-    for (const auto& g : config_.groups) {
-      for (int i = 0; i < g.count; ++i) {
-        uplinks_.push_back(net.open_stream(g.node, sfu_node, config_.per_stream));
-      }
+    for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+      Group& g = groups_[gi];
+      for (int i = 0; i < g.count; ++i) open(uplinks_, gi, g.node, sfu_node);
+      g.uplinks = g.count;
     }
   }
 
   // The SFU forwards to every subscriber. Each subscriber at node n gets
   // one stream per *other* publisher.
-  for (const auto& g : config_.groups) {
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    Group& g = groups_[gi];
     for (int i = 0; i < g.count; ++i) {
-      int incoming;
-      if (config_.single_publisher) {
-        // The publisher itself doesn't subscribe to its own stream.
-        const bool is_publisher = (&g == &config_.groups.front()) && i == 0;
-        incoming = is_publisher ? 0 : 1;
-      } else {
-        incoming = total_participants_ - 1;
-      }
-      for (int s = 0; s < incoming; ++s) {
-        forwards_.push_back(
-            {net.open_stream(sfu_node, g.node, config_.per_stream), g.node});
-      }
+      // In single-publisher mode the publisher (the first client) doesn't
+      // subscribe to its own stream.
+      const bool is_publisher = gi == 0 && i == 0;
+      const int incoming = config_.single_publisher ? (is_publisher ? 0 : 1)
+                                                    : total_participants_ - 1;
+      for (int s = 0; s < incoming; ++s) open(forwards_, gi, sfu_node, g.node);
+      g.forwards += incoming;
     }
   }
 }
@@ -92,96 +102,58 @@ void VideoConferenceEngine::close_streams() {
   net::Network& net = orch_->network();
   {
     net::Network::BatchUpdate batch(net);
-    for (net::StreamId s : uplinks_) net.close_stream(s);
+    for (const auto& u : uplinks_) net.close_stream(u.id);
     for (const auto& f : forwards_) net.close_stream(f.id);
   }
   uplinks_.clear();
   forwards_.clear();
+  for (Group& g : groups_) g.uplinks = g.forwards = 0;
 }
 
 void VideoConferenceEngine::sample() {
   const sim::Time now = orch_->simulation().now();
-  net::Network& net = orch_->network();
+  const net::Network& net = orch_->network();
+  const double dt = sim::to_seconds(config_.sample_interval);
+  const double expected = static_cast<double>(expected_per_client());
+  monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
 
-  // Per-group: total delivered forward rate / clients in the group.
-  std::unordered_map<net::NodeId, double> delivered;
+  for (Group& g : groups_) g.delivered = g.uplinked = 0.0;
   for (const auto& f : forwards_) {
-    delivered[f.group_node] += static_cast<double>(net.stream_rate(f.id));
+    groups_[f.group].delivered += static_cast<double>(net.stream_rate(f.id));
   }
-  for (const auto& g : config_.groups) {
-    GroupMetrics& m = metrics_.at(g.node);
-    // Average over *receiving* clients: in single-publisher mode the
-    // publisher subscribes to nothing and must not dilute the mean.
-    int receivers = g.count;
-    if (config_.single_publisher && &g == &config_.groups.front()) {
-      receivers = std::max(g.count - 1, 0);
-    }
-    const double per_client = connected_ && receivers > 0
-                                  ? delivered[g.node] / static_cast<double>(receivers)
+  for (const auto& u : uplinks_) {
+    groups_[u.group].uplinked += static_cast<double>(net.stream_rate(u.id));
+  }
+
+  for (Group& g : groups_) {
+    const double per_client = connected_ && g.receivers > 0
+                                  ? g.delivered / static_cast<double>(g.receivers)
                                   : 0.0;
-    m.bitrate.record(now, per_client);
-    const double expected = static_cast<double>(expected_per_client());
+    g.bitrate.record(now, per_client);
     const double loss = expected <= 0.0
                             ? 0.0
                             : std::clamp(1.0 - per_client / expected, 0.0, 1.0);
-    m.loss.record(now, loss);
+    g.loss.record(now, loss);
+    if (!connected_) continue;
 
-    // Passive traffic accounting on the SFU<->group edges so the
-    // bandwidth controller sees the SFU's link usage and goodput: offered
-    // is the stream demand, delivered the max-min allocation.
-    if (connected_) {
-      const double dt = sim::to_seconds(config_.sample_interval);
-      const auto down_bytes =
-          static_cast<std::int64_t>(delivered[g.node] * dt / 8.0);
-      orch_->traffic_stats(deployment_)
-          .record(sfu_, group_component_.at(g.node), down_bytes);
-      int forwards_here = 0;
-      for (const auto& f : forwards_) {
-        if (f.group_node == g.node) ++forwards_here;
-      }
-      const double offered =
-          static_cast<double>(config_.per_stream) * forwards_here * dt / 8.0;
-      orch_->traffic_stats(deployment_)
-          .record_offered(sfu_, group_component_.at(g.node),
-                          static_cast<std::int64_t>(offered));
-    }
+    // Passive traffic accounting on the SFU<->group edges so the bandwidth
+    // controller sees the SFU's link usage and goodput: offered is the
+    // stream demand, delivered the max-min allocation.
+    stats.record(sfu_, g.component, static_cast<std::int64_t>(g.delivered * dt / 8.0));
+    stats.record_offered(sfu_, g.component,
+                         static_cast<std::int64_t>(static_cast<double>(config_.per_stream) *
+                                                   g.forwards * dt / 8.0));
   }
-  // Uplink accounting (group -> sfu).
-  if (connected_) {
-    const double dt = sim::to_seconds(config_.sample_interval);
-    std::unordered_map<net::NodeId, double> up_rate;
-    std::size_t idx = 0;
-    if (config_.single_publisher) {
-      if (!uplinks_.empty()) {
-        up_rate[config_.groups.front().node] +=
-            static_cast<double>(net.stream_rate(uplinks_[0]));
-      }
-    } else {
-      for (const auto& g : config_.groups) {
-        for (int i = 0; i < g.count; ++i, ++idx) {
-          up_rate[g.node] += static_cast<double>(net.stream_rate(uplinks_[idx]));
-        }
-      }
-    }
-    // Uplink bytes are accounted against the same sfu->group DAG edge (the
-    // app graph keeps one directed edge per pair to stay acyclic). Each
-    // active uplink offers one full stream.
-    std::unordered_map<net::NodeId, int> publishers;
-    if (config_.single_publisher) {
-      publishers[config_.groups.front().node] = uplinks_.empty() ? 0 : 1;
-    } else {
-      for (const auto& g : config_.groups) publishers[g.node] = g.count;
-    }
-    for (const auto& [node, rate] : up_rate) {
-      orch_->traffic_stats(deployment_)
-          .record(sfu_, group_component_.at(node),
-                  static_cast<std::int64_t>(rate * dt / 8.0));
-      orch_->traffic_stats(deployment_)
-          .record_offered(sfu_, group_component_.at(node),
-                          static_cast<std::int64_t>(
-                              static_cast<double>(config_.per_stream) *
-                              publishers[node] * dt / 8.0));
-    }
+  if (!connected_) return;
+  // Uplink bytes are accounted against the same sfu->group DAG edge (the app
+  // graph keeps one directed edge per pair to stay acyclic). Each active
+  // uplink offers one full stream.
+  for (const Group& g : groups_) {
+    if (g.uplinks == 0) continue;
+    stats.record(sfu_, g.component, static_cast<std::int64_t>(g.uplinked * dt / 8.0));
+    stats.record_offered(sfu_, g.component,
+                         static_cast<std::int64_t>(static_cast<double>(config_.per_stream) *
+                                                   g.uplinks * dt / 8.0));
   }
 }
 
@@ -194,41 +166,51 @@ void VideoConferenceEngine::on_component_up(app::ComponentId component,
                                             net::NodeId node) {
   if (component != sfu_ || !running_) return;
   (void)node;
-  orch_->simulation().schedule_after(config_.reconnect_delay, [this] {
-    // Re-resolve the node: another migration may have happened meanwhile.
-    if (running_ && !connected_ && orch_->is_up(deployment_, sfu_)) {
-      open_streams(orch_->node_of(deployment_, sfu_));
-    }
-  });
+  // Every reconnect waits the same delay, so they fire in the order they
+  // were scheduled and each one leaves the front of the list.
+  reconnects_.push_back(
+      orch_->simulation().schedule_after(config_.reconnect_delay, [this] {
+        reconnects_.erase(reconnects_.begin());
+        // Re-resolve the node: another migration may have happened meanwhile.
+        if (!connected_ && orch_->is_up(deployment_, sfu_)) {
+          open_streams(orch_->node_of(deployment_, sfu_));
+        }
+      }));
+}
+
+const VideoConferenceEngine::Group& VideoConferenceEngine::group_at(
+    net::NodeId node) const {
+  for (const Group& g : groups_) {
+    if (g.node == node) return g;
+  }
+  throw std::out_of_range("no client group at this node");
 }
 
 const metrics::TimeSeries& VideoConferenceEngine::bitrate_series(
     net::NodeId group_node) const {
-  return metrics_.at(group_node).bitrate;
+  return group_at(group_node).bitrate;
 }
 
 const metrics::TimeSeries& VideoConferenceEngine::loss_series(
     net::NodeId group_node) const {
-  return metrics_.at(group_node).loss;
+  return group_at(group_node).loss;
 }
 
 double VideoConferenceEngine::mean_bitrate(net::NodeId group_node, sim::Time from) const {
-  const auto& series = metrics_.at(group_node).bitrate;
-  return series.mean_in(from, std::numeric_limits<sim::Time>::max());
+  return bitrate_series(group_node).mean_in(from, std::numeric_limits<sim::Time>::max());
 }
 
 double VideoConferenceEngine::median_bitrate(net::NodeId group_node,
                                              sim::Time from) const {
   std::vector<double> values;
-  for (const auto& s : metrics_.at(group_node).bitrate.samples()) {
+  for (const auto& s : bitrate_series(group_node).samples()) {
     if (s.at >= from) values.push_back(s.value);
   }
   return util::percentile(std::move(values), 50.0);
 }
 
 double VideoConferenceEngine::mean_loss(net::NodeId group_node, sim::Time from) const {
-  const auto& series = metrics_.at(group_node).loss;
-  return series.mean_in(from, std::numeric_limits<sim::Time>::max());
+  return loss_series(group_node).mean_in(from, std::numeric_limits<sim::Time>::max());
 }
 
 }  // namespace bass::workload

@@ -13,7 +13,6 @@
 // component restarts (the paper's ~20-30 s disruption window).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/orchestrator.h"
@@ -23,7 +22,8 @@
 namespace bass::workload {
 
 struct VideoConferenceConfig {
-  // Must mirror the groups passed to app::video_conference_app().
+  // Must mirror the groups passed to app::video_conference_app(), one
+  // group per node.
   struct ClientGroup {
     net::NodeId node;
     int count;
@@ -67,11 +67,28 @@ class VideoConferenceEngine final : public core::DeploymentListener {
   void on_component_up(app::ComponentId component, net::NodeId node) override;
 
  private:
-  struct GroupMetrics {
+  // One client group, in config order.
+  struct Group {
+    net::NodeId node = net::kInvalidNode;
+    int count = 0;
+    int receivers = 0;  // clients subscribed to at least one stream
+    app::ComponentId component = app::kInvalidComponent;
     metrics::TimeSeries bitrate;
     metrics::TimeSeries loss;
+    // Open streams while connected: publisher uplinks, SFU forwards.
+    int uplinks = 0;
+    int forwards = 0;
+    // sample() scratch: summed rates of those streams.
+    double uplinked = 0.0;
+    double delivered = 0.0;
+  };
+  // A stream and the position of the group it serves.
+  struct GroupStream {
+    net::StreamId id = 0;
+    std::size_t group = 0;
   };
 
+  const Group& group_at(net::NodeId node) const;
   void open_streams(net::NodeId sfu_node);
   void close_streams();
   void sample();
@@ -80,21 +97,20 @@ class VideoConferenceEngine final : public core::DeploymentListener {
   core::DeploymentId deployment_;
   VideoConferenceConfig config_;
   app::ComponentId sfu_ = app::kInvalidComponent;
-  std::unordered_map<net::NodeId, app::ComponentId> group_component_;
+  std::vector<Group> groups_;
   int total_participants_ = 0;
 
   // One uplink stream per publisher, per-group forward streams to clients.
-  std::vector<net::StreamId> uplinks_;
-  struct ForwardStream {
-    net::StreamId id;
-    net::NodeId group_node;
-  };
-  std::vector<ForwardStream> forwards_;
+  std::vector<GroupStream> uplinks_;
+  std::vector<GroupStream> forwards_;
   bool connected_ = false;
 
-  std::unordered_map<net::NodeId, GroupMetrics> metrics_;
   sim::EventId sampler_ = sim::kInvalidEvent;
+  // Pending reconnects, oldest first; stop() cancels them so none outlives
+  // the engine.
+  std::vector<sim::EventId> reconnects_;
   bool running_ = false;
+  core::Subscription subscription_;
 };
 
 }  // namespace bass::workload

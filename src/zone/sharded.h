@@ -13,8 +13,9 @@
 // Determinism contract: zone worlds are fully isolated (own Simulation,
 // own Recorder, seeds derived from the zone index), reconciliation runs
 // serially on the coordinator after the round barrier, and the merged
-// journal is a stable sort by timestamp over per-zone journals in zone
-// order — so same seed + any --jobs value => byte-identical journals.
+// journal is a k-way heap merge of the time-ordered per-zone journals
+// keyed on (timestamp, zone order) — so same seed + any --jobs value =>
+// byte-identical journals.
 //
 // Reconciliation (DESIGN.md §11): intra-zone flows never leave their
 // world — their allocations are reused untouched. Border (transit) flows
@@ -194,7 +195,8 @@ class ShardedOrchestrator {
   obs::Recorder& recorder() { return coordinator_; }
 
   // Per-zone journals annotated with a "zone" field, plus coordinator
-  // events, stable-sorted by t_us. Byte-identical for same seed across any
+  // events, merged event by event in (t_us, source) order: zones in index
+  // order, the coordinator last. Byte-identical for same seed across any
   // jobs value.
   std::string merged_journal() const;
 

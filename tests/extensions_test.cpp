@@ -1,6 +1,6 @@
 // Tests for the extension features: the auto (combined) heuristic, the
 // proportional-share fairness ablation, stateful migration, the pair-dedup
-// ablation switch, and the PairStreamEngine workload.
+// ablation switch, and the EdgeStreamEngine workload.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +10,8 @@
 #include "core/orchestrator.h"
 #include "net/maxmin.h"
 #include "sched/bass_scheduler.h"
-#include "workload/pair_stream.h"
+#include "metrics/time_series.h"
+#include "workload/edge_streams.h"
 
 namespace bass {
 namespace {
@@ -212,9 +213,9 @@ TEST(DedupAblation, DisabledKeepsBothEndpoints) {
   EXPECT_EQ(controller::select_migration_candidates(g, {obs}, params).size(), 2u);
 }
 
-// ---- PairStreamEngine ----
+// ---- EdgeStreamEngine ----
 
-TEST(PairStream, TracksGoodputAndMigration) {
+TEST(EdgeStreams, TracksGoodputAndMigration) {
   OrchFixture f;
   app::AppGraph g("pair");
   app::Component anchor{.name = "anchor", .cpu_milli = 100, .memory_mb = 64};
@@ -224,41 +225,45 @@ TEST(PairStream, TracksGoodputAndMigration) {
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
   const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
 
-  workload::PairStreamConfig cfg{.from = 0, .to = 1, .demand = net::mbps(8)};
-  workload::PairStreamEngine engine(*f.orch, id, cfg);
+  workload::EdgeStreamEngine engine(*f.orch, id);
   engine.start();
+  metrics::TimeSeries goodput;
+  f.sim.schedule_periodic(sim::seconds(1),
+                          [&] { goodput.record(f.sim.now(), engine.goodput()); });
   f.sim.run_until(sim::seconds(30));
   // Healthy 80 Mbps link: goodput ~1.
-  EXPECT_NEAR(engine.goodput_series().mean_in(sim::seconds(5), sim::seconds(30)), 1.0,
-              0.02);
+  EXPECT_NEAR(goodput.mean_in(sim::seconds(5), sim::seconds(30)), 1.0, 0.02);
+  EXPECT_EQ(engine.delivered_bps(), net::mbps(8));
 
   // Degrade the link: goodput tracks the shrink (4/8 = 0.5).
   f.network->set_link_capacity_between(0, 1, net::mbps(4));
   f.sim.run_until(sim::minutes(1));
-  EXPECT_NEAR(engine.goodput_series().mean_in(sim::seconds(40), sim::minutes(1)), 0.5,
-              0.05);
+  EXPECT_NEAR(goodput.mean_in(sim::seconds(40), sim::minutes(1)), 0.5, 0.05);
   // Traffic stats were fed for the controller.
   EXPECT_GT(f.orch->traffic_stats(id).total_bytes(0, 1), 0);
   engine.stop();
 }
 
-TEST(PairStream, GoesQuietWhileComponentDown) {
+TEST(EdgeStreams, GoesQuietWhileComponentDown) {
   OrchFixture f;
   app::AppGraph g("pair");
   g.add_component({.name = "a", .cpu_milli = 100, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 100, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
   const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
-  workload::PairStreamConfig cfg{.from = 0, .to = 1, .demand = net::mbps(8)};
-  workload::PairStreamEngine engine(*f.orch, id, cfg);
+  workload::EdgeStreamEngine engine(*f.orch, id);
   engine.start();
+  metrics::TimeSeries rate, goodput;
+  f.sim.schedule_periodic(sim::seconds(1), [&] {
+    rate.record(f.sim.now(), static_cast<double>(engine.delivered_bps()));
+    goodput.record(f.sim.now(), engine.goodput());
+  });
   f.sim.run_until(sim::seconds(20));
   f.orch->restart_component(id, 1);  // 10 s outage
   f.sim.run_until(sim::seconds(29));
-  EXPECT_LT(engine.rate_series().mean_in(sim::seconds(22), sim::seconds(29)), 1.0);
+  EXPECT_LT(rate.mean_in(sim::seconds(22), sim::seconds(29)), 1.0);
   f.sim.run_until(sim::minutes(1));
-  EXPECT_NEAR(engine.goodput_series().mean_in(sim::seconds(40), sim::minutes(1)), 1.0,
-              0.05);
+  EXPECT_NEAR(goodput.mean_in(sim::seconds(40), sim::minutes(1)), 1.0, 0.05);
   engine.stop();
 }
 

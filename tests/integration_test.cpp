@@ -10,9 +10,10 @@
 #include "app/catalog.h"
 #include "core/orchestrator.h"
 #include "fault/invariants.h"
+#include "metrics/time_series.h"
 #include "profiler/online_profiler.h"
 #include "trace/citylab.h"
-#include "workload/pair_stream.h"
+#include "workload/edge_streams.h"
 #include "workload/request_engine.h"
 #include "workload/video_conference.h"
 
@@ -258,9 +259,11 @@ TEST(Integration, Fig8WalkthroughMigratesThereAndBack) {
   params.min_migration_gap = sim::seconds(120);
   orch.enable_migration(id, params);
 
-  workload::PairStreamConfig pcfg{.from = 0, .to = 1, .demand = net::mbps(8)};
-  workload::PairStreamEngine pair(orch, id, pcfg);
+  workload::EdgeStreamEngine pair(orch, id);
   pair.start();
+  metrics::TimeSeries goodput;
+  sim.schedule_periodic(sim::seconds(1),
+                        [&] { goodput.record(sim.now(), pair.goodput()); });
 
   sim.schedule_at(sim::seconds(200), [&] {
     network.set_link_capacity_between(3, 4, net::mbps(7));
@@ -284,9 +287,9 @@ TEST(Integration, Fig8WalkthroughMigratesThereAndBack) {
   EXPECT_EQ(events.front().from, 4);
   EXPECT_EQ(events.back().to, 4);
   // Goodput recovered after each move (full demand within the last phase).
-  EXPECT_GT(pair.goodput_series().mean_in(sim::minutes(18), sim::minutes(20)), 0.95);
+  EXPECT_GT(goodput.mean_in(sim::minutes(18), sim::minutes(20)), 0.95);
   // Goodput was hurt during the first degradation window before recovery.
-  EXPECT_LT(pair.goodput_series().mean_in(sim::seconds(210), sim::seconds(260)), 0.95);
+  EXPECT_LT(goodput.mean_in(sim::seconds(210), sim::seconds(260)), 0.95);
   invariants.check_now();
   EXPECT_EQ(invariants.violations(), 0);
 }

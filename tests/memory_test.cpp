@@ -15,6 +15,7 @@
 #include "core/orchestrator.h"
 #include "obs/recorder.h"
 #include "workload/churn.h"
+#include "workload/edge_streams.h"
 
 namespace bass {
 namespace {
@@ -56,7 +57,7 @@ TEST(Memory, RetiredDeploymentsKeepOnlyATombstone) {
     {
       // The serving loop's order: stop the traffic source, undeploy, then
       // drop the engine (it stays a listener until undeploy).
-      workload::ChurnTrafficEngine engine(orch, id.value());
+      workload::EdgeStreamEngine engine(orch, id.value());
       engine.start();
       orch.enable_migration(id.value(), params);
       sim.run_until(sim.now() + sim::seconds(5));

@@ -78,7 +78,7 @@ TEST(Orchestrator, ManualMigrationMovesAfterRestart) {
   Fixture f;
   const auto id = f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs).take();
   RecordingListener listener;
-  f.orch->add_listener(id, &listener);
+  const Subscription subscription = f.orch->add_listener(id, &listener);
 
   const net::NodeId before = f.orch->node_of(id, 0);
   const net::NodeId target = (before + 1) % 3;
@@ -94,6 +94,26 @@ TEST(Orchestrator, ManualMigrationMovesAfterRestart) {
   ASSERT_EQ(f.orch->migration_events().size(), 1u);
   EXPECT_EQ(f.orch->migration_events()[0].from, before);
   EXPECT_EQ(f.orch->migration_events()[0].to, target);
+}
+
+TEST(Orchestrator, SubscriptionOwnsItsRegistration) {
+  Fixture f;
+  const auto id = f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs).take();
+  RecordingListener kept, dropped;
+  Subscription keep = f.orch->add_listener(id, &kept);
+  {
+    Subscription gone = f.orch->add_listener(id, &dropped);
+    const Subscription moved = std::move(gone);
+    EXPECT_FALSE(gone);
+    EXPECT_TRUE(moved);
+  }  // `moved` unregisters `dropped` here
+  f.orch->restart_component(id, 0);
+  EXPECT_EQ(kept.downs.size(), 1u);
+  EXPECT_TRUE(dropped.downs.empty());
+  ASSERT_TRUE(f.orch->undeploy(id));
+  EXPECT_EQ(kept.downs.size(), 2u);  // component 1 torn down
+  keep.reset();  // the retired deployment has no listener list left
+  EXPECT_FALSE(keep);
 }
 
 TEST(Orchestrator, MigrationMovesResourceAccounting) {

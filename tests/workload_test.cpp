@@ -4,6 +4,7 @@
 
 #include "app/catalog.h"
 #include "core/orchestrator.h"
+#include "workload/edge_streams.h"
 #include "workload/request_engine.h"
 #include "workload/video_conference.h"
 
@@ -431,6 +432,109 @@ TEST(VideoConference, LossSeriesComplementsBitrate) {
     const double expected = static_cast<double>(engine.expected_per_client());
     EXPECT_NEAR(bitrate / expected + loss, 1.0, 0.02);
   }
+}
+
+// ---- Edge streams ----
+
+TEST(EdgeStreams, RestartReopensOneStreamPerEdge) {
+  Fixture f;
+  const auto id = f.orch->deploy_with_placement(two_stage_app(), {0, 2}).take();
+  EdgeStreamEngine engine(*f.orch, id);
+  engine.start();
+  const std::size_t first = f.network->stream_count();
+  EXPECT_EQ(first, 1u);
+  engine.stop();
+  EXPECT_EQ(f.network->stream_count(), 0u);
+  engine.start();
+  EXPECT_EQ(f.network->stream_count(), first);
+  // Registered once: a move closes the one stream and reopens it once.
+  ASSERT_TRUE(f.orch->migrate(id, 1, 1));
+  EXPECT_EQ(f.network->stream_count(), 0u);
+  f.sim.run_until(sim::seconds(30));
+  EXPECT_EQ(f.network->stream_count(), first);
+  EXPECT_NEAR(engine.goodput(), 1.0, 1e-9);
+  engine.stop();
+}
+
+// ---- Listener lifetimes ----
+
+// Moves component 0, fails its node, waits out the recovery and undeploys:
+// every step calls the deployment's listeners.
+void drive_lifecycle(Fixture& f, core::DeploymentId id) {
+  const net::NodeId from = f.orch->node_of(id, 0);
+  ASSERT_TRUE(f.orch->migrate(id, 0, (from + 1) % 3));
+  f.sim.run_until(f.sim.now() + sim::seconds(30));
+  f.orch->fail_node(f.orch->node_of(id, 0), sim::seconds(1));
+  f.sim.run_until(f.sim.now() + sim::minutes(1));
+  EXPECT_TRUE(f.orch->is_up(id, 0));
+  EXPECT_TRUE(f.orch->undeploy(id));
+}
+
+// An engine destroyed while its deployment is live takes its listener with
+// it; before subscriptions the steps above called into the freed engine
+// (heap-use-after-free under ASan).
+TEST(ListenerLifetime, EdgeStreamEngineDestroyedBeforeItsDeployment) {
+  Fixture f;
+  const auto id = f.orch->deploy_with_placement(two_stage_app(), {0, 2}).take();
+  auto engine = std::make_unique<EdgeStreamEngine>(*f.orch, id);
+  engine->start();
+  f.sim.run_until(sim::seconds(5));
+  engine.reset();
+  EXPECT_EQ(f.network->stream_count(), 0u);
+  drive_lifecycle(f, id);
+}
+
+TEST(ListenerLifetime, RequestEngineDestroyedBeforeItsDeployment) {
+  Fixture f;
+  const auto id = f.orch->deploy_with_placement(two_stage_app(), {0, 2}).take();
+  RequestWorkloadConfig cfg;
+  cfg.rps = 20;
+  cfg.client_node = 0;
+  auto engine = std::make_unique<RequestEngine>(*f.orch, id, cfg);
+  engine->start();
+  f.sim.run_until(sim::seconds(5));
+  engine->stop();
+  f.sim.run_until(sim::seconds(7));  // drain: no request outlives the engine
+  ASSERT_EQ(engine->in_flight(), 0);
+  engine.reset();
+  drive_lifecycle(f, id);
+}
+
+// A migration leaves a reconnect pending for `reconnect_delay`; destroying
+// the engine inside that window must cancel it.
+TEST(ListenerLifetime, VideoConferenceEngineDestroyedWhileReconnecting) {
+  Fixture f;
+  const auto id = f.orch->deploy(vc_app({{2, 3}}, net::kbps(800)),
+                                 core::SchedulerKind::kBassBfs)
+                      .take();
+  VideoConferenceConfig cfg;
+  cfg.groups = {{2, 3}};
+  cfg.per_stream = net::kbps(800);
+  auto engine = std::make_unique<VideoConferenceEngine>(*f.orch, id, cfg);
+  engine->start();
+  const net::NodeId from = f.orch->node_of(id, 0);
+  ASSERT_TRUE(f.orch->migrate(id, 0, (from + 1) % 3));
+  f.sim.run_until(sim::seconds(25));  // SFU back up, reconnect due at 30 s
+  ASSERT_TRUE(f.orch->is_up(id, 0));
+  engine.reset();
+  f.sim.run_until(sim::minutes(1));
+  EXPECT_EQ(f.network->stream_count(), 0u);
+}
+
+TEST(ListenerLifetime, VideoConferenceEngineDestroyedBeforeItsDeployment) {
+  Fixture f;
+  const auto id = f.orch->deploy(vc_app({{2, 3}}, net::kbps(800)),
+                                 core::SchedulerKind::kBassBfs)
+                      .take();
+  VideoConferenceConfig cfg;
+  cfg.groups = {{2, 3}};
+  cfg.per_stream = net::kbps(800);
+  auto engine = std::make_unique<VideoConferenceEngine>(*f.orch, id, cfg);
+  engine->start();
+  f.sim.run_until(sim::seconds(5));
+  engine.reset();
+  EXPECT_EQ(f.network->stream_count(), 0u);
+  drive_lifecycle(f, id);
 }
 
 }  // namespace

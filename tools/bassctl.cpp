@@ -281,6 +281,47 @@ int cmd_run(const std::vector<std::string>& args) {
 
 // ---- bassctl serve ----
 
+// The summary both serve paths print: churn and admission outcomes, the
+// migration count (with its rebalance share when `rebalance_moves` >= 0;
+// the sharded report has none), and the SLO latencies — how long arrivals
+// waited for a yes/no (sim clock) and how long controller decisions took
+// (wall clock).
+template <typename Report>
+void print_serve_summary(const Report& report, std::int64_t rebalance_moves,
+                         const obs::LogHistogram& wait,
+                         const obs::LogHistogram& decision) {
+  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
+              " queue), %d live at end\n",
+              static_cast<long long>(report.serve_arrivals),
+              static_cast<long long>(report.serve_departures),
+              static_cast<long long>(report.serve_cancelled),
+              report.serve_live_at_end);
+  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
+              " (peak queue depth %d)\n",
+              static_cast<long long>(report.serve_admitted),
+              static_cast<long long>(report.serve_rejected),
+              static_cast<long long>(report.serve_deferred),
+              report.serve_peak_queue_depth);
+  if (rebalance_moves < 0) {
+    std::printf("migrations %zu\n", report.migrations);
+  } else {
+    std::printf("migrations %zu (%lld from rebalance)\n", report.migrations,
+                static_cast<long long>(rebalance_moves));
+  }
+  if (wait.count() > 0) {
+    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
+                " over %lld decisions\n",
+                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
+                wait.max() / 1e3, static_cast<long long>(wait.count()));
+  }
+  if (decision.count() > 0) {
+    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
+                " over %lld rounds\n",
+                decision.percentile(0.50), decision.percentile(0.99),
+                decision.max(), static_cast<long long>(decision.count()));
+  }
+}
+
 // Sharded serve: a [zones] section routes the scenario through one solver
 // world per zone with border reconciliation between rounds, overlapping
 // zone rounds on --jobs workers. Same seed + any --jobs value produce a
@@ -316,20 +357,6 @@ int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
               static_cast<long long>(report.border_rebuilds),
               report.border_components,
               static_cast<long long>(report.reconcile_rounds_skipped));
-  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
-              " queue), %d live at end\n",
-              static_cast<long long>(report.serve_arrivals),
-              static_cast<long long>(report.serve_departures),
-              static_cast<long long>(report.serve_cancelled),
-              report.serve_live_at_end);
-  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
-              " (peak queue depth %d)\n",
-              static_cast<long long>(report.serve_admitted),
-              static_cast<long long>(report.serve_rejected),
-              static_cast<long long>(report.serve_deferred),
-              report.serve_peak_queue_depth);
-  std::printf("migrations %zu\n", report.migrations);
-
   // Pooled SLOs: finish() folded every zone's instruments into the
   // coordinator registry under {zone} labels; merging them back gives the
   // city-wide distribution in the same format the unsharded path prints.
@@ -340,18 +367,7 @@ int serve_sharded(const util::IniFile& ini, std::uint64_t jobs,
         if (name == "orchestrator.admission_wait_us") wait.merge(h);
         if (name == "orchestrator.decision_us") decision.merge(h);
       });
-  if (wait.count() > 0) {
-    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
-                " over %lld decisions\n",
-                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
-                wait.max() / 1e3, static_cast<long long>(wait.count()));
-  }
-  if (decision.count() > 0) {
-    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
-                " over %lld rounds\n",
-                decision.percentile(0.50), decision.percentile(0.99),
-                decision.max(), static_cast<long long>(decision.count()));
-  }
+  print_serve_summary(report, -1, wait, decision);
   for (int z = 0; z < orch->zones(); ++z) {
     const obs::LogHistogram& wall = metrics.log_timer_us(
         "zone.round_wall_us", {{"zone", std::to_string(z)}});
@@ -495,38 +511,12 @@ int cmd_serve(const std::vector<std::string>& args) {
   auto& scene = *s.value();
   const auto report = scene.run();
 
-  std::printf("churn      %lld arrivals, %lld departures (%lld cancelled in"
-              " queue), %d live at end\n",
-              static_cast<long long>(report.serve_arrivals),
-              static_cast<long long>(report.serve_departures),
-              static_cast<long long>(report.serve_cancelled),
-              report.serve_live_at_end);
-  std::printf("admission  %lld admitted, %lld rejected, %lld deferred"
-              " (peak queue depth %d)\n",
-              static_cast<long long>(report.serve_admitted),
-              static_cast<long long>(report.serve_rejected),
-              static_cast<long long>(report.serve_deferred),
-              report.serve_peak_queue_depth);
-  std::printf("migrations %zu (%lld from rebalance)\n", report.migrations,
-              static_cast<long long>(report.serve_rebalance_moves));
-  // The serving SLO numbers: how long arrivals waited for a yes/no, and how
-  // long controller decisions took — both sim-clock, straight off the
-  // metrics registry (the same instruments --metrics/--prom export).
+  // The SLO histograms come straight off the metrics registry (the same
+  // instruments --metrics/--prom export).
   obs::MetricsRegistry& metrics = scene.recorder().metrics();
   const obs::LogHistogram& wait = metrics.log_timer_us("orchestrator.admission_wait_us");
-  if (wait.count() > 0) {
-    std::printf("admission latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms"
-                " over %lld decisions\n",
-                wait.percentile(0.50) / 1e3, wait.percentile(0.99) / 1e3,
-                wait.max() / 1e3, static_cast<long long>(wait.count()));
-  }
   const obs::LogHistogram& decision = metrics.log_timer_us("orchestrator.decision_us");
-  if (decision.count() > 0) {
-    std::printf("decision latency:  p50 %.1f us, p99 %.1f us, max %.1f us"
-                " over %lld rounds\n",
-                decision.percentile(0.50), decision.percentile(0.99),
-                decision.max(), static_cast<long long>(decision.count()));
-  }
+  print_serve_summary(report, report.serve_rebalance_moves, wait, decision);
   const int rc = export_observability(scene, journal_path, metrics_path,
                                       trace_path, prom_path);
   if (report.invariant_violations > 0) {
