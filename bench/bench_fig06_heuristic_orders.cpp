@@ -47,7 +47,8 @@ int main() {
   // Two 4-core nodes, each component needs one core (figure caption).
   bench::LanCluster rig(2, 4000, 8192);
   sched::NetworkView view(*rig.network);
-  sched::PackInput in{g, rig.cluster, view, sched::rank_nodes(rig.cluster, view)};
+  const std::vector<net::NodeId> ranked = sched::rank_nodes(rig.cluster, view);
+  const sched::PackInput in{g, rig.cluster, view, ranked};
 
   const auto bfs_placed = sched::sequential_pack(in, bfs);
   const auto lp_placed = sched::path_pack(in, sched::longest_path_paths(g));

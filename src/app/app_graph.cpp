@@ -66,7 +66,10 @@ std::vector<ComponentId> AppGraph::topo_order() const {
   for (const Edge& e : edges_) ++indeg[e.to];
 
   // Min-heap on component id for a deterministic order.
-  std::priority_queue<ComponentId, std::vector<ComponentId>, std::greater<>> ready;
+  std::vector<ComponentId> heap;
+  heap.reserve(static_cast<std::size_t>(n));
+  std::priority_queue<ComponentId, std::vector<ComponentId>, std::greater<>> ready(
+      std::greater<>{}, std::move(heap));
   for (ComponentId id = 0; id < n; ++id) {
     if (indeg[id] == 0) ready.push(id);
   }
@@ -84,17 +87,16 @@ std::vector<ComponentId> AppGraph::topo_order() const {
   return order;
 }
 
-bool AppGraph::validate(std::string* error) const {
+bool AppGraph::validate(std::string* error, std::vector<ComponentId>* order) const {
   if (component_count() == 0) {
     if (error) *error = "application has no components";
     return false;
   }
-  if (topo_order().empty() && !edges_.empty()) {
+  std::vector<ComponentId> topo = topo_order();
+  // With at least one component, only a cycle leaves the order empty.
+  if (topo.empty()) {
     if (error) *error = "component graph has a cycle";
     return false;
-  }
-  if (component_count() > 0 && topo_order().empty() && edges_.empty()) {
-    // Unreachable: a graph with no edges always topo-sorts.
   }
   for (const Edge& e : edges_) {
     if (e.bandwidth < 0) {
@@ -112,6 +114,7 @@ bool AppGraph::validate(std::string* error) const {
       return false;
     }
   }
+  if (order) *order = std::move(topo);
   return true;
 }
 

@@ -88,8 +88,10 @@ class AppGraph {
   // the graph has a cycle.
   std::vector<ComponentId> topo_order() const;
 
-  // True when the graph is a DAG with at least one component.
-  bool validate(std::string* error = nullptr) const;
+  // True when the graph is a DAG with at least one component. On success
+  // `order`, when given, receives topo_order() (computed once for both).
+  bool validate(std::string* error = nullptr,
+                std::vector<ComponentId>* order = nullptr) const;
 
   std::int64_t total_cpu_milli() const;
   std::int64_t total_memory_mb() const;

@@ -74,6 +74,7 @@ void ClusterState::release(net::NodeId node, std::int64_t cpu_milli,
 
 std::vector<net::NodeId> ClusterState::schedulable_nodes() const {
   std::vector<net::NodeId> out;
+  out.reserve(order_.size());
   for (net::NodeId n : order_) {
     if (entry(n).spec.schedulable) out.push_back(n);
   }

@@ -70,8 +70,8 @@ void AdmissionQueue::update_depth_gauge() {
 }
 
 bool AdmissionQueue::try_admit(Pending& p) {
-  // deploy() copies the graph so a failed attempt leaves `p.app` intact for
-  // the next retry.
+  // deploy() takes its own reference, so a failed attempt leaves `p.app` in
+  // place for the next retry.
   auto result = orch_->deploy(p.app, p.kind, p.name);
   if (!result.ok()) return false;
   const sim::Duration wait = sim_->now() - p.arrived;
@@ -96,7 +96,8 @@ void AdmissionQueue::resolve_reject(Pending& p) {
   if (p.on_decision) p.on_decision(p.instance, kInvalidDeployment, false);
 }
 
-void AdmissionQueue::submit(int instance, std::string name, app::AppGraph app,
+void AdmissionQueue::submit(int instance, std::string name,
+                            std::shared_ptr<const sched::PreparedApp> app,
                             SchedulerKind kind, DecisionFn on_decision) {
   ++stats_.submitted;
   Pending p;

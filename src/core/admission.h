@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/orchestrator.h"
@@ -71,11 +72,13 @@ class AdmissionQueue {
 
   // Submits a deploy request. `instance` is the caller's identity for the
   // request (the churn driver's instance counter); `name` is passed to
-  // Orchestrator::deploy for duplicate detection. Resolution may be
-  // immediate (reject policy, or the app fits right now) or arbitrarily
-  // later.
-  void submit(int instance, std::string name, app::AppGraph app,
-              SchedulerKind kind, DecisionFn on_decision);
+  // Orchestrator::deploy for duplicate detection. The prepared app is held
+  // shared until the request resolves, so retries never copy it.
+  // Resolution may be immediate (reject policy, or the app fits right now)
+  // or arbitrarily later.
+  void submit(int instance, std::string name,
+              std::shared_ptr<const sched::PreparedApp> app, SchedulerKind kind,
+              DecisionFn on_decision);
 
   // Drops a still-queued request (the instance departed before it was ever
   // admitted). False if the instance is not waiting.
@@ -92,7 +95,7 @@ class AdmissionQueue {
   struct Pending {
     int instance = -1;
     std::string name;
-    app::AppGraph app{"pending"};
+    std::shared_ptr<const sched::PreparedApp> app;
     SchedulerKind kind = SchedulerKind::kBassAuto;
     DecisionFn on_decision;
     sim::Time arrived = 0;

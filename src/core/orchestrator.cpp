@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <set>
 #include <utility>
 
-#include "sched/k3s_scheduler.h"
 #include "sched/rescheduler.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -20,6 +18,11 @@ namespace {
 bool needs_resources(const app::Component& comp) {
   return comp.cpu_milli > 0 || comp.memory_mb > 0;
 }
+
+// controller_evaluate's per-component flags.
+constexpr std::uint8_t kViolating = 1;
+constexpr std::uint8_t kEligible = 2;
+constexpr std::uint8_t kMoved = 4;
 
 }  // namespace
 
@@ -58,6 +61,25 @@ Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) {
 
 const Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) const {
   return *deployments_.at(static_cast<std::size_t>(id));
+}
+
+const app::AppGraph& Orchestrator::Deployment::graph() const {
+  static const app::AppGraph retired("retired");
+  return app != nullptr ? app->graph() : retired;
+}
+
+const std::string& Orchestrator::Deployment::label() const {
+  return instance.empty() ? graph().name() : instance;
+}
+
+const sched::Scheduler& Orchestrator::scheduler(SchedulerKind kind) const {
+  switch (kind) {
+    case SchedulerKind::kBassBfs: return bfs_;
+    case SchedulerKind::kBassLongestPath: return longest_path_;
+    case SchedulerKind::kBassAuto: return auto_;
+    case SchedulerKind::kK3sDefault: return k3s_;
+  }
+  return auto_;
 }
 
 DeploymentId Orchestrator::add_deployment(std::unique_ptr<Deployment> d) {
@@ -103,6 +125,12 @@ sched::NetworkView Orchestrator::view() const {
 
 util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKind kind,
                                                   const std::string& instance) {
+  return deploy(sched::PreparedApp::make(std::move(app)), kind, instance);
+}
+
+util::Expected<DeploymentId> Orchestrator::deploy(
+    std::shared_ptr<const sched::PreparedApp> app, SchedulerKind kind,
+    const std::string& instance) {
   if (!instance.empty() && find_instance(instance) != kInvalidDeployment) {
     // Double-applying would reserve the app's resources a second time under
     // the same identity; reject loudly instead.
@@ -111,24 +139,11 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     return util::make_error("instance '" + instance + "' is already deployed");
   }
   const sched::NetworkView view = this->view();
-  std::unique_ptr<sched::Scheduler> scheduler;
-  switch (kind) {
-    case SchedulerKind::kBassBfs:
-      scheduler = std::make_unique<sched::BassScheduler>(sched::Heuristic::kBreadthFirst);
-      break;
-    case SchedulerKind::kBassLongestPath:
-      scheduler = std::make_unique<sched::BassScheduler>(sched::Heuristic::kLongestPath);
-      break;
-    case SchedulerKind::kBassAuto:
-      scheduler = std::make_unique<sched::BassScheduler>(sched::Heuristic::kAuto);
-      break;
-    case SchedulerKind::kK3sDefault:
-      scheduler = std::make_unique<sched::K3sScheduler>();
-      break;
-  }
+  const sched::Scheduler& scheduler = this->scheduler(kind);
+  const app::AppGraph& graph = app->graph();
 
   const auto t0 = std::chrono::steady_clock::now();
-  auto result = scheduler->schedule(app, *cluster_, view);
+  auto result = scheduler.schedule(*app, *cluster_, view);
   const double place_us = std::chrono::duration<double, std::micro>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -137,27 +152,27 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     obs::ScheduleDecision decision;
     decision.at = sim_->now();
     decision.deployment = static_cast<int>(deployments_.size());
-    decision.scheduler = scheduler->name();
-    decision.components = app.component_count();
+    decision.scheduler = scheduler.name();
+    decision.components = graph.component_count();
     decision.place_us = place_us;
     decision.success = result.ok();
     decision.span = recorder_->new_span();
     decision.parent = recorder_->current_span();
     if (result.ok()) {
-      decision.crossing_bps = sched::crossing_bandwidth(app, result.value());
+      decision.crossing_bps = sched::crossing_bandwidth(graph, result.value());
     }
     recorder_->record(std::move(decision));
   }
   if (!result.ok()) return util::make_error(result.error());
 
   auto d = std::make_unique<Deployment>();
-  d->app = std::move(app);
   d->instance = instance;
   d->deployed_at = sim_->now();
   d->placement = result.take();
-  d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
-  for (app::ComponentId c = 0; c < d->app.component_count(); ++c) {
-    const auto& comp = d->app.component(c);
+  d->up.assign(static_cast<std::size_t>(graph.component_count()), true);
+  d->stats = monitor::TrafficStats(graph.edges().size());
+  for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
+    const auto& comp = graph.component(c);
     if (!needs_resources(comp)) continue;
     const net::NodeId node = d->placement[static_cast<std::size_t>(c)];
     const bool ok = cluster_->allocate(node, comp.cpu_milli, comp.memory_mb);
@@ -165,16 +180,18 @@ util::Expected<DeploymentId> Orchestrator::deploy(app::AppGraph app, SchedulerKi
     (void)ok;
   }
 
+  d->app = std::move(app);
   const DeploymentId id = add_deployment(std::move(d));
-  util::log_info() << "deployed '" << deployments_.back()->app.name() << "' with "
+  util::log_info() << "deployed '" << dep(id).label() << "' with "
                    << scheduler_kind_name(kind);
   return id;
 }
 
 util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
-    app::AppGraph app, sched::Placement placement) {
-  std::string error;
-  if (!app.validate(&error)) return util::make_error(error);
+    app::AppGraph graph, sched::Placement placement) {
+  auto prepared = sched::PreparedApp::make(std::move(graph));
+  if (!prepared->valid()) return util::make_error(prepared->error());
+  const app::AppGraph& app = prepared->graph();
   placement.resize(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
@@ -200,10 +217,11 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   }
 
   auto d = std::make_unique<Deployment>();
-  d->app = std::move(app);
   d->deployed_at = sim_->now();
   d->placement = std::move(placement);
-  d->up.assign(static_cast<std::size_t>(d->app.component_count()), true);
+  d->up.assign(static_cast<std::size_t>(app.component_count()), true);
+  d->stats = monitor::TrafficStats(app.edges().size());
+  d->app = std::move(prepared);
   const DeploymentId id = add_deployment(std::move(d));
   if (recorder_ != nullptr) {
     const Deployment& placed = *deployments_.back();
@@ -211,8 +229,8 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
     decision.at = sim_->now();
     decision.deployment = id;
     decision.scheduler = "manual";
-    decision.components = placed.app.component_count();
-    decision.crossing_bps = sched::crossing_bandwidth(placed.app, placed.placement);
+    decision.components = placed.graph().component_count();
+    decision.crossing_bps = sched::crossing_bandwidth(placed.graph(), placed.placement);
     decision.success = true;
     decision.span = recorder_->new_span();
     decision.parent = recorder_->current_span();
@@ -221,7 +239,7 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   return id;
 }
 
-const app::AppGraph& Orchestrator::app(DeploymentId id) const { return dep(id).app; }
+const app::AppGraph& Orchestrator::app(DeploymentId id) const { return dep(id).graph(); }
 
 const sched::Placement& Orchestrator::placement(DeploymentId id) const {
   return dep(id).placement;
@@ -279,7 +297,12 @@ monitor::TrafficStats& Orchestrator::traffic_stats(DeploymentId id) {
 
 bool Orchestrator::update_edge_bandwidth(DeploymentId id, app::ComponentId from,
                                          app::ComponentId to, net::Bps bandwidth) {
-  return dep(id).app.set_edge_bandwidth(from, to, bandwidth);
+  Deployment& d = dep(id);
+  if (d.app == nullptr) return false;  // retired
+  auto updated = d.app->with_edge_bandwidth(from, to, bandwidth);
+  if (updated == nullptr) return false;
+  d.app = std::move(updated);
+  return true;
 }
 
 bool Orchestrator::deployment_active(DeploymentId id) const {
@@ -308,9 +331,9 @@ bool Orchestrator::undeploy(DeploymentId id) {
   // bring-up/recovery callbacks check `active` and become no-ops.
   disable_migration(id);
   int torn_down = 0;
-  for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
+  for (app::ComponentId c = 0; c < d.graph().component_count(); ++c) {
     if (!d.up[static_cast<std::size_t>(c)]) continue;  // mid-move: already released
-    const auto& comp = d.app.component(c);
+    const auto& comp = d.graph().component(c);
     d.up[static_cast<std::size_t>(c)] = false;
     if (needs_resources(comp)) {
       cluster_->release(node_of(id, c), comp.cpu_milli, comp.memory_mb);
@@ -318,7 +341,7 @@ bool Orchestrator::undeploy(DeploymentId id) {
     notify_down(d, c);
     ++torn_down;
   }
-  util::log_info() << "undeployed '" << d.app.name() << "' (" << torn_down
+  util::log_info() << "undeployed '" << d.label() << "' (" << torn_down
                    << " components)";
   if (recorder_ != nullptr) {
     obs::DeploymentClosed closed;
@@ -350,7 +373,7 @@ void Orchestrator::enable_migration(DeploymentId id, controller::MigrationParams
   if (d.migration_enabled) disable_migration(id);
   d.migration_enabled = true;
   d.params = params;
-  d.cooldown = std::make_unique<controller::CooldownTracker>(params);
+  d.cooldown.emplace(params);
   d.controller_tick = sim_->schedule_periodic(
       params.evaluation_interval, [this, id] { controller_evaluate(id); });
 }
@@ -389,13 +412,17 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Observations for every mesh-crossing edge between live components.
-  std::vector<controller::EdgeObservation> observations;
-  std::vector<std::pair<net::NodeId, net::NodeId>> endpoints;  // parallel to obs
-  for (const app::Edge& e : d.app.edges()) {
+  RoundScratch& r = round_;
+  auto& observations = r.observations;
+  auto& endpoints = r.endpoints;  // parallel to observations
+  const app::AppGraph& graph = d.graph();
+  const std::vector<app::Edge>& edges = graph.edges();
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const app::Edge& e = edges[ei];
     if (!is_up(id, e.from) || !is_up(id, e.to)) continue;
     const net::NodeId a = node_of(id, e.from);
     const net::NodeId b = node_of(id, e.to);
-    const auto window = d.stats.take_window(e.from, e.to, now);
+    const auto window = d.stats.take_window(ei, now);
     if (a == b) continue;  // colocated pairs never violate
     controller::EdgeObservation obs;
     obs.from = e.from;
@@ -416,11 +443,13 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   //    link to the extent that the headroom on the link shrinks even
   //    without capacity change on the link"). Pair traffic flows both ways
   //    (requests and responses), so it is charged to both directions.
-  std::vector<double> link_usage(static_cast<std::size_t>(view.link_count()), 0.0);
+  r.link_usage.resize(static_cast<std::size_t>(view.link_count()), 0.0);
   for (std::size_t i = 0; i < observations.size(); ++i) {
     const auto [a, b] = endpoints[i];
     const auto charge = [&](net::LinkId l) {
-      link_usage[static_cast<std::size_t>(l)] += static_cast<double>(observations[i].measured);
+      double& usage = r.link_usage[static_cast<std::size_t>(l)];
+      if (usage == 0.0) r.used_links.push_back(l);
+      usage += static_cast<double>(observations[i].measured);
       return true;
     };
     view.routing().walk(a, b, charge);
@@ -429,7 +458,7 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   auto link_headroom_ok = [&](net::LinkId l) {
     if (monitor_ != nullptr && !monitor_->headroom_ok(l)) return false;
     const double capacity = static_cast<double>(view.link_capacity(l));
-    return link_usage[static_cast<std::size_t>(l)] <=
+    return r.link_usage[static_cast<std::size_t>(l)] <=
            capacity * (1.0 - d.params.headroom_frac);
   };
   for (std::size_t i = 0; i < observations.size(); ++i) {
@@ -440,8 +469,8 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
       return false;
     });
     util::log_debug() << "obs t=" << sim::to_seconds(now) << " "
-                      << d.app.component(observations[i].from).name << "->"
-                      << d.app.component(observations[i].to).name
+                      << graph.component(observations[i].from).name << "->"
+                      << graph.component(observations[i].to).name
                       << " req=" << observations[i].required
                       << " meas=" << observations[i].measured
                       << " off=" << observations[i].offered
@@ -450,47 +479,56 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
                       << " violates="
                       << controller::edge_violates(observations[i], d.params);
   }
+  for (const net::LinkId l : r.used_links) r.link_usage[static_cast<std::size_t>(l)] = 0.0;
+  r.used_links.clear();
 
   // Pre-dedup violating component set (Table 1's "components exceeding
   // link utilization quota") and the violating-pair adjacency, used below
   // to substitute a partner when a chosen candidate has nowhere to go.
-  std::set<app::ComponentId> violating;
-  std::vector<std::pair<app::ComponentId, app::ComponentId>> violating_pairs;
+  std::vector<std::uint8_t>& flags = r.flags;
+  flags.resize(static_cast<std::size_t>(graph.component_count()), 0);
+  const auto has = [&](app::ComponentId c, std::uint8_t flag) {
+    return (flags[static_cast<std::size_t>(c)] & flag) != 0;
+  };
+  const auto set = [&](app::ComponentId c, std::uint8_t flag) {
+    flags[static_cast<std::size_t>(c)] |= flag;
+  };
+  int violating = 0;
+  auto& violating_pairs = r.violating_pairs;
   for (const auto& obs : observations) {
     if (!controller::edge_violates(obs, d.params)) continue;
-    if (!d.app.component(obs.from).pinned_node) violating.insert(obs.from);
-    if (!d.app.component(obs.to).pinned_node) violating.insert(obs.to);
+    for (const app::ComponentId c : {obs.from, obs.to}) {
+      if (graph.component(c).pinned_node || has(c, kViolating)) continue;
+      set(c, kViolating);
+      ++violating;
+    }
     violating_pairs.emplace_back(obs.from, obs.to);
   }
 
   const auto candidates =
-      controller::select_migration_candidates(d.app, observations, d.params);
+      controller::select_migration_candidates(graph, observations, d.params);
 
   // Cooldown state tracks *violation* persistence (a component deduped
   // away this round is still violating — its timer must keep running so it
   // can substitute for an unplaceable partner).
-  std::set<app::ComponentId> eligible;
-  for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
-    if (d.cooldown->should_migrate(c, violating.count(c) != 0, now)) {
-      eligible.insert(c);
-    }
+  for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
+    if (d.cooldown->should_migrate(c, has(c, kViolating), now)) set(c, kEligible);
   }
   // Execute in candidate (heaviest-first) order, capped per round.
-  std::vector<app::ComponentId> cleared;
+  auto& cleared = r.cleared;
   for (app::ComponentId c : candidates) {
-    if (eligible.count(c)) cleared.push_back(c);
+    if (has(c, kEligible)) cleared.push_back(c);
   }
 
-  std::set<app::ComponentId> moved_this_round;
   int started = 0;
   for (app::ComponentId c : cleared) {
     if (d.params.max_migrations_per_round > 0 &&
         started >= d.params.max_migrations_per_round) {
       break;
     }
-    if (moved_this_round.count(c)) continue;
+    if (has(c, kMoved)) continue;
     app::ComponentId mover = c;
-    auto target = sched::pick_migration_target(d.app, d.placement, c, *cluster_, view);
+    auto target = sched::pick_migration_target(graph, d.placement, c, *cluster_, view);
     if (!target) {
       // The pair rule held this candidate's partners back; moving a partner
       // *instead* (never in addition) is allowed and often feasible when
@@ -498,10 +536,10 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
       for (const auto& [from, to] : violating_pairs) {
         if (from != c && to != c) continue;
         const app::ComponentId partner = (from == c) ? to : from;
-        if (partner == c || moved_this_round.count(partner)) continue;
-        if (d.app.component(partner).pinned_node) continue;
-        if (!eligible.count(partner)) continue;
-        target = sched::pick_migration_target(d.app, d.placement, partner, *cluster_,
+        if (partner == c || has(partner, kMoved)) continue;
+        if (graph.component(partner).pinned_node) continue;
+        if (!has(partner, kEligible)) continue;
+        target = sched::pick_migration_target(graph, d.placement, partner, *cluster_,
                                               view);
         if (target) {
           mover = partner;
@@ -511,20 +549,25 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
     }
     if (!target) {
       util::log_warn() << "no feasible migration target for '"
-                       << d.app.component(c).name << "' or its partners";
+                       << graph.component(c).name << "' or its partners";
       continue;
     }
     d.cooldown->note_migration(mover, now);
     if (migrate(id, mover, *target, MoveReason::kController)) {
       ++started;
-      moved_this_round.insert(mover);
+      set(mover, kMoved);
       // The pair rule: the partner(s) of a moved component stay put.
       for (const auto& [from, to] : violating_pairs) {
-        if (from == mover) moved_this_round.insert(to);
-        if (to == mover) moved_this_round.insert(from);
+        if (from == mover) set(to, kMoved);
+        if (to == mover) set(from, kMoved);
       }
     }
   }
+  observations.clear();
+  endpoints.clear();
+  violating_pairs.clear();
+  cleared.clear();
+  std::fill(flags.begin(), flags.end(), 0);
 
   if (recorder_ != nullptr) {
     // Decision latency covers the full evaluation — observations, headroom
@@ -534,13 +577,13 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
                                 std::chrono::steady_clock::now() - wall_start)
                                 .count());
   }
-  if (!violating.empty() || started > 0) {
-    d.rounds.push_back({now, static_cast<int>(violating.size()), started});
+  if (violating > 0 || started > 0) {
+    d.rounds.push_back({now, violating, started});
     if (recorder_ != nullptr) {
       obs::ControllerRound round;
       round.at = now;
       round.deployment = id;
-      round.violating = static_cast<int>(violating.size());
+      round.violating = violating;
       round.migrations_started = started;
       round.span = round_span;
       recorder_->record(round);
@@ -570,7 +613,7 @@ bool Orchestrator::migrate(DeploymentId id, app::ComponentId component,
                            net::NodeId target, MoveReason reason) {
   Deployment& d = dep(id);
   if (!is_up(id, component)) return false;
-  if (d.app.component(component).pinned_node) return false;
+  if (d.graph().component(component).pinned_node) return false;
   if (target == node_of(id, component)) return false;
   execute_move(id, component, target, reason);
   return true;
@@ -582,17 +625,17 @@ int Orchestrator::drain_node(net::NodeId node) {
   int started = 0;
   for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
     Deployment& d = dep(id);
-    for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
+    for (app::ComponentId c = 0; c < d.graph().component_count(); ++c) {
       if (!is_up(id, c) || node_of(id, c) != node) continue;
-      if (d.app.component(c).pinned_node) {
-        util::log_warn() << "drain: '" << d.app.component(c).name
+      if (d.graph().component(c).pinned_node) {
+        util::log_warn() << "drain: '" << d.graph().component(c).name
                          << "' is pinned to node" << node << " and cannot move";
         continue;
       }
-      const auto target = sched::pick_migration_target(d.app, d.placement, c,
+      const auto target = sched::pick_migration_target(d.graph(), d.placement, c,
                                                        *cluster_, view);
       if (!target) {
-        util::log_warn() << "drain: no target for '" << d.app.component(c).name
+        util::log_warn() << "drain: no target for '" << d.graph().component(c).name
                          << "'";
         continue;
       }
@@ -615,9 +658,9 @@ void Orchestrator::fail_node(net::NodeId node, sim::Duration detection_delay) {
   int dropped = 0;
   for (DeploymentId id = 0; id < static_cast<DeploymentId>(deployments_.size()); ++id) {
     Deployment& d = dep(id);
-    for (app::ComponentId c = 0; c < d.app.component_count(); ++c) {
+    for (app::ComponentId c = 0; c < d.graph().component_count(); ++c) {
       if (!is_up(id, c) || node_of(id, c) != node) continue;
-      const auto& comp = d.app.component(c);
+      const auto& comp = d.graph().component(c);
       d.up[static_cast<std::size_t>(c)] = false;
       if (comp.cpu_milli > 0 || comp.memory_mb > 0) {
         cluster_->release(node, comp.cpu_milli, comp.memory_mb);
@@ -662,7 +705,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
   // The deployment departed while this component was waiting out its
   // outage: stop the retry loop instead of reviving a ghost.
   if (!d.active) return;
-  const auto& comp = d.app.component(component);
+  const auto& comp = d.graph().component(component);
   auto retry = [this, id, component, failed_node, went_down, span, parent] {
     sim_->schedule_after(
         sim::seconds(30), [this, id, component, failed_node, went_down, span, parent] {
@@ -690,7 +733,7 @@ void Orchestrator::recover_component(DeploymentId id, app::ComponentId component
   }
   const sched::NetworkView view = this->view();
   const auto target =
-      sched::pick_migration_target(d.app, d.placement, component, *cluster_, view);
+      sched::pick_migration_target(d.graph(), d.placement, component, *cluster_, view);
   if (target && cluster_->allocate(*target, comp.cpu_milli, comp.memory_mb)) {
     d.placement[static_cast<std::size_t>(component)] = *target;
     d.up[static_cast<std::size_t>(component)] = true;
@@ -712,7 +755,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
                                 net::NodeId target, MoveReason reason) {
   Deployment& d = dep(id);
   const net::NodeId from = node_of(id, component);
-  const auto& comp = d.app.component(component);
+  const auto& comp = d.graph().component(component);
 
   d.up[static_cast<std::size_t>(component)] = false;
   cluster_->release(from, comp.cpu_milli, comp.memory_mb);
@@ -737,7 +780,7 @@ void Orchestrator::execute_move(DeploymentId id, app::ComponentId component,
                    parent] {
     Deployment& d2 = dep(id);
     if (!d2.active) return;  // undeployed mid-move: the migration is void
-    const auto& c2 = d2.app.component(component);
+    const auto& c2 = d2.graph().component(component);
     net::NodeId final_target = target;
     if (needs_resources(c2) &&
         !cluster_->allocate(final_target, c2.cpu_milli, c2.memory_mb)) {

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -20,7 +21,9 @@
 #include "net/network.h"
 #include "obs/recorder.h"
 #include "sched/bass_scheduler.h"
+#include "sched/k3s_scheduler.h"
 #include "sched/placement.h"
+#include "sched/prepared_app.h"
 #include "sim/simulation.h"
 #include "util/expected.h"
 
@@ -132,11 +135,17 @@ class Orchestrator {
   void set_recorder(obs::Recorder* recorder);
 
   // ---- Deployment lifecycle ----
-  // `instance` optionally names the deployment for duplicate detection: a
-  // second deploy with the name of a still-active instance is rejected (and
-  // journals an orchestrator_warning) instead of silently double-applying
-  // resources. Empty skips the check — anonymous one-shot experiments keep
-  // their historical behavior.
+  // Places a prepared app (sched/prepared_app.h) and holds it shared: every
+  // deployment of one template reads the same graph and cached orders.
+  // `instance` optionally names the deployment for duplicate detection (and
+  // the logs): a second deploy with the name of a still-active instance is
+  // rejected (and journals an orchestrator_warning) instead of silently
+  // double-applying resources. Empty skips the check — anonymous one-shot
+  // experiments keep their historical behavior.
+  util::Expected<DeploymentId> deploy(std::shared_ptr<const sched::PreparedApp> app,
+                                      SchedulerKind kind,
+                                      const std::string& instance = "");
+  // Prepares `app`, then deploys it as above.
   util::Expected<DeploymentId> deploy(app::AppGraph app, SchedulerKind kind,
                                       const std::string& instance = "");
 
@@ -176,14 +185,17 @@ class Orchestrator {
   // until the returned subscription is destroyed or reset.
   [[nodiscard]] Subscription add_listener(DeploymentId id, DeploymentListener* listener);
 
-  // Passive per-pair traffic counters for this deployment; workload engines
-  // record into it, the controller reads from it.
+  // Passive per-edge traffic counters for this deployment, one slot per
+  // edge of app(id); workload engines record into it, the controller reads
+  // from it.
   monitor::TrafficStats& traffic_stats(DeploymentId id);
 
   // Rewrites the profiled bandwidth requirement of one deployed edge — the
   // online-profiling extension (§8) feeds re-measured requirements back so
   // the controller and rescheduler reason about reality instead of the
-  // developer's offline estimate. Returns false if no such edge exists.
+  // developer's offline estimate. Copy on write: the deployment gets its
+  // own re-prepared app, so the shared template and every other deployment
+  // of it keep theirs. Returns false if no such edge exists.
   bool update_edge_bandwidth(DeploymentId id, app::ComponentId from,
                              app::ComponentId to, net::Bps bandwidth);
 
@@ -242,7 +254,7 @@ class Orchestrator {
 
  private:
   struct Deployment {
-    app::AppGraph app{"unset"};
+    std::shared_ptr<const sched::PreparedApp> app;  // nullptr once retired
     std::string instance;        // duplicate-detection name ("" = anonymous)
     bool active = true;          // false after undeploy
     sim::Time deployed_at = 0;
@@ -253,18 +265,36 @@ class Orchestrator {
     // Controller state (valid while migration is enabled):
     bool migration_enabled = false;
     controller::MigrationParams params;
-    std::unique_ptr<controller::CooldownTracker> cooldown;
+    std::optional<controller::CooldownTracker> cooldown;
     sim::EventId controller_tick = sim::kInvalidEvent;
     std::vector<ControllerRound> rounds;
     // Neighbours in the list of active deployments.
     DeploymentId prev_live = kInvalidDeployment;
     DeploymentId next_live = kInvalidDeployment;
+
+    // The deployed graph; empty once retired.
+    const app::AppGraph& graph() const;
+    // The instance name, else the graph's.
+    const std::string& label() const;
+  };
+
+  // controller_evaluate's buffers, kept across rounds. Between rounds the
+  // vectors are empty and link_usage/flags are all zero.
+  struct RoundScratch {
+    std::vector<controller::EdgeObservation> observations;
+    std::vector<std::pair<net::NodeId, net::NodeId>> endpoints;  // parallel
+    std::vector<double> link_usage;                              // by LinkId
+    std::vector<net::LinkId> used_links;  // links with non-zero usage
+    std::vector<std::pair<app::ComponentId, app::ComponentId>> violating_pairs;
+    std::vector<app::ComponentId> cleared;
+    std::vector<std::uint8_t> flags;  // by ComponentId, kViolating | ...
   };
 
   friend class Subscription;
 
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
+  const sched::Scheduler& scheduler(SchedulerKind kind) const;
   // Tell every listener of `d` that `component` went down / came up on
   // `node`.
   static void notify_down(const Deployment& d, app::ComponentId component);
@@ -300,6 +330,12 @@ class Orchestrator {
   obs::LogHistogram* m_decision_us_ = nullptr;
   obs::LogHistogram* m_downtime_ms_ = nullptr;
   OrchestratorConfig config_;
+  // One scheduler of each kind, so their decision scratch is reused.
+  sched::BassScheduler bfs_{sched::Heuristic::kBreadthFirst};
+  sched::BassScheduler longest_path_{sched::Heuristic::kLongestPath};
+  sched::BassScheduler auto_{sched::Heuristic::kAuto};
+  sched::K3sScheduler k3s_;
+  RoundScratch round_;
   std::vector<std::unique_ptr<Deployment>> deployments_;  // every id ever issued
   // Active deployments as a list threaded through their slots, so lookups
   // walk what is live, not the run's history, and keeping it allocates

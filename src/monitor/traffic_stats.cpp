@@ -12,42 +12,39 @@ net::Bps rate_of(std::int64_t bytes, sim::Duration window) {
 
 }  // namespace
 
-void TrafficStats::record(app::ComponentId from, app::ComponentId to, std::int64_t bytes) {
-  PairStats& p = pairs_[key(from, to)];
-  p.window_bytes += bytes;
-  p.total_bytes += bytes;
+void TrafficStats::record(std::size_t edge, std::int64_t bytes) {
+  if (edge >= edges_.size()) return;
+  EdgeStats& e = edges_[edge];
+  e.window_bytes += bytes;
+  e.total_bytes += bytes;
 }
 
-void TrafficStats::record_offered(app::ComponentId from, app::ComponentId to,
-                                  std::int64_t bytes) {
-  pairs_[key(from, to)].window_offered += bytes;
+void TrafficStats::record_offered(std::size_t edge, std::int64_t bytes) {
+  if (edge < edges_.size()) edges_[edge].window_offered += bytes;
 }
 
-std::int64_t TrafficStats::total_bytes(app::ComponentId from, app::ComponentId to) const {
-  const auto it = pairs_.find(key(from, to));
-  return it == pairs_.end() ? 0 : it->second.total_bytes;
+std::int64_t TrafficStats::total_bytes(std::size_t edge) const {
+  return edge < edges_.size() ? edges_[edge].total_bytes : 0;
 }
 
-TrafficStats::WindowRates TrafficStats::take_window(app::ComponentId from,
-                                                    app::ComponentId to, sim::Time now) {
-  PairStats& p = pairs_[key(from, to)];
-  WindowRates rates{rate_of(p.window_bytes, now - p.window_start),
-                    rate_of(p.window_offered, now - p.window_start)};
-  p.window_bytes = 0;
-  p.window_offered = 0;
-  p.window_start = now;
+TrafficStats::WindowRates TrafficStats::take_window(std::size_t edge, sim::Time now) {
+  if (edge >= edges_.size()) return {};
+  EdgeStats& e = edges_[edge];
+  WindowRates rates{rate_of(e.window_bytes, now - e.window_start),
+                    rate_of(e.window_offered, now - e.window_start)};
+  e.window_bytes = 0;
+  e.window_offered = 0;
+  e.window_start = now;
   return rates;
 }
 
-net::Bps TrafficStats::take_rate(app::ComponentId from, app::ComponentId to, sim::Time now) {
-  return take_window(from, to, now).delivered;
+net::Bps TrafficStats::take_rate(std::size_t edge, sim::Time now) {
+  return take_window(edge, now).delivered;
 }
 
-net::Bps TrafficStats::peek_rate(app::ComponentId from, app::ComponentId to,
-                                 sim::Time now) const {
-  const auto it = pairs_.find(key(from, to));
-  if (it == pairs_.end()) return 0;
-  return rate_of(it->second.window_bytes, now - it->second.window_start);
+net::Bps TrafficStats::peek_rate(std::size_t edge, sim::Time now) const {
+  if (edge >= edges_.size()) return 0;
+  return rate_of(edges_[edge].window_bytes, now - edges_[edge].window_start);
 }
 
 }  // namespace bass::monitor

@@ -2,12 +2,16 @@
 // between application components" metric (gathered there by an Istio
 // sidecar + Prometheus; here the workload engines report delivered bytes as
 // transfers and stream samples complete).
+//
+// One flat slot per edge of the deployed app, indexed by the edge's
+// position in AppGraph::edges() and sized at deploy: the engines and the
+// controller already hold the edge index, so a record is an array write.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
-#include "app/app_graph.h"
 #include "net/types.h"
 #include "sim/time.h"
 
@@ -15,43 +19,46 @@ namespace bass::monitor {
 
 class TrafficStats {
  public:
-  // Adds `bytes` *delivered* from `from` to `to` (either direction of an
-  // app edge is recorded under that directed pair).
-  void record(app::ComponentId from, app::ComponentId to, std::int64_t bytes);
+  TrafficStats() = default;
+  explicit TrafficStats(std::size_t edges) : edges_(edges) {}
+
+  std::size_t edge_count() const { return edges_.size(); }
+
+  // Adds `bytes` *delivered* on `edge` (traffic in either direction of an
+  // app edge is recorded on that edge). Bytes for an edge past
+  // edge_count() — in-flight traffic of a retired deployment — are dropped.
+  void record(std::size_t edge, std::int64_t bytes);
 
   // Adds `bytes` *offered* (handed to the network, whether or not it has
   // arrived yet). delivered/offered is the pair's goodput: ~1 when the
   // network keeps up, << 1 when the link starves the pair (§3.2.2's second
   // migration trigger).
-  void record_offered(app::ComponentId from, app::ComponentId to, std::int64_t bytes);
+  void record_offered(std::size_t edge, std::int64_t bytes);
 
-  // Total delivered bytes for a pair since construction.
-  std::int64_t total_bytes(app::ComponentId from, app::ComponentId to) const;
+  // Total delivered bytes on an edge since construction (0 past the end).
+  std::int64_t total_bytes(std::size_t edge) const;
 
   struct WindowRates {
     net::Bps delivered = 0;
     net::Bps offered = 0;
   };
-  // Average rates over the window since the pair's last take; resets it.
-  WindowRates take_window(app::ComponentId from, app::ComponentId to, sim::Time now);
+  // Average rates over the window since the edge's last take; resets it.
+  WindowRates take_window(std::size_t edge, sim::Time now);
 
   // Convenience: take_window().delivered.
-  net::Bps take_rate(app::ComponentId from, app::ComponentId to, sim::Time now);
+  net::Bps take_rate(std::size_t edge, sim::Time now);
 
   // Non-destructive delivered-rate peek.
-  net::Bps peek_rate(app::ComponentId from, app::ComponentId to, sim::Time now) const;
+  net::Bps peek_rate(std::size_t edge, sim::Time now) const;
 
  private:
-  struct PairStats {
+  struct EdgeStats {
     std::int64_t window_bytes = 0;
     std::int64_t window_offered = 0;
     std::int64_t total_bytes = 0;
     sim::Time window_start = 0;
   };
-  static std::int64_t key(app::ComponentId from, app::ComponentId to) {
-    return (static_cast<std::int64_t>(from) << 32) | static_cast<std::uint32_t>(to);
-  }
-  std::unordered_map<std::int64_t, PairStats> pairs_;
+  std::vector<EdgeStats> edges_;
 };
 
 }  // namespace bass::monitor

@@ -1,11 +1,15 @@
 #include "obs/events.h"
 
+#include <charconv>
+#include <cstdio>
+#include <type_traits>
+
 #include "obs/json.h"
-#include "util/strings.h"
 
 namespace bass::obs {
 
 void append_json_string(const std::string& s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -15,7 +19,9 @@ void append_json_string(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::str_format("\\u%04x", c);
+          out += "\\u00";
+          out += kHex[static_cast<unsigned char>(c) >> 4];
+          out += kHex[static_cast<unsigned char>(c) & 0xf];
         } else {
           out += c;
         }
@@ -58,6 +64,57 @@ struct NameVisitor {
   const char* operator()(const ZoneRound&) const { return "zone_round"; }
 };
 
+// Formats `,"key":value` pairs straight into the output line: integers
+// through std::to_chars, so a journal line costs no temporary strings.
+class Fields {
+ public:
+  explicit Fields(std::string& out) : out_(out) {}
+
+  template <typename Int>
+  Fields& num(const char* key, Int value) {
+    static_assert(std::is_integral_v<Int>);
+    this->key(key);
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+    return *this;
+  }
+  // printf's %g, as the journal has always written doubles.
+  Fields& real(const char* key, double value) {
+    this->key(key);
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%g", value);
+    out_.append(buf, static_cast<std::size_t>(n));
+    return *this;
+  }
+  Fields& flag(const char* key, bool value) {
+    this->key(key);
+    out_ += value ? "true" : "false";
+    return *this;
+  }
+  // A static identifier, written without escaping.
+  Fields& name(const char* key, const char* value) {
+    this->key(key);
+    out_ += '"';
+    out_ += value;
+    out_ += '"';
+    return *this;
+  }
+  Fields& text(const char* key, const std::string& value) {
+    this->key(key);
+    append_json_string(value, out_);
+    return *this;
+  }
+
+ private:
+  void key(const char* key) {
+    out_ += ",\"";
+    out_ += key;
+    out_ += "\":";
+  }
+
+  std::string& out_;
+};
+
 struct JsonVisitor {
   std::string& out;
 
@@ -65,84 +122,89 @@ struct JsonVisitor {
     // place_us is wall clock and deliberately NOT serialized: the journal
     // must be byte-identical across repeated runs of the same seed. The
     // measurement is still available via the sched.place_us metrics timer.
-    out += util::str_format(",\"deployment\":%d,\"scheduler\":", e.deployment);
-    append_json_string(e.scheduler, out);
-    out += util::str_format(
-        ",\"components\":%d,\"crossing_bps\":%lld,\"success\":%s",
-        e.components, static_cast<long long>(e.crossing_bps),
-        e.success ? "true" : "false");
+    Fields(out)
+        .num("deployment", e.deployment)
+        .text("scheduler", e.scheduler)
+        .num("components", e.components)
+        .num("crossing_bps", e.crossing_bps)
+        .flag("success", e.success);
   }
   void operator()(const ProbeCompleted& e) const {
-    out += util::str_format(
-        ",\"link\":%d,\"full\":%s,\"offered_bps\":%lld,\"measured_bps\":%lld,"
-        "\"bytes\":%lld",
-        e.link, e.full ? "true" : "false", static_cast<long long>(e.offered_bps),
-        static_cast<long long>(e.measured_bps), static_cast<long long>(e.bytes));
+    Fields(out)
+        .num("link", e.link)
+        .flag("full", e.full)
+        .num("offered_bps", e.offered_bps)
+        .num("measured_bps", e.measured_bps)
+        .num("bytes", e.bytes);
   }
   void operator()(const HeadroomViolation& e) const {
-    out += util::str_format(",\"link\":%d,\"delivered_bps\":%lld", e.link,
-                            static_cast<long long>(e.delivered_bps));
+    Fields(out).num("link", e.link).num("delivered_bps", e.delivered_bps);
   }
   void operator()(const MigrationStarted& e) const {
-    out += util::str_format(
-        ",\"deployment\":%d,\"component\":%d,\"from\":%d,\"to\":%d,"
-        "\"reason\":\"%s\"",
-        e.deployment, e.component, e.from, e.to, e.reason);
+    Fields(out)
+        .num("deployment", e.deployment)
+        .num("component", e.component)
+        .num("from", e.from)
+        .num("to", e.to)
+        .name("reason", e.reason);
   }
   void operator()(const MigrationCompleted& e) const {
-    out += util::str_format(
-        ",\"deployment\":%d,\"component\":%d,\"from\":%d,\"to\":%d,"
-        "\"downtime_us\":%lld,\"reason\":\"%s\"",
-        e.deployment, e.component, e.from, e.to,
-        static_cast<long long>(e.downtime), e.reason);
+    Fields(out)
+        .num("deployment", e.deployment)
+        .num("component", e.component)
+        .num("from", e.from)
+        .num("to", e.to)
+        .num("downtime_us", e.downtime)
+        .name("reason", e.reason);
   }
   void operator()(const ControllerRound& e) const {
-    out += util::str_format(
-        ",\"deployment\":%d,\"violating\":%d,\"migrations_started\":%d",
-        e.deployment, e.violating, e.migrations_started);
+    Fields(out)
+        .num("deployment", e.deployment)
+        .num("violating", e.violating)
+        .num("migrations_started", e.migrations_started);
   }
   void operator()(const ReallocationSolved& e) const {
-    out += util::str_format(",\"flows\":%lld,\"links\":%lld,\"full\":%s",
-                            static_cast<long long>(e.flows),
-                            static_cast<long long>(e.links),
-                            e.full ? "true" : "false");
+    Fields(out).num("flows", e.flows).num("links", e.links).flag("full", e.full);
   }
   void operator()(const LinkCapacityChanged& e) const {
-    out += util::str_format(",\"link\":%d,\"old_bps\":%lld,\"new_bps\":%lld",
-                            e.link, static_cast<long long>(e.old_bps),
-                            static_cast<long long>(e.new_bps));
+    Fields(out).num("link", e.link).num("old_bps", e.old_bps).num("new_bps", e.new_bps);
   }
   void operator()(const FaultInjected& e) const {
-    out += util::str_format(",\"kind\":\"%s\",\"node\":%d,\"peer\":%d,\"value\":%g",
-                            e.kind, e.node, e.peer, e.value);
+    Fields(out)
+        .name("kind", e.kind)
+        .num("node", e.node)
+        .num("peer", e.peer)
+        .real("value", e.value);
   }
   void operator()(const InvariantViolation& e) const {
-    out += util::str_format(",\"name\":\"%s\",\"detail\":", e.name);
-    append_json_string(e.detail, out);
+    Fields(out).name("name", e.name).text("detail", e.detail);
   }
   void operator()(const DeploymentClosed& e) const {
-    out += util::str_format(
-        ",\"deployment\":%d,\"components\":%d,\"lifetime_us\":%lld",
-        e.deployment, e.components, static_cast<long long>(e.lifetime));
+    Fields(out)
+        .num("deployment", e.deployment)
+        .num("components", e.components)
+        .num("lifetime_us", e.lifetime);
   }
   void operator()(const AdmissionOutcome& e) const {
-    out += util::str_format(
-        ",\"instance\":%d,\"deployment\":%d,\"action\":\"%s\","
-        "\"queue_depth\":%d,\"wait_us\":%lld",
-        e.instance, e.deployment, e.action, e.queue_depth,
-        static_cast<long long>(e.wait));
+    Fields(out)
+        .num("instance", e.instance)
+        .num("deployment", e.deployment)
+        .name("action", e.action)
+        .num("queue_depth", e.queue_depth)
+        .num("wait_us", e.wait);
   }
   void operator()(const OrchestratorWarning& e) const {
-    out += util::str_format(",\"what\":\"%s\",\"deployment\":%d,\"node\":%d",
-                            e.what, e.deployment, e.node);
+    Fields(out).name("what", e.what).num("deployment", e.deployment).num("node", e.node);
   }
   void operator()(const ZoneRound& e) const {
     // No wall-clock field on purpose: round wall time goes to the
     // zone.round_wall_us metric, keeping same-seed journals byte-identical.
-    out += util::str_format(
-        ",\"zone\":%d,\"round\":%d,\"flows\":%d,\"border_streams\":%d,"
-        "\"recon_iterations\":%d",
-        e.zone, e.round, e.flows, e.border_streams, e.recon_iterations);
+    Fields(out)
+        .num("zone", e.zone)
+        .num("round", e.round)
+        .num("flows", e.flows)
+        .num("border_streams", e.border_streams)
+        .num("recon_iterations", e.recon_iterations);
   }
 };
 
@@ -168,12 +230,13 @@ void append_jsonl(const Event& event, std::string& out) {
   // span/parent are serialized centrally — every line carries them, so the
   // schema check and `bassctl journal query --span` never need per-type
   // knowledge. Deterministic counters keep same-seed journals byte-equal.
-  out += util::str_format("{\"t_us\":%lld,\"type\":\"%s\",\"span\":%llu,"
-                          "\"parent\":%llu",
-                          static_cast<long long>(event_time(event)),
-                          event_type_name(event),
-                          static_cast<unsigned long long>(event_span(event)),
-                          static_cast<unsigned long long>(event_parent(event)));
+  const std::size_t start = out.size();
+  Fields(out)
+      .num("t_us", event_time(event))
+      .name("type", event_type_name(event))
+      .num("span", event_span(event))
+      .num("parent", event_parent(event));
+  out[start] = '{';  // the first field's comma opens the object
   std::visit(JsonVisitor{out}, event);
   out += '}';
 }

@@ -25,9 +25,13 @@ void OnlineProfiler::stop() {
 }
 
 net::Bps OnlineProfiler::estimate(app::ComponentId from, app::ComponentId to) const {
-  const auto it = edges_.find(key(from, to));
-  if (it == edges_.end()) return 0;
-  return static_cast<net::Bps>(it->second.envelope_bps * config_.safety_factor);
+  const auto& edges = orch_->app(deployment_).edges();
+  for (std::size_t i = 0; i < edges.size() && i < edges_.size(); ++i) {
+    if (edges[i].from == from && edges[i].to == to) {
+      return static_cast<net::Bps>(edges_[i].envelope_bps * config_.safety_factor);
+    }
+  }
+  return 0;
 }
 
 void OnlineProfiler::sample() {
@@ -37,13 +41,16 @@ void OnlineProfiler::sample() {
   if (dt <= 0.0) return;
   ++samples_;
 
-  const auto& graph = orch_->app(deployment_);
-  auto& stats = orch_->traffic_stats(deployment_);
-  for (const app::Edge& e : graph.edges()) {
-    EdgeState& state = edges_[key(e.from, e.to)];
+  const std::size_t edge_count = orch_->app(deployment_).edges().size();
+  edges_.resize(edge_count);
+  const auto& stats = orch_->traffic_stats(deployment_);
+  for (std::size_t i = 0; i < edge_count; ++i) {
+    // A copy: publishing an update replaces the deployment's graph.
+    const app::Edge e = orch_->app(deployment_).edges()[i];
+    EdgeState& state = edges_[i];
     // Non-destructive read: diff the cumulative totals so the controller's
     // own windows stay untouched.
-    const std::int64_t total = stats.total_bytes(e.from, e.to);
+    const std::int64_t total = stats.total_bytes(i);
     const double rate = static_cast<double>(total - state.last_total_bytes) * 8.0 / dt;
     state.last_total_bytes = total;
 

@@ -70,14 +70,26 @@ void ServingLoop::stop() {
 
 void ServingLoop::arrive(const workload::ChurnEvent& event) {
   ++stats_.arrivals;
-  std::vector<net::NodeId> nodes = orch_->cluster().schedulable_nodes();
-  if (nodes.empty()) nodes = orch_->cluster().nodes();
-  app::AppGraph app =
-      workload::make_churn_app(event.family, event.instance,
-                               config_.churn.resource_scale, config_.churn.seed, nodes);
-  std::string name = app.name();
-  admission_.submit(event.instance, std::move(name), std::move(app),
-                    config_.scheduler,
+  std::shared_ptr<const sched::PreparedApp> app;
+  if (event.family == workload::AppFamily::kVideoConference) {
+    // Conference pins are per-instance draws, so each one gets its own graph.
+    std::vector<net::NodeId> nodes = orch_->cluster().schedulable_nodes();
+    if (nodes.empty()) nodes = orch_->cluster().nodes();
+    app = sched::PreparedApp::make(
+        workload::make_churn_app(event.family, event.instance,
+                                 config_.churn.resource_scale, config_.churn.seed, nodes));
+  } else {
+    // Built on the family's first arrival, then shared by every instance.
+    auto& shared = templates_[static_cast<std::size_t>(event.family)];
+    if (shared == nullptr) {
+      shared = sched::PreparedApp::make(
+          workload::make_churn_template(event.family, config_.churn.resource_scale));
+    }
+    app = shared;
+  }
+  admission_.submit(event.instance,
+                    workload::churn_instance_name(event.family, event.instance),
+                    std::move(app), config_.scheduler,
                     [this](int instance, core::DeploymentId deployment, bool admitted) {
                       if (admitted) on_admitted(instance, deployment);
                     });

@@ -18,6 +18,7 @@
 // byte-identical journals.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -98,6 +99,10 @@ class ServingLoop {
   core::AdmissionQueue admission_;
   obs::Recorder* recorder_ = nullptr;
   std::vector<workload::ChurnEvent> schedule_;
+  // Camera and social templates at config_.churn.resource_scale, indexed by
+  // AppFamily; the conference slot stays empty.
+  std::array<std::shared_ptr<const sched::PreparedApp>, workload::kAppFamilyCount>
+      templates_;
   // Keyed by churn instance id; std::map keeps iteration deterministic for
   // the rebalance sweep.
   std::map<int, Live> live_;

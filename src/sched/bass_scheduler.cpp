@@ -1,9 +1,6 @@
 #include "sched/bass_scheduler.h"
 
 #include "obs/recorder.h"
-#include "sched/heuristics.h"
-#include "sched/node_ranker.h"
-#include "sched/packer.h"
 
 namespace bass::sched {
 
@@ -28,30 +25,36 @@ std::string BassScheduler::name() const {
   return std::string("bass-") + heuristic_name(heuristic_);
 }
 
-util::Expected<Placement> BassScheduler::schedule(const app::AppGraph& app,
+util::Expected<Placement> Scheduler::schedule(const app::AppGraph& app,
+                                              const cluster::ClusterState& cluster,
+                                              const NetworkView& view) const {
+  return schedule(PreparedApp(app), cluster, view);
+}
+
+util::Expected<Placement> BassScheduler::schedule(const PreparedApp& app,
                                                   const cluster::ClusterState& cluster,
                                                   const NetworkView& view) const {
   BASS_OBS_SCOPE("sched.schedule_us");
-  std::string error;
-  if (!app.validate(&error)) return util::make_error(error);
+  if (!app.valid()) return util::make_error(app.error());
 
-  PackInput input{app, cluster, view, rank_nodes(cluster, view)};
+  const PackInput input{app.graph(), cluster, view, ranker_.rank(cluster, view)};
   if (input.ranked_nodes.empty()) return util::make_error("no schedulable nodes");
 
   if (heuristic_ == Heuristic::kBreadthFirst) {
-    return sequential_pack(input, bfs_order(app));
+    return packer_.sequential_pack(input, app.bfs_order());
   }
   if (heuristic_ == Heuristic::kLongestPath) {
-    return path_pack(input, longest_path_paths(app));
+    return packer_.path_pack(input, app.longest_path_paths());
   }
 
   // kAuto: evaluate both and keep the placement with less mesh-crossing
   // bandwidth. Ties (including "both failed") resolve to BFS.
-  auto bfs = sequential_pack(input, bfs_order(app));
-  auto lp = path_pack(input, longest_path_paths(app));
+  auto bfs = packer_.sequential_pack(input, app.bfs_order());
+  auto lp = packer_.path_pack(input, app.longest_path_paths());
   if (!bfs.ok()) return lp;
   if (!lp.ok()) return bfs;
-  return crossing_bandwidth(app, lp.value()) < crossing_bandwidth(app, bfs.value())
+  return crossing_bandwidth(app.graph(), lp.value()) <
+                 crossing_bandwidth(app.graph(), bfs.value())
              ? std::move(lp)
              : std::move(bfs);
 }

@@ -7,19 +7,29 @@
 #include "app/app_graph.h"
 #include "cluster/cluster.h"
 #include "sched/network_view.h"
+#include "sched/node_ranker.h"
+#include "sched/packer.h"
 #include "sched/placement.h"
+#include "sched/prepared_app.h"
 #include "util/expected.h"
 
 namespace bass::sched {
 
 // Common interface so the orchestrator and benches can swap schedulers.
+// A scheduler keeps scratch buffers across decisions, so one instance
+// serves one thread (the orchestrator keeps one of each kind).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual std::string name() const = 0;
-  virtual util::Expected<Placement> schedule(const app::AppGraph& app,
+  // Fails with app.error() when the prepared graph is invalid.
+  virtual util::Expected<Placement> schedule(const PreparedApp& app,
                                              const cluster::ClusterState& cluster,
                                              const NetworkView& view) const = 0;
+  // One-shot convenience: prepares `app`, then schedules it.
+  util::Expected<Placement> schedule(const app::AppGraph& app,
+                                     const cluster::ClusterState& cluster,
+                                     const NetworkView& view) const;
 };
 
 // kAuto implements the paper's §8 future-work idea of combining the two
@@ -42,12 +52,17 @@ class BassScheduler final : public Scheduler {
   std::string name() const override;
   Heuristic heuristic() const { return heuristic_; }
 
-  util::Expected<Placement> schedule(const app::AppGraph& app,
+  using Scheduler::schedule;
+  // Reads the app's cached orders; ranks the nodes and packs.
+  util::Expected<Placement> schedule(const PreparedApp& app,
                                      const cluster::ClusterState& cluster,
                                      const NetworkView& view) const override;
 
  private:
   Heuristic heuristic_;
+  // Decision scratch, reused across schedule() calls.
+  mutable NodeRanker ranker_;
+  mutable Packer packer_;
 };
 
 }  // namespace bass::sched

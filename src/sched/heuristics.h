@@ -25,11 +25,16 @@ namespace bass::sched {
 // Flat placement order for the BFS heuristic. Covers every component,
 // including those unreachable from the first root (each starts a new BFS).
 std::vector<app::ComponentId> bfs_order(const app::AppGraph& app);
+// As above, over `app`'s topological order as topo_order() returns it.
+std::vector<app::ComponentId> bfs_order(const app::AppGraph& app,
+                                        const std::vector<app::ComponentId>& topo);
 
 // The longest-path heuristic's path decomposition: each inner vector is one
 // heaviest path, in data-flow order; concatenated they cover every
 // component exactly once.
 std::vector<std::vector<app::ComponentId>> longest_path_paths(const app::AppGraph& app);
+std::vector<std::vector<app::ComponentId>> longest_path_paths(
+    const app::AppGraph& app, const std::vector<app::ComponentId>& topo);
 
 // Flattened longest-path order (concatenation of the paths).
 std::vector<app::ComponentId> longest_path_order(const app::AppGraph& app);

@@ -1,24 +1,28 @@
 #include "sched/k3s_scheduler.h"
 
+#include <algorithm>
+
 #include "obs/recorder.h"
-#include "sched/packer.h"
 #include "util/strings.h"
 
 namespace bass::sched {
 
-util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
+util::Expected<Placement> K3sScheduler::schedule(const PreparedApp& prepared,
                                                  const cluster::ClusterState& cluster,
                                                  const NetworkView& view) const {
   BASS_OBS_SCOPE("sched.schedule_us");
   (void)view;  // bandwidth-oblivious by design
-  std::string error;
-  if (!app.validate(&error)) return util::make_error(error);
+  if (!prepared.valid()) return util::make_error(prepared.error());
+  const app::AppGraph& app = prepared.graph();
 
-  const std::vector<net::NodeId> nodes = cluster.schedulable_nodes();
-  if (nodes.empty()) return util::make_error("no schedulable nodes");
+  const auto& nodes = cluster.nodes();
+  const auto schedulable = [&](net::NodeId n) { return cluster.spec(n).schedulable; };
+  if (std::none_of(nodes.begin(), nodes.end(), schedulable)) {
+    return util::make_error("no schedulable nodes");
+  }
 
-  NodeBudget budget(cluster);
-  auto pinned = place_pinned(app, cluster, budget);
+  budget_.reset(cluster);
+  auto pinned = place_pinned(app, cluster, budget_);
   if (!pinned.ok()) return pinned;
   Placement placement = pinned.take();
   // Pods arrive at the scheduler one at a time, in submission (id) order.
@@ -28,19 +32,19 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
     net::NodeId best = net::kInvalidNode;
     double best_score = -1.0;
     for (net::NodeId n : nodes) {
-      if (!budget.fits(n, comp)) continue;
+      if (!schedulable(n) || !budget_.fits(n, comp)) continue;
       // Average free fraction after placing the pod; LeastAllocated prefers
       // the emptiest node, MostAllocated the fullest that still fits.
       const auto& spec = cluster.spec(n);
       const double cpu_frac =
           spec.cpu_milli == 0
               ? 0.0
-              : static_cast<double>(budget.cpu_free(n) - comp.cpu_milli) /
+              : static_cast<double>(budget_.cpu_free(n) - comp.cpu_milli) /
                     static_cast<double>(spec.cpu_milli);
       const double mem_frac =
           spec.memory_mb == 0
               ? 0.0
-              : static_cast<double>(budget.memory_free(n) - comp.memory_mb) /
+              : static_cast<double>(budget_.memory_free(n) - comp.memory_mb) /
                     static_cast<double>(spec.memory_mb);
       double score = (cpu_frac + mem_frac) / 2.0;
       if (scoring_ == K3sScoring::kMostAllocated) score = 1.0 - score;
@@ -53,7 +57,7 @@ util::Expected<Placement> K3sScheduler::schedule(const app::AppGraph& app,
       return util::make_error(util::str_format(
           "k3s: no node fits component '%s'", comp.name.c_str()));
     }
-    budget.charge(best, comp);
+    budget_.charge(best, comp);
     placement[static_cast<std::size_t>(c)] = best;
   }
   return placement;

@@ -29,12 +29,14 @@ class K3sScheduler final : public Scheduler {
                                                    : "k3s-most-allocated";
   }
 
-  util::Expected<Placement> schedule(const app::AppGraph& app,
+  using Scheduler::schedule;
+  util::Expected<Placement> schedule(const PreparedApp& app,
                                      const cluster::ClusterState& cluster,
                                      const NetworkView& view) const override;
 
  private:
   K3sScoring scoring_;
+  mutable NodeBudget budget_;  // decision scratch
 };
 
 }  // namespace bass::sched

@@ -7,8 +7,9 @@
 
 namespace bass::sched {
 
-NodeBudget::NodeBudget(const cluster::ClusterState& cluster)
-    : cpu_(cluster.node_bound(), 0), mem_(cluster.node_bound(), 0) {
+void NodeBudget::reset(const cluster::ClusterState& cluster) {
+  cpu_.assign(cluster.node_bound(), 0);
+  mem_.assign(cluster.node_bound(), 0);
   for (net::NodeId n : cluster.nodes()) {
     cpu_[static_cast<std::size_t>(n)] = cluster.cpu_free(n);
     mem_[static_cast<std::size_t>(n)] = cluster.memory_free(n);
@@ -38,10 +39,11 @@ util::Expected<Placement> place_pinned(const app::AppGraph& app,
   return placement;
 }
 
-LinkLedger::LinkLedger(const NetworkView& view)
-    : view_(view),
-      reserved_(static_cast<std::size_t>(view.link_count()), 0),
-      scratch_(static_cast<std::size_t>(view.link_count()), 0) {
+void LinkLedger::reset(const NetworkView& view) {
+  view_ = &view;
+  reserved_.assign(static_cast<std::size_t>(view.link_count()), 0);
+  // fits() leaves scratch_ all zero and touched_ empty.
+  scratch_.resize(reserved_.size(), 0);
   touched_.reserve(scratch_.size());
 }
 
@@ -52,7 +54,7 @@ void LinkLedger::reserve(const app::AppGraph& app, const Placement& placement,
     const net::NodeId a = node_of(placement, e.from);
     const net::NodeId b = node_of(placement, e.to);
     if (a == net::kInvalidNode || b == net::kInvalidNode || a == b) continue;
-    view_.routing().walk(a, b, [&](net::LinkId l) {
+    view_->routing().walk(a, b, [&](net::LinkId l) {
       reserved_[static_cast<std::size_t>(l)] += e.bandwidth;
       return true;
     });
@@ -66,14 +68,14 @@ bool LinkLedger::fits(const app::AppGraph& app, const Placement& placement,
     if (!ok || peer == node) return;
     const net::NodeId from = e.from == c ? node : peer;
     const net::NodeId to = e.from == c ? peer : node;
-    ok = view_.routing().reachable(from, to) &&
-         (e.max_latency <= 0 || view_.path_latency(from, to) <= e.max_latency);
+    ok = view_->routing().reachable(from, to) &&
+         (e.max_latency <= 0 || view_->path_latency(from, to) <= e.max_latency);
     if (!ok) return;
-    view_.routing().walk(from, to, [&](net::LinkId link) {
+    view_->routing().walk(from, to, [&](net::LinkId link) {
       const auto l = static_cast<std::size_t>(link);
       if (scratch_[l] == 0) touched_.push_back(link);
       scratch_[l] += e.bandwidth;
-      ok = reserved_[l] + scratch_[l] <= view_.link_capacity(link);
+      ok = reserved_[l] + scratch_[l] <= view_->link_capacity(link);
       return ok;
     });
   });
@@ -82,24 +84,22 @@ bool LinkLedger::fits(const app::AppGraph& app, const Placement& placement,
   return ok;
 }
 
-namespace {
-
 // The one packing loop: each path restarts from the top-ranked node and
 // advances forward, so a chain stays on as few nodes as possible; once the
 // ranked list is exhausted a component falls back to first-fit.
-util::Expected<Placement> pack(const PackInput& input,
-                               std::span<const std::vector<app::ComponentId>> paths) {
-  NodeBudget budget(input.cluster);
-  auto pinned = place_pinned(input.app, input.cluster, budget);
+util::Expected<Placement> Packer::pack(const PackInput& input,
+                                       std::span<const std::vector<app::ComponentId>> paths) {
+  budget_.reset(input.cluster);
+  auto pinned = place_pinned(input.app, input.cluster, budget_);
   if (!pinned.ok()) return pinned;
   Placement placement = pinned.take();
-  LinkLedger ledger(input.view);
-  ledger.reserve(input.app, placement, app::kInvalidComponent, false);  // pins
+  ledger_.reset(input.view);
+  ledger_.reserve(input.app, placement, app::kInvalidComponent, false);  // pins
 
   const auto& ranked = input.ranked_nodes;
   auto can_place = [&](app::ComponentId c, net::NodeId node) {
-    return budget.fits(node, input.app.component(c)) &&
-           ledger.fits(input.app, placement, c, node);
+    return budget_.fits(node, input.app.component(c)) &&
+           ledger_.fits(input.app, placement, c, node);
   };
   for (const auto& path : paths) {
     std::size_t idx = 0;
@@ -117,26 +117,34 @@ util::Expected<Placement> pack(const PackInput& input,
         }
       }
       const net::NodeId target = ranked[at];
-      budget.charge(target, input.app.component(c));
+      budget_.charge(target, input.app.component(c));
       placement[static_cast<std::size_t>(c)] = target;
-      ledger.reserve(input.app, placement, c, true);
+      ledger_.reserve(input.app, placement, c, true);
     }
   }
   return placement;
 }
 
-}  // namespace
-
-util::Expected<Placement> sequential_pack(const PackInput& input,
-                                          const std::vector<app::ComponentId>& order) {
+util::Expected<Placement> Packer::sequential_pack(
+    const PackInput& input, const std::vector<app::ComponentId>& order) {
   BASS_OBS_SCOPE("sched.sequential_pack_us");
   return pack(input, std::span(&order, 1));
 }
 
-util::Expected<Placement> path_pack(const PackInput& input,
-                                    const std::vector<std::vector<app::ComponentId>>& paths) {
+util::Expected<Placement> Packer::path_pack(
+    const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths) {
   BASS_OBS_SCOPE("sched.path_pack_us");
   return pack(input, paths);
+}
+
+util::Expected<Placement> sequential_pack(const PackInput& input,
+                                          const std::vector<app::ComponentId>& order) {
+  return Packer().sequential_pack(input, order);
+}
+
+util::Expected<Placement> path_pack(const PackInput& input,
+                                    const std::vector<std::vector<app::ComponentId>>& paths) {
+  return Packer().path_pack(input, paths);
 }
 
 }  // namespace bass::sched

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "app/app_graph.h"
@@ -30,7 +31,10 @@ namespace bass::sched {
 // Free CPU and memory per node, indexed by NodeId, as a placement is built.
 class NodeBudget {
  public:
-  explicit NodeBudget(const cluster::ClusterState& cluster);
+  NodeBudget() = default;
+  explicit NodeBudget(const cluster::ClusterState& cluster) { reset(cluster); }
+  // Re-reads every node's free CPU and memory, reusing the buffers.
+  void reset(const cluster::ClusterState& cluster);
 
   std::int64_t cpu_free(net::NodeId n) const { return cpu_[static_cast<std::size_t>(n)]; }
   std::int64_t memory_free(net::NodeId n) const { return mem_[static_cast<std::size_t>(n)]; }
@@ -70,7 +74,11 @@ void for_each_placed_peer(const app::AppGraph& app, const Placement& placement,
 // placement (components at kInvalidNode are not placed yet).
 class LinkLedger {
  public:
-  explicit LinkLedger(const NetworkView& view);
+  LinkLedger() = default;
+  explicit LinkLedger(const NetworkView& view) { reset(view); }
+  // Drops every reservation and binds `view`, which must outlive the use
+  // until the next reset; the buffers are reused.
+  void reset(const NetworkView& view);
 
   // Reserves the crossing edges between placed components that touch `c`
   // (`of_c`) or that do not (`!of_c`; c = kInvalidComponent selects all).
@@ -84,7 +92,7 @@ class LinkLedger {
             net::NodeId node);
 
  private:
-  const NetworkView& view_;
+  const NetworkView* view_ = nullptr;
   std::vector<net::Bps> reserved_;  // by LinkId
   // fits() scratch: tentative additions by LinkId, and the links they touch.
   std::vector<net::Bps> scratch_;
@@ -95,9 +103,27 @@ struct PackInput {
   const app::AppGraph& app;
   const cluster::ClusterState& cluster;
   const NetworkView& view;
-  std::vector<net::NodeId> ranked_nodes;  // best first
+  std::span<const net::NodeId> ranked_nodes;  // best first
 };
 
+// The packing loop with its per-decision buffers (node budget, link
+// ledger) kept across calls; a scheduler owns one.
+class Packer {
+ public:
+  util::Expected<Placement> sequential_pack(const PackInput& input,
+                                            const std::vector<app::ComponentId>& order);
+  util::Expected<Placement> path_pack(
+      const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths);
+
+ private:
+  util::Expected<Placement> pack(const PackInput& input,
+                                 std::span<const std::vector<app::ComponentId>> paths);
+
+  NodeBudget budget_;
+  LinkLedger ledger_;
+};
+
+// One-shot forms with fresh buffers.
 util::Expected<Placement> sequential_pack(const PackInput& input,
                                           const std::vector<app::ComponentId>& order);
 

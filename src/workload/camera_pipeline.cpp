@@ -20,11 +20,13 @@ CameraPipelineEngine::CameraPipelineEngine(core::Orchestrator& orchestrator,
   label_ = g.find("label-listener");
   assert(camera_ != app::kInvalidComponent && detector_ != app::kInvalidComponent &&
          "deployment is not the camera pipeline app");
-  for (const app::Edge& e : g.edges()) {
-    if (e.from == camera_ && e.to == sampler_) cam_samp_ = e;
-    if (e.from == sampler_ && e.to == detector_) samp_det_ = e;
-    if (e.from == detector_ && e.to == image_) det_img_ = e;
-    if (e.from == detector_ && e.to == label_) det_lbl_ = e;
+  const std::vector<app::Edge>& edges = g.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const app::Edge& e = edges[i];
+    if (e.from == camera_ && e.to == sampler_) cam_samp_ = {i, e};
+    if (e.from == sampler_ && e.to == detector_) samp_det_ = {i, e};
+    if (e.from == detector_ && e.to == image_) det_img_ = {i, e};
+    if (e.from == detector_ && e.to == label_) det_lbl_ = {i, e};
   }
 }
 
@@ -74,16 +76,17 @@ void CameraPipelineEngine::drop_frame() {
   --in_flight_;
 }
 
-// Transfers `edge`'s payload between the two components' current nodes,
-// recording offered/delivered bytes, then continues with `next`.
-void CameraPipelineEngine::ship(const app::Edge& edge, std::int64_t bytes,
-                                std::function<void()> next) {
-  auto& stats = orch_->traffic_stats(deployment_);
-  stats.record_offered(edge.from, edge.to, bytes);
+// Transfers one request payload of `hop` between the two components'
+// current nodes, recording offered/delivered bytes, then continues with
+// `next`.
+void CameraPipelineEngine::ship(const Hop& hop, std::function<void()> next) {
+  const std::size_t edge = hop.index;
+  const std::int64_t bytes = hop.edge.request_bytes;
+  orch_->traffic_stats(deployment_).record_offered(edge, bytes);
   orch_->network().start_transfer(
-      orch_->node_of(deployment_, edge.from), orch_->node_of(deployment_, edge.to),
+      orch_->node_of(deployment_, hop.edge.from), orch_->node_of(deployment_, hop.edge.to),
       bytes, [this, edge, bytes, next = std::move(next)] {
-        orch_->traffic_stats(deployment_).record(edge.from, edge.to, bytes);
+        orch_->traffic_stats(deployment_).record(edge, bytes);
         next();
       });
 }
@@ -112,7 +115,7 @@ void CameraPipelineEngine::capture() {
   const sim::Time t0 = orch_->simulation().now();
   serve(camera_, [this, t0] {
     if (!stage_up(sampler_)) return drop_frame();
-    ship(cam_samp_, cam_samp_.request_bytes, [this, t0] { sampler_stage(t0); });
+    ship(cam_samp_, [this, t0] { sampler_stage(t0); });
   });
 }
 
@@ -127,7 +130,7 @@ void CameraPipelineEngine::sampler_stage(sim::Time t0) {
       return;
     }
     if (!stage_up(detector_)) return drop_frame();
-    ship(samp_det_, samp_det_.request_bytes, [this, t0] { detector_stage(t0); });
+    ship(samp_det_, [this, t0] { detector_stage(t0); });
   });
 }
 
@@ -138,10 +141,10 @@ void CameraPipelineEngine::detector_stage(sim::Time t0) {
     // Fan out annotated frames and labels; the frame completes when the
     // annotated image lands (labels are fire-and-forget telemetry).
     if (stage_up(label_)) {
-      ship(det_lbl_, det_lbl_.request_bytes, [] {});
+      ship(det_lbl_, [] {});
     }
     if (!stage_up(image_)) return drop_frame();
-    ship(det_img_, det_img_.request_bytes, [this, t0] {
+    ship(det_img_, [this, t0] {
       const sim::Time now = orch_->simulation().now();
       to_image_.record(now, now - t0);
       e2e_.record(now, now - t0);

@@ -59,7 +59,13 @@ class CameraPipelineEngine final {
   void sampler_stage(sim::Time t0);
   void detector_stage(sim::Time t0);
   void drop_frame();
-  void ship(const app::Edge& edge, std::int64_t bytes, std::function<void()> next);
+  // One pipeline edge: its index in the app's edges() (its traffic-stats
+  // slot) and the edge itself.
+  struct Hop {
+    std::size_t index = 0;
+    app::Edge edge;
+  };
+  void ship(const Hop& hop, std::function<void()> next);
   void serve(app::ComponentId component, std::function<void()> next);
   bool stage_up(app::ComponentId c) const;
   void acquire_slot(app::ComponentId c, std::function<void()> ready);
@@ -71,7 +77,7 @@ class CameraPipelineEngine final {
   util::Rng rng_;
 
   app::ComponentId camera_, sampler_, detector_, image_, label_;
-  app::Edge cam_samp_, samp_det_, det_img_, det_lbl_;
+  Hop cam_samp_, samp_det_, det_img_, det_lbl_;
 
   struct Server {
     int busy = 0;

@@ -41,6 +41,17 @@ app::AppGraph scaled_copy(const app::AppGraph& base, const std::string& name,
   return g;
 }
 
+// Camera and social graphs depend on nothing but the scale.
+app::AppGraph scaled_catalog_app(AppFamily family, double scale, const std::string& name) {
+  if (family == AppFamily::kCameraPipeline) {
+    return scaled_copy(app::camera_pipeline_app(), name, scale);
+  }
+  // profile_scale already scales the social app's edge bandwidths; the
+  // cpu/memory scaling comes from scaled_copy (bandwidth is re-scaled from
+  // the already-reduced profile, floored at 50 kbps).
+  return scaled_copy(app::social_network_app(1.0), name, scale);
+}
+
 }  // namespace
 
 const char* app_family_name(AppFamily family) {
@@ -114,19 +125,23 @@ std::vector<ChurnEvent> build_churn_schedule(const ChurnConfig& config) {
   return events;
 }
 
+std::string churn_instance_name(AppFamily family, int instance) {
+  return util::str_format("%s#%d", app_family_name(family), instance);
+}
+
+app::AppGraph make_churn_template(AppFamily family, double resource_scale) {
+  assert(family != AppFamily::kVideoConference && "conference pins are per-instance");
+  return scaled_catalog_app(family, resource_scale, app_family_name(family));
+}
+
 app::AppGraph make_churn_app(AppFamily family, int instance,
                              double resource_scale, std::uint64_t seed,
                              const std::vector<net::NodeId>& mesh_nodes) {
-  const std::string name =
-      util::str_format("%s#%d", app_family_name(family), instance);
+  const std::string name = churn_instance_name(family, instance);
   switch (family) {
     case AppFamily::kCameraPipeline:
-      return scaled_copy(app::camera_pipeline_app(), name, resource_scale);
     case AppFamily::kSocialNetwork:
-      // profile_scale already scales the social app's edge bandwidths; the
-      // cpu/memory scaling comes from scaled_copy (bandwidth is re-scaled
-      // from the already-reduced profile, floored at 50 kbps).
-      return scaled_copy(app::social_network_app(1.0), name, resource_scale);
+      return scaled_catalog_app(family, resource_scale, name);
     case AppFamily::kVideoConference: {
       // Client groups land on per-instance deterministic nodes: a small
       // conference between two or three mesh locations.

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "app/app_graph.h"
@@ -59,13 +60,22 @@ struct ChurnEvent {
 // precedes its arrival.
 std::vector<ChurnEvent> build_churn_schedule(const ChurnConfig& config);
 
+// "<family>#<instance>": the name duplicate detection keys on.
+std::string churn_instance_name(AppFamily family, int instance);
+
 // Builds the right-sized app graph for one churn instance: the catalog
-// family graph with an instance-suffixed name (duplicate detection keys on
-// it) and resources/bandwidth scaled by `resource_scale`. Conference
-// instances pin their client pseudo-components to nodes drawn from
-// `mesh_nodes` with Rng(seed ^ instance) — deterministic per instance.
+// family graph named churn_instance_name() with resources/bandwidth scaled
+// by `resource_scale`. Conference instances pin their client
+// pseudo-components to nodes drawn from `mesh_nodes` with
+// Rng(seed ^ instance) — deterministic per instance.
 app::AppGraph make_churn_app(AppFamily family, int instance,
                              double resource_scale, std::uint64_t seed,
                              const std::vector<net::NodeId>& mesh_nodes);
+
+// The graph every camera or social instance at `resource_scale` shares:
+// make_churn_app's graph under the family name. The serving loop prepares
+// it once per family (sched::PreparedApp) instead of once per arrival.
+// Conference instances have no template: their pins are per-instance.
+app::AppGraph make_churn_template(AppFamily family, double resource_scale);
 
 }  // namespace bass::workload

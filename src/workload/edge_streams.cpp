@@ -10,6 +10,7 @@ EdgeStreamEngine::EdgeStreamEngine(core::Orchestrator& orchestrator,
                                    core::DeploymentId deployment)
     : orch_(&orchestrator), deployment_(deployment) {
   const app::AppGraph& graph = orch_->app(deployment_);
+  flows_.reserve(graph.edges().size());
   for (const app::Edge& e : graph.edges()) {
     flows_.push_back({.from = e.from, .to = e.to, .demand = e.bandwidth});
   }
@@ -67,13 +68,14 @@ void EdgeStreamEngine::close(Flow& flow) {
 void EdgeStreamEngine::sample() {
   const double dt = sim::to_seconds(kSampleInterval);
   monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
-  for (const Flow& flow : flows_) {
+  // flows_[i] streams edge i.
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const Flow& flow = flows_[i];
     if (!flow.connected) continue;
     const double rate = static_cast<double>(orch_->network().stream_rate(flow.stream));
-    stats.record(flow.from, flow.to, static_cast<std::int64_t>(rate * dt / 8.0));
-    stats.record_offered(flow.from, flow.to,
-                         static_cast<std::int64_t>(
-                             static_cast<double>(flow.demand) * dt / 8.0));
+    stats.record(i, static_cast<std::int64_t>(rate * dt / 8.0));
+    stats.record_offered(i, static_cast<std::int64_t>(
+                                static_cast<double>(flow.demand) * dt / 8.0));
   }
 }
 

@@ -49,7 +49,7 @@ class EdgeStreamEngine final : public core::DeploymentListener {
 
   core::Orchestrator* orch_;
   core::DeploymentId deployment_;
-  std::vector<Flow> flows_;  // one per app edge, fixed at construction
+  std::vector<Flow> flows_;  // one per app edge, in edges() order
   bool running_ = false;
   sim::EventId sampler_ = sim::kInvalidEvent;
   core::Subscription subscription_;

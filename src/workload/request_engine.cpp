@@ -153,9 +153,10 @@ void RequestEngine::service_done(FrameId f) {
     // delivered when the response lands. Their ratio is the pair's goodput
     // the controller watches.
     orch_->traffic_stats(deployment_)
-        .record_offered(e.from, e.to, e.request_bytes + e.response_bytes);
+        .record_offered(i, e.request_bytes + e.response_bytes);
     call(new_frame({.component = e.to,
                     .caller_node = my_node,
+                    .edge = static_cast<std::uint32_t>(i),
                     .request_bytes = e.request_bytes,
                     .response_bytes = e.response_bytes,
                     .parent = f}));
@@ -181,8 +182,7 @@ void RequestEngine::response_landed(FrameId f) {
     return;
   }
   orch_->traffic_stats(deployment_)
-      .record(frames_[frame.parent].component, frame.component,
-              frame.request_bytes + frame.response_bytes);
+      .record(frame.edge, frame.request_bytes + frame.response_bytes);
   finish(frame.parent);
 }
 

@@ -83,6 +83,9 @@ class RequestEngine final : public core::DeploymentListener {
     // Where the component ran; fixed when its service ends, and the source
     // of its children's requests and of its response.
     net::NodeId node = net::kInvalidNode;
+    // The app edge the call travels (its index in edges(), the traffic-stats
+    // slot its bytes go to); unused for the root of a request.
+    std::uint32_t edge = 0;
     std::int64_t request_bytes = 0;
     std::int64_t response_bytes = 0;
     FrameId parent = kNoFrame;  // kNoFrame: the root of a request

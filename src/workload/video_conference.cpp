@@ -31,6 +31,14 @@ VideoConferenceEngine::VideoConferenceEngine(core::Orchestrator& orchestrator,
     group.component = graph.find(util::str_format("clients@node%d", g.node));
     assert(group.component != app::kInvalidComponent &&
            "config groups must match the app");
+    const auto& edges = graph.edges();
+    group.edge = static_cast<std::size_t>(
+        std::find_if(edges.begin(), edges.end(),
+                     [&](const app::Edge& e) {
+                       return e.from == sfu_ && e.to == group.component;
+                     }) -
+        edges.begin());
+    assert(group.edge < edges.size() && "the app must link the SFU to every group");
   }
 }
 
@@ -139,8 +147,8 @@ void VideoConferenceEngine::sample() {
     // Passive traffic accounting on the SFU<->group edges so the bandwidth
     // controller sees the SFU's link usage and goodput: offered is the
     // stream demand, delivered the max-min allocation.
-    stats.record(sfu_, g.component, static_cast<std::int64_t>(g.delivered * dt / 8.0));
-    stats.record_offered(sfu_, g.component,
+    stats.record(g.edge, static_cast<std::int64_t>(g.delivered * dt / 8.0));
+    stats.record_offered(g.edge,
                          static_cast<std::int64_t>(static_cast<double>(config_.per_stream) *
                                                    g.forwards * dt / 8.0));
   }
@@ -150,8 +158,8 @@ void VideoConferenceEngine::sample() {
   // uplink offers one full stream.
   for (const Group& g : groups_) {
     if (g.uplinks == 0) continue;
-    stats.record(sfu_, g.component, static_cast<std::int64_t>(g.uplinked * dt / 8.0));
-    stats.record_offered(sfu_, g.component,
+    stats.record(g.edge, static_cast<std::int64_t>(g.uplinked * dt / 8.0));
+    stats.record_offered(g.edge,
                          static_cast<std::int64_t>(static_cast<double>(config_.per_stream) *
                                                    g.uplinks * dt / 8.0));
   }

@@ -73,6 +73,7 @@ class VideoConferenceEngine final : public core::DeploymentListener {
     int count = 0;
     int receivers = 0;  // clients subscribed to at least one stream
     app::ComponentId component = app::kInvalidComponent;
+    std::size_t edge = 0;  // the sfu -> component edge: its traffic-stats slot
     metrics::TimeSeries bitrate;
     metrics::TimeSeries loss;
     // Open streams while connected: publisher uplinks, SFU forwards.

@@ -119,10 +119,10 @@ TEST(CameraPipeline, TrafficStatsFeedTheController) {
   engine.stop();
   f.sim.run_until(sim::minutes(2));
   const auto& g = f.orch->app(f.id);
-  const auto cam = g.find("camera-stream");
-  const auto samp = g.find("frame-sampler");
-  // ~600 frames x 50 KB on the camera->sampler edge.
-  EXPECT_NEAR(static_cast<double>(f.orch->traffic_stats(f.id).total_bytes(cam, samp)),
+  // ~600 frames x 50 KB on the camera->sampler edge, the catalog's first.
+  ASSERT_EQ(g.edges()[0].from, g.find("camera-stream"));
+  ASSERT_EQ(g.edges()[0].to, g.find("frame-sampler"));
+  EXPECT_NEAR(static_cast<double>(f.orch->traffic_stats(f.id).total_bytes(0)),
               600.0 * 50000.0, 600.0 * 50000.0 * 0.05);
 }
 

@@ -5,6 +5,7 @@
 
 #include "app/catalog.h"
 #include "sched/heuristics.h"
+#include "sched/prepared_app.h"
 #include "util/rng.h"
 
 namespace bass::sched {
@@ -158,6 +159,57 @@ TEST_P(HeuristicProperty, FirstPathIsHeaviest) {
       EXPECT_GE(first, static_cast<double>(e.bandwidth));
     }
   }
+}
+
+// A prepared app's cached orders are the heuristics' from-scratch output.
+void expect_prepared_orders_match(const AppGraph& g) {
+  SCOPED_TRACE(g.name());
+  const PreparedApp prepared(g);
+  ASSERT_TRUE(prepared.valid()) << prepared.error();
+  EXPECT_EQ(prepared.topo_order(), g.topo_order());
+  EXPECT_EQ(prepared.bfs_order(), bfs_order(g));
+  EXPECT_EQ(prepared.longest_path_paths(), longest_path_paths(g));
+}
+
+TEST_P(HeuristicProperty, PreparedOrdersMatchFromScratch) {
+  expect_prepared_orders_match(random_dag(GetParam()));
+}
+
+TEST(PreparedApp, CatalogOrdersMatchFromScratch) {
+  expect_prepared_orders_match(app::fig6_example());
+  expect_prepared_orders_match(app::camera_pipeline_app());
+  expect_prepared_orders_match(app::social_network_app());
+  expect_prepared_orders_match(app::social_network_app(50.0 / 400.0));
+  expect_prepared_orders_match(
+      app::video_conference_app({{1, 3}, {2, 1}, {3, 2}}, net::kbps(800)));
+}
+
+TEST(PreparedApp, InvalidGraphKeepsItsError) {
+  AppGraph g("cycle");
+  g.add_component({.name = "a"});
+  g.add_component({.name = "b"});
+  g.add_dependency({.from = 0, .to = 1});
+  g.add_dependency({.from = 1, .to = 0});
+  const PreparedApp prepared(std::move(g));
+  EXPECT_FALSE(prepared.valid());
+  EXPECT_EQ(prepared.error(), "component graph has a cycle");
+  EXPECT_TRUE(prepared.topo_order().empty());
+  EXPECT_TRUE(prepared.bfs_order().empty());
+  EXPECT_TRUE(prepared.longest_path_paths().empty());
+}
+
+// Edge weights steer both heuristics, so a re-weighted copy re-derives its
+// orders and the original keeps its own.
+TEST(PreparedApp, WithEdgeBandwidthReordersTheCopyOnly) {
+  const auto original = PreparedApp::make(app::fig6_example());
+  // 1->2 outweighs 1->3 now: BFS visits 2 before 3.
+  const auto copy = original->with_edge_bandwidth(0, 1, net::mbps(20));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->bfs_order(), bfs_order(copy->graph()));
+  EXPECT_NE(copy->bfs_order(), original->bfs_order());
+  EXPECT_EQ(original->bfs_order(), bfs_order(app::fig6_example()));
+  EXPECT_EQ(original->graph().edges()[1].bandwidth, net::mbps(5));
+  EXPECT_EQ(PreparedApp::make(app::fig6_example())->with_edge_bandwidth(1, 0, 1), nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomDags, HeuristicProperty,

@@ -10,36 +10,51 @@ namespace bass::monitor {
 namespace {
 
 TEST(TrafficStats, RecordAndTotals) {
-  TrafficStats stats;
-  stats.record(1, 2, 1000);
-  stats.record(1, 2, 500);
-  stats.record(2, 1, 100);
-  EXPECT_EQ(stats.total_bytes(1, 2), 1500);
-  EXPECT_EQ(stats.total_bytes(2, 1), 100);
-  EXPECT_EQ(stats.total_bytes(3, 4), 0);
+  TrafficStats stats(3);
+  stats.record(1, 1000);
+  stats.record(1, 500);
+  stats.record(2, 100);
+  EXPECT_EQ(stats.edge_count(), 3u);
+  EXPECT_EQ(stats.total_bytes(1), 1500);
+  EXPECT_EQ(stats.total_bytes(2), 100);
+  EXPECT_EQ(stats.total_bytes(0), 0);
 }
 
 TEST(TrafficStats, TakeRateResetsWindow) {
-  TrafficStats stats;
-  stats.record(1, 2, 12'500);  // 100 kbit
+  TrafficStats stats(3);
+  stats.record(1, 12'500);  // 100 kbit
   // Over 10 s that is 10 kbps.
-  EXPECT_EQ(stats.take_rate(1, 2, sim::seconds(10)), net::kbps(10));
+  EXPECT_EQ(stats.take_rate(1, sim::seconds(10)), net::kbps(10));
   // Window reset: nothing since t=10.
-  EXPECT_EQ(stats.take_rate(1, 2, sim::seconds(20)), 0);
-  EXPECT_EQ(stats.total_bytes(1, 2), 12'500);  // totals persist
+  EXPECT_EQ(stats.take_rate(1, sim::seconds(20)), 0);
+  EXPECT_EQ(stats.total_bytes(1), 12'500);  // totals persist
 }
 
 TEST(TrafficStats, PeekDoesNotReset) {
-  TrafficStats stats;
-  stats.record(1, 2, 12'500);
-  EXPECT_EQ(stats.peek_rate(1, 2, sim::seconds(10)), net::kbps(10));
-  EXPECT_EQ(stats.peek_rate(1, 2, sim::seconds(10)), net::kbps(10));
+  TrafficStats stats(3);
+  stats.record(1, 12'500);
+  EXPECT_EQ(stats.peek_rate(1, sim::seconds(10)), net::kbps(10));
+  EXPECT_EQ(stats.peek_rate(1, sim::seconds(10)), net::kbps(10));
 }
 
 TEST(TrafficStats, ZeroWindowIsZeroRate) {
-  TrafficStats stats;
-  stats.record(1, 2, 1000);
-  EXPECT_EQ(stats.peek_rate(1, 2, 0), 0);
+  TrafficStats stats(3);
+  stats.record(1, 1000);
+  EXPECT_EQ(stats.peek_rate(1, 0), 0);
+}
+
+// A retired deployment's stats have no slots: in-flight traffic that lands
+// after undeploy is dropped, and reads see zero.
+TEST(TrafficStats, EdgesPastTheEndReadZero) {
+  TrafficStats stats(1);
+  stats.record(1, 1000);
+  stats.record_offered(1, 1000);
+  EXPECT_EQ(stats.total_bytes(0), 0);
+  EXPECT_EQ(stats.total_bytes(1), 0);
+  EXPECT_EQ(stats.peek_rate(1, sim::seconds(1)), 0);
+  const auto window = stats.take_window(1, sim::seconds(1));
+  EXPECT_EQ(window.delivered, 0);
+  EXPECT_EQ(window.offered, 0);
 }
 
 struct MonitorFixture {

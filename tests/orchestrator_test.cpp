@@ -180,7 +180,7 @@ TEST(Orchestrator, ControllerMigratesUnderViolation) {
   f.network->set_link_capacity_between(na, nb, net::mbps(6));
   const auto feeder = f.sim.schedule_periodic(sim::seconds(5), [&] {
     // 5 Mbps over each 5 s window.
-    f.orch->traffic_stats(id).record(0, 1, net::mbps(5) / 8 * 5);
+    f.orch->traffic_stats(id).record(0, net::mbps(5) / 8 * 5);
   });
 
   f.sim.run_until(sim::minutes(3));
@@ -215,7 +215,7 @@ TEST(Orchestrator, DisableMigrationStopsController) {
   const net::NodeId nb = f.orch->node_of(id, 1);
   f.network->set_link_capacity_between(na, nb, net::kbps(100));
   f.sim.schedule_periodic(sim::seconds(5), [&] {
-    f.orch->traffic_stats(id).record(0, 1, 1'000'000);
+    f.orch->traffic_stats(id).record(0, 1'000'000);
   });
   f.sim.run_until(sim::minutes(2));
   EXPECT_TRUE(f.orch->migration_events().empty());
@@ -271,6 +271,30 @@ TEST(Orchestrator, UpdateEdgeBandwidth) {
   EXPECT_EQ(f.orch->app(id).edges()[0].bandwidth, net::mbps(3));
 }
 
+// The online profiler's write copies on write: one tenant's profile never
+// reaches the shared template or another deployment of it.
+TEST(Orchestrator, EdgeUpdateLeavesTheTemplateAndOtherTenantsAlone) {
+  Fixture f;
+  const auto shared = sched::PreparedApp::make(tiny_app());
+  const auto a = f.orch->deploy(shared, SchedulerKind::kBassAuto, "a").take();
+  const auto b = f.orch->deploy(shared, SchedulerKind::kBassAuto, "b").take();
+  EXPECT_EQ(&f.orch->app(a), &shared->graph());
+  EXPECT_EQ(&f.orch->app(b), &shared->graph());
+
+  ASSERT_TRUE(f.orch->update_edge_bandwidth(a, 0, 1, net::mbps(3)));
+  EXPECT_EQ(f.orch->app(a).edges()[0].bandwidth, net::mbps(3));
+  EXPECT_NE(&f.orch->app(a), &shared->graph());
+  EXPECT_EQ(&f.orch->app(b), &shared->graph());
+  EXPECT_EQ(f.orch->app(b).edges()[0].bandwidth, net::mbps(8));
+  EXPECT_EQ(shared->graph().edges()[0].bandwidth, net::mbps(8));
+
+  // A retired deployment lets go of its share; the template lives on.
+  EXPECT_TRUE(f.orch->undeploy(b));
+  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(f.orch->app(b).component_count(), 0);
+  EXPECT_FALSE(f.orch->update_edge_bandwidth(b, 0, 1, net::mbps(1)));
+}
+
 TEST(Orchestrator, MigrationBudgetCapsPerRound) {
   Fixture f;
   // Four independent pairs, all violating at once.
@@ -299,7 +323,8 @@ TEST(Orchestrator, MigrationBudgetCapsPerRound) {
   f.network->set_link_capacity_between(0, 1, net::mbps(6));
   f.sim.schedule_periodic(sim::seconds(5), [&] {
     for (int i = 0; i < 4; ++i) {
-      f.orch->traffic_stats(id).record(2 * i, 2 * i + 1, net::mbps(5) / 8 * 5 / 4);
+      f.orch->traffic_stats(id).record(static_cast<std::size_t>(i),
+                                       net::mbps(5) / 8 * 5 / 4);
     }
   });
   f.sim.run_until(sim::seconds(45));
@@ -319,8 +344,8 @@ TEST(Orchestrator, MultipleDeploymentsAreIndependent) {
   const auto a = f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs).take();
   const auto b = f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs).take();
   EXPECT_NE(a, b);
-  f.orch->traffic_stats(a).record(0, 1, 999);
-  EXPECT_EQ(f.orch->traffic_stats(b).total_bytes(0, 1), 0);
+  f.orch->traffic_stats(a).record(0, 999);
+  EXPECT_EQ(f.orch->traffic_stats(b).total_bytes(0), 0);
   f.orch->restart_component(a, 0);
   EXPECT_FALSE(f.orch->is_up(a, 0));
   EXPECT_TRUE(f.orch->is_up(b, 0));

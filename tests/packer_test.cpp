@@ -31,7 +31,8 @@ struct TwoNodeFixture {
   }
 
   PackInput input() {
-    return PackInput{app_, cluster, *view, rank_nodes(cluster, *view)};
+    ranked_ = rank_nodes(cluster, *view);
+    return PackInput{app_, cluster, *view, ranked_};
   }
 
   void set_app(app::AppGraph g) { app_ = std::move(g); }
@@ -39,6 +40,7 @@ struct TwoNodeFixture {
 
  private:
   app::AppGraph app_{"unset"};
+  std::vector<net::NodeId> ranked_;  // input()'s ranking, which it points into
 };
 
 TEST(Packer, SequentialPacksCameraLikeThePaper) {

@@ -80,7 +80,7 @@ TEST(OnlineProfiler, EnvelopeTracksSurgeImmediately) {
   const auto low = profiler.estimate(0, 1);
 
   // Surge: feed extra traffic directly into the stats (a burst).
-  f.orch->traffic_stats(f.id).record(0, 1, 20'000'000);  // 20 MB burst
+  f.orch->traffic_stats(f.id).record(0, 20'000'000);  // 20 MB burst
   f.sim.run_until(sim::minutes(1) + sim::seconds(6));
   const auto high = profiler.estimate(0, 1);
   EXPECT_GT(high, low * 5);
@@ -91,7 +91,7 @@ TEST(OnlineProfiler, EnvelopeDecaysAfterBurst) {
   OnlineProfiler profiler(*f.orch, f.id,
                           {.sample_interval = sim::seconds(5), .release = 0.2});
   profiler.start();
-  f.orch->traffic_stats(f.id).record(0, 1, 50'000'000);
+  f.orch->traffic_stats(f.id).record(0, 50'000'000);
   f.sim.run_until(sim::seconds(6));
   const auto peak = profiler.estimate(0, 1);
   ASSERT_GT(peak, 0);
@@ -108,7 +108,7 @@ TEST(OnlineProfiler, NoUpdatesBeforeWarmup) {
   pcfg.warmup_samples = 100;  // effectively never within this test
   OnlineProfiler profiler(*f.orch, f.id, pcfg);
   profiler.start();
-  f.orch->traffic_stats(f.id).record(0, 1, 10'000'000);
+  f.orch->traffic_stats(f.id).record(0, 10'000'000);
   f.sim.run_until(sim::minutes(2));
   EXPECT_EQ(profiler.updates_published(), 0);
   // The original (wrong) offline profile is untouched.

@@ -152,6 +152,12 @@ app::AppGraph one_pod(const std::string& name, std::int64_t cpu) {
   return g;
 }
 
+// one_pod() as the admission queue takes it.
+std::shared_ptr<const sched::PreparedApp> prepared_pod(const std::string& name,
+                                                       std::int64_t cpu) {
+  return sched::PreparedApp::make(one_pod(name, cpu));
+}
+
 TEST(Undeploy, AccountingRoundTripsToZero) {
   Fixture f(16000);  // roomy: four quarter-scale catalog apps must all fit
   const std::vector<net::NodeId> mesh = {0, 1, 2};
@@ -283,10 +289,10 @@ TEST(Admission, FifoBlocksHeadOfLineAndNeverRejects) {
   // Three 4000-mcpu pods fill the mesh; the fourth blocks, and the smaller
   // fifth must NOT overtake it (strict arrival order).
   for (int i = 0; i < 4; ++i) {
-    q.submit(i, "big" + std::to_string(i), one_pod("big" + std::to_string(i), 4000),
+    q.submit(i, "big" + std::to_string(i), prepared_pod("big" + std::to_string(i), 4000),
              core::SchedulerKind::kBassBfs, on_decision);
   }
-  q.submit(4, "small", one_pod("small", 100), core::SchedulerKind::kBassBfs,
+  q.submit(4, "small", prepared_pod("small", 100), core::SchedulerKind::kBassBfs,
            on_decision);
   EXPECT_EQ(decisions.size(), 3u);
   EXPECT_EQ(q.depth(), 2);
@@ -312,7 +318,7 @@ TEST(Admission, RejectResolvesAtTheDoorWithZeroDepth) {
   core::AdmissionQueue q(f.sim, *f.orch, cfg);
   std::vector<Decision> decisions;
   for (int i = 0; i < 5; ++i) {
-    q.submit(i, "p" + std::to_string(i), one_pod("p" + std::to_string(i), 4000),
+    q.submit(i, "p" + std::to_string(i), prepared_pod("p" + std::to_string(i), 4000),
              core::SchedulerKind::kBassBfs,
              [&](int instance, core::DeploymentId, bool admitted) {
                decisions.push_back({instance, admitted});
@@ -340,13 +346,13 @@ TEST(Admission, DeferAllowsOvertakingAndBoundsRetries) {
     decisions.push_back({instance, admitted});
   };
   for (int i = 0; i < 3; ++i) {
-    q.submit(i, "big" + std::to_string(i), one_pod("big" + std::to_string(i), 4000),
+    q.submit(i, "big" + std::to_string(i), prepared_pod("big" + std::to_string(i), 4000),
              core::SchedulerKind::kBassBfs, on_decision);
   }
   // Mesh is full. A too-big pod defers; a small one behind it overtakes.
-  q.submit(3, "huge", one_pod("huge", 4000), core::SchedulerKind::kBassBfs,
+  q.submit(3, "huge", prepared_pod("huge", 4000), core::SchedulerKind::kBassBfs,
            on_decision);
-  q.submit(4, "small", one_pod("small", 100), core::SchedulerKind::kBassBfs,
+  q.submit(4, "small", prepared_pod("small", 100), core::SchedulerKind::kBassBfs,
            on_decision);
   ASSERT_EQ(decisions.size(), 4u);
   EXPECT_EQ(decisions[3].instance, 4);  // small overtook the stuck huge pod
@@ -368,9 +374,9 @@ TEST(Admission, CancelDropsQueuedRequest) {
   cfg.policy = core::AdmissionPolicy::kFifo;
   core::AdmissionQueue q(f.sim, *f.orch, cfg);
   int decided = 0;
-  q.submit(0, "a", one_pod("a", 4000), core::SchedulerKind::kBassBfs,
+  q.submit(0, "a", prepared_pod("a", 4000), core::SchedulerKind::kBassBfs,
            [&](int, core::DeploymentId, bool) { ++decided; });
-  q.submit(1, "b", one_pod("b", 9000), core::SchedulerKind::kBassBfs,
+  q.submit(1, "b", prepared_pod("b", 9000), core::SchedulerKind::kBassBfs,
            [&](int, core::DeploymentId, bool) { ++decided; });
   EXPECT_EQ(q.depth(), 1);
   EXPECT_TRUE(q.cancel(1));

@@ -112,7 +112,7 @@ TEST(RequestEngine, RecordsTrafficStats) {
   engine.stop();
   f.sim.run_until(sim::seconds(35));
   // ~600 requests x (2000+8000) bytes on the front->back edge.
-  const auto total = f.orch->traffic_stats(id).total_bytes(0, 1);
+  const auto total = f.orch->traffic_stats(id).total_bytes(0);
   EXPECT_NEAR(static_cast<double>(total), 600.0 * 10000.0, 600.0 * 10000.0 * 0.05);
 }
 
@@ -156,7 +156,7 @@ TEST(RequestEngine, ProbabilisticEdgesInvokedProportionally) {
   engine.stop();
   f.sim.run_until(sim::minutes(3));
   const double invocations =
-      static_cast<double>(f.orch->traffic_stats(id).total_bytes(0, 1)) / 2000.0;
+      static_cast<double>(f.orch->traffic_stats(id).total_bytes(0)) / 2000.0;
   EXPECT_NEAR(invocations / static_cast<double>(engine.completed()), 0.25, 0.04);
 }
 
