@@ -20,14 +20,15 @@ void score(const app::AppGraph& g, const cluster::ClusterState& cluster,
            const sched::NetworkView& view) {
   std::printf("\n%s (%d components, %.1f cores):\n", g.name().c_str(),
               g.component_count(), static_cast<double>(g.total_cpu_milli()) / 1000.0);
-  const sched::BassScheduler bfs(sched::Heuristic::kBreadthFirst);
-  const sched::BassScheduler lp(sched::Heuristic::kLongestPath);
-  const sched::BassScheduler combined(sched::Heuristic::kAuto);
-  const sched::K3sScheduler k3s;
-  const sched::K3sScheduler k3s_pack(sched::K3sScoring::kMostAllocated);
-  const sched::Scheduler* schedulers[] = {&bfs, &lp, &combined, &k3s, &k3s_pack};
-  for (const sched::Scheduler* s : schedulers) {
-    const auto r = s->schedule(g, cluster, view);
+  sched::BassScheduler bfs(sched::Heuristic::kBreadthFirst);
+  sched::BassScheduler lp(sched::Heuristic::kLongestPath);
+  sched::BassScheduler combined(sched::Heuristic::kAuto);
+  sched::K3sScheduler k3s;
+  sched::K3sScheduler k3s_pack(sched::K3sScoring::kMostAllocated);
+  sched::Scheduler* schedulers[] = {&bfs, &lp, &combined, &k3s, &k3s_pack};
+  const sched::PreparedApp prepared(g);
+  for (sched::Scheduler* s : schedulers) {
+    const auto r = s->schedule(prepared, cluster, view);
     if (!r.ok()) {
       std::printf("  %-18s FAILED: %s\n", s->name().c_str(), r.error().c_str());
       continue;

@@ -50,8 +50,9 @@ int main() {
   const std::vector<net::NodeId> ranked = sched::rank_nodes(rig.cluster, view);
   const sched::PackInput in{g, rig.cluster, view, ranked};
 
-  const auto bfs_placed = sched::sequential_pack(in, bfs);
-  const auto lp_placed = sched::path_pack(in, sched::longest_path_paths(g));
+  sched::Packer packer;
+  const auto bfs_placed = packer.sequential_pack(in, bfs);
+  const auto lp_placed = packer.path_pack(in, sched::longest_path_paths(g));
   if (bfs_placed.ok()) print_placement("BFS", g, bfs_placed.value());
   if (lp_placed.ok()) print_placement("longest-path", g, lp_placed.value());
   return 0;

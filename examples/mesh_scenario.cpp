@@ -24,14 +24,15 @@ int main(int argc, char** argv) {
   std::printf("scenario: %s (%.0f s simulated)\n", path.c_str(),
               sim::to_seconds(scene.duration()));
   std::printf("initial placement:\n");
-  const auto& graph = scene.app();
-  for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
-    std::printf("  %-16s -> %s\n", graph.component(c).name.c_str(),
+  for (app::ComponentId c = 0; c < scene.app().component_count(); ++c) {
+    std::printf("  %-16s -> %s\n", scene.app().component(c).name.c_str(),
                 scene.node_name(scene.orchestrator().node_of(scene.deployment(), c))
                     .c_str());
   }
 
   const auto report = scene.run();
+  // Read after the run: with [profiler] on, it re-weighted the app's edges.
+  const auto& graph = scene.app();
 
   std::printf("\nresults:\n");
   std::printf("  requests: %lld issued, %lld completed, %lld shed\n",

@@ -65,6 +65,7 @@ const Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) const {
 
 const app::AppGraph& Orchestrator::Deployment::graph() const {
   static const app::AppGraph retired("retired");
+  if (profiled != nullptr) return *profiled;
   return app != nullptr ? app->graph() : retired;
 }
 
@@ -72,7 +73,7 @@ const std::string& Orchestrator::Deployment::label() const {
   return instance.empty() ? graph().name() : instance;
 }
 
-const sched::Scheduler& Orchestrator::scheduler(SchedulerKind kind) const {
+sched::Scheduler& Orchestrator::scheduler(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::kBassBfs: return bfs_;
     case SchedulerKind::kBassLongestPath: return longest_path_;
@@ -139,7 +140,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(
     return util::make_error("instance '" + instance + "' is already deployed");
   }
   const sched::NetworkView view = this->view();
-  const sched::Scheduler& scheduler = this->scheduler(kind);
+  sched::Scheduler& scheduler = this->scheduler(kind);
   const app::AppGraph& graph = app->graph();
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -295,13 +296,19 @@ monitor::TrafficStats& Orchestrator::traffic_stats(DeploymentId id) {
   return dep(id).stats;
 }
 
-bool Orchestrator::update_edge_bandwidth(DeploymentId id, app::ComponentId from,
-                                         app::ComponentId to, net::Bps bandwidth) {
+bool Orchestrator::update_edge_bandwidths(DeploymentId id,
+                                          std::span<const EdgeBandwidth> updates) {
   Deployment& d = dep(id);
   if (d.app == nullptr) return false;  // retired
-  auto updated = d.app->with_edge_bandwidth(from, to, bandwidth);
-  if (updated == nullptr) return false;
-  d.app = std::move(updated);
+  const std::size_t edge_count = d.graph().edges().size();
+  for (const EdgeBandwidth& u : updates) {
+    if (u.edge >= edge_count) return false;
+  }
+  if (d.profiled == nullptr) d.profiled = std::make_unique<app::AppGraph>(d.app->graph());
+  for (const EdgeBandwidth& u : updates) {
+    const app::Edge& e = d.profiled->edges()[u.edge];
+    d.profiled->set_edge_bandwidth(e.from, e.to, u.bandwidth);
+  }
   return true;
 }
 

@@ -6,10 +6,12 @@
 // target node, and execute the move with a realistic restart outage.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,6 +43,13 @@ struct OrchestratorConfig {
 
 using DeploymentId = int;
 constexpr DeploymentId kInvalidDeployment = -1;
+
+// A re-measured bandwidth requirement for the edge at position `edge` in a
+// deployment's AppGraph::edges().
+struct EdgeBandwidth {
+  std::size_t edge;
+  net::Bps bandwidth;
+};
 
 // Workload engines implement this to follow their components around.
 class DeploymentListener {
@@ -177,6 +186,9 @@ class Orchestrator {
   util::Expected<DeploymentId> deploy_with_placement(app::AppGraph app,
                                                      sched::Placement placement);
 
+  // The deployed graph. The reference stays valid until undeploy(id); after
+  // the deployment's first profiler update it names the graph as deployed,
+  // so call app(id) again for the profiled one.
   const app::AppGraph& app(DeploymentId id) const;
   const sched::Placement& placement(DeploymentId id) const;
   net::NodeId node_of(DeploymentId id, app::ComponentId component) const;
@@ -190,14 +202,15 @@ class Orchestrator {
   // from it.
   monitor::TrafficStats& traffic_stats(DeploymentId id);
 
-  // Rewrites the profiled bandwidth requirement of one deployed edge — the
-  // online-profiling extension (§8) feeds re-measured requirements back so
-  // the controller and rescheduler reason about reality instead of the
-  // developer's offline estimate. Copy on write: the deployment gets its
-  // own re-prepared app, so the shared template and every other deployment
-  // of it keep theirs. Returns false if no such edge exists.
-  bool update_edge_bandwidth(DeploymentId id, app::ComponentId from,
-                             app::ComponentId to, net::Bps bandwidth);
+  // Rewrites the profiled bandwidth requirements of deployed edges, indexed
+  // by position in app(id).edges() — the online-profiling extension (§8)
+  // feeds re-measured requirements back so the controller and rescheduler
+  // reason about reality instead of the developer's offline estimate. The
+  // first update copies the deployed graph into the deployment's own, which
+  // later updates rewrite in place, so the shared template and every other
+  // deployment of it keep theirs. Returns false, changing nothing, when the
+  // deployment is retired or an index is past its last edge.
+  bool update_edge_bandwidths(DeploymentId id, std::span<const EdgeBandwidth> updates);
 
   // ---- Migration ----
   void enable_migration(DeploymentId id, controller::MigrationParams params);
@@ -255,6 +268,11 @@ class Orchestrator {
  private:
   struct Deployment {
     std::shared_ptr<const sched::PreparedApp> app;  // nullptr once retired
+    // The deployment's own copy of the graph, made by the first profiler
+    // update and rewritten in place by the next. `app` is kept, so a
+    // reference to its graph stays valid until undeploy; its orders served
+    // the placement decision and are not read again.
+    std::unique_ptr<app::AppGraph> profiled;
     std::string instance;        // duplicate-detection name ("" = anonymous)
     bool active = true;          // false after undeploy
     sim::Time deployed_at = 0;
@@ -272,7 +290,7 @@ class Orchestrator {
     DeploymentId prev_live = kInvalidDeployment;
     DeploymentId next_live = kInvalidDeployment;
 
-    // The deployed graph; empty once retired.
+    // The current graph (`profiled`, else `app`); empty once retired.
     const app::AppGraph& graph() const;
     // The instance name, else the graph's.
     const std::string& label() const;
@@ -294,7 +312,7 @@ class Orchestrator {
 
   Deployment& dep(DeploymentId id);
   const Deployment& dep(DeploymentId id) const;
-  const sched::Scheduler& scheduler(SchedulerKind kind) const;
+  sched::Scheduler& scheduler(SchedulerKind kind);
   // Tell every listener of `d` that `component` went down / came up on
   // `node`.
   static void notify_down(const Deployment& d, app::ComponentId component);

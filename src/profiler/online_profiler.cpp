@@ -41,12 +41,11 @@ void OnlineProfiler::sample() {
   if (dt <= 0.0) return;
   ++samples_;
 
-  const std::size_t edge_count = orch_->app(deployment_).edges().size();
-  edges_.resize(edge_count);
+  const std::vector<app::Edge>& edges = orch_->app(deployment_).edges();
+  edges_.resize(edges.size());
   const auto& stats = orch_->traffic_stats(deployment_);
-  for (std::size_t i = 0; i < edge_count; ++i) {
-    // A copy: publishing an update replaces the deployment's graph.
-    const app::Edge e = orch_->app(deployment_).edges()[i];
+  pending_.clear();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
     EdgeState& state = edges_[i];
     // Non-destructive read: diff the cumulative totals so the controller's
     // own windows stay untouched.
@@ -65,11 +64,12 @@ void OnlineProfiler::sample() {
     if (samples_ >= config_.warmup_samples && state.envelope_bps > 0.0) {
       const auto requirement =
           static_cast<net::Bps>(state.envelope_bps * config_.safety_factor);
-      if (requirement != e.bandwidth &&
-          orch_->update_edge_bandwidth(deployment_, e.from, e.to, requirement)) {
-        ++updates_;
-      }
+      if (requirement != edges[i].bandwidth) pending_.push_back({i, requirement});
     }
+  }
+  // One publish per sample.
+  if (!pending_.empty() && orch_->update_edge_bandwidths(deployment_, pending_)) {
+    updates_ += static_cast<int>(pending_.size());
   }
 }
 

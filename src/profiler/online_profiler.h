@@ -61,6 +61,7 @@ class OnlineProfiler {
   core::DeploymentId deployment_;
   ProfilerConfig config_;
   std::vector<EdgeState> edges_;  // by edge index, sized on the first sample
+  std::vector<core::EdgeBandwidth> pending_;  // one sample's updates
   sim::EventId tick_ = sim::kInvalidEvent;
   sim::Time last_sample_ = 0;
   int samples_ = 0;

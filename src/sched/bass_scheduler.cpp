@@ -25,15 +25,9 @@ std::string BassScheduler::name() const {
   return std::string("bass-") + heuristic_name(heuristic_);
 }
 
-util::Expected<Placement> Scheduler::schedule(const app::AppGraph& app,
-                                              const cluster::ClusterState& cluster,
-                                              const NetworkView& view) const {
-  return schedule(PreparedApp(app), cluster, view);
-}
-
 util::Expected<Placement> BassScheduler::schedule(const PreparedApp& app,
                                                   const cluster::ClusterState& cluster,
-                                                  const NetworkView& view) const {
+                                                  const NetworkView& view) {
   BASS_OBS_SCOPE("sched.schedule_us");
   if (!app.valid()) return util::make_error(app.error());
 

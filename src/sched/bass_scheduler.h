@@ -16,8 +16,8 @@
 namespace bass::sched {
 
 // Common interface so the orchestrator and benches can swap schedulers.
-// A scheduler keeps scratch buffers across decisions, so one instance
-// serves one thread (the orchestrator keeps one of each kind).
+// schedule() reuses the scheduler's scratch buffers, hence non-const: one
+// instance serves one thread (the orchestrator keeps one of each kind).
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -25,11 +25,7 @@ class Scheduler {
   // Fails with app.error() when the prepared graph is invalid.
   virtual util::Expected<Placement> schedule(const PreparedApp& app,
                                              const cluster::ClusterState& cluster,
-                                             const NetworkView& view) const = 0;
-  // One-shot convenience: prepares `app`, then schedules it.
-  util::Expected<Placement> schedule(const app::AppGraph& app,
-                                     const cluster::ClusterState& cluster,
-                                     const NetworkView& view) const;
+                                             const NetworkView& view) = 0;
 };
 
 // kAuto implements the paper's §8 future-work idea of combining the two
@@ -52,17 +48,16 @@ class BassScheduler final : public Scheduler {
   std::string name() const override;
   Heuristic heuristic() const { return heuristic_; }
 
-  using Scheduler::schedule;
   // Reads the app's cached orders; ranks the nodes and packs.
   util::Expected<Placement> schedule(const PreparedApp& app,
                                      const cluster::ClusterState& cluster,
-                                     const NetworkView& view) const override;
+                                     const NetworkView& view) override;
 
  private:
   Heuristic heuristic_;
   // Decision scratch, reused across schedule() calls.
-  mutable NodeRanker ranker_;
-  mutable Packer packer_;
+  NodeRanker ranker_;
+  Packer packer_;
 };
 
 }  // namespace bass::sched

@@ -9,7 +9,7 @@ namespace bass::sched {
 
 util::Expected<Placement> K3sScheduler::schedule(const PreparedApp& prepared,
                                                  const cluster::ClusterState& cluster,
-                                                 const NetworkView& view) const {
+                                                 const NetworkView& view) {
   BASS_OBS_SCOPE("sched.schedule_us");
   (void)view;  // bandwidth-oblivious by design
   if (!prepared.valid()) return util::make_error(prepared.error());

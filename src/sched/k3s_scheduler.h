@@ -29,14 +29,13 @@ class K3sScheduler final : public Scheduler {
                                                    : "k3s-most-allocated";
   }
 
-  using Scheduler::schedule;
   util::Expected<Placement> schedule(const PreparedApp& app,
                                      const cluster::ClusterState& cluster,
-                                     const NetworkView& view) const override;
+                                     const NetworkView& view) override;
 
  private:
   K3sScoring scoring_;
-  mutable NodeBudget budget_;  // decision scratch
+  NodeBudget budget_;  // decision scratch
 };
 
 }  // namespace bass::sched

@@ -137,14 +137,4 @@ util::Expected<Placement> Packer::path_pack(
   return pack(input, paths);
 }
 
-util::Expected<Placement> sequential_pack(const PackInput& input,
-                                          const std::vector<app::ComponentId>& order) {
-  return Packer().sequential_pack(input, order);
-}
-
-util::Expected<Placement> path_pack(const PackInput& input,
-                                    const std::vector<std::vector<app::ComponentId>>& paths) {
-  return Packer().path_pack(input, paths);
-}
-
 }  // namespace bass::sched

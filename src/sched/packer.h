@@ -123,11 +123,4 @@ class Packer {
   LinkLedger ledger_;
 };
 
-// One-shot forms with fresh buffers.
-util::Expected<Placement> sequential_pack(const PackInput& input,
-                                          const std::vector<app::ComponentId>& order);
-
-util::Expected<Placement> path_pack(const PackInput& input,
-                                    const std::vector<std::vector<app::ComponentId>>& paths);
-
 }  // namespace bass::sched

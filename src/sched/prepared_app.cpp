@@ -10,11 +10,4 @@ PreparedApp::PreparedApp(app::AppGraph graph) : graph_(std::move(graph)) {
   paths_ = sched::longest_path_paths(graph_, topo_);
 }
 
-std::shared_ptr<const PreparedApp> PreparedApp::with_edge_bandwidth(
-    app::ComponentId from, app::ComponentId to, net::Bps bandwidth) const {
-  app::AppGraph copy = graph_;
-  if (!copy.set_edge_bandwidth(from, to, bandwidth)) return nullptr;
-  return make(std::move(copy));
-}
-
 }  // namespace bass::sched

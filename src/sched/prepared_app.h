@@ -7,9 +7,9 @@
 // A PreparedApp is immutable. Deployments hold it by
 // std::shared_ptr<const PreparedApp>, so every instance of a churn template
 // shares one graph and one set of orders. The only writer of a deployed
-// graph, the online profiler's edge-bandwidth update, goes through
-// with_edge_bandwidth(), which returns a re-prepared copy (copy on write):
-// one tenant's profile never reaches the template or another tenant.
+// graph, the online profiler's edge-bandwidth update, writes into the
+// deployment's own copy of the graph (Orchestrator::update_edge_bandwidths),
+// so one tenant's profile never reaches the template or another tenant.
 #pragma once
 
 #include <memory>
@@ -42,12 +42,6 @@ class PreparedApp {
   const std::vector<std::vector<app::ComponentId>>& longest_path_paths() const {
     return paths_;
   }
-
-  // A re-prepared copy whose (from, to) edge carries `bandwidth`, or nullptr
-  // when the graph has no such edge.
-  std::shared_ptr<const PreparedApp> with_edge_bandwidth(app::ComponentId from,
-                                                         app::ComponentId to,
-                                                         net::Bps bandwidth) const;
 
  private:
   app::AppGraph graph_;

@@ -41,11 +41,14 @@ TEST(AutoHeuristic, NeverWorseThanEitherHeuristic) {
   for (const auto& g : {app::camera_pipeline_app(), app::social_network_app(),
                         app::fig6_example()}) {
     const auto bfs =
-        sched::BassScheduler(sched::Heuristic::kBreadthFirst).schedule(g, f.cluster, *f.view);
+        sched::BassScheduler(sched::Heuristic::kBreadthFirst)
+            .schedule(sched::PreparedApp(g), f.cluster, *f.view);
     const auto lp =
-        sched::BassScheduler(sched::Heuristic::kLongestPath).schedule(g, f.cluster, *f.view);
+        sched::BassScheduler(sched::Heuristic::kLongestPath)
+            .schedule(sched::PreparedApp(g), f.cluster, *f.view);
     const auto combined =
-        sched::BassScheduler(sched::Heuristic::kAuto).schedule(g, f.cluster, *f.view);
+        sched::BassScheduler(sched::Heuristic::kAuto)
+            .schedule(sched::PreparedApp(g), f.cluster, *f.view);
     ASSERT_TRUE(bfs.ok() && lp.ok() && combined.ok()) << g.name();
     const auto best = std::min(sched::crossing_bandwidth(g, bfs.value()),
                                sched::crossing_bandwidth(g, lp.value()));

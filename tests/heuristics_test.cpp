@@ -198,20 +198,6 @@ TEST(PreparedApp, InvalidGraphKeepsItsError) {
   EXPECT_TRUE(prepared.longest_path_paths().empty());
 }
 
-// Edge weights steer both heuristics, so a re-weighted copy re-derives its
-// orders and the original keeps its own.
-TEST(PreparedApp, WithEdgeBandwidthReordersTheCopyOnly) {
-  const auto original = PreparedApp::make(app::fig6_example());
-  // 1->2 outweighs 1->3 now: BFS visits 2 before 3.
-  const auto copy = original->with_edge_bandwidth(0, 1, net::mbps(20));
-  ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->bfs_order(), bfs_order(copy->graph()));
-  EXPECT_NE(copy->bfs_order(), original->bfs_order());
-  EXPECT_EQ(original->bfs_order(), bfs_order(app::fig6_example()));
-  EXPECT_EQ(original->graph().edges()[1].bandwidth, net::mbps(5));
-  EXPECT_EQ(PreparedApp::make(app::fig6_example())->with_edge_bandwidth(1, 0, 1), nullptr);
-}
-
 INSTANTIATE_TEST_SUITE_P(RandomDags, HeuristicProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
 

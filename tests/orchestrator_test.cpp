@@ -266,13 +266,16 @@ TEST(Orchestrator, AutoSchedulerDeploys) {
 TEST(Orchestrator, UpdateEdgeBandwidth) {
   Fixture f;
   const auto id = f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs).take();
-  EXPECT_TRUE(f.orch->update_edge_bandwidth(id, 0, 1, net::mbps(3)));
-  EXPECT_FALSE(f.orch->update_edge_bandwidth(id, 1, 0, net::mbps(3)));
+  const EdgeBandwidth to_3mbps[] = {{0, net::mbps(3)}};
+  const EdgeBandwidth no_such_edge[] = {{1, net::mbps(3)}};
+  EXPECT_TRUE(f.orch->update_edge_bandwidths(id, to_3mbps));
+  EXPECT_FALSE(f.orch->update_edge_bandwidths(id, no_such_edge));
   EXPECT_EQ(f.orch->app(id).edges()[0].bandwidth, net::mbps(3));
 }
 
-// The online profiler's write copies on write: one tenant's profile never
-// reaches the shared template or another deployment of it.
+// The online profiler's write goes into the deployment's own copy: one
+// tenant's profile never reaches the shared template or another deployment
+// of it, and a graph reference taken earlier stays readable until undeploy.
 TEST(Orchestrator, EdgeUpdateLeavesTheTemplateAndOtherTenantsAlone) {
   Fixture f;
   const auto shared = sched::PreparedApp::make(tiny_app());
@@ -280,19 +283,31 @@ TEST(Orchestrator, EdgeUpdateLeavesTheTemplateAndOtherTenantsAlone) {
   const auto b = f.orch->deploy(shared, SchedulerKind::kBassAuto, "b").take();
   EXPECT_EQ(&f.orch->app(a), &shared->graph());
   EXPECT_EQ(&f.orch->app(b), &shared->graph());
+  const app::AppGraph& as_deployed = f.orch->app(a);
 
-  ASSERT_TRUE(f.orch->update_edge_bandwidth(a, 0, 1, net::mbps(3)));
+  const EdgeBandwidth to_3mbps[] = {{0, net::mbps(3)}};
+  ASSERT_TRUE(f.orch->update_edge_bandwidths(a, to_3mbps));
   EXPECT_EQ(f.orch->app(a).edges()[0].bandwidth, net::mbps(3));
   EXPECT_NE(&f.orch->app(a), &shared->graph());
   EXPECT_EQ(&f.orch->app(b), &shared->graph());
   EXPECT_EQ(f.orch->app(b).edges()[0].bandwidth, net::mbps(8));
   EXPECT_EQ(shared->graph().edges()[0].bandwidth, net::mbps(8));
+  EXPECT_EQ(as_deployed.edges()[0].bandwidth, net::mbps(8));
+
+  // Later updates rewrite the deployment's copy in place.
+  const app::AppGraph& profiled = f.orch->app(a);
+  const EdgeBandwidth to_4mbps[] = {{0, net::mbps(4)}};
+  ASSERT_TRUE(f.orch->update_edge_bandwidths(a, to_4mbps));
+  EXPECT_EQ(&f.orch->app(a), &profiled);
+  EXPECT_EQ(profiled.edges()[0].bandwidth, net::mbps(4));
 
   // A retired deployment lets go of its share; the template lives on.
   EXPECT_TRUE(f.orch->undeploy(b));
-  EXPECT_EQ(shared.use_count(), 1);
+  EXPECT_EQ(shared.use_count(), 2);  // `shared` and deployment a
   EXPECT_EQ(f.orch->app(b).component_count(), 0);
-  EXPECT_FALSE(f.orch->update_edge_bandwidth(b, 0, 1, net::mbps(1)));
+  EXPECT_FALSE(f.orch->update_edge_bandwidths(b, to_3mbps));
+  EXPECT_TRUE(f.orch->undeploy(a));
+  EXPECT_EQ(shared.use_count(), 1);
 }
 
 TEST(Orchestrator, MigrationBudgetCapsPerRound) {

@@ -112,7 +112,8 @@ class PackerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PackerProperty, BfsPlacementsAreValid) {
   const auto w = random_world(GetParam());
   const auto r =
-      BassScheduler(Heuristic::kBreadthFirst).schedule(w->app, w->cluster, *w->view);
+      BassScheduler(Heuristic::kBreadthFirst)
+          .schedule(PreparedApp(w->app), w->cluster, *w->view);
   if (r.ok()) check_placement(*w, r.value());
   // Failure is acceptable (instance may be infeasible) — validity of
   // produced placements is the property under test.
@@ -121,20 +122,23 @@ TEST_P(PackerProperty, BfsPlacementsAreValid) {
 TEST_P(PackerProperty, LongestPathPlacementsAreValid) {
   const auto w = random_world(GetParam());
   const auto r =
-      BassScheduler(Heuristic::kLongestPath).schedule(w->app, w->cluster, *w->view);
+      BassScheduler(Heuristic::kLongestPath)
+          .schedule(PreparedApp(w->app), w->cluster, *w->view);
   if (r.ok()) check_placement(*w, r.value());
 }
 
 TEST_P(PackerProperty, AutoPlacementsAreValidAndNoWorse) {
   const auto w = random_world(GetParam());
   const auto combined =
-      BassScheduler(Heuristic::kAuto).schedule(w->app, w->cluster, *w->view);
+      BassScheduler(Heuristic::kAuto).schedule(PreparedApp(w->app), w->cluster, *w->view);
   if (!combined.ok()) return;
   check_placement(*w, combined.value());
   const auto bfs =
-      BassScheduler(Heuristic::kBreadthFirst).schedule(w->app, w->cluster, *w->view);
+      BassScheduler(Heuristic::kBreadthFirst)
+          .schedule(PreparedApp(w->app), w->cluster, *w->view);
   const auto lp =
-      BassScheduler(Heuristic::kLongestPath).schedule(w->app, w->cluster, *w->view);
+      BassScheduler(Heuristic::kLongestPath)
+          .schedule(PreparedApp(w->app), w->cluster, *w->view);
   net::Bps best = net::kUnlimitedRate;
   if (bfs.ok()) best = std::min(best, crossing_bandwidth(w->app, bfs.value()));
   if (lp.ok()) best = std::min(best, crossing_bandwidth(w->app, lp.value()));
@@ -143,7 +147,7 @@ TEST_P(PackerProperty, AutoPlacementsAreValidAndNoWorse) {
 
 TEST_P(PackerProperty, K3sRespectsComputeButMayBreakBandwidth) {
   const auto w = random_world(GetParam());
-  const auto r = K3sScheduler().schedule(w->app, w->cluster, *w->view);
+  const auto r = K3sScheduler().schedule(PreparedApp(w->app), w->cluster, *w->view);
   if (!r.ok()) return;
   // k3s honours cpu/mem and pins but is *allowed* to oversubscribe links —
   // that gap is the paper's thesis. Check only the compute half.
@@ -165,9 +169,11 @@ TEST_P(PackerProperty, SchedulingIsDeterministic) {
   const auto w1 = random_world(GetParam());
   const auto w2 = random_world(GetParam());
   const auto r1 =
-      BassScheduler(Heuristic::kAuto).schedule(w1->app, w1->cluster, *w1->view);
+      BassScheduler(Heuristic::kAuto)
+          .schedule(PreparedApp(w1->app), w1->cluster, *w1->view);
   const auto r2 =
-      BassScheduler(Heuristic::kAuto).schedule(w2->app, w2->cluster, *w2->view);
+      BassScheduler(Heuristic::kAuto)
+          .schedule(PreparedApp(w2->app), w2->cluster, *w2->view);
   ASSERT_EQ(r1.ok(), r2.ok());
   if (r1.ok()) {
     EXPECT_EQ(r1.value(), r2.value());

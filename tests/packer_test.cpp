@@ -46,7 +46,7 @@ struct TwoNodeFixture {
 TEST(Packer, SequentialPacksCameraLikeThePaper) {
   TwoNodeFixture f;
   f.set_app(app::camera_pipeline_app());
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok()) << r.error();
   const Placement& p = r.value();
   // Fig. 10(b): BFS puts camera+sampler together; detector (8 cores)
@@ -62,7 +62,7 @@ TEST(Packer, SequentialPacksCameraLikeThePaper) {
 TEST(Packer, PathPackPutsLeftoverBackOnFirstNode) {
   TwoNodeFixture f;
   f.set_app(app::camera_pipeline_app());
-  const auto r = path_pack(f.input(), longest_path_paths(f.app()));
+  const auto r = Packer().path_pack(f.input(), longest_path_paths(f.app()));
   ASSERT_TRUE(r.ok()) << r.error();
   const Placement& p = r.value();
   const auto n = [&](const char* name) { return p.at(f.app().find(name)); };
@@ -84,7 +84,7 @@ TEST(Packer, EverythingOnOneNodeWhenItFits) {
   g.add_dependency({.from = 1, .to = 2, .bandwidth = net::mbps(5)});
   g.add_dependency({.from = 2, .to = 3, .bandwidth = net::mbps(5)});
   f.set_app(std::move(g));
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
   for (net::NodeId n : r.value()) used.insert(n);
@@ -96,7 +96,7 @@ TEST(Packer, FailsWhenCpuExhausted) {
   app::AppGraph g("huge");
   g.add_component({.name = "x", .cpu_milli = 20000, .memory_mb = 64});
   f.set_app(std::move(g));
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error().find("x"), std::string::npos);
 }
@@ -118,7 +118,7 @@ TEST(Packer, FallbackUsesStrandedCapacity) {
   // BFS order a,b,c,d: node1 {a}, b->node2, c->node2 (4+10... no: 14>12 so
   // c fits node2? 10+4=14>12 -> fallback finds node1). Either way all four
   // must place.
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().size(), 4u);
 }
@@ -133,7 +133,7 @@ TEST(Packer, BandwidthConstraintForcesColocation) {
   g.add_component({.name = "q", .cpu_milli = 2000, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(5)});
   f.set_app(std::move(g));
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().at(0), r.value().at(1));
 }
@@ -145,7 +145,7 @@ TEST(Packer, BandwidthInfeasibleFails) {
   g.add_component({.name = "q", .cpu_milli = 8000, .memory_mb = 64});  // can't colocate
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(5)});
   f.set_app(std::move(g));
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   EXPECT_FALSE(r.ok());
 }
 
@@ -163,7 +163,7 @@ TEST(Packer, ReservationsAccumulateAcrossEdges) {
   // Pairs (a,b) and (c,d) each need 3 Mbps if split. Capacity allows only
   // one crossing edge; with 12-core nodes each node fits two components,
   // so a feasible packing exists: {a,b} | {c,d} (or similar).
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok()) << r.error();
   const Placement& p = r.value();
   int crossings = 0;
@@ -183,7 +183,7 @@ TEST(Packer, PinnedComponentsStayPut) {
   g.add_component(clients);
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(2)});
   f.set_app(std::move(g));
-  const auto r = sequential_pack(f.input(), bfs_order(f.app()));
+  const auto r = Packer().sequential_pack(f.input(), bfs_order(f.app()));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().at(1), 1);
 }
@@ -199,8 +199,8 @@ TEST(Packer, RejectsPinnedComponentThatDoesNotFit) {
     g.add_component(gw);
   }
   f.set_app(std::move(g));
-  for (const auto& r : {sequential_pack(f.input(), bfs_order(f.app())),
-                        path_pack(f.input(), longest_path_paths(f.app()))}) {
+  for (const auto& r : {Packer().sequential_pack(f.input(), bfs_order(f.app())),
+                        Packer().path_pack(f.input(), longest_path_paths(f.app()))}) {
     ASSERT_FALSE(r.ok());
     EXPECT_NE(r.error().find("gw-b"), std::string::npos) << r.error();
   }
@@ -234,7 +234,7 @@ TEST(Packer, LatencyConstraintForcesNearPlacement) {
   e.max_latency = sim::millis(1);  // at most one hop apart
   g.add_dependency(e);
 
-  const auto r = sequential_pack(
+  const auto r = Packer().sequential_pack(
       PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
   ASSERT_TRUE(r.ok()) << r.error();
   const auto na = r.value().at(0);
@@ -264,7 +264,7 @@ TEST(Packer, LatencyConstraintCanMakePackingInfeasible) {
   e.max_latency = sim::millis(1);  // nodes 0 and 2 are 2 ms apart
   g.add_dependency(e);
 
-  const auto r = sequential_pack(
+  const auto r = Packer().sequential_pack(
       PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
   EXPECT_FALSE(r.ok());
 }
@@ -284,7 +284,7 @@ TEST(Packer, UnconstrainedLatencyIgnoresHops) {
   g.add_component({.name = "a", .cpu_milli = 8000, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 8000, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
-  const auto r = sequential_pack(
+  const auto r = Packer().sequential_pack(
       PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
   EXPECT_TRUE(r.ok());
 }

@@ -57,6 +57,25 @@ TEST(Scenario, MinimalRunsAndReports) {
   EXPECT_EQ(report.faults_injected, 0);
 }
 
+// With the online profiler on, the deployment's edge weights are rewritten
+// while the scenario runs. A graph reference taken before run() stays
+// readable (it names the graph as deployed); app() afterwards shows the
+// profiled requirement.
+TEST(Scenario, AppReferenceOutlivesProfilerUpdates) {
+  auto s = build(std::string(kMinimal) + R"(
+[profiler]
+enabled = true
+sample_interval_s = 5
+)");
+  ASSERT_NE(s, nullptr);
+  const app::AppGraph& as_deployed = s->app();
+  const net::Bps offline = as_deployed.edges()[0].bandwidth;
+  s->run();
+  EXPECT_EQ(as_deployed.component(1).name, "y");
+  EXPECT_EQ(as_deployed.edges()[0].bandwidth, offline);
+  EXPECT_NE(s->app().edges()[0].bandwidth, offline);
+}
+
 TEST(Scenario, SecondRunIsNoOp) {
   auto s = build(kMinimal);
   ASSERT_NE(s, nullptr);

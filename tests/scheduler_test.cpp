@@ -36,7 +36,8 @@ struct MeshFixture {
 TEST(BassScheduler, SchedulesSocialNetwork) {
   MeshFixture f;
   BassScheduler sched(Heuristic::kLongestPath);
-  const auto r = sched.schedule(app::social_network_app(), f.cluster, *f.view);
+  const auto r =
+      sched.schedule(PreparedApp(app::social_network_app()), f.cluster, *f.view);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().size(), 27u);
   // CPU capacity respected on every node.
@@ -60,15 +61,17 @@ TEST(BassScheduler, RejectsInvalidApp) {
   g.add_component({.name = "b"});
   g.add_dependency({.from = 0, .to = 1});
   g.add_dependency({.from = 1, .to = 0});
-  const auto r = BassScheduler(Heuristic::kBreadthFirst).schedule(g, f.cluster, *f.view);
+  const auto r = BassScheduler(Heuristic::kBreadthFirst)
+      .schedule(PreparedApp(g), f.cluster, *f.view);
   EXPECT_FALSE(r.ok());
 }
 
 TEST(BassScheduler, ColocatesHeavyChainsMoreThanK3s) {
   MeshFixture f;
   const auto g = app::social_network_app();
-  const auto bass = BassScheduler(Heuristic::kLongestPath).schedule(g, f.cluster, *f.view);
-  const auto k3s = K3sScheduler().schedule(g, f.cluster, *f.view);
+  const auto bass = BassScheduler(Heuristic::kLongestPath)
+      .schedule(PreparedApp(g), f.cluster, *f.view);
+  const auto k3s = K3sScheduler().schedule(PreparedApp(g), f.cluster, *f.view);
   ASSERT_TRUE(bass.ok() && k3s.ok());
   auto crossing_bw = [&](const Placement& p) {
     net::Bps total = 0;
@@ -87,7 +90,7 @@ TEST(K3sScheduler, SpreadsAcrossNodes) {
   for (int i = 0; i < 4; ++i) {
     g.add_component({.name = "s" + std::to_string(i), .cpu_milli = 500, .memory_mb = 64});
   }
-  const auto r = K3sScheduler().schedule(g, f.cluster, *f.view);
+  const auto r = K3sScheduler().schedule(PreparedApp(g), f.cluster, *f.view);
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
   for (net::NodeId n : r.value()) used.insert(n);
@@ -112,7 +115,7 @@ TEST(K3sScheduler, IgnoresBandwidth) {
   g.add_component({.name = "a", .cpu_milli = 500, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 500, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(50)});
-  const auto r = K3sScheduler().schedule(g, cl, view);
+  const auto r = K3sScheduler().schedule(PreparedApp(g), cl, view);
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.value().at(0), r.value().at(1));
 }
@@ -121,7 +124,7 @@ TEST(K3sScheduler, FailsWhenNothingFits) {
   MeshFixture f;
   app::AppGraph g("huge");
   g.add_component({.name = "x", .cpu_milli = 9000, .memory_mb = 64});
-  EXPECT_FALSE(K3sScheduler().schedule(g, f.cluster, *f.view).ok());
+  EXPECT_FALSE(K3sScheduler().schedule(PreparedApp(g), f.cluster, *f.view).ok());
 }
 
 TEST(Rescheduler, PrefersNodeWithMostDependencies) {
@@ -247,7 +250,7 @@ TEST(K3sScheduler, ChargesPinnedComponents) {
   p.pinned_node = 0;
   g.add_component(p);
   g.add_component({.name = "q", .cpu_milli = 1000, .memory_mb = 256});
-  const auto r = K3sScheduler().schedule(g, cl, view);
+  const auto r = K3sScheduler().schedule(PreparedApp(g), cl, view);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(node_of(r.value(), 0), 0);
   EXPECT_EQ(node_of(r.value(), 1), 1);
@@ -260,13 +263,13 @@ TEST(Scheduler, RejectsUnknownPinnedNode) {
   app::Component clients{.name = "clients@node7", .cpu_milli = 0, .memory_mb = 0};
   clients.pinned_node = 7;  // the cluster has nodes 0..3
   g.add_component(clients);
-  const BassScheduler bfs(Heuristic::kBreadthFirst);
-  const BassScheduler lp(Heuristic::kLongestPath);
-  const BassScheduler automatic(Heuristic::kAuto);
-  const K3sScheduler k3s;
-  const Scheduler* schedulers[] = {&bfs, &lp, &automatic, &k3s};
-  for (const Scheduler* s : schedulers) {
-    const auto r = s->schedule(g, f.cluster, *f.view);
+  BassScheduler bfs(Heuristic::kBreadthFirst);
+  BassScheduler lp(Heuristic::kLongestPath);
+  BassScheduler automatic(Heuristic::kAuto);
+  K3sScheduler k3s;
+  Scheduler* schedulers[] = {&bfs, &lp, &automatic, &k3s};
+  for (Scheduler* s : schedulers) {
+    const auto r = s->schedule(PreparedApp(g), f.cluster, *f.view);
     ASSERT_FALSE(r.ok()) << s->name();
     EXPECT_NE(r.error().find("clients@node7"), std::string::npos) << r.error();
   }
@@ -275,8 +278,8 @@ TEST(Scheduler, RejectsUnknownPinnedNode) {
   // cordoned one.
   f.cluster.set_schedulable(3, false);
   g.component(1).pinned_node = 3;
-  for (const Scheduler* s : schedulers) {
-    const auto r = s->schedule(g, f.cluster, *f.view);
+  for (Scheduler* s : schedulers) {
+    const auto r = s->schedule(PreparedApp(g), f.cluster, *f.view);
     ASSERT_TRUE(r.ok()) << s->name() << ": " << r.error();
     EXPECT_EQ(node_of(r.value(), 1), 3);
   }
@@ -294,7 +297,8 @@ TEST(K3sScheduler, MostAllocatedBinPacks) {
   for (int i = 0; i < 4; ++i) {
     g.add_component({.name = "s" + std::to_string(i), .cpu_milli = 500, .memory_mb = 64});
   }
-  const auto r = K3sScheduler(K3sScoring::kMostAllocated).schedule(g, f.cluster, *f.view);
+  const auto r = K3sScheduler(K3sScoring::kMostAllocated)
+      .schedule(PreparedApp(g), f.cluster, *f.view);
   ASSERT_TRUE(r.ok());
   std::set<net::NodeId> used;
   for (net::NodeId n : r.value()) used.insert(n);
@@ -319,7 +323,8 @@ TEST(K3sScheduler, MostAllocatedStillBandwidthOblivious) {
   g.add_component({.name = "a", .cpu_milli = 800, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 800, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(50)});
-  const auto r = K3sScheduler(K3sScoring::kMostAllocated).schedule(g, cl, view);
+  const auto r = K3sScheduler(K3sScoring::kMostAllocated)
+      .schedule(PreparedApp(g), cl, view);
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.value().at(0), r.value().at(1));
 }
@@ -403,11 +408,11 @@ TEST(Scheduler, GoldenCatalogPlacements) {
       {1, "conference", "k3s-default", {0, 0, 1, 2}},
   };
 
-  const BassScheduler bfs(Heuristic::kBreadthFirst);
-  const BassScheduler lp(Heuristic::kLongestPath);
-  const BassScheduler automatic(Heuristic::kAuto);
-  const K3sScheduler k3s;
-  const Scheduler* schedulers[] = {&bfs, &lp, &automatic, &k3s};
+  BassScheduler bfs(Heuristic::kBreadthFirst);
+  BassScheduler lp(Heuristic::kLongestPath);
+  BassScheduler automatic(Heuristic::kAuto);
+  K3sScheduler k3s;
+  Scheduler* schedulers[] = {&bfs, &lp, &automatic, &k3s};
   for (const Case& c : cases) {
     LanFixture f(c.cluster == 0 ? 3 : 4, c.cluster == 0 ? 12000 : 4000,
                  c.cluster == 0 ? 131072 : 12288);
@@ -416,11 +421,11 @@ TEST(Scheduler, GoldenCatalogPlacements) {
         : std::string(c.app) == "social" ? app::social_network_app()
                                          : app::video_conference_app(
                                                {{0, 2}, {1, 3}, {2, 1}}, net::kbps(1500));
-    for (const Scheduler* s : schedulers) {
+    for (Scheduler* s : schedulers) {
       if (s->name() != c.scheduler) continue;
       SCOPED_TRACE(std::string(c.app) + " / " + c.scheduler + " / cluster " +
                    std::to_string(c.cluster));
-      const auto r = s->schedule(g, f.cluster, *f.view);
+      const auto r = s->schedule(PreparedApp(g), f.cluster, *f.view);
       ASSERT_EQ(r.ok(), !c.expected.empty());
       if (!r.ok()) continue;
       Nodes got;
