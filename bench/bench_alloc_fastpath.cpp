@@ -75,7 +75,7 @@ struct ScenarioResult {
   SideResult incremental;
   SideResult baseline;
   double avg_flows_touched = 0.0;
-  double alloc_seconds = 0.0;  // wall time inside the incremental allocator
+  double alloc_seconds = 0.0;  // estimated (sampled) wall time in the allocator
   double allocs_per_pass = 0.0;  // heap allocations per allocator pass
   double max_rate_diff_bps = 0.0;
   // Network::stream_rate() quantizes to integer bps while the baseline

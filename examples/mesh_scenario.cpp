@@ -2,6 +2,9 @@
 // declarative INI file and report what happened — no C++ required.
 //
 //   ./build/examples/mesh_scenario examples/scenarios/community_mesh.ini
+//
+// Exits 1 on a scenario error and 2 on a [serve] scenario, which has no
+// single app to report on (run those with `bassctl serve`).
 #include <cstdio>
 #include <fstream>
 #include <vector>
@@ -20,6 +23,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto& scene = *loaded.value();
+  if (scene.serving() != nullptr) {
+    std::fprintf(stderr,
+                 "%s is a [serve] scenario (churning tenants, no single app); "
+                 "run it with `bassctl serve %s`\n",
+                 path.c_str(), path.c_str());
+    return 2;
+  }
 
   std::printf("scenario: %s (%.0f s simulated)\n", path.c_str(),
               sim::to_seconds(scene.duration()));

@@ -1,7 +1,6 @@
 #include "fault/invariants.h"
 
 #include <algorithm>
-#include <variant>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -19,6 +18,8 @@ Invariants::Invariants(core::Orchestrator& orchestrator, obs::Recorder* recorder
     : orch_(&orchestrator), recorder_(recorder) {
   if (recorder_ != nullptr) {
     m_violations_ = &recorder_->metrics().counter("fault.invariant_violations");
+    m_migrations_recorded_ =
+        &recorder_->metrics().counter("events.migration_completed");
   }
 }
 
@@ -168,23 +169,19 @@ void Invariants::check_migration_discipline() {
   }
 }
 
-// Verifies journal MigrationCompleted records against migration_events().
+// Verifies the recorded MigrationCompleted count against
+// migration_events(). The recorder's per-type counter counts every record,
+// so the check holds after the ring has dropped old events and costs no
+// journal walk.
 void Invariants::check_journal_consistency() {
   if (recorder_ == nullptr || !recorder_->enabled()) return;
-  const obs::EventJournal& journal = recorder_->journal();
-  // A full ring has forgotten its oldest events; the count check is only
-  // meaningful while nothing was dropped.
-  if (journal.dropped() > 0) return;
-  std::size_t completed = 0;
-  journal.for_each([&completed](const obs::Event& e) {
-    if (std::holds_alternative<obs::MigrationCompleted>(e)) ++completed;
-  });
+  const auto completed = m_migrations_recorded_->value();
   const std::size_t events = orch_->migration_events().size();
-  if (completed != events) {
+  if (completed != static_cast<std::int64_t>(events)) {
     violate("journal_migrations",
-            util::str_format("journal has %zu migration_completed records but "
+            util::str_format("journal has %lld migration_completed records but "
                              "migration_events() has %zu entries",
-                             completed, events));
+                             static_cast<long long>(completed), events));
   }
 }
 

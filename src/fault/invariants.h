@@ -18,8 +18,9 @@
 //                   anti-cascade rule), and per-round controller moves stay
 //                   within max_migrations_per_round;
 //  * journal      — every MigrationEvent has its MigrationCompleted journal
-//                   record (checked only while the journal has dropped
-//                   nothing).
+//                   record (counted by the recorder's
+//                   events.migration_completed counter, so the check holds
+//                   after the ring drops old events).
 //
 // Violations are counted, logged, and journalled as obs::InvariantViolation
 // events; tests assert violations() == 0 to hard-fail.
@@ -71,6 +72,7 @@ class Invariants {
   core::Orchestrator* orch_;
   obs::Recorder* recorder_;
   obs::Counter* m_violations_ = nullptr;
+  obs::Counter* m_migrations_recorded_ = nullptr;  // events.migration_completed
   std::function<void(const char*, const std::string&)> violation_hook_;
   int violations_ = 0;
   int violations_at_pass_start_ = 0;

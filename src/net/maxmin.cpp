@@ -7,7 +7,6 @@
 #include <limits>
 #include <utility>
 
-#include "obs/recorder.h"
 
 namespace bass::net {
 
@@ -58,8 +57,8 @@ void MaxMinSolver::ensure_links(std::size_t nl) {
 const std::vector<double>& MaxMinSolver::solve(
     const std::vector<double>& capacities,
     const std::vector<AllocEntityRef>& entities) {
-  BASS_OBS_SCOPE("net.maxmin.solve_us");
   const std::size_t nf = entities.size();
+  if (nf == 1) return solve_lone(capacities, entities.front());
   rates_.assign(nf, 0.0);  // assign() reuses capacity: no alloc at steady state
   ensure_links(capacities.size());
   ++stamp_;
@@ -280,6 +279,41 @@ const std::vector<double>& MaxMinSolver::solve(
     // +0.0.
     rates_[f] = rates_[f] > 0.0 ? rates_[f] : 0.0;
   }
+  return rates_;
+}
+
+// Water-filling with one flow, in closed form. With m the least capacity
+// among path links the demand exceeds (the only links that enter the
+// heap), the general loop takes one round: a finite demand at or below
+// max(m, 0) + kAllocEps freezes at the demand (the fast path, or the slow
+// path's demand check once the level is clamped at 0), anything else
+// freezes at the saturation level max(m, 0). An unlimited demand never
+// demand-freezes, so with no saturating link the loop breaks at level 0.
+// Every comparison and max() is the one the loop makes, so the result is
+// bit-identical to it.
+const std::vector<double>& MaxMinSolver::solve_lone(
+    const std::vector<double>& capacities, const AllocEntityRef& e) {
+  last_rounds_ = 0;
+  double rate = 0.0;
+  if (e.demand > 0.0) {
+    assert(!e.links.empty() && "demanding entity must traverse links");
+    last_rounds_ = 1;
+    const bool finite = e.demand < static_cast<double>(kUnlimitedRate);
+    // No demand exceeds a +inf capacity: m stays +inf iff no link saturates.
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    double m = kNone;
+    for (LinkId l : e.links) {
+      const double cap = capacities[static_cast<std::size_t>(l)];
+      if (e.demand > cap) m = std::min(m, cap);
+    }
+    if (m == kNone) {
+      rate = finite ? e.demand : 0.0;
+    } else {
+      const double level = std::max(m, 0.0);
+      rate = finite && e.demand <= level + kAllocEps ? e.demand : level;
+    }
+  }
+  rates_.assign(1, rate > 0.0 ? rate : 0.0);
   return rates_;
 }
 

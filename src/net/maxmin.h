@@ -63,7 +63,9 @@ class MaxMinSolver {
   // Returns the max-min fair rate (bps) per entity, in input order. The
   // returned reference is invalidated by the next solve() call.
   // `capacities[l]` is the capacity of directed link l; every LinkId in an
-  // entity path must index into it.
+  // entity path must index into it. A lone entity is solved in closed form,
+  // bit-identical to the water-filling loop (half of all request-path
+  // passes reprice exactly one flow).
   const std::vector<double>& solve(const std::vector<double>& capacities,
                                    const std::vector<AllocEntityRef>& entities);
 
@@ -82,6 +84,8 @@ class MaxMinSolver {
   using HeapEntry = std::pair<double, std::uint32_t>;
 
   void ensure_links(std::size_t nl);
+  const std::vector<double>& solve_lone(const std::vector<double>& capacities,
+                                        const AllocEntityRef& entity);
 
   // ---- Persistent per-link state (indexed by LinkId, grow-only) ----
   std::uint32_t stamp_ = 0;

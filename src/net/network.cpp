@@ -67,6 +67,7 @@ void Network::set_recorder(obs::Recorder* recorder) {
     m_flows_touched_ = nullptr;
     m_links_touched_ = nullptr;
     m_alloc_pass_us_ = nullptr;
+    m_solve_us_ = nullptr;
     return;
   }
   auto& metrics = recorder->metrics();
@@ -75,6 +76,7 @@ void Network::set_recorder(obs::Recorder* recorder) {
   m_flows_touched_ = &metrics.counter("net.flows_touched");
   m_links_touched_ = &metrics.counter("net.links_touched");
   m_alloc_pass_us_ = &metrics.log_timer_us("net.alloc_pass_us");
+  m_solve_us_ = nullptr;  // registered by the first timed solve
 }
 
 void Network::apply_capacity(LinkId link, Bps capacity) {
@@ -502,8 +504,12 @@ void Network::reallocate() {
     batch_dirty_ = true;
     return;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  // Pass 1, 1 + kTimedPassEvery, ... is timed: chosen by count, so
+  // same-seed runs time the same passes.
   ++alloc_stats_.reallocations;
+  const bool timed = alloc_stats_.reallocations % kTimedPassEvery == 1;
+  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
 
   collect_component(dirty_links_, dirty_entities_);
   dirty_links_.clear();
@@ -543,6 +549,15 @@ void Network::reallocate() {
     if (config_.fairness == FairnessPolicy::kProportional) {
       proportional = proportional_allocate_refs(capacities_, refs_);
       rates = &proportional;
+    } else if (timed && recorder_ != nullptr) {
+      if (m_solve_us_ == nullptr) {
+        m_solve_us_ = &recorder_->metrics().log_timer_us("net.maxmin.solve_us");
+      }
+      const Clock::time_point s0 = Clock::now();
+      rates = &solver_.solve(capacities_, refs_);
+      m_solve_us_->observe(
+          std::chrono::duration<double, std::micro>(Clock::now() - s0).count(),
+          kTimedPassEvery);
     } else {
       rates = &solver_.solve(capacities_, refs_);
     }
@@ -562,9 +577,11 @@ void Network::reallocate() {
     }
   }
 
-  const double pass_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  alloc_stats_.alloc_seconds += pass_seconds;
+  double pass_seconds = 0.0;
+  if (timed) {
+    pass_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    alloc_stats_.alloc_seconds += pass_seconds * kTimedPassEvery;
+  }
 
   if (recorder_ != nullptr) {
     m_reallocations_->inc();
@@ -572,15 +589,20 @@ void Network::reallocate() {
     m_links_touched_->add(static_cast<std::int64_t>(comp_links_.size()));
     const bool full = touched == active_entity_count_ && touched > 0;
     if (full) m_full_reallocations_->inc();
-    m_alloc_pass_us_->observe(pass_seconds * 1e6);
-    obs::ReallocationSolved solved;
-    solved.at = sim_->now();
-    solved.flows = touched;
-    solved.links = static_cast<std::int64_t>(comp_links_.size());
-    solved.full = full;
-    solved.span = recorder_->new_span();
-    solved.parent = recorder_->current_span();
-    recorder_->record(solved);
+    if (timed) m_alloc_pass_us_->observe(pass_seconds * 1e6, kTimedPassEvery);
+    // Only a pass with a cause (a controller round, fault or probe span)
+    // enters the journal; the counters above cover every pass.
+    const obs::SpanId parent = recorder_->current_span();
+    if (parent != obs::kNoSpan) {
+      obs::ReallocationSolved solved;
+      solved.at = sim_->now();
+      solved.flows = touched;
+      solved.links = static_cast<std::int64_t>(comp_links_.size());
+      solved.full = full;
+      solved.span = recorder_->new_span();
+      solved.parent = parent;
+      recorder_->record(solved);
+    }
   }
 }
 

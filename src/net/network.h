@@ -60,6 +60,13 @@ struct NetworkConfig {
 // allocator passes; `flows_touched` counts entity repricings summed over
 // passes, so flows_touched / reallocations is the mean contention-component
 // size the engine actually paid for.
+//
+// Only one pass in kTimedPassEvery reads the clock (passes 1, 65, 129, ...);
+// its time counts kTimedPassEvery times, so `alloc_seconds` and the
+// net.alloc_pass_us / net.maxmin.solve_us sums are estimates of the totals,
+// exact in expectation, not measurements of every pass.
+inline constexpr std::int64_t kTimedPassEvery = 64;
+
 struct AllocStats {
   std::int64_t reallocations = 0;
   // Passes whose component covered every active entity.
@@ -69,7 +76,7 @@ struct AllocStats {
   std::int64_t last_flows_touched = 0;   // most recent pass only
   std::int64_t last_links_touched = 0;   // most recent pass only
   std::int64_t max_component_flows = 0;  // largest component ever repriced
-  double alloc_seconds = 0.0;            // wall time inside collect+solve+apply
+  double alloc_seconds = 0.0;  // estimated wall time in collect+solve+apply
 };
 
 class Network {
@@ -154,12 +161,15 @@ class Network {
   Bps stream_rate(StreamId id) const;
 
   // ---- Observability ----
-  // Attaches the run's recorder: every allocator pass journals a
-  // ReallocationSolved event, capacity changes journal LinkCapacityChanged,
-  // and the AllocStats counters are mirrored into the metrics registry
-  // (net.reallocations, net.flows_touched, ..., net.alloc_pass_us).
-  // Instrument handles are resolved once here, so the hot path only pays
-  // pointer increments. Pass nullptr to detach.
+  // Attaches the run's recorder: an allocator pass that runs inside a span
+  // (a controller round, fault or probe) journals a ReallocationSolved
+  // event parented to it, capacity changes journal LinkCapacityChanged, and
+  // the AllocStats counters of every pass, parented or not, are mirrored
+  // into the metrics registry (net.reallocations, net.flows_touched, ...).
+  // The sampled pass and solve times (see kTimedPassEvery) go to
+  // net.alloc_pass_us and net.maxmin.solve_us. Instrument handles are
+  // resolved once here, so the hot path only pays pointer increments. Pass
+  // nullptr to detach.
   void set_recorder(obs::Recorder* recorder);
 
   // Delivered bytes for a tag since the last take (settles flows first).
@@ -345,6 +355,7 @@ class Network {
   obs::Counter* m_flows_touched_ = nullptr;
   obs::Counter* m_links_touched_ = nullptr;
   obs::LogHistogram* m_alloc_pass_us_ = nullptr;
+  obs::LogHistogram* m_solve_us_ = nullptr;
 
   std::int64_t total_bytes_delivered_ = 0;
   AllocStats alloc_stats_;

@@ -85,13 +85,18 @@ class LogHistogram {
     return ((sub + 1) << shift) - 1;
   }
 
-  void observe(double value) {
+  void observe(double value) { observe(value, 1); }
+  // One observation standing for `weight` equal ones: a sampled timer
+  // (one event in N measured) observes with weight N, so count() and sum()
+  // estimate the totals over every event.
+  void observe(double value, std::int64_t weight) {
     const std::uint64_t v =
         value <= 0.0 ? 0 : static_cast<std::uint64_t>(value + 0.5);
-    ++counts_[bucket_index(v)];
-    ++count_;
-    sum_ += value;
-    if (count_ == 1) {
+    const bool first = count_ == 0;
+    counts_[bucket_index(v)] += weight;
+    count_ += weight;
+    sum_ += value * static_cast<double>(weight);
+    if (first) {
       min_ = max_ = value;
     } else {
       if (value < min_) min_ = value;

@@ -6,8 +6,8 @@
 // one pointer compare and a profiling scope costs one branch (no clock
 // read, no allocation).
 //
-// Pure kernels (the max-min solver, the packers, the migration policy)
-// have no recorder parameter by design; their profiling scopes reach the
+// Pure kernels (the packers, the migration policy) have no recorder
+// parameter by design; their profiling scopes reach the
 // process-wide recorder installed with set_global_recorder(). Harnesses
 // that want kernel timings install theirs explicitly; library code never
 // installs one.

@@ -13,12 +13,28 @@ RequestEngine::RequestEngine(core::Orchestrator& orchestrator,
     : orch_(&orchestrator),
       deployment_(deployment),
       config_(config),
-      rng_(config.seed),
-      servers_(static_cast<std::size_t>(orchestrator.app(deployment).component_count())),
-      parked_(servers_.size()) {
-  const auto topo = orch_->app(deployment_).topo_order();
+      rng_(config.seed) {
+  const app::AppGraph& app = orch_->app(deployment_);
+  const auto topo = app.topo_order();
   assert(!topo.empty() && "request engine needs an acyclic app");
   root_ = topo.front();
+
+  // Counting sort of the edges by caller: count, prefix-sum, then place in
+  // declaration order.
+  const std::vector<app::Edge>& edges = app.edges();
+  components_.resize(static_cast<std::size_t>(app.component_count()));
+  for (const app::Edge& e : edges) ++components_[static_cast<std::size_t>(e.from)].end_child;
+  std::uint32_t offset = 0;
+  for (Component& c : components_) {
+    c.first_child = offset;
+    offset += c.end_child;
+    c.end_child = c.first_child;
+  }
+  child_edges_.resize(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    Component& c = components_[static_cast<std::size_t>(edges[i].from)];
+    child_edges_[c.end_child++] = static_cast<std::uint32_t>(i);
+  }
 }
 
 RequestEngine::~RequestEngine() { stop(); }
@@ -97,7 +113,7 @@ void RequestEngine::call(FrameId f) {
   if (!orch_->is_up(deployment_, frame.component)) {
     // Park the whole invocation; it re-resolves the node once the component
     // restarts (possibly elsewhere).
-    push(parked_[static_cast<std::size_t>(frame.component)], f);
+    push(components_[static_cast<std::size_t>(frame.component)].parked, f);
     return;
   }
   const net::NodeId target_node = orch_->node_of(deployment_, frame.component);
@@ -107,7 +123,7 @@ void RequestEngine::call(FrameId f) {
 
 void RequestEngine::process(FrameId f) {
   const app::ComponentId component = frames_[f].component;
-  Server& server = servers_[static_cast<std::size_t>(component)];
+  Component& server = components_[static_cast<std::size_t>(component)];
   const int concurrency =
       std::max(orch_->app(deployment_).component(component).concurrency, 1);
   if (server.busy < concurrency) {
@@ -125,30 +141,27 @@ void RequestEngine::start_service(FrameId f) {
 
 void RequestEngine::service_done(FrameId f) {
   const app::ComponentId component = frames_[f].component;
-  Server& server = servers_[static_cast<std::size_t>(component)];
+  Component& server = components_[static_cast<std::size_t>(component)];
   if (!server.waiting.empty()) {
     start_service(pop(server.waiting));  // slot handed over directly
   } else {
     --server.busy;
   }
 
-  // Fan out to the children this request actually touches, drawing in edge
-  // declaration order.
-  const std::vector<app::Edge>& edges = orch_->app(deployment_).edges();
-  invoked_.clear();
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const app::Edge& e = edges[i];
-    if (e.from != component) continue;
-    if (e.probability >= 1.0 || rng_.chance(e.probability)) invoked_.push_back(i);
-  }
-
   const net::NodeId my_node = orch_->node_of(deployment_, component);
   frames_[f].node = my_node;
-  // Joined when all children have responded; then the response travels
-  // back to the caller.
-  frames_[f].pending = static_cast<int>(invoked_.size()) + 1;
-  for (std::size_t i : invoked_) {
+  // Joined when all children have responded, then the response travels
+  // back to the caller. The +1 guard holds the join open while children
+  // are issued; a call never completes synchronously, so counting them as
+  // they go is safe, and the coin flips are drawn in edge declaration
+  // order (child_edges_).
+  frames_[f].pending = 1;
+  const std::vector<app::Edge>& edges = orch_->app(deployment_).edges();
+  for (std::uint32_t t = server.first_child; t < server.end_child; ++t) {
+    const std::uint32_t i = child_edges_[t];
     const app::Edge& e = edges[i];
+    if (e.probability < 1.0 && !rng_.chance(e.probability)) continue;
+    ++frames_[f].pending;
     // Passive per-pair accounting: bytes offered when the call is issued,
     // delivered when the response lands. Their ratio is the pair's goodput
     // the controller watches.
@@ -156,12 +169,12 @@ void RequestEngine::service_done(FrameId f) {
         .record_offered(i, e.request_bytes + e.response_bytes);
     call(new_frame({.component = e.to,
                     .caller_node = my_node,
-                    .edge = static_cast<std::uint32_t>(i),
+                    .edge = i,
                     .request_bytes = e.request_bytes,
                     .response_bytes = e.response_bytes,
                     .parent = f}));
   }
-  finish(f);  // the +1 guard: fires immediately when no children
+  finish(f);  // drops the guard: fires immediately when no children
 }
 
 void RequestEngine::finish(FrameId f) {
@@ -188,7 +201,7 @@ void RequestEngine::response_landed(FrameId f) {
 
 void RequestEngine::on_component_up(app::ComponentId component, net::NodeId node) {
   (void)node;
-  FrameQueue& parked = parked_[static_cast<std::size_t>(component)];
+  FrameQueue& parked = components_[static_cast<std::size_t>(component)].parked;
   while (!parked.empty()) call(pop(parked));
 }
 

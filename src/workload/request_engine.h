@@ -127,17 +127,23 @@ class RequestEngine final : public core::DeploymentListener {
   util::Rng rng_;
   app::ComponentId root_ = app::kInvalidComponent;
 
-  struct Server {
-    int busy = 0;
-    FrameQueue waiting;
+  // Per-component state, indexed by ComponentId.
+  struct Component {
+    int busy = 0;         // server slots in use
+    FrameQueue waiting;   // invocations waiting for a slot
+    FrameQueue parked;    // invocations parked while the component is down
+    // The component's out-edges: child_edges_[first_child..end_child).
+    std::uint32_t first_child = 0;
+    std::uint32_t end_child = 0;
   };
-  std::vector<Server> servers_;
-  // Invocations parked while their component is down.
-  std::vector<FrameQueue> parked_;
+  std::vector<Component> components_;
+  // Indices into the app's edges(), grouped by caller component and in
+  // declaration order within each group, so a fan-out draws its coin flips
+  // in the order a scan of every edge would.
+  std::vector<std::uint32_t> child_edges_;
 
   std::vector<Frame> frames_;
   FrameId free_frames_ = kNoFrame;  // free list through Frame::next
-  std::vector<std::size_t> invoked_;  // service_done's fan-out, edge indices
 
   metrics::LatencyRecorder latencies_;
   std::int64_t issued_ = 0;

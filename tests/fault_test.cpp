@@ -309,6 +309,44 @@ TEST(FaultInvariants, CatchesJournalMigrationMismatch) {
   EXPECT_GE(inv.check_now(), 1);
 }
 
+TEST(FaultInvariants, JournalCheckHoldsAfterTheRingWraps) {
+  OrchRig rig;
+  obs::Recorder recorder({.journal_capacity = 16});
+  rig.orch->set_recorder(&recorder);
+  rig.deploy_pair();
+  Invariants inv(*rig.orch, &recorder);
+
+  // Three moves of component 0 around the triangle, with filler events in
+  // between, wrap the 16-slot ring well past its first MigrationCompleted.
+  for (int move = 0; move < 3; ++move) {
+    const net::NodeId from = rig.orch->node_of(rig.id, 0);
+    const net::NodeId to = (from + 1) % 3;
+    ASSERT_TRUE(rig.orch->migrate(rig.id, 0, to));
+    rig.sim.run_until(rig.sim.now() + sim::minutes(1));  // past the restart
+    ASSERT_TRUE(rig.orch->is_up(rig.id, 0));
+    for (int i = 0; i < 20; ++i) {
+      recorder.record(obs::HeadroomViolation{.at = rig.sim.now(), .link = 0});
+    }
+  }
+  ASSERT_EQ(rig.orch->migration_events().size(), 3u);
+  ASSERT_GT(recorder.journal().dropped(), 0);
+  EXPECT_EQ(inv.check_now(), 0);
+
+  // A spurious record still trips the check on a wrapped ring.
+  recorder.record(obs::MigrationCompleted{.at = rig.sim.now(),
+                                          .deployment = rig.id,
+                                          .component = 0,
+                                          .from = 0,
+                                          .to = 1,
+                                          .reason = "manual"});
+  EXPECT_EQ(inv.check_now(), 1);
+  const obs::EventJournal& journal = recorder.journal();
+  const auto* violation =
+      std::get_if<obs::InvariantViolation>(&journal.at(journal.size() - 1));
+  ASSERT_NE(violation, nullptr);
+  EXPECT_STREQ(violation->name, "journal_migrations");
+}
+
 TEST(FaultInvariants, RecoverNodeUncordonsAfterDrain) {
   OrchRig rig;
   rig.deploy_pair();

@@ -211,9 +211,10 @@ TEST(MaxMinAlloc, NetworkTransferChurnSteadyStateAllocatesNothing) {
 namespace bass::obs {
 namespace {
 
-// Timed by BASS_OBS_SCOPE, as the max-min kernel is. The name is longer than
-// std::string's inline buffer, so building a key from it would allocate.
-void profiled_kernel() { BASS_OBS_SCOPE("net.maxmin.solve_us"); }
+// Timed by BASS_OBS_SCOPE, as the packer kernels are. The name is longer
+// than std::string's inline buffer, so building a key from it would
+// allocate.
+void profiled_kernel() { BASS_OBS_SCOPE("sched.sequential_pack_us"); }
 
 // A profiling scope resolves its timer by name at every exit; once the timer
 // is registered that lookup must not touch the heap.
@@ -226,7 +227,7 @@ TEST(Recorder, ScopedTimerAllocatesNothingOnceRegistered) {
   for (int i = 0; i < 100; ++i) profiled_kernel();
   EXPECT_EQ(testing::allocations_since(snap), 0)
       << "a profiling scope allocated after its timer was registered";
-  EXPECT_EQ(recorder.metrics().log_timer_us("net.maxmin.solve_us").count(), 101);
+  EXPECT_EQ(recorder.metrics().log_timer_us("sched.sequential_pack_us").count(), 101);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -145,6 +147,57 @@ TEST(KernelEquivalenceEdges, SignedZeroAndDeadLinksGivePositiveZeroRates) {
   entities.push_back({-0.0, {2}});  // a -0.0 demand is idle
   entities.push_back({kUnlimited, {2}});
   expect_matches_reference(caps, entities, kAllocEps);
+}
+
+TEST(KernelEquivalenceEdges, LoneFlowClosedFormIsBitIdenticalToWaterFilling) {
+  // A one-entity solve takes the closed form; the same flow next to an idle
+  // entity (demand 0, no links, frozen before the loop starts) runs the
+  // general water-filling path. The two must agree bit for bit, on demands
+  // within kAllocEps of a capacity, zero and unlimited demands, dead links
+  // and capacities no demand can exceed.
+  util::Rng rng(2024);
+  MaxMinSolver lone_solver;
+  MaxMinSolver general_solver;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const int n_links = static_cast<int>(rng.uniform_int(1, 8));
+    std::vector<double> caps;
+    for (int l = 0; l < n_links; ++l) {
+      const double u = rng.uniform(0.0, 1.0);
+      caps.push_back(u < 0.1    ? 0.0
+                     : u < 0.15 ? 2.0 * kUnlimited
+                                : rng.uniform(1e5, 50e6));
+    }
+    std::vector<LinkId> path;
+    const int path_len = static_cast<int>(rng.uniform_int(1, n_links));
+    for (int i = 0; i < path_len; ++i) {
+      const LinkId l = static_cast<LinkId>(rng.uniform_int(0, n_links - 1));
+      if (std::find(path.begin(), path.end(), l) == path.end()) path.push_back(l);
+    }
+    const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(path.size()) - 1);
+    const double bottleneck =
+        caps[static_cast<std::size_t>(path[static_cast<std::size_t>(pick)])];
+    double demand = 0.0;
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.1) {
+      demand = 0.0;
+    } else if (u < 0.3) {
+      demand = kUnlimited;
+    } else if (u < 0.6 && bottleneck < kUnlimited) {
+      // A tie with a path capacity: just below, at, or just past the
+      // freeze threshold.
+      demand = bottleneck + rng.uniform(-2.0, 2.0) * kAllocEps;
+    } else {
+      demand = rng.uniform(0.1e6, 40e6);
+    }
+
+    const std::vector<AllocEntityRef> lone = {{demand, path}};
+    const std::vector<AllocEntityRef> pair = {{demand, path}, {0.0, {}}};
+    const double closed = lone_solver.solve(caps, lone)[0];
+    const double filled = general_solver.solve(caps, pair)[0];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(closed), std::bit_cast<std::uint64_t>(filled))
+        << "trial " << trial << ": demand " << demand << " bottleneck " << bottleneck
+        << " closed form " << closed << " water-filling " << filled;
+  }
 }
 
 // ---- Layer 2: incremental engine vs. from-scratch reference ----

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <variant>
 #include <vector>
 
 #include "net/network.h"
+#include "obs/recorder.h"
 #include "sched/network_view.h"
 
 namespace bass::net {
@@ -337,6 +339,58 @@ TEST(Network, AllocStatsTrackComponentScope) {
   // Cumulative touch count is the sum over the three passes.
   EXPECT_EQ(stats.flows_touched, 1 + 1 + 3);
   EXPECT_GT(stats.alloc_seconds, 0.0);
+}
+
+TEST(Network, OnlyPassesInsideASpanAreJournaled) {
+  Fixture f;
+  obs::Recorder recorder;
+  f.net->set_recorder(&recorder);
+  const auto& reallocations = recorder.metrics().counter("net.reallocations");
+  const auto& solved = recorder.metrics().counter("events.reallocation_solved");
+
+  // No span: the pass is counted, not journaled, and takes no span id.
+  f.net->open_stream(0, 1, mbps(4));
+  EXPECT_EQ(reallocations.value(), 1);
+  EXPECT_EQ(solved.value(), 0);
+  EXPECT_TRUE(recorder.journal().empty());
+
+  // Inside a cause's span: journaled, parented to it.
+  const obs::SpanId cause = recorder.new_span();
+  {
+    obs::SpanScope scope(&recorder, cause);
+    f.net->open_stream(1, 2, mbps(4));
+  }
+  EXPECT_EQ(reallocations.value(), 2);
+  EXPECT_EQ(solved.value(), 1);
+  ASSERT_EQ(recorder.journal().size(), 1u);
+  const auto* event = std::get_if<obs::ReallocationSolved>(&recorder.journal().at(0));
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(event->parent, cause);
+  EXPECT_EQ(event->span, cause + 1);  // the unparented pass took no id
+  EXPECT_EQ(event->flows, 1);
+
+  // Out of the scope again: counted only.
+  f.net->open_stream(0, 2, mbps(4));
+  EXPECT_EQ(reallocations.value(), 3);
+  EXPECT_EQ(recorder.journal().size(), 1u);
+}
+
+TEST(Network, SampledPassTimesEstimateTheTotals) {
+  Fixture f;
+  obs::Recorder recorder;
+  f.net->set_recorder(&recorder);
+  // Pass 1 and pass 1 + kTimedPassEvery are timed, each standing for
+  // kTimedPassEvery passes.
+  for (int i = 0; i < kTimedPassEvery + 1; ++i) f.net->open_stream(0, 2, mbps(1));
+  const AllocStats& stats = f.net->alloc_stats();
+  ASSERT_EQ(stats.reallocations, kTimedPassEvery + 1);
+  const auto& pass_us = recorder.metrics().log_timer_us("net.alloc_pass_us");
+  const auto& solve_us = recorder.metrics().log_timer_us("net.maxmin.solve_us");
+  EXPECT_EQ(pass_us.count(), 2 * kTimedPassEvery);
+  EXPECT_EQ(solve_us.count(), 2 * kTimedPassEvery);
+  EXPECT_GT(stats.alloc_seconds, 0.0);
+  EXPECT_NEAR(pass_us.sum(), stats.alloc_seconds * 1e6, 1e-6 * pass_us.sum() + 1e-9);
+  EXPECT_LE(solve_us.sum(), pass_us.sum());
 }
 
 TEST(Network, AllocStatsBatchedTickCountsOnePass) {

@@ -233,6 +233,31 @@ TEST(Metrics, LogHistogramPercentilesAndMerge) {
   EXPECT_EQ(total, other.count());
 }
 
+TEST(Metrics, WeightedObserveEqualsRepeatedObserve) {
+  // observe(v, w) is w observations of v: a sampled timer's estimate.
+  LogHistogram weighted;
+  LogHistogram repeated;
+  const std::vector<std::pair<double, std::int64_t>> samples = {
+      {3.0, 64}, {250.0, 64}, {0.4, 1}, {17.5, 8}};
+  for (const auto& [value, weight] : samples) {
+    weighted.observe(value, weight);
+    for (std::int64_t i = 0; i < weight; ++i) repeated.observe(value);
+  }
+  EXPECT_EQ(weighted.count(), 64 + 64 + 1 + 8);
+  EXPECT_EQ(weighted.count(), repeated.count());
+  EXPECT_DOUBLE_EQ(weighted.sum(), 3.0 * 64 + 250.0 * 64 + 0.4 + 17.5 * 8);
+  EXPECT_DOUBLE_EQ(weighted.sum(), repeated.sum());
+  EXPECT_DOUBLE_EQ(weighted.min(), 0.4);
+  EXPECT_DOUBLE_EQ(weighted.max(), 250.0);
+  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(weighted.percentile(q), repeated.percentile(q)) << "q " << q;
+  }
+  std::vector<std::pair<std::uint64_t, std::int64_t>> a, b;
+  weighted.for_each_nonzero([&](std::uint64_t u, std::int64_t n) { a.emplace_back(u, n); });
+  repeated.for_each_nonzero([&](std::uint64_t u, std::int64_t n) { b.emplace_back(u, n); });
+  EXPECT_EQ(a, b);
+}
+
 TEST(Metrics, PrometheusExportCoversEveryKind) {
   MetricsRegistry reg;
   reg.counter("events.probe_completed", {{"full", "true"}}).add(3);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "scenario/scenario.h"
 #include "sched/network_view.h"
@@ -154,6 +157,37 @@ TEST(Scenario, ShippedScenarioLoads) {
   ASSERT_TRUE(s.ok()) << s.error();
   EXPECT_EQ(s.value()->app().component_count(), 3);
   EXPECT_EQ(s.value()->app().find("db") != app::kInvalidComponent, true);
+}
+
+TEST(Scenario, ShippedScenariosKeepTheirWholeJournal) {
+  // Every shipped scenario, run as `bassctl run` runs it (default journal
+  // capacity), keeps every event: the journal records decisions and the
+  // allocator passes they cause, not every solver pass of the run.
+  std::filesystem::path dir;
+  for (const char* prefix : {"", "../../", "../"}) {
+    if (std::filesystem::is_directory(std::string(prefix) + "examples/scenarios")) {
+      dir = std::string(prefix) + "examples/scenarios";
+      break;
+    }
+  }
+  ASSERT_FALSE(dir.empty()) << "examples/scenarios not found from the working directory";
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".ini") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 5u);
+  for (const auto& file : files) {
+    auto s = Scenario::from_file(file.string());
+    ASSERT_TRUE(s.ok()) << file << ": " << s.error();
+    Scenario& scene = *s.value();
+    scene.run();
+    const obs::EventJournal& journal = scene.recorder().journal();
+    EXPECT_GT(journal.size(), 0u) << file;
+    EXPECT_EQ(journal.dropped(), 0) << file << " keeps " << journal.size()
+                                    << " of " << journal.size() + journal.dropped()
+                                    << " events";
+  }
 }
 
 TEST(Scenario, ShippedConferenceScenarioLoads) {

@@ -846,16 +846,46 @@ int cmd_report(const std::vector<std::string>& args) {
     if (std::ifstream(candidate).good()) metrics_path = candidate;
   }
 
-  // Event census.
+  // Event census over the retained window. The ring keeps the newest
+  // events, so the window's start says how much of the run is missing.
   std::map<std::string, std::size_t> counts;
   for (const JournalLine& e : events) ++counts[e.type];
   std::printf("journal    %zu events", events.size());
   if (!events.empty()) {
-    std::printf(" over %.3f s", events.back().t_us / 1e6);
+    std::printf(" retained, %.3f .. %.3f s", events.front().t_us / 1e6,
+                events.back().t_us / 1e6);
   }
   std::printf("\n");
   for (const auto& [type, n] : counts) {
     std::printf("  %-24s %6zu\n", type.c_str(), n);
+  }
+
+  // What the ring lost: the sidecar's events.<type> counters count every
+  // record, the journal holds the retained ones (zone-labelled counters of
+  // a sharded serve are summed).
+  if (!metrics_path.empty()) {
+    std::map<std::string, long long> recorded;
+    std::ifstream sidecar(metrics_path);
+    std::string mline;
+    while (std::getline(sidecar, mline)) {
+      std::string name, value;
+      if (!json_field(mline, "name", name) || name.rfind("events.", 0) != 0 ||
+          !json_field(mline, "value", value)) {
+        continue;
+      }
+      recorded[name.substr(7)] += std::atoll(value.c_str());
+    }
+    long long dropped_total = 0;
+    std::string dropped_rows;
+    for (const auto& [type, n] : recorded) {
+      const auto kept = counts.find(type);
+      const long long dropped =
+          n - (kept != counts.end() ? static_cast<long long>(kept->second) : 0);
+      if (dropped <= 0) continue;
+      dropped_total += dropped;
+      dropped_rows += util::str_format("  %-24s %6lld\n", type.c_str(), dropped);
+    }
+    std::printf("dropped    %lld events\n%s", dropped_total, dropped_rows.c_str());
   }
 
   // Sharded serves tag every merged-journal event with its source zone
