@@ -76,8 +76,8 @@ AppGraph camera_pipeline_app() {
 
 AppGraph video_conference_app(
     const std::vector<std::pair<net::NodeId, int>>& clients_per_node,
-    net::Bps per_stream_bps) {
-  AppGraph g("video-conference");
+    net::Bps per_stream_bps, std::string name) {
+  AppGraph g(std::move(name));
   const ComponentId sfu = add(g, "pion-sfu", 2000, 1024, sim::micros(200), 16);
 
   int total_participants = 0;

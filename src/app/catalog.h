@@ -5,6 +5,7 @@
 // and so the placement outcomes in the paper's figures reproduce.
 #pragma once
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,9 +28,10 @@ AppGraph camera_pipeline_app();
 // modelling the clients attached at that mesh node, with edges carrying the
 // SFU's expected forwarding load so the bandwidth controller can reason
 // about the SFU's links exactly as it does for any other component pair.
+// Churn builds each instance under its own `name`.
 AppGraph video_conference_app(
     const std::vector<std::pair<net::NodeId, int>>& clients_per_node,
-    net::Bps per_stream_bps);
+    net::Bps per_stream_bps, std::string name = "video-conference");
 
 // DeathStarBench-style social network: 27 microservices (frontend, logic
 // services, caches, stores). Edge probabilities encode the request mix

@@ -63,6 +63,7 @@ void Network::set_recorder(obs::Recorder* recorder) {
   recorder_ = recorder;
   if (recorder == nullptr) {
     m_reallocations_ = nullptr;
+    m_shortcuts_ = nullptr;
     m_full_reallocations_ = nullptr;
     m_flows_touched_ = nullptr;
     m_links_touched_ = nullptr;
@@ -72,6 +73,7 @@ void Network::set_recorder(obs::Recorder* recorder) {
   }
   auto& metrics = recorder->metrics();
   m_reallocations_ = &metrics.counter("net.reallocations");
+  m_shortcuts_ = nullptr;  // registered by the first shortcut
   m_full_reallocations_ = &metrics.counter("net.full_reallocations");
   m_flows_touched_ = &metrics.counter("net.flows_touched");
   m_links_touched_ = &metrics.counter("net.links_touched");
@@ -176,7 +178,7 @@ int Network::add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
   return slot;
 }
 
-void Network::remove_entity(int slot) {
+void Network::remove_entity(int slot, bool mark_links_dirty) {
   Entity& e = entities_[static_cast<std::size_t>(slot)];
   assert(e.active);
   const LinkId* path = entity_block(slot);
@@ -190,7 +192,7 @@ void Network::remove_entity(int slot) {
     link_pos(moved.slot)[moved.path_idx] = static_cast<std::int32_t>(pos);
     occupants.pop_back();
     // The vacated capacity may redistribute to whatever shared this link.
-    dirty_links_.push_back(l);
+    if (mark_links_dirty) dirty_links_.push_back(l);
   }
   --active_entity_count_;
   if (e.channel != nullptr) --active_channel_entities_;
@@ -335,7 +337,7 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   if (placed.demand > 0) {
     placed.entity_slot =
         add_entity(static_cast<double>(placed.demand), src, dst, nullptr, slot);
-    reallocate();
+    if (!admit_at_demand(placed.entity_slot)) reallocate();
   }
   return id;
 }
@@ -377,9 +379,10 @@ void Network::close_stream(StreamId id) {
   if (stp == nullptr) return;  // stale or double close: safe no-op
   Stream& st = *stp;
   settle_stream(st);
-  const bool meshed = st.entity_slot >= 0;
-  if (meshed) {
-    remove_entity(st.entity_slot);
+  bool repass = false;
+  if (st.entity_slot >= 0) {
+    repass = !release_in_place(st.entity_slot, st.rate_bps);
+    if (repass) remove_entity(st.entity_slot);
     st.entity_slot = -1;
   }
   StreamSlot& s = stream_slots_[stream_slot_of(id)];
@@ -387,7 +390,58 @@ void Network::close_stream(StreamId id) {
   ++s.generation;  // outstanding copies of `id` are stale from here on
   stream_free_.push_back(stream_slot_of(id));
   --open_streams_;
-  if (meshed) reallocate();
+  if (repass) reallocate();
+}
+
+void Network::count_shortcut() {
+  ++alloc_stats_.shortcuts;
+  if (recorder_ == nullptr) return;
+  if (m_shortcuts_ == nullptr) {
+    m_shortcuts_ = &recorder_->metrics().counter("net.alloc_shortcuts");
+  }
+  m_shortcuts_->inc();
+}
+
+bool Network::can_skip_pass() const {
+  // Proportional shares depend on offered load, not on slack; a batch
+  // defers to one pass anyway; a change inside a span journals its pass.
+  return config_.fairness == FairnessPolicy::kMaxMin && batch_depth_ == 0 &&
+         dirty_links_.empty() &&
+         (recorder_ == nullptr || recorder_->current_span() == obs::kNoSpan);
+}
+
+// Exact by the max-min bottleneck argument: a flow below its demand is
+// bottlenecked at a saturated link, and every link of the new stream's
+// path keeps slack after the stream takes its whole demand, so no link
+// any flow is bottlenecked at changes load.
+bool Network::admit_at_demand(int slot) {
+  if (!can_skip_pass() || dirty_entities_.size() != 1) return false;
+  const double demand = entities_[static_cast<std::size_t>(slot)].demand;
+  const std::span<const LinkId> path = entity_path(slot);
+  for (LinkId l : path) {
+    const auto li = static_cast<std::size_t>(l);
+    if (capacities_[li] - link_allocated_[li] - demand <= kShortcutSlackBps) return false;
+  }
+  for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] += demand;
+  dirty_entities_.clear();
+  stream_slots_[entities_[static_cast<std::size_t>(slot)].stream].stream.rate_bps = demand;
+  count_shortcut();
+  return true;
+}
+
+// The mirror image: links that had slack before the close were nobody's
+// bottleneck, so the freed rate redistributes to no one.
+bool Network::release_in_place(int slot, double rate) {
+  if (!can_skip_pass() || !dirty_entities_.empty()) return false;
+  const std::span<const LinkId> path = entity_path(slot);
+  for (LinkId l : path) {
+    const auto li = static_cast<std::size_t>(l);
+    if (capacities_[li] - link_allocated_[li] <= kShortcutSlackBps) return false;
+  }
+  for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] -= rate;
+  remove_entity(slot, /*mark_links_dirty=*/false);
+  count_shortcut();
+  return true;
 }
 
 Bps Network::stream_rate(StreamId id) const {

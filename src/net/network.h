@@ -20,6 +20,14 @@
 // dirty set — flows that share no link (transitively) with the change keep
 // their rates, which is exact because max-min allocations of disjoint
 // components are independent. See DESIGN.md "Flow allocation fast path".
+//
+// Uncontended stream churn skips the pass altogether (max-min only): a
+// stream whose path keeps more than kShortcutSlackBps of slack on every
+// link after adding its demand is admitted at its demand, and a stream
+// whose links all had that slack is released in place. A link with slack
+// is nobody's bottleneck, so load added to or removed from unsaturated
+// links moves no other rate. Changes inside a batch, inside a recorder
+// span, or under kProportional always take the full pass.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +67,9 @@ struct NetworkConfig {
 // Allocator observability (cumulative unless noted). `reallocations` counts
 // allocator passes; `flows_touched` counts entity repricings summed over
 // passes, so flows_touched / reallocations is the mean contention-component
-// size the engine actually paid for.
+// size the engine actually paid for. `shortcuts` counts stream opens and
+// closes applied without a pass (admitted at demand or released in place);
+// they touch no other flow and are not in the per-pass fields.
 //
 // Only one pass in kTimedPassEvery reads the clock (passes 1, 65, 129, ...);
 // its time counts kTimedPassEvery times, so `alloc_seconds` and the
@@ -67,8 +77,14 @@ struct NetworkConfig {
 // exact in expectation, not measurements of every pass.
 inline constexpr std::int64_t kTimedPassEvery = 64;
 
+// Slack a link must keep, beyond the change, for an uncontended stream
+// open or close to skip the allocator pass: three orders of magnitude
+// above kAllocEps, and far above the rounding of link sums at mesh rates.
+inline constexpr double kShortcutSlackBps = 1.0;
+
 struct AllocStats {
   std::int64_t reallocations = 0;
+  std::int64_t shortcuts = 0;  // stream changes applied without a pass
   // Passes whose component covered every active entity.
   std::int64_t full_reallocations = 0;
   std::int64_t flows_touched = 0;
@@ -165,7 +181,10 @@ class Network {
   // (a controller round, fault or probe) journals a ReallocationSolved
   // event parented to it, capacity changes journal LinkCapacityChanged, and
   // the AllocStats counters of every pass, parented or not, are mirrored
-  // into the metrics registry (net.reallocations, net.flows_touched, ...).
+  // into the metrics registry (net.reallocations, net.flows_touched, ...;
+  // shortcuts go to net.alloc_shortcuts, registered by the first one). A
+  // stream change inside a span always takes the pass, so it still
+  // journals its ReallocationSolved.
   // The sampled pass and solve times (see kTimedPassEvery) go to
   // net.alloc_pass_us and net.maxmin.solve_us. Instrument handles are
   // resolved once here, so the hot path only pays pointer increments. Pass
@@ -179,6 +198,11 @@ class Network {
 
   std::int64_t total_bytes_delivered() const { return total_bytes_delivered_; }
   std::int64_t reallocation_count() const { return alloc_stats_.reallocations; }
+  // Bumped by every change to the allocation, pass or shortcut: rates and
+  // link_allocated() can only move when this moves.
+  std::int64_t allocation_changes() const {
+    return alloc_stats_.reallocations + alloc_stats_.shortcuts;
+  }
   const AllocStats& alloc_stats() const { return alloc_stats_; }
   std::size_t active_channel_count() const {
     return static_cast<std::size_t>(active_channel_entities_);
@@ -255,7 +279,13 @@ class Network {
   // affected contention component.
   int add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
                  std::uint32_t stream);
-  void remove_entity(int slot);
+  void remove_entity(int slot, bool mark_links_dirty = true);
+  // The uncontended-churn shortcuts (see the header comment). Each returns
+  // false, changing nothing, when the change needs the full pass.
+  bool can_skip_pass() const;
+  bool admit_at_demand(int slot);
+  bool release_in_place(int slot, double rate);
+  void count_shortcut();
 
   // Flood-fills links ↔ entities from the dirty seeds into comp_links_ /
   // comp_entities_ (every flow on an included link is included, so the
@@ -351,6 +381,7 @@ class Network {
   // Observability (all null until set_recorder; see emit sites).
   obs::Recorder* recorder_ = nullptr;
   obs::Counter* m_reallocations_ = nullptr;
+  obs::Counter* m_shortcuts_ = nullptr;
   obs::Counter* m_full_reallocations_ = nullptr;
   obs::Counter* m_flows_touched_ = nullptr;
   obs::Counter* m_links_touched_ = nullptr;

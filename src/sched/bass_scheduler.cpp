@@ -41,16 +41,20 @@ util::Expected<Placement> BassScheduler::schedule(const PreparedApp& app,
     return packer_.path_pack(input, app.longest_path_paths());
   }
 
-  // kAuto: evaluate both and keep the placement with less mesh-crossing
-  // bandwidth. Ties (including "both failed") resolve to BFS.
-  auto bfs = packer_.sequential_pack(input, app.bfs_order());
-  auto lp = packer_.path_pack(input, app.longest_path_paths());
-  if (!bfs.ok()) return lp;
-  if (!lp.ok()) return bfs;
-  return crossing_bandwidth(app.graph(), lp.value()) <
-                 crossing_bandwidth(app.graph(), bfs.value())
-             ? std::move(lp)
-             : std::move(bfs);
+  // kAuto: pack both orders into the reused buffers and copy out only the
+  // placement with less mesh-crossing bandwidth; ties resolve to BFS. When
+  // BFS fails, the longest-path outcome stands, failure included.
+  auto bfs_error = packer_.sequential_pack(input, app.bfs_order(), bfs_placement_);
+  auto lp_error = packer_.path_pack(input, app.longest_path_paths(), lp_placement_);
+  if (bfs_error) {
+    if (lp_error) return std::move(*lp_error);
+    return lp_placement_;
+  }
+  if (lp_error) return bfs_placement_;
+  return crossing_bandwidth(app.graph(), lp_placement_) <
+                 crossing_bandwidth(app.graph(), bfs_placement_)
+             ? lp_placement_
+             : bfs_placement_;
 }
 
 }  // namespace bass::sched

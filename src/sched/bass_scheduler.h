@@ -58,6 +58,9 @@ class BassScheduler final : public Scheduler {
   // Decision scratch, reused across schedule() calls.
   NodeRanker ranker_;
   Packer packer_;
+  // kAuto packs both orders here and copies out only the winner.
+  Placement bfs_placement_;
+  Placement lp_placement_;
 };
 
 }  // namespace bass::sched

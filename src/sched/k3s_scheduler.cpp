@@ -22,9 +22,8 @@ util::Expected<Placement> K3sScheduler::schedule(const PreparedApp& prepared,
   }
 
   budget_.reset(cluster);
-  auto pinned = place_pinned(app, cluster, budget_);
-  if (!pinned.ok()) return pinned;
-  Placement placement = pinned.take();
+  Placement placement;
+  if (auto error = place_pinned(app, cluster, budget_, placement)) return std::move(*error);
   // Pods arrive at the scheduler one at a time, in submission (id) order.
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);

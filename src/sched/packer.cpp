@@ -16,10 +16,10 @@ void NodeBudget::reset(const cluster::ClusterState& cluster) {
   }
 }
 
-util::Expected<Placement> place_pinned(const app::AppGraph& app,
-                                       const cluster::ClusterState& cluster,
-                                       NodeBudget& budget) {
-  Placement placement(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
+std::optional<util::Error> place_pinned(const app::AppGraph& app,
+                                        const cluster::ClusterState& cluster,
+                                        NodeBudget& budget, Placement& placement) {
+  placement.assign(static_cast<std::size_t>(app.component_count()), net::kInvalidNode);
   for (app::ComponentId c = 0; c < app.component_count(); ++c) {
     const auto& comp = app.component(c);
     if (!comp.pinned_node) continue;
@@ -36,7 +36,7 @@ util::Expected<Placement> place_pinned(const app::AppGraph& app,
     budget.charge(node, comp);
     placement[static_cast<std::size_t>(c)] = node;
   }
-  return placement;
+  return std::nullopt;
 }
 
 void LinkLedger::reset(const NetworkView& view) {
@@ -87,12 +87,11 @@ bool LinkLedger::fits(const app::AppGraph& app, const Placement& placement,
 // The one packing loop: each path restarts from the top-ranked node and
 // advances forward, so a chain stays on as few nodes as possible; once the
 // ranked list is exhausted a component falls back to first-fit.
-util::Expected<Placement> Packer::pack(const PackInput& input,
-                                       std::span<const std::vector<app::ComponentId>> paths) {
+std::optional<util::Error> Packer::pack(const PackInput& input,
+                                        std::span<const std::vector<app::ComponentId>> paths,
+                                        Placement& placement) {
   budget_.reset(input.cluster);
-  auto pinned = place_pinned(input.app, input.cluster, budget_);
-  if (!pinned.ok()) return pinned;
-  Placement placement = pinned.take();
+  if (auto error = place_pinned(input.app, input.cluster, budget_, placement)) return error;
   ledger_.reset(input.view);
   ledger_.reserve(input.app, placement, app::kInvalidComponent, false);  // pins
 
@@ -122,19 +121,41 @@ util::Expected<Placement> Packer::pack(const PackInput& input,
       ledger_.reserve(input.app, placement, c, true);
     }
   }
-  return placement;
+  return std::nullopt;
 }
+
+std::optional<util::Error> Packer::sequential_pack(
+    const PackInput& input, const std::vector<app::ComponentId>& order, Placement& out) {
+  BASS_OBS_SCOPE("sched.sequential_pack_us");
+  return pack(input, std::span(&order, 1), out);
+}
+
+std::optional<util::Error> Packer::path_pack(
+    const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths,
+    Placement& out) {
+  BASS_OBS_SCOPE("sched.path_pack_us");
+  return pack(input, paths, out);
+}
+
+namespace {
+
+util::Expected<Placement> packed(std::optional<util::Error> error, Placement& placement) {
+  if (error) return std::move(*error);
+  return std::move(placement);
+}
+
+}  // namespace
 
 util::Expected<Placement> Packer::sequential_pack(
     const PackInput& input, const std::vector<app::ComponentId>& order) {
-  BASS_OBS_SCOPE("sched.sequential_pack_us");
-  return pack(input, std::span(&order, 1));
+  Placement placement;
+  return packed(sequential_pack(input, order, placement), placement);
 }
 
 util::Expected<Placement> Packer::path_pack(
     const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths) {
-  BASS_OBS_SCOPE("sched.path_pack_us");
-  return pack(input, paths);
+  Placement placement;
+  return packed(path_pack(input, paths, placement), placement);
 }
 
 }  // namespace bass::sched

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -51,13 +52,14 @@ class NodeBudget {
   std::vector<std::int64_t> mem_;
 };
 
-// Starts a placement with every pinned component on its node, charged to
-// `budget` first. Fails naming the first pin whose node the cluster does
-// not know, or whose non-zero demand cannot be hosted there (unschedulable
-// or out of room). Zero-demand attachment points sit on any known node.
-util::Expected<Placement> place_pinned(const app::AppGraph& app,
-                                       const cluster::ClusterState& cluster,
-                                       NodeBudget& budget);
+// Starts `placement` (overwritten, its storage reused) with every pinned
+// component on its node, charged to `budget` first. Fails naming the first
+// pin whose node the cluster does not know, or whose non-zero demand cannot
+// be hosted there (unschedulable or out of room). Zero-demand attachment
+// points sit on any known node.
+std::optional<util::Error> place_pinned(const app::AppGraph& app,
+                                        const cluster::ClusterState& cluster,
+                                        NodeBudget& budget, Placement& placement);
 
 // Calls fn(edge, peer_node) for each edge of `c` whose other end is placed.
 template <typename Fn>
@@ -110,14 +112,25 @@ struct PackInput {
 // ledger) kept across calls; a scheduler owns one.
 class Packer {
  public:
+  // Each pack overwrites `out`, reusing its storage (a caller that packs
+  // every decision keeps one buffer), and returns the reason it failed, if
+  // it did; `out` is then unspecified.
+  std::optional<util::Error> sequential_pack(const PackInput& input,
+                                             const std::vector<app::ComponentId>& order,
+                                             Placement& out);
+  std::optional<util::Error> path_pack(
+      const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths,
+      Placement& out);
+  // The same packs into a fresh placement.
   util::Expected<Placement> sequential_pack(const PackInput& input,
                                             const std::vector<app::ComponentId>& order);
   util::Expected<Placement> path_pack(
       const PackInput& input, const std::vector<std::vector<app::ComponentId>>& paths);
 
  private:
-  util::Expected<Placement> pack(const PackInput& input,
-                                 std::span<const std::vector<app::ComponentId>> paths);
+  std::optional<util::Error> pack(const PackInput& input,
+                                  std::span<const std::vector<app::ComponentId>> paths,
+                                  Placement& placement);
 
   NodeBudget budget_;
   LinkLedger ledger_;

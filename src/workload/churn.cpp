@@ -15,27 +15,33 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-// Scaled copy of a catalog graph under a churn-instance name. Zero-resource
-// pinned pseudo-components (conference client groups) pass through
-// untouched; everything else keeps a floor so scaling never produces a
-// zero-demand pod the packer would place for free.
+// Churn scaling. Zero-resource pinned pseudo-components (conference client
+// groups) pass through untouched; everything else keeps a floor so scaling
+// never produces a zero-demand pod the packer would place for free.
+void scale_resources(app::Component& comp, double scale) {
+  if (comp.cpu_milli <= 0 && comp.memory_mb <= 0) return;
+  comp.cpu_milli = std::max<std::int64_t>(
+      50, static_cast<std::int64_t>(static_cast<double>(comp.cpu_milli) * scale));
+  comp.memory_mb = std::max<std::int64_t>(
+      16, static_cast<std::int64_t>(static_cast<double>(comp.memory_mb) * scale));
+}
+
+net::Bps scaled_bandwidth(net::Bps bandwidth, double scale) {
+  return std::max<net::Bps>(
+      net::kbps(50), static_cast<net::Bps>(static_cast<double>(bandwidth) * scale));
+}
+
+// Scaled copy of a catalog graph under a churn-instance name.
 app::AppGraph scaled_copy(const app::AppGraph& base, const std::string& name,
                           double scale) {
   app::AppGraph g(name);
   for (app::ComponentId c = 0; c < base.component_count(); ++c) {
     app::Component comp = base.component(c);
-    if (comp.cpu_milli > 0 || comp.memory_mb > 0) {
-      comp.cpu_milli = std::max<std::int64_t>(
-          50, static_cast<std::int64_t>(static_cast<double>(comp.cpu_milli) * scale));
-      comp.memory_mb = std::max<std::int64_t>(
-          16, static_cast<std::int64_t>(static_cast<double>(comp.memory_mb) * scale));
-    }
+    scale_resources(comp, scale);
     g.add_component(std::move(comp));
   }
   for (app::Edge e : base.edges()) {
-    e.bandwidth = std::max<net::Bps>(
-        net::kbps(50),
-        static_cast<net::Bps>(static_cast<double>(e.bandwidth) * scale));
+    e.bandwidth = scaled_bandwidth(e.bandwidth, scale);
     g.add_dependency(e);
   }
   return g;
@@ -162,8 +168,17 @@ app::AppGraph make_churn_app(AppFamily family, int instance,
       }
       const auto per_stream = static_cast<net::Bps>(
           std::max(25.0, 250.0 * resource_scale) * 1e3);
-      return scaled_copy(app::video_conference_app(clients, per_stream), name,
-                         resource_scale);
+      // Built once under the instance name and scaled in place. The star
+      // has one edge per client group, so (from, to) names each edge.
+      app::AppGraph g = app::video_conference_app(clients, per_stream, name);
+      for (app::ComponentId c = 0; c < g.component_count(); ++c) {
+        scale_resources(g.component(c), resource_scale);
+      }
+      for (std::size_t i = 0; i < g.edges().size(); ++i) {
+        const app::Edge& e = g.edges()[i];
+        g.set_edge_bandwidth(e.from, e.to, scaled_bandwidth(e.bandwidth, resource_scale));
+      }
+      return g;
     }
   }
   return app::AppGraph(name);

@@ -468,14 +468,17 @@ int ShardedOrchestrator::reconcile() {
   const bool gate = cfg_.gating;
 
   for (int pass = 0; pass < cfg_.max_reconcile_iterations; ++pass) {
-    // Which zones reallocated since we last looked. Every allocation-moving
-    // path — stream open/close, demand change, capacity shift — runs
-    // through Network::reallocate(), which bumps the counter; transit
-    // rates and link_allocated can only move with it. Ungated mode treats
-    // everything as dirty, reproducing the pre-gating pass exactly.
+    // Which zones' allocations moved since we last looked. Every
+    // allocation-moving path — stream open/close, demand change, capacity
+    // shift — is an allocator pass or an uncontended-stream shortcut, and
+    // both bump Network::allocation_changes(); transit rates and
+    // link_allocated can only move with it. (The pass count alone misses
+    // shortcuts, which move link_allocated and so the border residuals.)
+    // Ungated mode treats everything as dirty, reproducing the pre-gating
+    // pass exactly.
     bool any_zone_dirty = false;
     for (auto& w : worlds_) {
-      const std::int64_t marker = w->network->alloc_stats().reallocations;
+      const std::int64_t marker = w->network->allocation_changes();
       const bool dirty = !gate || marker != w->recon_marker;
       w->recon_marker = marker;
       zone_dirty_[static_cast<std::size_t>(w->zone)] =
@@ -583,8 +586,8 @@ int ShardedOrchestrator::reconcile() {
 
     // Impose the solve as demand caps on both halves; each zone settles
     // once per pass via a batch update. Impositions bump the target zones'
-    // reallocation markers, so the next pass picks them up as dirty — the
-    // fixpoint loop needs no extra bookkeeping.
+    // allocation-change markers, so the next pass picks them up as dirty —
+    // the fixpoint loop needs no extra bookkeeping.
     batch_scratch_.clear();
     batch_scratch_.resize(worlds_.size());
     const auto batch_for = [this](int zone) -> void {

@@ -32,7 +32,8 @@
 // round deadline takes a serial clock-advance tick (the same run_until the
 // full pass makes, so journals stay byte-identical); reconciliation
 // partitions transit flows into link-disjoint border components and
-// re-solves only those whose owner zones reallocated since the last look,
+// re-solves only those whose owner zones' allocations changed (an
+// allocator pass or an uncontended-stream shortcut) since the last look,
 // skipping the pass outright when none did. Both halves are provably
 // bitwise-neutral: a skipped zone processed no events either way, and a
 // clean component's residuals and solved rates are unchanged by
@@ -240,7 +241,7 @@ class ShardedOrchestrator {
     double round_wall_us = 0.0;
     // Activity gating (coordinator-side, touched serially only).
     bool due = true;
-    std::int64_t recon_marker = -1;  // alloc_stats().reallocations last seen
+    std::int64_t recon_marker = -1;  // network->allocation_changes() last seen
     std::int64_t rounds_full = 0;
     std::int64_t rounds_skipped = 0;
     // Coordinator instruments resolved once at create(): per-round metric

@@ -221,11 +221,16 @@ struct Shadow {
 
   // From-scratch allocation over the current flow set, using the retained
   // reference kernel — the oracle the incremental engine must match.
-  std::map<StreamId, double> reference_rates(const Network& net) const {
-    std::vector<double> caps(static_cast<std::size_t>(net.topology().link_count()));
-    for (int l = 0; l < net.topology().link_count(); ++l) {
-      caps[static_cast<std::size_t>(l)] =
-          static_cast<double>(net.topology().link(l).capacity);
+  struct Reference {
+    std::map<StreamId, double> stream_rates;
+    std::vector<double> link_load;  // Σ reference rate over each link's flows
+    std::vector<int> link_flows;    // flows crossing each link
+  };
+  Reference reference(const Network& net) const {
+    const auto links = static_cast<std::size_t>(net.topology().link_count());
+    std::vector<double> caps(links);
+    for (std::size_t l = 0; l < links; ++l) {
+      caps[l] = static_cast<double>(net.topology().link(static_cast<LinkId>(l)).capacity);
     }
     std::vector<AllocEntity> entities;
     std::vector<StreamId> ids;
@@ -240,11 +245,15 @@ struct Shadow {
       ids.push_back(id);
     }
     const auto rates = max_min_allocate_reference(caps, entities);
-    std::map<StreamId, double> by_stream;
+    Reference ref{{}, std::vector<double>(links, 0.0), std::vector<int>(links, 0)};
     for (std::size_t i = 0; i < rates.size(); ++i) {
-      if (ids[i] != 0) by_stream[ids[i]] = rates[i];
+      if (ids[i] != 0) ref.stream_rates[ids[i]] = rates[i];
+      for (LinkId l : entities[i].links) {
+        ref.link_load[static_cast<std::size_t>(l)] += rates[i];
+        ++ref.link_flows[static_cast<std::size_t>(l)];
+      }
     }
-    return by_stream;
+    return ref;
   }
 };
 
@@ -295,7 +304,7 @@ TEST_P(IncrementalEquivalence, ChurnMatchesFromScratchReference) {
   };
 
   auto check = [&] {
-    const auto expected = shadow.reference_rates(net);
+    const auto expected = shadow.reference(net).stream_rates;
     for (const auto& [id, rate] : expected) {
       EXPECT_NEAR(static_cast<double>(net.stream_rate(id)), rate, kRateTol)
           << "stream " << id;
@@ -361,6 +370,117 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
                                            ChurnCase{4}, ChurnCase{5}, ChurnCase{6},
                                            ChurnCase{7}, ChurnCase{8}, ChurnCase{9},
                                            ChurnCase{10}, ChurnCase{11}, ChurnCase{12}));
+
+// ---- Uncontended-churn shortcuts vs. from-scratch reference ----
+
+// Network rates and link loads are read back truncated to whole bps, so
+// "within kAllocEps of the oracle" reads: the oracle value lies within
+// kAllocEps of [read, read + 1).
+void expect_truncation_of(Bps read, double expected, double eps, const char* what,
+                          std::int64_t which) {
+  EXPECT_LE(std::abs(static_cast<double>(read) + 0.5 - expected), 0.5 + eps)
+      << what << " " << which << " reads " << read << ", oracle " << expected;
+}
+
+class UncontendedChurn : public ::testing::TestWithParam<ChurnCase> {};
+
+// Mostly-uncontended stream churn, the regime the admission-at-demand and
+// release-in-place shortcuts serve, mixed with oversubscribing streams,
+// backlogged transfers and capacity ticks that saturate links. After every
+// step each stream rate matches the reference kernel's allocation of the
+// whole flow set, and each link's allocation is the sum of its flows'
+// reference rates, both within kAllocEps: the shortcuts and the passes
+// together stay indistinguishable from recomputing the world.
+TEST_P(UncontendedChurn, ShortcutsMatchFromScratchReference) {
+  util::Rng rng(GetParam().seed * 104729);
+  sim::Simulation sim;
+
+  // A 10-node ring with chords; links are wide next to the small streams.
+  Topology topo;
+  constexpr int kNodes = 10;
+  for (int i = 0; i < kNodes; ++i) topo.add_node();
+  for (int i = 0; i < kNodes; ++i) {
+    topo.add_link(i, (i + 1) % kNodes, mbps(rng.uniform_int(20, 100)));
+  }
+  for (int c = 0; c < 3; ++c) {
+    const auto a = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    const auto b = static_cast<NodeId>((a + rng.uniform_int(2, kNodes / 2)) % kNodes);
+    if (!topo.link_between(a, b)) topo.add_link(a, b, mbps(rng.uniform_int(20, 100)));
+  }
+  NetworkConfig cfg;
+  cfg.per_hop_latency = 0;  // completions land in the window that drains them
+  Network net(sim, topo, cfg);
+  Shadow shadow;
+
+  auto random_pair = [&](NodeId& src, NodeId& dst) {
+    src = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    do {
+      dst = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    } while (dst == src);
+  };
+
+  auto check = [&](int step) {
+    const Shadow::Reference ref = shadow.reference(net);
+    for (const auto& [id, rate] : ref.stream_rates) {
+      expect_truncation_of(net.stream_rate(id), rate, kAllocEps, "stream", id);
+    }
+    for (int l = 0; l < topo.link_count(); ++l) {
+      const auto li = static_cast<std::size_t>(l);
+      expect_truncation_of(net.link_allocated(l), ref.link_load[li],
+                           kAllocEps * (ref.link_flows[li] + 1), "link", l);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const double op = rng.uniform(0.0, 1.0);
+    if (op < 0.45) {
+      // Nine in ten streams are small enough to fit; the rest oversubscribe.
+      NodeId src, dst;
+      random_pair(src, dst);
+      const Bps demand = rng.chance(0.9) ? kbps(rng.uniform_int(100, 3000))
+                                         : mbps(rng.uniform_int(20, 120));
+      const StreamId id = net.open_stream(src, dst, demand);
+      shadow.streams.push_back({id, {src, dst, static_cast<double>(demand), true, id}});
+    } else if (op < 0.85 && !shadow.streams.empty()) {
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(shadow.streams.size()) - 1));
+      net.close_stream(shadow.streams[idx].first);
+      shadow.streams.erase(shadow.streams.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (op < 0.9) {
+      NodeId src, dst;
+      random_pair(src, dst);
+      const auto key = std::make_pair(src, dst);
+      ++shadow.channel_backlog[key];
+      net.start_transfer(src, dst, rng.uniform_int(100'000, 2'000'000),
+                         [&shadow, key] { --shadow.channel_backlog[key]; });
+    } else if (op < 0.96) {
+      // Capacity tick, sometimes low enough to saturate what runs there.
+      Network::BatchUpdate batch(net);
+      const int updates = static_cast<int>(rng.uniform_int(1, 3));
+      for (int u = 0; u < updates; ++u) {
+        const auto l = static_cast<LinkId>(rng.uniform_int(0, topo.link_count() - 1));
+        net.set_link_capacity(l, mbps(rng.uniform_int(2, 100)));
+      }
+    } else {
+      sim.run_until(sim.now() + sim::millis(rng.uniform_int(50, 1000)));
+    }
+    check(step);
+    if (::testing::Test::HasFailure()) return;
+  }
+  sim.run_all();
+  check(400);
+
+  // Both paths ran: most stream changes skipped the pass, some did not.
+  const AllocStats& stats = net.alloc_stats();
+  EXPECT_GT(stats.shortcuts, 150);
+  EXPECT_GT(stats.reallocations, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UncontendedChurn,
+                         ::testing::Values(ChurnCase{1}, ChurnCase{2}, ChurnCase{3},
+                                           ChurnCase{4}, ChurnCase{5}, ChurnCase{6},
+                                           ChurnCase{7}, ChurnCase{8}));
 
 // ---- Contention-component isolation ----
 
@@ -441,8 +561,9 @@ TEST(ContentionComponents, StatsAccumulate) {
   topo.add_node();
   topo.add_link(0, 1, mbps(10));
   Network net(sim, topo);
-  net.open_stream(0, 1, mbps(4));
-  net.open_stream(0, 1, mbps(4));
+  // Each stream alone oversubscribes the link, so both opens take a pass.
+  net.open_stream(0, 1, mbps(12));
+  net.open_stream(0, 1, mbps(12));
   const auto& stats = net.alloc_stats();
   EXPECT_EQ(stats.reallocations, 2);
   EXPECT_EQ(stats.flows_touched, 1 + 2);  // first solo, then both

@@ -302,7 +302,9 @@ TEST(NetworkView, NodeLinkCapacitySumsOutLinks) {
 
 TEST(Network, BatchUpdateCoalescesReallocations) {
   Fixture f;
-  f.net->open_stream(0, 1, mbps(5));
+  // Over the link's capacity, so the stream contends and the batched pass
+  // has a flow to reprice.
+  f.net->open_stream(0, 1, mbps(15));
   const auto before = f.net->reallocation_count();
   {
     Network::BatchUpdate batch(*f.net);
@@ -317,21 +319,23 @@ TEST(Network, AllocStatsTrackComponentScope) {
   const AllocStats& stats = f.net->alloc_stats();
   const auto base_full = stats.full_reallocations;
 
+  // Every demand exceeds the 10 Mbps links, so each open contends and
+  // takes a pass (an uncontended open would skip it).
   // First stream is the whole active set: a full pass touching one flow.
-  f.net->open_stream(0, 1, mbps(4));
+  f.net->open_stream(0, 1, mbps(12));
   EXPECT_EQ(stats.reallocations, 1);
   EXPECT_EQ(stats.last_flows_touched, 1);
   EXPECT_EQ(stats.full_reallocations, base_full + 1);
 
   // Second stream lives on the other link: disjoint contention component,
   // so the pass reprices only the new flow and is not "full".
-  f.net->open_stream(1, 2, mbps(4));
+  f.net->open_stream(1, 2, mbps(12));
   EXPECT_EQ(stats.reallocations, 2);
   EXPECT_EQ(stats.last_flows_touched, 1);
   EXPECT_EQ(stats.full_reallocations, base_full + 1);
 
   // A stream spanning both links welds everything into one component.
-  f.net->open_stream(0, 2, mbps(4));
+  f.net->open_stream(0, 2, mbps(12));
   EXPECT_EQ(stats.reallocations, 3);
   EXPECT_EQ(stats.last_flows_touched, 3);
   EXPECT_EQ(stats.last_links_touched, 2);
@@ -349,7 +353,8 @@ TEST(Network, OnlyPassesInsideASpanAreJournaled) {
   const auto& solved = recorder.metrics().counter("events.reallocation_solved");
 
   // No span: the pass is counted, not journaled, and takes no span id.
-  f.net->open_stream(0, 1, mbps(4));
+  // (12 Mbps contends on the 10 Mbps link, so the open takes a pass.)
+  f.net->open_stream(0, 1, mbps(12));
   EXPECT_EQ(reallocations.value(), 1);
   EXPECT_EQ(solved.value(), 0);
   EXPECT_TRUE(recorder.journal().empty());
@@ -369,10 +374,110 @@ TEST(Network, OnlyPassesInsideASpanAreJournaled) {
   EXPECT_EQ(event->span, cause + 1);  // the unparented pass took no id
   EXPECT_EQ(event->flows, 1);
 
-  // Out of the scope again: counted only.
+  // Out of the scope again: counted only (0->1 is saturated, so a pass).
   f.net->open_stream(0, 2, mbps(4));
   EXPECT_EQ(reallocations.value(), 3);
   EXPECT_EQ(recorder.journal().size(), 1u);
+}
+
+// Uncontended churn: a stream that leaves slack on every link is admitted
+// at its demand, and one whose links all had slack is released in place,
+// with no allocator pass. allocation_changes() moves with either.
+TEST(Network, UncontendedStreamsSkipThePass) {
+  Fixture f;
+  const AllocStats& stats = f.net->alloc_stats();
+  const LinkId ab = *f.net->topology().link_between(0, 1);
+  const LinkId bc = *f.net->topology().link_between(1, 2);
+
+  const StreamId a = f.net->open_stream(0, 2, mbps(4));
+  EXPECT_EQ(stats.reallocations, 0);
+  EXPECT_EQ(stats.shortcuts, 1);
+  EXPECT_EQ(f.net->stream_rate(a), mbps(4));
+  EXPECT_EQ(f.net->link_allocated(ab), mbps(4));
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(4));
+
+  // 6 Mbps more would leave 0->1 no slack at all: the open takes a pass.
+  const StreamId b = f.net->open_stream(0, 1, mbps(6));
+  EXPECT_EQ(stats.reallocations, 1);
+  EXPECT_EQ(stats.shortcuts, 1);
+  EXPECT_EQ(f.net->stream_rate(b), mbps(6));
+
+  // 0->1 is saturated, so closing `a` (which crosses it) takes a pass too.
+  f.net->close_stream(a);
+  EXPECT_EQ(stats.reallocations, 2);
+  EXPECT_EQ(f.net->link_allocated(ab), mbps(6));
+  EXPECT_EQ(f.net->link_allocated(bc), 0);
+
+  // With `a` gone, 0->1 has 4 Mbps of slack: `b` is released in place.
+  f.net->close_stream(b);
+  EXPECT_EQ(stats.reallocations, 2);
+  EXPECT_EQ(stats.shortcuts, 2);
+  EXPECT_EQ(f.net->link_allocated(ab), 0);
+
+  // Inside a batch even a fitting stream waits for the batch's one pass.
+  {
+    Network::BatchUpdate batch(*f.net);
+    f.net->open_stream(1, 2, mbps(1));
+  }
+  EXPECT_EQ(stats.reallocations, 3);
+  EXPECT_EQ(stats.shortcuts, 2);
+  EXPECT_EQ(f.net->allocation_changes(), 5);
+}
+
+// A change made while a span is current keeps its pass, so its cause's
+// journal still shows the reallocation_solved it leads to.
+TEST(Network, ChangesInsideASpanKeepTheirPass) {
+  Fixture f;
+  obs::Recorder recorder;
+  f.net->set_recorder(&recorder);
+  const auto& passes = recorder.metrics().counter("net.reallocations");
+  const auto& shortcuts = recorder.metrics().counter("net.alloc_shortcuts");
+  const obs::SpanId cause = recorder.new_span();
+  {
+    obs::SpanScope scope(&recorder, cause);
+    f.net->close_stream(f.net->open_stream(0, 1, mbps(1)));
+  }
+  EXPECT_EQ(passes.value(), 2);
+  EXPECT_EQ(shortcuts.value(), 0);
+  ASSERT_EQ(recorder.journal().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto* event = std::get_if<obs::ReallocationSolved>(&recorder.journal().at(i));
+    ASSERT_NE(event, nullptr) << "event " << i;
+    EXPECT_EQ(event->parent, cause);
+  }
+
+  // The same open and close with no span skip both passes.
+  f.net->close_stream(f.net->open_stream(0, 1, mbps(1)));
+  EXPECT_EQ(passes.value(), 2);
+  EXPECT_EQ(shortcuts.value(), 2);
+  EXPECT_EQ(recorder.journal().size(), 2u);
+}
+
+// Proportional shares follow offered load, not slack: a stream that fits
+// every link's slack is still scaled down on a link whose offered demand
+// exceeds its capacity. kProportional therefore never skips the pass.
+TEST(Network, ProportionalNeverSkipsThePass) {
+  sim::Simulation sim;
+  Topology t;
+  for (int i = 0; i < 3; ++i) t.add_node();
+  t.add_link(0, 1, mbps(10));
+  t.add_link(1, 2, mbps(100));
+  NetworkConfig cfg;
+  cfg.fairness = FairnessPolicy::kProportional;
+  Network net(sim, std::move(t), cfg);
+  const AllocStats& stats = net.alloc_stats();
+
+  // Twice 0->1's capacity: runs at 10 Mbps, using 10 of 1->2's 100.
+  const StreamId big = net.open_stream(0, 2, mbps(20));
+  EXPECT_EQ(net.stream_rate(big), mbps(10));
+  // 85 Mbps fits 1->2's 90 Mbps of slack, but the link is offered 105 Mbps,
+  // so the stream gets 85 * 100 / 105, not its demand.
+  const StreamId s = net.open_stream(1, 2, mbps(85));
+  EXPECT_NEAR(static_cast<double>(net.stream_rate(s)), 85e6 * 100.0 / 105.0, 1.0);
+  net.close_stream(s);
+  EXPECT_EQ(net.stream_rate(big), mbps(10));
+  EXPECT_EQ(stats.reallocations, 3);
+  EXPECT_EQ(stats.shortcuts, 0);
 }
 
 TEST(Network, SampledPassTimesEstimateTheTotals) {
@@ -380,8 +485,9 @@ TEST(Network, SampledPassTimesEstimateTheTotals) {
   obs::Recorder recorder;
   f.net->set_recorder(&recorder);
   // Pass 1 and pass 1 + kTimedPassEvery are timed, each standing for
-  // kTimedPassEvery passes.
-  for (int i = 0; i < kTimedPassEvery + 1; ++i) f.net->open_stream(0, 2, mbps(1));
+  // kTimedPassEvery passes. Each stream asks for more than the 10 Mbps
+  // path, so every open contends and takes a pass.
+  for (int i = 0; i < kTimedPassEvery + 1; ++i) f.net->open_stream(0, 2, mbps(20));
   const AllocStats& stats = f.net->alloc_stats();
   ASSERT_EQ(stats.reallocations, kTimedPassEvery + 1);
   const auto& pass_us = recorder.metrics().log_timer_us("net.alloc_pass_us");

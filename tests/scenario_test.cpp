@@ -142,13 +142,13 @@ TEST(Scenario, RejectsDuplicateNames) {
   EXPECT_FALSE(Scenario::from_ini(ini.value()).ok());
 }
 
+// The shipped scenarios, found through the source tree the build was
+// configured from, whatever the working directory.
+const std::filesystem::path kShippedDir =
+    std::filesystem::path(BASS_SOURCE_DIR) / "examples" / "scenarios";
+
 util::Expected<std::unique_ptr<Scenario>> load_shipped(const std::string& name) {
-  // ctest runs from build/tests; try source-relative fallbacks.
-  for (const char* prefix : {"", "../../", "../"}) {
-    auto s = Scenario::from_file(prefix + ("examples/scenarios/" + name));
-    if (s.ok()) return s;
-  }
-  return Scenario::from_file("examples/scenarios/" + name);
+  return Scenario::from_file((kShippedDir / name).string());
 }
 
 TEST(Scenario, ShippedScenarioLoads) {
@@ -163,16 +163,9 @@ TEST(Scenario, ShippedScenariosKeepTheirWholeJournal) {
   // Every shipped scenario, run as `bassctl run` runs it (default journal
   // capacity), keeps every event: the journal records decisions and the
   // allocator passes they cause, not every solver pass of the run.
-  std::filesystem::path dir;
-  for (const char* prefix : {"", "../../", "../"}) {
-    if (std::filesystem::is_directory(std::string(prefix) + "examples/scenarios")) {
-      dir = std::string(prefix) + "examples/scenarios";
-      break;
-    }
-  }
-  ASSERT_FALSE(dir.empty()) << "examples/scenarios not found from the working directory";
+  ASSERT_TRUE(std::filesystem::is_directory(kShippedDir)) << kShippedDir;
   std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(kShippedDir)) {
     if (entry.path().extension() == ".ini") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());

@@ -3,13 +3,16 @@
 // scenario determinism (same seed => byte-identical journal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
+#include "app/catalog.h"
 #include "core/admission.h"
 #include "monitor/net_monitor.h"
 #include "scenario/scenario.h"
 #include "sched/network_view.h"
+#include "util/rng.h"
 #include "workload/churn.h"
 
 namespace bass {
@@ -112,6 +115,84 @@ TEST(ChurnApp, ConferencePinsAreDeterministicPerInstance) {
     }
   }
   EXPECT_GE(pinned, 2);  // at least a two-way conference
+}
+
+// The conference build before instances were built in place: the catalog
+// graph, then a scaled copy of it under the instance name.
+app::AppGraph two_step_conference(int instance, double scale, std::uint64_t seed,
+                                  const std::vector<net::NodeId>& mesh_nodes) {
+  util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(instance + 1)));
+  const int groups = mesh_nodes.size() >= 3 && rng.chance(0.5) ? 3 : 2;
+  std::vector<net::NodeId> nodes = mesh_nodes;
+  for (int i = 0; i < groups && i < static_cast<int>(nodes.size()); ++i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(i, static_cast<std::int64_t>(nodes.size()) - 1));
+    std::swap(nodes[static_cast<std::size_t>(i)], nodes[j]);
+  }
+  std::vector<std::pair<net::NodeId, int>> clients;
+  for (int i = 0; i < groups && i < static_cast<int>(nodes.size()); ++i) {
+    clients.emplace_back(nodes[static_cast<std::size_t>(i)],
+                         static_cast<int>(rng.uniform_int(1, 3)));
+  }
+  const auto per_stream =
+      static_cast<net::Bps>(std::max(25.0, 250.0 * scale) * 1e3);
+  const app::AppGraph base = app::video_conference_app(clients, per_stream);
+
+  app::AppGraph g(
+      workload::churn_instance_name(workload::AppFamily::kVideoConference, instance));
+  for (app::ComponentId c = 0; c < base.component_count(); ++c) {
+    app::Component comp = base.component(c);
+    if (comp.cpu_milli > 0 || comp.memory_mb > 0) {
+      comp.cpu_milli = std::max<std::int64_t>(
+          50, static_cast<std::int64_t>(static_cast<double>(comp.cpu_milli) * scale));
+      comp.memory_mb = std::max<std::int64_t>(
+          16, static_cast<std::int64_t>(static_cast<double>(comp.memory_mb) * scale));
+    }
+    g.add_component(std::move(comp));
+  }
+  for (app::Edge e : base.edges()) {
+    e.bandwidth = std::max<net::Bps>(
+        net::kbps(50), static_cast<net::Bps>(static_cast<double>(e.bandwidth) * scale));
+    g.add_dependency(e);
+  }
+  return g;
+}
+
+TEST(ChurnApp, ConferenceBuiltInPlaceMatchesTwoStepBuild) {
+  const std::vector<net::NodeId> mesh = {3, 4, 8, 11, 12, 20, 31};
+  const double scales[] = {0.05, 0.1, 0.5, 1.0, 1.7};
+  for (int instance = 0; instance < 50; ++instance) {
+    const double scale = scales[instance % 5];
+    const app::AppGraph want = two_step_conference(instance, scale, 42, mesh);
+    const app::AppGraph got = workload::make_churn_app(
+        workload::AppFamily::kVideoConference, instance, scale, 42, mesh);
+    SCOPED_TRACE(want.name());
+    EXPECT_EQ(got.name(), want.name());
+    ASSERT_EQ(got.component_count(), want.component_count());
+    for (app::ComponentId c = 0; c < want.component_count(); ++c) {
+      const app::Component& a = got.component(c);
+      const app::Component& b = want.component(c);
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.cpu_milli, b.cpu_milli);
+      EXPECT_EQ(a.memory_mb, b.memory_mb);
+      EXPECT_EQ(a.service_time, b.service_time);
+      EXPECT_EQ(a.concurrency, b.concurrency);
+      EXPECT_EQ(a.pinned_node, b.pinned_node);
+      EXPECT_EQ(a.state_mb, b.state_mb);
+    }
+    ASSERT_EQ(got.edges().size(), want.edges().size());
+    for (std::size_t i = 0; i < want.edges().size(); ++i) {
+      const app::Edge& a = got.edges()[i];
+      const app::Edge& b = want.edges()[i];
+      EXPECT_EQ(a.from, b.from);
+      EXPECT_EQ(a.to, b.to);
+      EXPECT_EQ(a.bandwidth, b.bandwidth);
+      EXPECT_EQ(a.max_latency, b.max_latency);
+      EXPECT_EQ(a.request_bytes, b.request_bytes);
+      EXPECT_EQ(a.response_bytes, b.response_bytes);
+      EXPECT_EQ(a.probability, b.probability);
+    }
+  }
 }
 
 // ---- Undeploy accounting & admission (shared fixture) ----

@@ -270,6 +270,52 @@ TEST(Sharded, ReconciliationSettlesWithinOnePassPerRound) {
   EXPECT_LE(per_round[0], 2);
 }
 
+// Reconciliation must notice an allocation change that ran no allocator
+// pass. A small stream admitted at its demand on a link that carries
+// transit moves that link's residual, so the next round rebuilds the
+// link's border component; keyed on the pass count alone, it would not.
+TEST(Sharded, UncontendedOpenOnATransitLinkReRunsReconcile) {
+  auto built = ShardedOrchestrator::create(non_serving_build(4, 4, 2, 1), 1);
+  ASSERT_TRUE(built.ok()) << built.error();
+  auto orch = built.take();
+  orch->start();
+  orch->run_round();
+  orch->run_round();
+  // With nothing moving, a round rebuilds no border component.
+  const std::int64_t settled = orch->phase_walls().border_rebuilds;
+  orch->run_round();
+  ASSERT_EQ(orch->phase_walls().border_rebuilds, settled);
+
+  // A zone link carrying transit (the only streams in this build) with
+  // room left for 1 Mbps more.
+  int zone = -1;
+  net::LinkId link = -1;
+  for (int z = 0; z < orch->zones() && zone < 0; ++z) {
+    const net::Network& net = orch->zone_network(z);
+    for (net::LinkId l = 0; l < net.topology().link_count(); ++l) {
+      if (net.link_allocated(l) > 0 &&
+          net.link_capacity(l) - net.link_allocated(l) > net::mbps(2)) {
+        zone = z;
+        link = l;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(zone, 0) << "no transit link with slack";
+  net::Network& net = orch->zone_network(zone);
+  const net::Link& hop = net.topology().link(link);
+  ASSERT_EQ(net.routing().hops(hop.src, hop.dst), 1);
+  const std::int64_t passes = net.alloc_stats().reallocations;
+  const net::Bps before = net.link_allocated(link);
+  net.open_stream(hop.src, hop.dst, net::mbps(1));
+  // Admitted at demand without a pass, yet the link's load moved.
+  ASSERT_EQ(net.alloc_stats().reallocations, passes);
+  ASSERT_EQ(net.link_allocated(link), before + net::mbps(1));
+
+  orch->run_round();
+  EXPECT_GT(orch->phase_walls().border_rebuilds, settled);
+}
+
 std::string serving_ini(int zones, int transit_per_border,
                         const std::string& zone_extra = "") {
   return util::str_format(
