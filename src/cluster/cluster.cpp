@@ -18,35 +18,6 @@ void ClusterState::set_schedulable(net::NodeId node, bool schedulable) {
   entry(node).spec.schedulable = schedulable;
 }
 
-bool ClusterState::has_node(net::NodeId node) const {
-  return node >= 0 && static_cast<std::size_t>(node) < entries_.size() &&
-         entries_[static_cast<std::size_t>(node)].has_value();
-}
-
-const ClusterState::Entry& ClusterState::entry(net::NodeId node) const {
-  assert(has_node(node));
-  return *entries_[static_cast<std::size_t>(node)];
-}
-
-ClusterState::Entry& ClusterState::entry(net::NodeId node) {
-  assert(has_node(node));
-  return *entries_[static_cast<std::size_t>(node)];
-}
-
-const NodeSpec& ClusterState::spec(net::NodeId node) const { return entry(node).spec; }
-
-const NodeUsage& ClusterState::usage(net::NodeId node) const { return entry(node).usage; }
-
-std::int64_t ClusterState::cpu_free(net::NodeId node) const {
-  const Entry& e = entry(node);
-  return e.spec.cpu_milli - e.usage.cpu_milli;
-}
-
-std::int64_t ClusterState::memory_free(net::NodeId node) const {
-  const Entry& e = entry(node);
-  return e.spec.memory_mb - e.usage.memory_mb;
-}
-
 bool ClusterState::can_fit(net::NodeId node, std::int64_t cpu_milli,
                            std::int64_t memory_mb) const {
   if (!has_node(node)) return false;

@@ -4,6 +4,7 @@
 // mesh topology.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -32,12 +33,22 @@ class ClusterState {
   // Cordons/uncordons a node after registration (kubectl-cordon style).
   void set_schedulable(net::NodeId node, bool schedulable);
 
-  bool has_node(net::NodeId node) const;
-  const NodeSpec& spec(net::NodeId node) const;
-  const NodeUsage& usage(net::NodeId node) const;
+  bool has_node(net::NodeId node) const {
+    return node >= 0 && static_cast<std::size_t>(node) < entries_.size() &&
+           entries_[static_cast<std::size_t>(node)].has_value();
+  }
+  // Inline: the node ranker reads these for every node of every decision.
+  const NodeSpec& spec(net::NodeId node) const { return entry(node).spec; }
+  const NodeUsage& usage(net::NodeId node) const { return entry(node).usage; }
 
-  std::int64_t cpu_free(net::NodeId node) const;
-  std::int64_t memory_free(net::NodeId node) const;
+  std::int64_t cpu_free(net::NodeId node) const {
+    const Entry& e = entry(node);
+    return e.spec.cpu_milli - e.usage.cpu_milli;
+  }
+  std::int64_t memory_free(net::NodeId node) const {
+    const Entry& e = entry(node);
+    return e.spec.memory_mb - e.usage.memory_mb;
+  }
 
   // True if the node is schedulable and can host the extra demand.
   bool can_fit(net::NodeId node, std::int64_t cpu_milli, std::int64_t memory_mb) const;
@@ -57,8 +68,14 @@ class ClusterState {
     NodeSpec spec;
     NodeUsage usage;
   };
-  const Entry& entry(net::NodeId node) const;
-  Entry& entry(net::NodeId node);
+  const Entry& entry(net::NodeId node) const {
+    assert(has_node(node));
+    return *entries_[static_cast<std::size_t>(node)];
+  }
+  Entry& entry(net::NodeId node) {
+    assert(has_node(node));
+    return *entries_[static_cast<std::size_t>(node)];
+  }
 
   std::vector<std::optional<Entry>> entries_;  // indexed by NodeId
   std::vector<net::NodeId> order_;

@@ -31,8 +31,9 @@ util::Expected<Placement> BassScheduler::schedule(const PreparedApp& app,
   BASS_OBS_SCOPE("sched.schedule_us");
   if (!app.valid()) return util::make_error(app.error());
 
-  const PackInput input{app.graph(), cluster, view, ranker_.rank(cluster, view)};
-  if (input.ranked_nodes.empty()) return util::make_error("no schedulable nodes");
+  ranker_.rank(cluster, view);
+  if (ranker_.empty()) return util::make_error("no schedulable nodes");
+  const PackInput input{app.graph(), cluster, view, ranker_};
 
   if (heuristic_ == Heuristic::kBreadthFirst) {
     return packer_.sequential_pack(input, app.bfs_order());

@@ -8,12 +8,15 @@
 namespace bass::sched {
 
 void NodeBudget::reset(const cluster::ClusterState& cluster) {
-  cpu_.assign(cluster.node_bound(), 0);
-  mem_.assign(cluster.node_bound(), 0);
-  for (net::NodeId n : cluster.nodes()) {
-    cpu_[static_cast<std::size_t>(n)] = cluster.cpu_free(n);
-    mem_[static_cast<std::size_t>(n)] = cluster.memory_free(n);
+  for (net::NodeId n : charged_) {
+    cpu_[static_cast<std::size_t>(n)] = 0;
+    mem_[static_cast<std::size_t>(n)] = 0;
   }
+  charged_.clear();
+  cluster_ = &cluster;
+  cpu_.resize(cluster.node_bound(), 0);
+  mem_.resize(cluster.node_bound(), 0);
+  charged_.reserve(cluster.node_bound());
 }
 
 std::optional<util::Error> place_pinned(const app::AppGraph& app,
@@ -40,11 +43,15 @@ std::optional<util::Error> place_pinned(const app::AppGraph& app,
 }
 
 void LinkLedger::reset(const NetworkView& view) {
+  for (net::LinkId l : reserved_links_) reserved_[static_cast<std::size_t>(l)] = 0;
+  reserved_links_.clear();
   view_ = &view;
-  reserved_.assign(static_cast<std::size_t>(view.link_count()), 0);
+  const auto links = static_cast<std::size_t>(view.link_count());
+  reserved_.resize(links, 0);
+  reserved_links_.reserve(links);
   // fits() leaves scratch_ all zero and touched_ empty.
-  scratch_.resize(reserved_.size(), 0);
-  touched_.reserve(scratch_.size());
+  scratch_.resize(links, 0);
+  touched_.reserve(links);
 }
 
 void LinkLedger::reserve(const app::AppGraph& app, const Placement& placement,
@@ -53,9 +60,13 @@ void LinkLedger::reserve(const app::AppGraph& app, const Placement& placement,
     if ((e.from == c || e.to == c) != of_c) continue;
     const net::NodeId a = node_of(placement, e.from);
     const net::NodeId b = node_of(placement, e.to);
-    if (a == net::kInvalidNode || b == net::kInvalidNode || a == b) continue;
-    view_->routing().walk(a, b, [&](net::LinkId l) {
-      reserved_[static_cast<std::size_t>(l)] += e.bandwidth;
+    if (a == net::kInvalidNode || b == net::kInvalidNode || a == b || e.bandwidth == 0) {
+      continue;
+    }
+    view_->routing().walk(a, b, [&](net::LinkId link) {
+      const auto l = static_cast<std::size_t>(link);
+      if (reserved_[l] == 0) reserved_links_.push_back(link);
+      reserved_[l] += e.bandwidth;
       return true;
     });
   }
@@ -95,7 +106,7 @@ std::optional<util::Error> Packer::pack(const PackInput& input,
   ledger_.reset(input.view);
   ledger_.reserve(input.app, placement, app::kInvalidComponent, false);  // pins
 
-  const auto& ranked = input.ranked_nodes;
+  NodeRanker& ranked = input.ranked_nodes;
   auto can_place = [&](app::ComponentId c, net::NodeId node) {
     return budget_.fits(node, input.app.component(c)) &&
            ledger_.fits(input.app, placement, c, node);

@@ -14,8 +14,14 @@
 // Both are one loop (sequential_pack is path_pack over a single path) and
 // fall back to a first-fit scan before declaring failure, so a large
 // mid-order component cannot strand free capacity.
+//
+// A pack pays for what it reads and touches: it reads the NodeRanker only
+// as deep as it needs (the top node, in the common case), and its node
+// budget and link ledger clear only the nodes and links the last pack
+// charged, so reusing a Packer never costs the cluster's size.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -24,32 +30,52 @@
 #include "app/app_graph.h"
 #include "cluster/cluster.h"
 #include "sched/network_view.h"
+#include "sched/node_ranker.h"
 #include "sched/placement.h"
 #include "util/expected.h"
 
 namespace bass::sched {
 
-// Free CPU and memory per node, indexed by NodeId, as a placement is built.
+// Free CPU and memory per node as a placement is built: the cluster's free
+// resources minus this pack's charges. The charges are an overlay indexed
+// by NodeId, and reset() clears only the nodes the last pack charged, so a
+// pack costs what it touches, not the cluster's size.
 class NodeBudget {
  public:
   NodeBudget() = default;
   explicit NodeBudget(const cluster::ClusterState& cluster) { reset(cluster); }
-  // Re-reads every node's free CPU and memory, reusing the buffers.
+  // Drops the charges and binds `cluster`, which must outlive the use until
+  // the next reset; the buffers are reused.
   void reset(const cluster::ClusterState& cluster);
 
-  std::int64_t cpu_free(net::NodeId n) const { return cpu_[static_cast<std::size_t>(n)]; }
-  std::int64_t memory_free(net::NodeId n) const { return mem_[static_cast<std::size_t>(n)]; }
+  // Registered nodes only.
+  std::int64_t cpu_free(net::NodeId n) const {
+    assert(cluster_->has_node(n));
+    return cluster_->cpu_free(n) - cpu_[static_cast<std::size_t>(n)];
+  }
+  std::int64_t memory_free(net::NodeId n) const {
+    assert(cluster_->has_node(n));
+    return cluster_->memory_free(n) - mem_[static_cast<std::size_t>(n)];
+  }
   bool fits(net::NodeId n, const app::Component& comp) const {
     return cpu_free(n) >= comp.cpu_milli && memory_free(n) >= comp.memory_mb;
   }
   void charge(net::NodeId n, const app::Component& comp) {
-    cpu_[static_cast<std::size_t>(n)] -= comp.cpu_milli;
-    mem_[static_cast<std::size_t>(n)] -= comp.memory_mb;
+    assert(cluster_->has_node(n));
+    const auto i = static_cast<std::size_t>(n);
+    // A node is touched when its overlay leaves zero (demands are >= 0).
+    if (cpu_[i] == 0 && mem_[i] == 0 && (comp.cpu_milli != 0 || comp.memory_mb != 0)) {
+      charged_.push_back(n);
+    }
+    cpu_[i] += comp.cpu_milli;
+    mem_[i] += comp.memory_mb;
   }
 
  private:
-  std::vector<std::int64_t> cpu_;
+  const cluster::ClusterState* cluster_ = nullptr;
+  std::vector<std::int64_t> cpu_;  // this pack's charges, by NodeId
   std::vector<std::int64_t> mem_;
+  std::vector<net::NodeId> charged_;  // the nodes with a non-zero charge
 };
 
 // Starts `placement` (overwritten, its storage reused) with every pinned
@@ -78,8 +104,9 @@ class LinkLedger {
  public:
   LinkLedger() = default;
   explicit LinkLedger(const NetworkView& view) { reset(view); }
-  // Drops every reservation and binds `view`, which must outlive the use
-  // until the next reset; the buffers are reused.
+  // Drops every reservation (only the links the last user reserved are
+  // cleared) and binds `view`, which must outlive the use until the next
+  // reset; the buffers are reused.
   void reset(const NetworkView& view);
 
   // Reserves the crossing edges between placed components that touch `c`
@@ -96,6 +123,7 @@ class LinkLedger {
  private:
   const NetworkView* view_ = nullptr;
   std::vector<net::Bps> reserved_;  // by LinkId
+  std::vector<net::LinkId> reserved_links_;  // the links with a reservation
   // fits() scratch: tentative additions by LinkId, and the links they touch.
   std::vector<net::Bps> scratch_;
   std::vector<net::LinkId> touched_;
@@ -105,7 +133,7 @@ struct PackInput {
   const app::AppGraph& app;
   const cluster::ClusterState& cluster;
   const NetworkView& view;
-  std::span<const net::NodeId> ranked_nodes;  // best first
+  NodeRanker& ranked_nodes;  // ranked for this decision; read best first
 };
 
 // The packing loop with its per-decision buffers (node budget, link

@@ -1,6 +1,7 @@
 #include "workload/churn.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -154,17 +155,29 @@ app::AppGraph make_churn_app(AppFamily family, int instance,
       assert(!mesh_nodes.empty());
       util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(instance + 1)));
       const int groups = mesh_nodes.size() >= 3 && rng.chance(0.5) ? 3 : 2;
-      std::vector<net::NodeId> nodes = mesh_nodes;
-      // Partial Fisher–Yates for the first `groups` picks.
-      for (int i = 0; i < groups && i < static_cast<int>(nodes.size()); ++i) {
-        const auto j = static_cast<std::size_t>(rng.uniform_int(
-            i, static_cast<std::int64_t>(nodes.size()) - 1));
-        std::swap(nodes[static_cast<std::size_t>(i)], nodes[j]);
+      const std::size_t picks = std::min(static_cast<std::size_t>(groups), mesh_nodes.size());
+      // Partial Fisher–Yates for the first `picks` nodes, without copying
+      // the node list. Step i swaps positions i and j >= i and never reads
+      // position i again, so it records only j's new value, in `moved`
+      // (newest last); the draws are the copying shuffle's.
+      std::array<std::pair<std::size_t, net::NodeId>, 3> moved{};
+      std::array<net::NodeId, 3> picked{};
+      for (std::size_t i = 0; i < picks; ++i) {
+        const auto at = [&](std::size_t pos) {
+          for (std::size_t k = i; k-- > 0;) {
+            if (moved[k].first == pos) return moved[k].second;
+          }
+          return mesh_nodes[pos];
+        };
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(static_cast<std::int64_t>(i),
+                            static_cast<std::int64_t>(mesh_nodes.size()) - 1));
+        picked[i] = at(j);
+        moved[i] = {j, at(i)};
       }
       std::vector<std::pair<net::NodeId, int>> clients;
-      for (int i = 0; i < groups && i < static_cast<int>(nodes.size()); ++i) {
-        clients.emplace_back(nodes[static_cast<std::size_t>(i)],
-                             static_cast<int>(rng.uniform_int(1, 3)));
+      for (std::size_t i = 0; i < picks; ++i) {
+        clients.emplace_back(picked[i], static_cast<int>(rng.uniform_int(1, 3)));
       }
       const auto per_stream = static_cast<net::Bps>(
           std::max(25.0, 250.0 * resource_scale) * 1e3);

@@ -12,9 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "app/catalog.h"
 #include "core/orchestrator.h"
 #include "obs/recorder.h"
 #include "scenario/serving.h"
+#include "sched/bass_scheduler.h"
+#include "topo/city_grid.h"
 #include "workload/churn.h"
 #include "workload/edge_streams.h"
 
@@ -90,12 +93,13 @@ TEST(Memory, RetiredDeploymentsKeepOnlyATombstone) {
 }
 
 // Allocations over the measured window of ChurnArrivalsAllocateABoundedCount
-// (1,502 admitted arrivals): 19.2 per arrival once camera and social
+// (1,502 admitted arrivals): 18.9 per arrival once camera and social
 // instances share prepared templates (23.2), kAuto copies out only the
-// winning placement (21.4) and conference graphs are built once, against
-// 234.8 when every arrival rebuilt its graph and placement orders. A
-// change that needs more must say why.
-constexpr std::int64_t kChurnWindowAllocations = 28'835;
+// winning placement (21.4), conference graphs are built once (19.2) and
+// conference arrivals draw their client nodes without copying the node
+// list, against 234.8 when every arrival rebuilt its graph and placement
+// orders. A change that needs more must say why.
+constexpr std::int64_t kChurnWindowAllocations = 28'329;
 
 // Steady-state churn through the serving loop: camera and social arrivals
 // reuse one prepared template per family, conference arrivals build their
@@ -139,6 +143,40 @@ TEST(Memory, ChurnArrivalsAllocateABoundedCount) {
       << allocations << " allocations for " << admitted << " admitted arrivals ("
       << static_cast<double>(allocations) / static_cast<double>(admitted)
       << " per arrival)";
+}
+
+// Allocations of one warm BassScheduler::schedule call that succeeds: the
+// placement it returns. Ranking, node budget and link ledger reuse their
+// buffers, whatever the cluster's size.
+constexpr std::int64_t kWarmDecisionAllocations = 1;
+
+TEST(Memory, WarmDecisionAllocatesOnlyItsPlacement) {
+  topo::CityGridParams params;
+  params.blocks_x = 16;
+  params.blocks_y = 32;
+  params.nodes_per_block = 4;
+  const auto grid = topo::make_city_grid(params);
+  ASSERT_TRUE(grid.ok()) << grid.error();
+  sim::Simulation sim;
+  net::Network network(sim, grid.value().topology);
+  ASSERT_EQ(network.topology().node_count(), 2048);
+  cluster::ClusterState cluster;
+  for (net::NodeId n = 0; n < 2048; ++n) cluster.add_node(n, {8000, 16384, true});
+  const sched::NetworkView view(network);
+  const auto app = sched::PreparedApp::make(app::social_network_app());
+
+  for (const auto heuristic : {sched::Heuristic::kBreadthFirst,
+                               sched::Heuristic::kLongestPath, sched::Heuristic::kAuto}) {
+    sched::BassScheduler scheduler(heuristic);
+    ASSERT_TRUE(scheduler.schedule(*app, cluster, view).ok());  // warm the buffers
+    constexpr int kDecisions = 10;
+    const auto snap = testing::take_alloc_snapshot();
+    for (int i = 0; i < kDecisions; ++i) {
+      ASSERT_TRUE(scheduler.schedule(*app, cluster, view).ok());
+    }
+    EXPECT_EQ(testing::allocations_since(snap), kWarmDecisionAllocations * kDecisions)
+        << scheduler.name();
+  }
 }
 
 // Reference semantics: a std::deque that drops its front past `capacity`.

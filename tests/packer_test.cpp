@@ -31,8 +31,8 @@ struct TwoNodeFixture {
   }
 
   PackInput input() {
-    ranked_ = rank_nodes(cluster, *view);
-    return PackInput{app_, cluster, *view, ranked_};
+    ranker_.rank(cluster, *view);
+    return PackInput{app_, cluster, *view, ranker_};
   }
 
   void set_app(app::AppGraph g) { app_ = std::move(g); }
@@ -40,7 +40,7 @@ struct TwoNodeFixture {
 
  private:
   app::AppGraph app_{"unset"};
-  std::vector<net::NodeId> ranked_;  // input()'s ranking, which it points into
+  NodeRanker ranker_;  // input()'s ranking, which it refers to
 };
 
 TEST(Packer, SequentialPacksCameraLikeThePaper) {
@@ -234,8 +234,9 @@ TEST(Packer, LatencyConstraintForcesNearPlacement) {
   e.max_latency = sim::millis(1);  // at most one hop apart
   g.add_dependency(e);
 
-  const auto r = Packer().sequential_pack(
-      PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
+  NodeRanker ranker;
+  ranker.rank(cl, view);
+  const auto r = Packer().sequential_pack(PackInput{g, cl, view, ranker}, bfs_order(g));
   ASSERT_TRUE(r.ok()) << r.error();
   const auto na = r.value().at(0);
   const auto nb = r.value().at(1);
@@ -264,8 +265,9 @@ TEST(Packer, LatencyConstraintCanMakePackingInfeasible) {
   e.max_latency = sim::millis(1);  // nodes 0 and 2 are 2 ms apart
   g.add_dependency(e);
 
-  const auto r = Packer().sequential_pack(
-      PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
+  NodeRanker ranker;
+  ranker.rank(cl, view);
+  const auto r = Packer().sequential_pack(PackInput{g, cl, view, ranker}, bfs_order(g));
   EXPECT_FALSE(r.ok());
 }
 
@@ -284,8 +286,9 @@ TEST(Packer, UnconstrainedLatencyIgnoresHops) {
   g.add_component({.name = "a", .cpu_milli = 8000, .memory_mb = 64});
   g.add_component({.name = "b", .cpu_milli = 8000, .memory_mb = 64});
   g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(1)});
-  const auto r = Packer().sequential_pack(
-      PackInput{g, cl, view, rank_nodes(cl, view)}, bfs_order(g));
+  NodeRanker ranker;
+  ranker.rank(cl, view);
+  const auto r = Packer().sequential_pack(PackInput{g, cl, view, ranker}, bfs_order(g));
   EXPECT_TRUE(r.ok());
 }
 

@@ -117,10 +117,10 @@ TEST(ChurnApp, ConferencePinsAreDeterministicPerInstance) {
   EXPECT_GE(pinned, 2);  // at least a two-way conference
 }
 
-// The conference build before instances were built in place: the catalog
-// graph, then a scaled copy of it under the instance name.
-app::AppGraph two_step_conference(int instance, double scale, std::uint64_t seed,
-                                  const std::vector<net::NodeId>& mesh_nodes) {
+// A conference instance's client groups as they were first drawn: a
+// partial Fisher–Yates over a copy of the whole node list.
+std::vector<std::pair<net::NodeId, int>> copying_shuffle_clients(
+    int instance, std::uint64_t seed, const std::vector<net::NodeId>& mesh_nodes) {
   util::Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(instance + 1)));
   const int groups = mesh_nodes.size() >= 3 && rng.chance(0.5) ? 3 : 2;
   std::vector<net::NodeId> nodes = mesh_nodes;
@@ -134,6 +134,14 @@ app::AppGraph two_step_conference(int instance, double scale, std::uint64_t seed
     clients.emplace_back(nodes[static_cast<std::size_t>(i)],
                          static_cast<int>(rng.uniform_int(1, 3)));
   }
+  return clients;
+}
+
+// The conference build before instances were built in place: the catalog
+// graph, then a scaled copy of it under the instance name.
+app::AppGraph two_step_conference(int instance, double scale, std::uint64_t seed,
+                                  const std::vector<net::NodeId>& mesh_nodes) {
+  const auto clients = copying_shuffle_clients(instance, seed, mesh_nodes);
   const auto per_stream =
       static_cast<net::Bps>(std::max(25.0, 250.0 * scale) * 1e3);
   const app::AppGraph base = app::video_conference_app(clients, per_stream);
@@ -191,6 +199,33 @@ TEST(ChurnApp, ConferenceBuiltInPlaceMatchesTwoStepBuild) {
       EXPECT_EQ(a.request_bytes, b.request_bytes);
       EXPECT_EQ(a.response_bytes, b.response_bytes);
       EXPECT_EQ(a.probability, b.probability);
+    }
+  }
+}
+
+// Each client group is one pinned component with one edge from the SFU, in
+// draw order, so the pins name the picks and the edges' bandwidths their
+// participant counts (the draws that follow the picks).
+TEST(ChurnApp, ConferencePicksMatchCopyingShuffle) {
+  for (const int size : {1, 2, 3, 4, 256}) {
+    std::vector<net::NodeId> mesh;
+    for (int i = 0; i < size; ++i) mesh.push_back(3 * i + 1);  // ids with gaps
+    for (int instance = 0; instance < 1000; ++instance) {
+      SCOPED_TRACE(testing::Message() << size << " nodes, instance " << instance);
+      const auto want = copying_shuffle_clients(instance, 17, mesh);
+      const app::AppGraph got = workload::make_churn_app(
+          workload::AppFamily::kVideoConference, instance, 0.5, 17, mesh);
+      std::vector<net::NodeId> pins;
+      for (app::ComponentId c = 0; c < got.component_count(); ++c) {
+        if (got.component(c).pinned_node) pins.push_back(*got.component(c).pinned_node);
+      }
+      ASSERT_EQ(pins.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(pins[i], want[i].first);
+      const app::AppGraph built = two_step_conference(instance, 0.5, 17, mesh);
+      ASSERT_EQ(got.edges().size(), built.edges().size());
+      for (std::size_t i = 0; i < built.edges().size(); ++i) {
+        EXPECT_EQ(got.edges()[i].bandwidth, built.edges()[i].bandwidth);
+      }
     }
   }
 }
