@@ -16,6 +16,11 @@
 //
 // Between probes the monitor answers capacity queries from its cache — the
 // scheduler's view of the mesh is *measured*, not oracular.
+//
+// A link has at most one probe in flight, and that probe's state (stream,
+// offered demand, kind, span, ...) lives in the link's slot; the probe reads
+// its goodput from its own stream when it closes it. Once the event and
+// stream pools are warm, a probe allocates nothing.
 #pragma once
 
 #include <functional>
@@ -76,8 +81,9 @@ class NetMonitor {
   void set_recorder(obs::Recorder* recorder);
 
   // ---- On-demand probing ----
-  // Floods the link now; `done` receives the new capacity estimate.
-  void full_probe(net::LinkId link, std::function<void(net::Bps)> done = {});
+  // Floods the link now; the result lands in the cache after the probe's
+  // 1 s. A no-op (bar the count) while the link already has a probe live.
+  void full_probe(net::LinkId link);
 
   // ---- Fault injection ----
   // Each finished probe's RESULT is lost with probability `rate`: the probe
@@ -99,11 +105,20 @@ class NetMonitor {
   struct LinkState {
     bool headroom_ok = true;
     bool probing = false;  // a probe stream is currently live on this link
+    // The live probe, valid while `probing`.
+    bool full = false;  // max-capacity flood, else headroom probe
+    net::StreamId stream = 0;
+    net::Bps demand = 0;
+    // Application traffic on the link just before the probe started.
+    net::Bps usage_before = 0;
+    obs::SpanId span = obs::kNoSpan;
+    sim::Time launched = 0;
   };
 
   void run_headroom_round();
-  void launch_probe(net::LinkId link, net::Bps demand, bool is_full,
-                    std::function<void(net::Bps)> done);
+  void launch_probe(net::LinkId link, net::Bps demand, bool is_full);
+  // Closes the link's probe stream and applies its result.
+  void finish_probe(net::LinkId link);
 
   net::Network* network_;
   MonitorConfig config_;
@@ -126,7 +141,6 @@ class NetMonitor {
   double probe_loss_rate_ = 0.0;
   std::unique_ptr<util::Rng> loss_rng_;
   int probes_dropped_ = 0;
-  net::Tag next_probe_tag_;
 };
 
 }  // namespace bass::monitor

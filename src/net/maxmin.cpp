@@ -66,7 +66,6 @@ const std::vector<double>& MaxMinSolver::solve(
     std::fill(link_stamp_.begin(), link_stamp_.end(), 0u);
     stamp_ = 1;
   }
-  last_rounds_ = 0;
 
   // Pass 0: total path length T over demanding entities bounds every dense
   // array (≤ T distinct active links, exactly T CSR slots both ways), so
@@ -211,7 +210,6 @@ const std::vector<double>& MaxMinSolver::solve(
   // Each round freezes at least one flow; the guard is float head room.
   std::size_t guard = nf + 2;
   while (unfrozen_count > 0 && guard-- > 0) {
-    ++last_rounds_;
     // Next demand event.
     while (next_demand < num_finite &&
            frozen_[demand_events_[next_demand].second]) {
@@ -293,11 +291,9 @@ const std::vector<double>& MaxMinSolver::solve(
 // bit-identical to it.
 const std::vector<double>& MaxMinSolver::solve_lone(
     const std::vector<double>& capacities, const AllocEntityRef& e) {
-  last_rounds_ = 0;
   double rate = 0.0;
   if (e.demand > 0.0) {
     assert(!e.links.empty() && "demanding entity must traverse links");
-    last_rounds_ = 1;
     const bool finite = e.demand < static_cast<double>(kUnlimitedRate);
     // No demand exceeds a +inf capacity: m stays +inf iff no link saturates.
     constexpr double kNone = std::numeric_limits<double>::infinity();

@@ -69,9 +69,6 @@ class MaxMinSolver {
   const std::vector<double>& solve(const std::vector<double>& capacities,
                                    const std::vector<AllocEntityRef>& entities);
 
-  // Water-filling rounds executed by the last solve (diagnostics).
-  std::int64_t last_rounds() const { return last_rounds_; }
-
   // Scratch diagnostics: arena high-water capacity and how often it grew.
   // A warmed-up solver's growth count stops moving (zero-alloc steady
   // state); tests assert this directly.
@@ -113,7 +110,6 @@ class MaxMinSolver {
   HeapEntry* heap_ = nullptr;
 
   std::vector<double> rates_;  // the returned allocation
-  std::int64_t last_rounds_ = 0;
 };
 
 // Convenience wrapper over MaxMinSolver for owned entities (tests, ad-hoc

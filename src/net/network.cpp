@@ -204,7 +204,7 @@ void Network::remove_entity(int slot, bool mark_links_dirty) {
 }
 
 TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
-                                   TransferCallback done, Tag tag) {
+                                   TransferCallback done) {
   assert(bytes >= 0);
   if (src == dst) {
     // Colocated components talk over loopback; no mesh involvement. An
@@ -215,7 +215,7 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
         std::max<sim::Duration>(drain_micros(static_cast<double>(bytes),
                                              static_cast<double>(kLoopbackBps)),
                                 0);
-    account_bytes(tag, static_cast<double>(bytes));
+    account_bytes(static_cast<double>(bytes));
     sim_->schedule_after(dt, done ? std::move(done) : TransferCallback([] {}));
     return kInvalidTransfer;
   }
@@ -232,7 +232,6 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
   Transfer& t = transfers_[slot];
   t.bytes_remaining = static_cast<double>(bytes);
   t.done = std::move(done);
-  t.tag = tag;
   t.channel = &ch;
   t.next = kNoSlot;
   const TransferId id = (static_cast<TransferId>(t.generation) << 32) | slot;
@@ -307,7 +306,7 @@ const Network::Stream* Network::find_stream(StreamId id) const {
   return const_cast<Network*>(this)->find_stream(id);
 }
 
-StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
+StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand) {
   std::uint32_t slot;
   if (!stream_free_.empty()) {
     slot = stream_free_.back();
@@ -326,7 +325,6 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand, Tag tag) {
   placed.src = src;
   placed.dst = dst;
   placed.demand = std::max<Bps>(demand, 0);
-  placed.tag = tag;
   placed.last_update = sim_->now();
   if (src == dst) {
     // Loopback streams always run at full demand.
@@ -374,11 +372,12 @@ void Network::set_stream_demand(StreamId id, Bps demand) {
   }
 }
 
-void Network::close_stream(StreamId id) {
+std::int64_t Network::close_stream(StreamId id) {
   Stream* stp = find_stream(id);
-  if (stp == nullptr) return;  // stale or double close: safe no-op
+  if (stp == nullptr) return 0;  // stale or double close: safe no-op
   Stream& st = *stp;
   settle_stream(st);
+  const auto delivered = static_cast<std::int64_t>(st.bytes_delivered);
   bool repass = false;
   if (st.entity_slot >= 0) {
     repass = !release_in_place(st.entity_slot, st.rate_bps);
@@ -391,6 +390,7 @@ void Network::close_stream(StreamId id) {
   stream_free_.push_back(stream_slot_of(id));
   --open_streams_;
   if (repass) reallocate();
+  return delivered;
 }
 
 void Network::count_shortcut() {
@@ -450,27 +450,8 @@ Bps Network::stream_rate(StreamId id) const {
   return static_cast<Bps>(st->rate_bps);
 }
 
-void Network::account_bytes(Tag tag, double bytes) {
+void Network::account_bytes(double bytes) {
   total_bytes_delivered_ += static_cast<std::int64_t>(bytes);
-  if (tag == 0) return;
-  tag_bytes_window_[tag] += bytes;
-  tag_bytes_total_[tag] += bytes;
-}
-
-std::int64_t Network::take_tag_bytes(Tag tag) {
-  settle_all();
-  auto it = tag_bytes_window_.find(tag);
-  if (it == tag_bytes_window_.end()) return 0;
-  const auto bytes = static_cast<std::int64_t>(it->second);
-  it->second = 0.0;
-  return bytes;
-}
-
-std::int64_t Network::total_tag_bytes(Tag tag) {
-  settle_all();
-  const auto it = tag_bytes_total_.find(tag);
-  if (it == tag_bytes_total_.end()) return 0;
-  return static_cast<std::int64_t>(it->second);
 }
 
 void Network::settle_channel(Channel& ch) {
@@ -483,7 +464,7 @@ void Network::settle_channel(Channel& ch) {
   // Rounding of the completion event can make `moved` overshoot slightly.
   moved = std::min(moved, head.bytes_remaining);
   head.bytes_remaining -= moved;
-  account_bytes(head.tag, moved);
+  account_bytes(moved);
 }
 
 void Network::settle_stream(Stream& st) {
@@ -491,18 +472,9 @@ void Network::settle_stream(Stream& st) {
   const sim::Duration dt = now - st.last_update;
   st.last_update = now;
   if (dt <= 0 || st.rate_bps <= 0.0) return;
-  const double moved = bytes_in(dt, st.rate_bps) + st.byte_carry;
-  st.byte_carry = 0.0;
-  account_bytes(st.tag, moved);
-}
-
-void Network::settle_all() {
-  for (const Entity& e : entities_) {
-    if (e.active && e.channel != nullptr) settle_channel(*e.channel);
-  }
-  for (StreamSlot& s : stream_slots_) {
-    if (s.open) settle_stream(s.stream);
-  }
+  const double moved = bytes_in(dt, st.rate_bps);
+  st.bytes_delivered += moved;
+  account_bytes(moved);
 }
 
 void Network::collect_component(std::span<const LinkId> seed_links,
@@ -675,7 +647,7 @@ void Network::complete_head(Channel& ch) {
   assert(!ch.idle());
   Transfer& head = transfers_[ch.head];
   // Account any residue lost to event rounding.
-  if (head.bytes_remaining > 0.0) account_bytes(head.tag, head.bytes_remaining);
+  if (head.bytes_remaining > 0.0) account_bytes(head.bytes_remaining);
   TransferCallback done = std::move(head.done);
   release_transfer(ch.head);
 

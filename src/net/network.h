@@ -8,6 +8,9 @@
 //    request traffic reuses storage instead of allocating.
 //  * Stream — a constant-demand flow (a video feed, a probe). Its delivered
 //    rate is its max-min allocation; shortfall against demand models loss.
+//    Each stream counts the bytes it has delivered, and close_stream()
+//    returns that count, so a probe reads its own goodput without any
+//    network-wide bookkeeping.
 //
 // Rates are recomputed only when the set of contending flows or a link
 // capacity changes — completions inside a busy channel don't perturb the
@@ -49,7 +52,6 @@ namespace bass::net {
 using TransferId = std::int64_t;
 constexpr TransferId kInvalidTransfer = 0;
 using StreamId = std::int64_t;
-using Tag = std::uint64_t;  // caller-defined traffic class for byte counters
 
 enum class FairnessPolicy {
   kMaxMin,        // TCP-like convergence (default; what the paper's testbed ran)
@@ -159,7 +161,7 @@ class Network {
   // stays inert after its slot is reused. Loopback (src == dst) transfers
   // never touch the mesh and return kInvalidTransfer.
   TransferId start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
-                            TransferCallback done, Tag tag = 0);
+                            TransferCallback done);
   // Cancels a queued/in-flight transfer. False if it already completed, was
   // cancelled, or the id is stale or a loopback id.
   bool cancel_transfer(TransferId id);
@@ -170,9 +172,11 @@ class Network {
   // rate 0, set_stream_demand is a no-op, and double-close is safe. Slots
   // are free-listed, so steady-state stream churn reuses storage instead of
   // allocating.
-  StreamId open_stream(NodeId src, NodeId dst, Bps demand, Tag tag = 0);
+  StreamId open_stream(NodeId src, NodeId dst, Bps demand);
   void set_stream_demand(StreamId id, Bps demand);
-  void close_stream(StreamId id);
+  // Closes the stream and returns the bytes it delivered over its life
+  // (settled up to now); 0 for a stale id or a double close.
+  std::int64_t close_stream(StreamId id);
   // Current allocated rate; 0 for unknown/closed streams.
   Bps stream_rate(StreamId id) const;
 
@@ -190,11 +194,6 @@ class Network {
   // resolved once here, so the hot path only pays pointer increments. Pass
   // nullptr to detach.
   void set_recorder(obs::Recorder* recorder);
-
-  // Delivered bytes for a tag since the last take (settles flows first).
-  std::int64_t take_tag_bytes(Tag tag);
-  // Delivered bytes for a tag since the start of the simulation.
-  std::int64_t total_tag_bytes(Tag tag);
 
   std::int64_t total_bytes_delivered() const { return total_bytes_delivered_; }
   std::int64_t reallocation_count() const { return alloc_stats_.reallocations; }
@@ -232,7 +231,6 @@ class Network {
   struct Transfer {
     double bytes_remaining = 0.0;
     TransferCallback done;
-    Tag tag = 0;
     Channel* channel = nullptr;  // channels_ nodes are stable
     std::uint32_t next = kNoSlot;
     std::uint32_t generation = 1;
@@ -244,8 +242,7 @@ class Network {
     Bps demand = 0;
     double rate_bps = 0.0;
     sim::Time last_update = 0;
-    Tag tag = 0;
-    double byte_carry = 0.0;  // fractional bytes pending accounting
+    double bytes_delivered = 0.0;  // settled up to last_update
     int entity_slot = -1;  // slot in entities_ while a demanding mesh flow
   };
 
@@ -272,7 +269,6 @@ class Network {
   // Advances a flow's byte accounting to `now` at its current rate.
   void settle_channel(Channel& ch);
   void settle_stream(Stream& st);
-  void settle_all();
 
   // Entity cache maintenance. Adding marks the entity dirty; removing
   // marks its links dirty, so the next reallocate() reprices exactly the
@@ -299,7 +295,7 @@ class Network {
   void complete_head(Channel& ch);
   // Unlinks `slot` from its channel's FIFO, drops its callback and frees it.
   void release_transfer(std::uint32_t slot);
-  void account_bytes(Tag tag, double bytes);
+  void account_bytes(double bytes);
 
   sim::Simulation* sim_;
   Topology topology_;
@@ -375,8 +371,6 @@ class Network {
   std::vector<double> link_allocated_;
   std::vector<Bps> nominal_capacity_;     // capacity a downed link returns to
   std::vector<std::uint8_t> link_down_;   // fault overlay flags
-  std::unordered_map<Tag, double> tag_bytes_window_;
-  std::unordered_map<Tag, double> tag_bytes_total_;
 
   // Observability (all null until set_recorder; see emit sites).
   obs::Recorder* recorder_ = nullptr;

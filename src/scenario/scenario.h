@@ -43,7 +43,6 @@
 //   [zones]                 count = 4         method = bfs  # bfs | chunks
 //                           round_interval_s = 10
 //                           transit_per_border = 1  transit_mbps = 2
-//                           max_reconcile_iterations = 4
 //
 // Serving scenarios ([serve] present) replace the one-shot app + workload
 // with the bassd control-plane loop: no [component]/[edge] sections; apps

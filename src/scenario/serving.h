@@ -80,7 +80,6 @@ class ServingLoop {
   const ServeStats& stats() const { return stats_; }
   const core::AdmissionStats& admission_stats() const { return admission_.stats(); }
   int queue_depth() const { return admission_.depth(); }
-  int live_count() const { return static_cast<int>(live_.size()); }
   const std::vector<workload::ChurnEvent>& schedule() const { return schedule_; }
 
  private:

@@ -18,6 +18,10 @@ util::Error err(const std::string& message) { return util::make_error(message); 
 // re-settle every round.
 constexpr net::Bps kRateEpsBps = 1;
 
+// Reconciliation passes per round before the coordinator stops chasing a
+// fixpoint; in practice one pass settles it.
+constexpr int kMaxReconcileIterations = 4;
+
 // Distinct per-zone churn seeds derived from the scenario seed: the golden
 // ratio stride keeps them far apart for any zone count while staying a pure
 // function of (seed, zone) — replays and --jobs variations see identical
@@ -112,8 +116,6 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::from_i
   build.zones.transit_bps =
       static_cast<net::Bps>(zsec->number_or("transit_mbps", 2.0) * 1e6);
   build.zones.transit_local = zsec->flag_or("transit_local", false);
-  build.zones.max_reconcile_iterations =
-      static_cast<int>(zsec->number_or("max_reconcile_iterations", 4));
   build.zones.gating = zsec->flag_or("gating", true);
   build.zones.active_zones =
       static_cast<int>(zsec->number_or("active_zones", 0));
@@ -467,7 +469,7 @@ int ShardedOrchestrator::reconcile() {
   bool rebuilt_any = false;
   const bool gate = cfg_.gating;
 
-  for (int pass = 0; pass < cfg_.max_reconcile_iterations; ++pass) {
+  for (int pass = 0; pass < kMaxReconcileIterations; ++pass) {
     // Which zones' allocations moved since we last looked. Every
     // allocation-moving path — stream open/close, demand change, capacity
     // shift — is an allocator pass or an uncontended-stream shortcut, and

@@ -66,7 +66,6 @@ struct ZonesConfig {
   int count = 2;
   PartitionMethod method = PartitionMethod::kBfsBalanced;
   sim::Duration round_interval = sim::seconds(10);
-  int max_reconcile_iterations = 4;
   // Synthetic cross-zone transit: flows per directed border link, each
   // demanding transit_bps. 0 decouples zones entirely (no reconciliation).
   int transit_per_border = 1;

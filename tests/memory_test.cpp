@@ -14,10 +14,13 @@
 
 #include "app/catalog.h"
 #include "core/orchestrator.h"
+#include "monitor/net_monitor.h"
 #include "obs/recorder.h"
 #include "scenario/serving.h"
 #include "sched/bass_scheduler.h"
 #include "topo/city_grid.h"
+#include "trace/citylab.h"
+#include "trace/player.h"
 #include "workload/churn.h"
 #include "workload/edge_streams.h"
 
@@ -177,6 +180,52 @@ TEST(Memory, WarmDecisionAllocatesOnlyItsPlacement) {
     EXPECT_EQ(testing::allocations_since(snap), kWarmDecisionAllocations * kDecisions)
         << scheduler.name();
   }
+}
+
+// The net-monitor probes every link every 30 s for the whole run, so a
+// warm probe must cost no heap: its state lives in its link's slot, its
+// timer captures only the link, and it reads its bytes from its own stream.
+// On the CityLab mesh with fading traces, one saturating stream makes the
+// headroom probes of its link displace it, and each such violation triggers
+// a flood; the 5-minute refresh floods every link. So both probe kinds and
+// the violation path run. The journal is small enough to wrap during
+// warm-up.
+TEST(Memory, WarmProbesAllocateNothing) {
+  sim::Simulation sim;
+  const trace::CityLabMesh mesh = trace::citylab_mesh();
+  net::Network network(sim, mesh.topology);
+  obs::Recorder recorder(obs::RecorderConfig{.journal_capacity = 256});
+  network.set_recorder(&recorder);
+  monitor::NetMonitor monitor(network);
+  monitor.set_recorder(&recorder);
+  trace::TracePlayer player(network);
+  trace::bind_citylab_traces(mesh, player, sim::minutes(60), /*fades=*/true, 42);
+  monitor.start();
+  player.start();
+  network.open_stream(mesh.links[0].a, mesh.links[0].b, net::kUnlimitedRate);
+  // Warm-up: startup floods done, event and stream pools and the journal
+  // ring at their high-water mark.
+  sim.run_until(sim::minutes(10));
+
+  obs::Counter& violations = recorder.metrics().counter("monitor.headroom_violations");
+  const std::int64_t violations_before = violations.value();
+  const int full_before = monitor.full_probe_count();
+  const int headroom_before = monitor.headroom_probe_count();
+  const std::int64_t live_before = testing::live_bytes();
+  const auto snap = testing::take_alloc_snapshot();
+  sim.run_until(sim::minutes(50));  // 80 headroom rounds
+  const std::int64_t allocations = testing::allocations_since(snap);
+  const std::int64_t live_growth = testing::live_bytes() - live_before;
+  const int full = monitor.full_probe_count() - full_before;
+  const int probes = full + monitor.headroom_probe_count() - headroom_before;
+  monitor.stop();
+
+  ASSERT_GT(probes, 1000);
+  ASSERT_GT(full, 0);
+  ASSERT_GT(violations.value(), violations_before);
+  EXPECT_EQ(allocations, 0) << allocations << " allocations for " << probes << " probes";
+  EXPECT_EQ(live_growth, 0) << live_growth << " heap bytes kept by " << probes
+                            << " probes";
 }
 
 // Reference semantics: a std::deque that drops its front past `capacity`.

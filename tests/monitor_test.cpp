@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <variant>
 
 #include "monitor/net_monitor.h"
 #include "monitor/traffic_stats.h"
@@ -168,6 +169,39 @@ TEST(NetMonitor, ProbeOverheadIsBounded) {
   const double startup_flood = 4 * 20e6 / 8 * 1;  // one 1 s flood per link
   EXPECT_LT(probe_bytes - startup_flood, capacity_bytes * 0.005);
   EXPECT_GT(probe_bytes, 0);
+}
+
+// Each probe reads its goodput from its own stream: with no result lost,
+// the bytes the monitor books are exactly those its journaled probes
+// carried, headroom probes and the floods their violations trigger alike.
+TEST(NetMonitor, ProbeBytesMatchJournaledProbes) {
+  MonitorFixture f;
+  obs::Recorder recorder;
+  NetMonitor monitor(*f.network);
+  monitor.set_recorder(&recorder);
+  monitor.start();
+  f.sim.run_until(sim::seconds(5));
+  // Contending app traffic on a shrunken link: headroom probes there come
+  // up short and each triggers a flood.
+  f.network->open_stream(0, 1, net::kUnlimitedRate);
+  f.network->set_link_capacity(*f.network->topology().link_between(0, 1), net::mbps(1));
+  f.sim.run_until(sim::minutes(3));
+  monitor.stop();
+
+  std::int64_t journaled = 0;
+  int full = 0;
+  int headroom = 0;
+  recorder.journal().for_each([&](const obs::Event& e) {
+    if (const auto* probe = std::get_if<obs::ProbeCompleted>(&e)) {
+      journaled += probe->bytes;
+      ++(probe->full ? full : headroom);
+    }
+  });
+  EXPECT_EQ(monitor.probes_dropped(), 0);
+  EXPECT_GT(full, 4);  // startup floods plus violation follow-ups
+  EXPECT_GT(headroom, 0);
+  EXPECT_GT(journaled, 0);
+  EXPECT_EQ(monitor.probe_bytes_sent(), journaled);
 }
 
 TEST(MeasuredNetworkView, ReflectsCache) {

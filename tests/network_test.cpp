@@ -253,21 +253,39 @@ TEST(Network, StreamSlotReuseSurvivesHeavyChurn) {
   }
 }
 
-TEST(Network, TagByteAccounting) {
+TEST(Network, TransferByteAccounting) {
   Fixture f;
-  f.net->start_transfer(0, 1, 500'000, [] {}, /*tag=*/42);
+  f.net->start_transfer(0, 1, 500'000, [] {});
   f.sim.run_all();
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(42)), 500'000, 10);
-  EXPECT_EQ(f.net->take_tag_bytes(42), 0);  // window resets
-  EXPECT_NEAR(static_cast<double>(f.net->total_tag_bytes(42)), 500'000, 10);
+  EXPECT_NEAR(static_cast<double>(f.net->total_bytes_delivered()), 500'000, 10);
 }
 
-TEST(Network, StreamTagAccountingMatchesRateTimesTime) {
+TEST(Network, StreamByteAccountingMatchesRateTimesTime) {
   Fixture f;
-  f.net->open_stream(0, 1, mbps(4), /*tag=*/7);
+  const StreamId s = f.net->open_stream(0, 1, mbps(4));
   f.sim.run_until(sim::seconds(10));
   // 4 Mbps for 10 s = 5 MB.
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(7)), 5e6, 5e4);
+  EXPECT_NEAR(static_cast<double>(f.net->close_stream(s)), 5e6, 5e4);
+}
+
+// Streams between the same node pair share links but not their byte
+// counts: each close reports only its own stream's bytes, and a closed id
+// reports nothing again, even once its slot is reused.
+TEST(Network, StreamsReportTheirOwnBytes) {
+  Fixture f;
+  const StreamId a = f.net->open_stream(0, 1, mbps(4));
+  const StreamId b = f.net->open_stream(0, 1, mbps(2));
+  f.sim.run_until(sim::seconds(2));
+  // 2 Mbps for 2 s = 0.5 MB.
+  EXPECT_NEAR(static_cast<double>(f.net->close_stream(b)), 0.5e6, 5e3);
+  const StreamId c = f.net->open_stream(0, 1, mbps(8));  // takes b's slot
+  f.sim.run_until(sim::seconds(4));
+  // 4 Mbps for 4 s = 2 MB; c shared the link with a from t = 2 s.
+  EXPECT_NEAR(static_cast<double>(f.net->close_stream(a)), 2e6, 2e4);
+  EXPECT_EQ(f.net->close_stream(a), 0);  // double close
+  EXPECT_EQ(f.net->close_stream(b), 0);  // stale id of a reused slot
+  // 6 Mbps (the link's rest after a) for 2 s = 1.5 MB.
+  EXPECT_NEAR(static_cast<double>(f.net->close_stream(c)), 1.5e6, 1.5e4);
 }
 
 TEST(NetworkView, PathCapacityIsTheLiveBottleneck) {
@@ -521,14 +539,14 @@ TEST(Network, BatchedCapacityChangeSettlesAccountingExactly) {
   // 4 Mbps stream for 5 s, then a batched two-link capacity drop pins it to
   // 2 Mbps for 5 s. Byte accounting must settle exactly once at the old
   // rate before the new rates apply: (4*5 + 2*5) Mbit = 3.75 MB.
-  f.net->open_stream(0, 2, mbps(4), /*tag=*/9);
+  const StreamId s = f.net->open_stream(0, 2, mbps(4));
   f.sim.schedule_at(sim::seconds(5), [&] {
     Network::BatchUpdate batch(*f.net);
     f.net->set_link_capacity_between(0, 1, mbps(2));
     f.net->set_link_capacity_between(1, 2, mbps(2));
   });
   f.sim.run_until(sim::seconds(10));
-  EXPECT_NEAR(static_cast<double>(f.net->take_tag_bytes(9)), 3.75e6, 2e4);
+  EXPECT_NEAR(static_cast<double>(f.net->close_stream(s)), 3.75e6, 2e4);
 }
 
 TEST(Network, ConservationAcrossManyTransfers) {
