@@ -8,14 +8,88 @@
 // re-estimates the link -> goodput falls under threshold -> the moveable
 // end migrates node4 -> node1. At t=1119 s node1-node3 degrades and
 // node3-node4 recovers -> the component migrates back.
+//
+//   bench_fig08_migration_timeline [--check-claims]
+//
+// --check-claims exits 1 unless `worker` migrates exactly twice —
+// node4->node1 between t=540 s and t=1119 s, then node1->node4 after
+// t=1119 s — some 60 s goodput bin before each migration reads below 95 %,
+// and the last bin before t=1119 s and the run's last bin read at least
+// 99 %. Unknown arguments exit 2.
 #include "common.h"
+
+#include <cstring>
 
 #include "metrics/time_series.h"
 #include "workload/edge_streams.h"
 
 using namespace bass;
 
-int main() {
+namespace {
+
+constexpr sim::Time kDrop = sim::seconds(540);
+constexpr sim::Time kSwap = sim::seconds(1119);
+constexpr sim::Duration kBin = sim::minutes(1);
+
+bool claim(bool held, const char* what) {
+  if (!held) std::printf("claim failed: %s\n", what);
+  return held;
+}
+
+// The paper's timeline, read off the run: the migrations and the 60 s
+// goodput bins printed above.
+bool claims_hold(const core::Orchestrator& orch, core::DeploymentId id,
+                 const metrics::TimeSeries& bins) {
+  std::vector<core::MigrationEvent> moves;
+  for (const auto& m : orch.migration_events()) {
+    if (orch.app(id).component(m.component).name == "worker") moves.push_back(m);
+  }
+  if (!claim(moves.size() == 2, "worker migrates exactly twice")) return false;
+  bool held = claim(moves[0].from == 4 && moves[0].to == 1 && moves[0].at > kDrop &&
+                        moves[0].at < kSwap,
+                    "first migration is node4->node1 between t=540 s and t=1119 s");
+  held = claim(moves[1].from == 1 && moves[1].to == 4 && moves[1].at > kSwap,
+               "second migration is node1->node4 after t=1119 s") &&
+         held;
+  // Goodput collapses before each move: some bin that starts after the
+  // previous move (or the run's start) and ends before this one takes the
+  // component down reads below 95 %, so the move's own downtime is no part
+  // of it.
+  sim::Time since = 0;
+  for (const auto& m : moves) {
+    bool dipped = false;
+    for (const auto& b : bins.samples()) {
+      if (b.at >= since && b.at + kBin <= m.started_at && b.value < 0.95) dipped = true;
+    }
+    held = claim(dipped, "goodput falls below 95 % before each migration") && held;
+    since = m.at;
+  }
+  // Recovered between the trips: the last bin that ends by t=1119 s (the
+  // t=1020 s bin; the t=1080 s one spans the swap).
+  bool recovered = false;
+  for (const auto& b : bins.samples()) {
+    if (b.at + kBin <= kSwap) recovered = b.value >= 0.99;
+  }
+  held = claim(recovered, "the last bin before t=1119 s reads at least 99 %") && held;
+  held = claim(!bins.empty() && bins.samples().back().value >= 0.99,
+               "the last bin reads at least 99 %") &&
+         held;
+  return held;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool check_claims = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check-claims") == 0) {
+      check_claims = true;
+    } else {
+      std::fprintf(stderr, "unknown argument '%s'\nusage: %s [--check-claims]\n", argv[i],
+                   argv[0]);
+      return 2;
+    }
+  }
   bench::print_header("Fig. 8: migration on bandwidth change (component pair)");
 
   // CityLab topology with calm links (we drive the two relevant links by
@@ -69,11 +143,11 @@ int main() {
                         [&] { goodput_series.record(sim.now(), pair.goodput()); });
 
   // ---- The paper's capacity script ----
-  sim.schedule_at(sim::seconds(540), [&] {
+  sim.schedule_at(kDrop, [&] {
     std::printf("t= 540s  node3-node4 capacity drops 25 -> 7 Mbps\n");
     network.set_link_capacity_between(3, 4, net::mbps(7));
   });
-  sim.schedule_at(sim::seconds(1119), [&] {
+  sim.schedule_at(kSwap, [&] {
     std::printf("t=1119s  node1-node3 degrades to 6 Mbps, node3-node4 back to 25\n");
     network.set_link_capacity_between(1, 3, net::mbps(6));
     network.set_link_capacity_between(3, 4, net::mbps(25));
@@ -99,7 +173,7 @@ int main() {
   }
 
   std::printf("\ngoodput (60 s means):\n");
-  const auto goodput = goodput_series.binned_mean(sim::minutes(1));
+  const auto goodput = goodput_series.binned_mean(kBin);
   for (const auto& s : goodput.samples()) {
     std::printf("  t=%5.0fs  goodput=%4.0f%%\n", sim::to_seconds(s.at), s.value * 100);
   }
@@ -114,5 +188,8 @@ int main() {
   // Probe costs, headroom violations, and migration downtimes accumulated
   // by the live instrumentation, through the shared snapshot path.
   bench::write_bench_json("fig08_migration_timeline", recorder.metrics(), sim.now());
-  return 0;
+  if (!check_claims) return 0;
+  const bool held = claims_hold(orch, id.value(), goodput);
+  std::printf("claims: %s\n", held ? "hold" : "FAILED");
+  return held ? 0 : 1;
 }

@@ -418,6 +418,10 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
   obs::SpanScope round_scope(recorder_, round_span);
   const auto wall_start = std::chrono::steady_clock::now();
 
+  // Streams count their bytes in the network; their engines write them
+  // into the stats before the windows are taken.
+  for (std::size_t i = 0; i < d.listeners.size(); ++i) d.listeners[i]->flush_traffic();
+
   // Observations for every mesh-crossing edge between live components.
   RoundScratch& r = round_;
   auto& observations = r.observations;

@@ -60,6 +60,10 @@ class DeploymentListener {
     (void)component;
     (void)node;
   }
+  // Called before the controller reads the deployment's traffic stats: an
+  // engine whose bytes accrue in the network rather than per transfer
+  // writes them into the stats here.
+  virtual void flush_traffic() {}
 };
 
 class Orchestrator;
@@ -199,7 +203,7 @@ class Orchestrator {
 
   // Passive per-edge traffic counters for this deployment, one slot per
   // edge of app(id); workload engines record into it, the controller reads
-  // from it.
+  // from it (after each listener's flush_traffic()).
   monitor::TrafficStats& traffic_stats(DeploymentId id);
 
   // Rewrites the profiled bandwidth requirements of deployed edges, indexed

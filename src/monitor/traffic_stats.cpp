@@ -38,13 +38,4 @@ TrafficStats::WindowRates TrafficStats::take_window(std::size_t edge, sim::Time 
   return rates;
 }
 
-net::Bps TrafficStats::take_rate(std::size_t edge, sim::Time now) {
-  return take_window(edge, now).delivered;
-}
-
-net::Bps TrafficStats::peek_rate(std::size_t edge, sim::Time now) const {
-  if (edge >= edges_.size()) return 0;
-  return rate_of(edges_[edge].window_bytes, now - edges_[edge].window_start);
-}
-
 }  // namespace bass::monitor

@@ -1,7 +1,8 @@
 // Passive per-component-pair traffic accounting — the paper's "TX/RX bytes
 // between application components" metric (gathered there by an Istio
 // sidecar + Prometheus; here the workload engines report delivered bytes as
-// transfers and stream samples complete).
+// transfers complete, and stream engines copy their streams' byte counts in
+// when the controller reads the stats and when a stream closes).
 //
 // One flat slot per edge of the deployed app, indexed by the edge's
 // position in AppGraph::edges() and sized at deploy: the engines and the
@@ -44,12 +45,6 @@ class TrafficStats {
   };
   // Average rates over the window since the edge's last take; resets it.
   WindowRates take_window(std::size_t edge, sim::Time now);
-
-  // Convenience: take_window().delivered.
-  net::Bps take_rate(std::size_t edge, sim::Time now);
-
-  // Non-destructive delivered-rate peek.
-  net::Bps peek_rate(std::size_t edge, sim::Time now) const;
 
  private:
   struct EdgeStats {

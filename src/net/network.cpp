@@ -444,6 +444,14 @@ bool Network::release_in_place(int slot, double rate) {
   return true;
 }
 
+std::int64_t Network::stream_bytes(StreamId id) const {
+  const Stream* st = find_stream(id);
+  if (st == nullptr) return 0;
+  const sim::Duration dt = sim_->now() - st->last_update;
+  const double pending = dt > 0 ? bytes_in(dt, st->rate_bps) : 0.0;
+  return static_cast<std::int64_t>(st->bytes_delivered + pending);
+}
+
 Bps Network::stream_rate(StreamId id) const {
   const Stream* st = find_stream(id);
   if (st == nullptr) return 0;

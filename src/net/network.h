@@ -177,6 +177,10 @@ class Network {
   // Closes the stream and returns the bytes it delivered over its life
   // (settled up to now); 0 for a stale id or a double close.
   std::int64_t close_stream(StreamId id);
+  // The bytes the stream has delivered up to now, without settling it: a
+  // read moves no flow's accounting. 0 for a stale id. Reading this at a
+  // stream's close gives close_stream()'s value.
+  std::int64_t stream_bytes(StreamId id) const;
   // Current allocated rate; 0 for unknown/closed streams.
   Bps stream_rate(StreamId id) const;
 

@@ -111,8 +111,8 @@ void ServingLoop::depart(const workload::ChurnEvent& event) {
   const auto it = live_.find(event.instance);
   if (it != live_.end()) {
     ++stats_.departed_live;
-    // Stop the traffic source before teardown so no sampler fires against a
-    // closing deployment; undeploy then releases resources and journals.
+    // Stop the traffic source before teardown so its streams' last bytes
+    // land in the stats; undeploy then releases resources and journals.
     it->second.engine->stop();
     orch_->undeploy(it->second.deployment);
     live_.erase(it);

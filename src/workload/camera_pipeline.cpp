@@ -14,7 +14,7 @@ CameraPipelineEngine::CameraPipelineEngine(core::Orchestrator& orchestrator,
       servers_(static_cast<std::size_t>(orchestrator.app(deployment).component_count())) {
   const auto& g = orch_->app(deployment_);
   camera_ = g.find("camera-stream");
-  sampler_ = g.find("frame-sampler");
+  sampling_ = g.find("frame-sampler");
   detector_ = g.find("object-detector");
   image_ = g.find("image-listener");
   label_ = g.find("label-listener");
@@ -23,8 +23,8 @@ CameraPipelineEngine::CameraPipelineEngine(core::Orchestrator& orchestrator,
   const std::vector<app::Edge>& edges = g.edges();
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const app::Edge& e = edges[i];
-    if (e.from == camera_ && e.to == sampler_) cam_samp_ = {i, e};
-    if (e.from == sampler_ && e.to == detector_) samp_det_ = {i, e};
+    if (e.from == camera_ && e.to == sampling_) cam_samp_ = {i, e};
+    if (e.from == sampling_ && e.to == detector_) samp_det_ = {i, e};
     if (e.from == detector_ && e.to == image_) det_img_ = {i, e};
     if (e.from == detector_ && e.to == label_) det_lbl_ = {i, e};
   }
@@ -107,22 +107,22 @@ void CameraPipelineEngine::capture() {
   ++captured_;
   // Real-time buffer: a backed-up or broken pipeline discards new frames.
   if (in_flight_ >= config_.frame_buffer || !stage_up(camera_) ||
-      !stage_up(sampler_) || !stage_up(detector_)) {
+      !stage_up(sampling_) || !stage_up(detector_)) {
     ++dropped_;
     return;
   }
   ++in_flight_;
   const sim::Time t0 = orch_->simulation().now();
   serve(camera_, [this, t0] {
-    if (!stage_up(sampler_)) return drop_frame();
-    ship(cam_samp_, [this, t0] { sampler_stage(t0); });
+    if (!stage_up(sampling_)) return drop_frame();
+    ship(cam_samp_, [this, t0] { sampling_stage(t0); });
   });
 }
 
-void CameraPipelineEngine::sampler_stage(sim::Time t0) {
-  if (!stage_up(sampler_)) return drop_frame();
-  to_sampler_.record(orch_->simulation().now(), orch_->simulation().now() - t0);
-  serve(sampler_, [this, t0] {
+void CameraPipelineEngine::sampling_stage(sim::Time t0) {
+  if (!stage_up(sampling_)) return drop_frame();
+  to_sampling_.record(orch_->simulation().now(), orch_->simulation().now() - t0);
+  serve(sampling_, [this, t0] {
     // Only dissimilar frames go on to the detector.
     if (config_.sample_ratio < 1.0 && !rng_.chance(config_.sample_ratio)) {
       ++sampled_out_;

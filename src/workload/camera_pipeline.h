@@ -44,7 +44,7 @@ class CameraPipelineEngine final {
   const metrics::LatencyRecorder& e2e() const { return e2e_; }
   // Stage breakdown: capture->sampler service start, ->detector service
   // start, ->image receipt (each includes its transfer + queueing).
-  const metrics::LatencyRecorder& to_sampler() const { return to_sampler_; }
+  const metrics::LatencyRecorder& to_sampler() const { return to_sampling_; }
   const metrics::LatencyRecorder& to_detector() const { return to_detector_; }
   const metrics::LatencyRecorder& to_image() const { return to_image_; }
 
@@ -56,7 +56,7 @@ class CameraPipelineEngine final {
 
  private:
   void capture();
-  void sampler_stage(sim::Time t0);
+  void sampling_stage(sim::Time t0);
   void detector_stage(sim::Time t0);
   void drop_frame();
   // One pipeline edge: its index in the app's edges() (its traffic-stats
@@ -76,7 +76,7 @@ class CameraPipelineEngine final {
   CameraPipelineConfig config_;
   util::Rng rng_;
 
-  app::ComponentId camera_, sampler_, detector_, image_, label_;
+  app::ComponentId camera_, sampling_, detector_, image_, label_;
   Hop cam_samp_, samp_det_, det_img_, det_lbl_;
 
   struct Server {
@@ -85,7 +85,7 @@ class CameraPipelineEngine final {
   };
   std::vector<Server> servers_;
 
-  metrics::LatencyRecorder e2e_, to_sampler_, to_detector_, to_image_;
+  metrics::LatencyRecorder e2e_, to_sampling_, to_detector_, to_image_;
   std::int64_t captured_ = 0;
   std::int64_t annotated_ = 0;
   std::int64_t dropped_ = 0;

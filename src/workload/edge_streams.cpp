@@ -2,10 +2,6 @@
 
 namespace bass::workload {
 
-namespace {
-constexpr sim::Duration kSampleInterval = sim::seconds(1);
-}  // namespace
-
 EdgeStreamEngine::EdgeStreamEngine(core::Orchestrator& orchestrator,
                                    core::DeploymentId deployment)
     : orch_(&orchestrator), deployment_(deployment) {
@@ -23,14 +19,12 @@ void EdgeStreamEngine::start() {
   running_ = true;
   if (!subscription_) subscription_ = orch_->add_listener(deployment_, this);
   for (Flow& flow : flows_) open(flow);
-  sampler_ = orch_->simulation().schedule_periodic(kSampleInterval, [this] { sample(); });
 }
 
 void EdgeStreamEngine::stop() {
   if (!running_) return;
   running_ = false;
-  for (Flow& flow : flows_) close(flow);
-  orch_->simulation().cancel(sampler_);
+  for (std::size_t i = 0; i < flows_.size(); ++i) close(i);
 }
 
 net::Bps EdgeStreamEngine::delivered_bps() const {
@@ -57,43 +51,51 @@ void EdgeStreamEngine::open(Flow& flow) {
                                              orch_->node_of(deployment_, flow.to),
                                              flow.demand);
   flow.connected = true;
+  flow.recorded = 0;
+  flow.offered_from = orch_->simulation().now();
 }
 
-void EdgeStreamEngine::close(Flow& flow) {
+void EdgeStreamEngine::close(std::size_t i) {
+  Flow& flow = flows_[i];
   if (!flow.connected) return;
-  orch_->network().close_stream(flow.stream);
+  record(i, orch_->network().close_stream(flow.stream));
   flow.connected = false;
 }
 
-void EdgeStreamEngine::sample() {
-  const double dt = sim::to_seconds(kSampleInterval);
+// flows_[i] streams edge i.
+void EdgeStreamEngine::record(std::size_t i, std::int64_t delivered) {
+  Flow& flow = flows_[i];
+  const sim::Time now = orch_->simulation().now();
   monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
-  // flows_[i] streams edge i.
+  stats.record(i, delivered - flow.recorded);
+  stats.record_offered(i, static_cast<std::int64_t>(static_cast<double>(flow.demand) *
+                                                    static_cast<double>(now - flow.offered_from) /
+                                                    8e6));
+  flow.recorded = delivered;
+  flow.offered_from = now;
+}
+
+void EdgeStreamEngine::flush_traffic() {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const Flow& flow = flows_[i];
-    if (!flow.connected) continue;
-    const double rate = static_cast<double>(orch_->network().stream_rate(flow.stream));
-    stats.record(i, static_cast<std::int64_t>(rate * dt / 8.0));
-    stats.record_offered(i, static_cast<std::int64_t>(
-                                static_cast<double>(flow.demand) * dt / 8.0));
+    if (flows_[i].connected) record(i, orch_->network().stream_bytes(flows_[i].stream));
   }
 }
 
 void EdgeStreamEngine::on_component_down(app::ComponentId component) {
-  for (Flow& flow : flows_) {
-    if (flow.from == component || flow.to == component) close(flow);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (flows_[i].from == component || flows_[i].to == component) close(i);
   }
 }
 
 void EdgeStreamEngine::on_component_up(app::ComponentId component, net::NodeId node) {
   (void)node;
   if (!running_) return;
-  for (Flow& flow : flows_) {
-    if (flow.from != component && flow.to != component) continue;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (flows_[i].from != component && flows_[i].to != component) continue;
     // Reopen at the component's new node (close is a no-op if the outage
     // already closed it).
-    close(flow);
-    open(flow);
+    close(i);
+    open(flows_[i]);
   }
 }
 

@@ -1,12 +1,16 @@
 // Passive per-edge traffic for a deployed app: one network stream per app
-// edge at the edge's profiled bandwidth, sampled into the deployment's
-// TrafficStats every second — the per-component-pair TX/RX
-// signal the adaptive bandwidth controller reads (§3.2.2). Streams follow
-// migrations (close on component-down, reopen at the new node on
-// component-up) and vanish on undeploy. bassd runs one per churn instance;
-// the Fig. 8 walkthrough runs one over its single 8 Mbps pair.
+// edge at the edge's profiled bandwidth — the per-component-pair TX/RX
+// signal the adaptive bandwidth controller reads (§3.2.2). The network
+// counts each stream's delivered bytes; the engine copies them into the
+// deployment's TrafficStats when the controller reads the stats
+// (flush_traffic) and when a stream closes, so the stats carry exact bytes
+// and the engine schedules no events of its own. Streams follow migrations
+// (close on component-down, reopen at the new node on component-up) and
+// vanish on undeploy. bassd runs one per churn instance; the Fig. 8
+// walkthrough runs one over its single 8 Mbps pair.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/orchestrator.h"
@@ -20,7 +24,7 @@ class EdgeStreamEngine final : public core::DeploymentListener {
   EdgeStreamEngine(const EdgeStreamEngine&) = delete;
   EdgeStreamEngine& operator=(const EdgeStreamEngine&) = delete;
 
-  // Opens the streams and starts sampling; stop() closes them. Restartable.
+  // Opens the streams; stop() closes them. Restartable.
   void start();
   void stop();
 
@@ -33,6 +37,7 @@ class EdgeStreamEngine final : public core::DeploymentListener {
   // DeploymentListener:
   void on_component_down(app::ComponentId component) override;
   void on_component_up(app::ComponentId component, net::NodeId node) override;
+  void flush_traffic() override;
 
  private:
   struct Flow {
@@ -41,17 +46,21 @@ class EdgeStreamEngine final : public core::DeploymentListener {
     net::Bps demand = 0;
     net::StreamId stream = 0;
     bool connected = false;
+    std::int64_t recorded = 0;   // bytes of `stream` already in the stats
+    sim::Time offered_from = 0;  // offered bytes are in the stats up to here
   };
 
   void open(Flow& flow);
-  void close(Flow& flow);
-  void sample();
+  void close(std::size_t i);
+  // Writes flows_[i]'s bytes since its last record into the stats: the
+  // stream's delivered count has reached `delivered`, and the edge has
+  // offered its demand since offered_from.
+  void record(std::size_t i, std::int64_t delivered);
 
   core::Orchestrator* orch_;
   core::DeploymentId deployment_;
   std::vector<Flow> flows_;  // one per app edge, in edges() order
   bool running_ = false;
-  sim::EventId sampler_ = sim::kInvalidEvent;
   core::Subscription subscription_;
 };
 

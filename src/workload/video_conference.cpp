@@ -54,7 +54,7 @@ void VideoConferenceEngine::start() {
   running_ = true;
   if (!subscription_) subscription_ = orch_->add_listener(deployment_, this);
   open_streams(orch_->node_of(deployment_, sfu_));
-  sampler_ = orch_->simulation().schedule_periodic(config_.sample_interval,
+  sample_timer_ = orch_->simulation().schedule_periodic(config_.sample_interval,
                                                    [this] { sample(); });
 }
 
@@ -62,7 +62,7 @@ void VideoConferenceEngine::stop() {
   if (!running_) return;
   running_ = false;
   close_streams();
-  orch_->simulation().cancel(sampler_);
+  orch_->simulation().cancel(sample_timer_);
   for (const sim::EventId reconnect : reconnects_) orch_->simulation().cancel(reconnect);
   reconnects_.clear();
 }

@@ -106,7 +106,7 @@ class VideoConferenceEngine final : public core::DeploymentListener {
   std::vector<GroupStream> forwards_;
   bool connected_ = false;
 
-  sim::EventId sampler_ = sim::kInvalidEvent;
+  sim::EventId sample_timer_ = sim::kInvalidEvent;
   // Pending reconnects, oldest first; stop() cancels them so none outlives
   // the engine.
   std::vector<sim::EventId> reconnects_;

@@ -1,6 +1,7 @@
 #include "zone/sharded.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -843,11 +844,10 @@ std::string ShardedOrchestrator::merged_journal() const {
   // Zone events (annotated with their zone) in zone order, coordinator
   // events last, ordered by event time with source order breaking ties —
   // the order a stable sort of the concatenated lines by t_us gives. Each
-  // ring is already time-ordered (recorders journal monotonically), so a
+  // ring is time-ordered (every recorder stamps an event with its sim clock
+  // when it records it; the coordinator stamps the round deadline), so a
   // k-way heap merge keyed on (t, source index) serializes every event
   // straight into the output once: no per-zone JSONL copy, no line index.
-  // A non-monotonic ring (never expected; defensive) falls back to sorting
-  // (t, source, position) triples.
   struct Source {
     const obs::EventJournal* journal;
     std::string annotation;  // ",\"zone\":N}" for zones, "" for coordinator
@@ -875,58 +875,33 @@ std::string ShardedOrchestrator::merged_journal() const {
     return obs::event_time(src.journal->at(i));
   };
 
-  bool all_sorted = true;
-  for (const Source& src : sources) {
-    for (std::size_t i = 1; all_sorted && i < src.journal->size(); ++i) {
-      all_sorted = time_at(src, i - 1) <= time_at(src, i);
-    }
-  }
-  if (all_sorted) {
-    struct Head {
-      sim::Time t;
-      std::size_t src;
-    };
-    const auto later = [](const Head& a, const Head& b) {
-      if (a.t != b.t) return a.t > b.t;
-      return a.src > b.src;
-    };
-    std::vector<Head> heap;
-    heap.reserve(sources.size());
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      if (!sources[s].journal->empty()) heap.push_back({time_at(sources[s], 0), s});
-    }
-    std::make_heap(heap.begin(), heap.end(), later);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), later);
-      const std::size_t s = heap.back().src;
-      heap.pop_back();
-      Source& src = sources[s];
-      append(src, src.next++);
-      if (src.next < src.journal->size()) {
-        heap.push_back({time_at(src, src.next), s});
-        std::push_heap(heap.begin(), heap.end(), later);
-      }
-    }
-    return out;
-  }
-
-  struct Ref {
+  struct Head {
     sim::Time t;
     std::size_t src;
-    std::size_t idx;
   };
-  std::vector<Ref> refs;
+  const auto later = [](const Head& a, const Head& b) {
+    if (a.t != b.t) return a.t > b.t;
+    return a.src > b.src;
+  };
+  std::vector<Head> heap;
+  heap.reserve(sources.size());
   for (std::size_t s = 0; s < sources.size(); ++s) {
-    for (std::size_t i = 0; i < sources[s].journal->size(); ++i) {
-      refs.push_back({time_at(sources[s], i), s, i});
+    if (!sources[s].journal->empty()) heap.push_back({time_at(sources[s], 0), s});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t s = heap.back().src;
+    heap.pop_back();
+    Source& src = sources[s];
+    append(src, src.next++);
+    if (src.next < src.journal->size()) {
+      assert(time_at(src, src.next - 1) <= time_at(src, src.next) &&
+             "a journal ring went back in time");
+      heap.push_back({time_at(src, src.next), s});
+      std::push_heap(heap.begin(), heap.end(), later);
     }
   }
-  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
-    if (a.t != b.t) return a.t < b.t;
-    if (a.src != b.src) return a.src < b.src;
-    return a.idx < b.idx;
-  });
-  for (const Ref& ref : refs) append(sources[ref.src], ref.idx);
   return out;
 }
 

@@ -242,9 +242,29 @@ TEST(EdgeStreams, TracksGoodputAndMigration) {
   f.network->set_link_capacity_between(0, 1, net::mbps(4));
   f.sim.run_until(sim::minutes(1));
   EXPECT_NEAR(goodput.mean_in(sim::seconds(40), sim::minutes(1)), 0.5, 0.05);
-  // Traffic stats were fed for the controller.
-  EXPECT_GT(f.orch->traffic_stats(id).total_bytes(0), 0);
+  // The stream's bytes land in the stats when it closes: 30 s at 8 Mbps
+  // plus 30 s at 4 Mbps.
   engine.stop();
+  EXPECT_EQ(f.orch->traffic_stats(id).total_bytes(0), 45'000'000);
+}
+
+// The stats carry the stream's delivered bytes, not once-a-second samples
+// of its rate: a capacity drop between two whole seconds is counted to the
+// microsecond (30.5 s at 8 Mbps + 29.5 s at 4 Mbps).
+TEST(EdgeStreams, RecordsTheStreamsExactBytes) {
+  OrchFixture f;
+  app::AppGraph g("pair");
+  g.add_component({.name = "a", .cpu_milli = 100, .memory_mb = 64});
+  g.add_component({.name = "b", .cpu_milli = 100, .memory_mb = 64});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
+  workload::EdgeStreamEngine engine(*f.orch, id);
+  engine.start();
+  f.sim.schedule_at(sim::millis(30'500),
+                    [&] { f.network->set_link_capacity_between(0, 1, net::mbps(4)); });
+  f.sim.run_until(sim::minutes(1));
+  engine.stop();
+  EXPECT_EQ(f.orch->traffic_stats(id).total_bytes(0), 45'250'000);
 }
 
 TEST(EdgeStreams, GoesQuietWhileComponentDown) {

@@ -21,27 +21,30 @@ TEST(TrafficStats, RecordAndTotals) {
   EXPECT_EQ(stats.total_bytes(0), 0);
 }
 
-TEST(TrafficStats, TakeRateResetsWindow) {
+TEST(TrafficStats, TakeWindowResetsWindow) {
   TrafficStats stats(3);
   stats.record(1, 12'500);  // 100 kbit
   // Over 10 s that is 10 kbps.
-  EXPECT_EQ(stats.take_rate(1, sim::seconds(10)), net::kbps(10));
+  EXPECT_EQ(stats.take_window(1, sim::seconds(10)).delivered, net::kbps(10));
   // Window reset: nothing since t=10.
-  EXPECT_EQ(stats.take_rate(1, sim::seconds(20)), 0);
+  EXPECT_EQ(stats.take_window(1, sim::seconds(20)).delivered, 0);
   EXPECT_EQ(stats.total_bytes(1), 12'500);  // totals persist
 }
 
-TEST(TrafficStats, PeekDoesNotReset) {
+// Totals are the non-destructive read (the online profiler diffs them), so
+// reading them leaves the controller's window intact.
+TEST(TrafficStats, TotalsDoNotResetTheWindow) {
   TrafficStats stats(3);
   stats.record(1, 12'500);
-  EXPECT_EQ(stats.peek_rate(1, sim::seconds(10)), net::kbps(10));
-  EXPECT_EQ(stats.peek_rate(1, sim::seconds(10)), net::kbps(10));
+  EXPECT_EQ(stats.total_bytes(1), 12'500);
+  EXPECT_EQ(stats.total_bytes(1), 12'500);
+  EXPECT_EQ(stats.take_window(1, sim::seconds(10)).delivered, net::kbps(10));
 }
 
 TEST(TrafficStats, ZeroWindowIsZeroRate) {
   TrafficStats stats(3);
   stats.record(1, 1000);
-  EXPECT_EQ(stats.peek_rate(1, 0), 0);
+  EXPECT_EQ(stats.take_window(1, 0).delivered, 0);
 }
 
 // A retired deployment's stats have no slots: in-flight traffic that lands
@@ -52,7 +55,6 @@ TEST(TrafficStats, EdgesPastTheEndReadZero) {
   stats.record_offered(1, 1000);
   EXPECT_EQ(stats.total_bytes(0), 0);
   EXPECT_EQ(stats.total_bytes(1), 0);
-  EXPECT_EQ(stats.peek_rate(1, sim::seconds(1)), 0);
   const auto window = stats.take_window(1, sim::seconds(1));
   EXPECT_EQ(window.delivered, 0);
   EXPECT_EQ(window.offered, 0);

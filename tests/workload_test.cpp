@@ -456,6 +456,19 @@ TEST(EdgeStreams, RestartReopensOneStreamPerEdge) {
   engine.stop();
 }
 
+// The network counts the streams' bytes, so an engine needs no timer of
+// its own.
+TEST(EdgeStreams, StartSchedulesNoTimer) {
+  Fixture f;
+  const auto id = f.orch->deploy_with_placement(two_stage_app(), {0, 2}).take();
+  EdgeStreamEngine engine(*f.orch, id);
+  const std::size_t before = f.sim.pending_events();
+  engine.start();
+  EXPECT_EQ(f.network->stream_count(), 1u);
+  EXPECT_EQ(f.sim.pending_events(), before);
+  engine.stop();
+}
+
 // ---- Listener lifetimes ----
 
 // Moves component 0, fails its node, waits out the recovery and undeploys:
