@@ -171,7 +171,7 @@ util::Expected<DeploymentId> Orchestrator::deploy(
   d->deployed_at = sim_->now();
   d->placement = result.take();
   d->up.assign(static_cast<std::size_t>(graph.component_count()), true);
-  d->stats = monitor::TrafficStats(graph.edges().size());
+  d->stats = monitor::TrafficStats(graph.edges().size(), sim_->now());
   for (app::ComponentId c = 0; c < graph.component_count(); ++c) {
     const auto& comp = graph.component(c);
     if (!needs_resources(comp)) continue;
@@ -221,7 +221,7 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   d->deployed_at = sim_->now();
   d->placement = std::move(placement);
   d->up.assign(static_cast<std::size_t>(app.component_count()), true);
-  d->stats = monitor::TrafficStats(app.edges().size());
+  d->stats = monitor::TrafficStats(app.edges().size(), sim_->now());
   d->app = std::move(prepared);
   const DeploymentId id = add_deployment(std::move(d));
   if (recorder_ != nullptr) {

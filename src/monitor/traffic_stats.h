@@ -21,7 +21,10 @@ namespace bass::monitor {
 class TrafficStats {
  public:
   TrafficStats() = default;
-  explicit TrafficStats(std::size_t edges) : edges_(edges) {}
+  // Every edge's first window opens at `start`, the deploy time: a tenant
+  // admitted late is not averaged over the time before it existed.
+  explicit TrafficStats(std::size_t edges, sim::Time start = 0)
+      : edges_(edges, EdgeStats{.window_start = start}) {}
 
   std::size_t edge_count() const { return edges_.size(); }
 

@@ -267,6 +267,30 @@ TEST(EdgeStreams, RecordsTheStreamsExactBytes) {
   EXPECT_EQ(f.orch->traffic_stats(id).total_bytes(0), 45'250'000);
 }
 
+// A pair deployed at t=600 s on a link that fails the headroom check but
+// carries the full 8 Mbps: its first controller window covers the 30 s
+// since deploy, not the 630 s since the run began, so it does not read as
+// starved and no round records a violation.
+TEST(EdgeStreams, LateTenantsFirstWindowStartsAtDeploy) {
+  OrchFixture f;
+  f.network->set_link_capacity_between(0, 1, net::mbps(9));
+  f.sim.run_until(sim::seconds(600));
+  app::AppGraph g("pair");
+  g.add_component({.name = "a", .cpu_milli = 100, .memory_mb = 64});
+  g.add_component({.name = "b", .cpu_milli = 100, .memory_mb = 64});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
+  const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
+  workload::EdgeStreamEngine engine(*f.orch, id);
+  engine.start();
+  controller::MigrationParams params;
+  params.utilization_threshold = 0.95;  // 8 of 9 Mbps stays under (a1)
+  f.orch->enable_migration(id, params);
+  f.sim.run_until(sim::seconds(631));
+  EXPECT_EQ(engine.delivered_bps(), net::mbps(8));
+  EXPECT_TRUE(f.orch->controller_rounds(id).empty());
+  engine.stop();
+}
+
 TEST(EdgeStreams, GoesQuietWhileComponentDown) {
   OrchFixture f;
   app::AppGraph g("pair");
