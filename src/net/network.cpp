@@ -447,9 +447,8 @@ bool Network::release_in_place(int slot, double rate) {
 std::int64_t Network::stream_bytes(StreamId id) const {
   const Stream* st = find_stream(id);
   if (st == nullptr) return 0;
-  const sim::Duration dt = sim_->now() - st->last_update;
-  const double pending = dt > 0 ? bytes_in(dt, st->rate_bps) : 0.0;
-  return static_cast<std::int64_t>(st->bytes_delivered + pending);
+  return static_cast<std::int64_t>(st->bytes_delivered +
+                                   bytes_in(sim_->now() - st->last_update, st->rate_bps));
 }
 
 Bps Network::stream_rate(StreamId id) const {

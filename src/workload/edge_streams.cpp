@@ -24,7 +24,7 @@ void EdgeStreamEngine::start() {
 void EdgeStreamEngine::stop() {
   if (!running_) return;
   running_ = false;
-  for (std::size_t i = 0; i < flows_.size(); ++i) close(i);
+  for (Flow& flow : flows_) close(flow);
 }
 
 net::Bps EdgeStreamEngine::delivered_bps() const {
@@ -55,47 +55,45 @@ void EdgeStreamEngine::open(Flow& flow) {
   flow.offered_from = orch_->simulation().now();
 }
 
-void EdgeStreamEngine::close(std::size_t i) {
-  Flow& flow = flows_[i];
+void EdgeStreamEngine::close(Flow& flow) {
   if (!flow.connected) return;
-  record(i, orch_->network().close_stream(flow.stream));
+  record(flow, orch_->network().close_stream(flow.stream));
   flow.connected = false;
 }
 
-// flows_[i] streams edge i.
-void EdgeStreamEngine::record(std::size_t i, std::int64_t delivered) {
-  Flow& flow = flows_[i];
+void EdgeStreamEngine::record(Flow& flow, std::int64_t delivered) {
+  const auto edge = static_cast<std::size_t>(&flow - flows_.data());  // flows_[i] streams edge i
   const sim::Time now = orch_->simulation().now();
   monitor::TrafficStats& stats = orch_->traffic_stats(deployment_);
-  stats.record(i, delivered - flow.recorded);
-  stats.record_offered(i, static_cast<std::int64_t>(static_cast<double>(flow.demand) *
-                                                    static_cast<double>(now - flow.offered_from) /
-                                                    8e6));
+  stats.record(edge, delivered - flow.recorded);
+  stats.record_offered(edge, static_cast<std::int64_t>(
+                                 static_cast<double>(flow.demand) *
+                                 static_cast<double>(now - flow.offered_from) / 8e6));
   flow.recorded = delivered;
   flow.offered_from = now;
 }
 
 void EdgeStreamEngine::flush_traffic() {
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (flows_[i].connected) record(i, orch_->network().stream_bytes(flows_[i].stream));
+  for (Flow& flow : flows_) {
+    if (flow.connected) record(flow, orch_->network().stream_bytes(flow.stream));
   }
 }
 
 void EdgeStreamEngine::on_component_down(app::ComponentId component) {
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (flows_[i].from == component || flows_[i].to == component) close(i);
+  for (Flow& flow : flows_) {
+    if (flow.from == component || flow.to == component) close(flow);
   }
 }
 
 void EdgeStreamEngine::on_component_up(app::ComponentId component, net::NodeId node) {
   (void)node;
   if (!running_) return;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (flows_[i].from != component && flows_[i].to != component) continue;
+  for (Flow& flow : flows_) {
+    if (flow.from != component && flow.to != component) continue;
     // Reopen at the component's new node (close is a no-op if the outage
     // already closed it).
-    close(i);
-    open(flows_[i]);
+    close(flow);
+    open(flow);
   }
 }
 

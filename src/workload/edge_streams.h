@@ -51,11 +51,11 @@ class EdgeStreamEngine final : public core::DeploymentListener {
   };
 
   void open(Flow& flow);
-  void close(std::size_t i);
-  // Writes flows_[i]'s bytes since its last record into the stats: the
-  // stream's delivered count has reached `delivered`, and the edge has
-  // offered its demand since offered_from.
-  void record(std::size_t i, std::int64_t delivered);
+  void close(Flow& flow);
+  // Writes the flow's bytes since its last record into the stats: its
+  // stream has delivered `delivered` in all, and its demand was offered
+  // since offered_from.
+  void record(Flow& flow, std::int64_t delivered);
 
   core::Orchestrator* orch_;
   core::DeploymentId deployment_;
