@@ -5,10 +5,9 @@
 // plus a downsampled rolling-mean series for plotting.
 #include "common.h"
 
-#include "metrics/time_series.h"
+#include "obs/series.h"
 #include "trace/citylab.h"
 #include "trace/generator.h"
-#include "util/stats.h"
 
 using namespace bass;
 
@@ -19,9 +18,9 @@ void report(const char* name, const trace::GeneratorParams& params,
   util::Rng rng(seed);
   const trace::BandwidthTrace t = trace::generate_trace(params, rng);
 
-  metrics::TimeSeries raw;
+  obs::TimeSeries raw;
   for (const auto& p : t.points()) raw.record(p.at, static_cast<double>(p.bps) / 1e6);
-  const metrics::TimeSeries rolling = raw.rolling_mean(sim::seconds(10));
+  const obs::TimeSeries rolling = raw.rolling_mean(sim::seconds(10));
 
   const double mean = t.mean_bps() / 1e6;
   const double std_pct = 100.0 * t.stddev_bps() / t.mean_bps();

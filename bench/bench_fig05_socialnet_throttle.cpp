@@ -11,7 +11,7 @@ using namespace bass;
 
 namespace {
 
-metrics::TimeSeries run(bool throttle) {
+obs::TimeSeries run(bool throttle) {
   // The paper deploys with the default k3s scheduler for this motivation
   // experiment (BASS is not in the picture yet).
   bench::LanCluster rig(3, 12000, 131072);
@@ -47,7 +47,7 @@ metrics::TimeSeries run(bool throttle) {
   return engine.latencies().series().binned_mean(sim::seconds(10));
 }
 
-void print_series(const char* name, const metrics::TimeSeries& series) {
+void print_series(const char* name, const obs::TimeSeries& series) {
   std::printf("%s (mean latency ms per 10 s bin):\n", name);
   for (const auto& s : series.samples()) {
     if (s.at > sim::minutes(6)) break;

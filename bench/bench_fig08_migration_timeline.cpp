@@ -20,7 +20,7 @@
 
 #include <cstring>
 
-#include "metrics/time_series.h"
+#include "obs/series.h"
 #include "workload/edge_streams.h"
 
 using namespace bass;
@@ -39,7 +39,7 @@ bool claim(bool held, const char* what) {
 // The paper's timeline, read off the run: the migrations and the 60 s
 // goodput bins printed above.
 bool claims_hold(const core::Orchestrator& orch, core::DeploymentId id,
-                 const metrics::TimeSeries& bins) {
+                 const obs::TimeSeries& bins) {
   std::vector<core::MigrationEvent> moves;
   for (const auto& m : orch.migration_events()) {
     if (orch.app(id).component(m.component).name == "worker") moves.push_back(m);
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   // One 8 Mbps stream over the pair's only edge; goodput sampled each second.
   workload::EdgeStreamEngine pair(orch, id.value());
   pair.start();
-  metrics::TimeSeries goodput_series;
+  obs::TimeSeries goodput_series;
   sim.schedule_periodic(sim::seconds(1),
                         [&] { goodput_series.record(sim.now(), pair.goodput()); });
 

@@ -15,7 +15,7 @@ using namespace bass;
 
 namespace {
 
-metrics::TimeSeries run(bool migration_enabled, sim::Duration interval) {
+obs::TimeSeries run(bool migration_enabled, sim::Duration interval) {
   core::OrchestratorConfig orch_cfg;
   orch_cfg.restart_duration = sim::seconds(20);  // + 10 s reconnect = ~30 s outage
   bench::LanCluster rig(3, 16000, 131072, net::gbps(1), orch_cfg);
@@ -72,7 +72,7 @@ metrics::TimeSeries run(bool migration_enabled, sim::Duration interval) {
   return engine.bitrate_series(2).binned_mean(sim::seconds(10));
 }
 
-void print_series(const char* name, const metrics::TimeSeries& s) {
+void print_series(const char* name, const obs::TimeSeries& s) {
   std::printf("\n%s (per-client bitrate, 10 s bins):\n", name);
   for (const auto& p : s.samples()) {
     std::printf("  t=%3.0fs %8.0f Kbps\n", sim::to_seconds(p.at), p.value / 1e3);

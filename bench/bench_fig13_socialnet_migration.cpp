@@ -14,7 +14,7 @@ using namespace bass;
 namespace {
 
 struct Result {
-  metrics::TimeSeries series;
+  obs::TimeSeries series;
   double mean_ms;
   double p99_ms;
   std::size_t migrations;
@@ -130,7 +130,7 @@ int main() {
       {"no-migration", false, sim::seconds(30)},
   };
 
-  std::vector<std::pair<const char*, metrics::TimeSeries>> all;
+  std::vector<std::pair<const char*, obs::TimeSeries>> all;
   for (const auto& c : configs) {
     const Result r = run(c.migration, c.interval);
     std::printf("%-16s %10.1f %12.1f %12zu\n", c.name, r.mean_ms, r.p99_ms,

@@ -7,7 +7,7 @@
 //      {25,50,65,75,95}% and headroom {10,20,30}% for both heuristics.
 #include "common.h"
 
-#include "metrics/cdf.h"
+#include "obs/series.h"
 #include "workload/request_engine.h"
 
 using namespace bass;
@@ -15,7 +15,7 @@ using namespace bass;
 namespace {
 
 struct RunResult {
-  std::vector<double> latencies_ms;
+  obs::TimeSeries latencies_ms;
   double mean_ms = 0;
   double median_ms = 0;
   double p75_ms = 0;  // "upper quartile" used to pick Fig. 14(b)'s configs
@@ -69,7 +69,7 @@ RunResult run_socialnet(core::SchedulerKind kind, bool migration,
   rig.sim.run_until(duration + sim::minutes(2));
 
   RunResult r;
-  r.latencies_ms = engine.latencies().latencies_ms();
+  r.latencies_ms = engine.latencies().series();
   r.mean_ms = engine.latencies().mean_ms();
   r.median_ms = engine.latencies().median_ms();
   r.p75_ms = engine.latencies().percentile_ms(75);
@@ -78,11 +78,10 @@ RunResult run_socialnet(core::SchedulerKind kind, bool migration,
   return r;
 }
 
-void print_cdf(const char* name, const std::vector<double>& values) {
-  metrics::Cdf cdf(values);
+void print_cdf(const char* name, const obs::TimeSeries& latencies_ms) {
   std::printf("%-26s", name);
   for (double p : {0.10, 0.25, 0.50, 0.75, 0.90, 0.99}) {
-    std::printf(" p%02.0f=%8.1f", p * 100, cdf.value_at(p));
+    std::printf(" p%02.0f=%8.1f", p * 100, latencies_ms.percentile(p * 100.0));
   }
   std::printf("\n");
 }

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/orchestrator.h"
-#include "metrics/time_series.h"
+#include "obs/series.h"
 #include "workload/edge_streams.h"
 
 using namespace bass;
@@ -71,7 +71,7 @@ int main() {
   // Stream the app's edge at its 8 Mbps and sample goodput every second.
   workload::EdgeStreamEngine engine(orch, id.value());
   engine.start();
-  metrics::TimeSeries goodput;
+  obs::TimeSeries goodput;
   sim.schedule_periodic(sim::seconds(1),
                         [&] { goodput.record(sim.now(), engine.goodput()); });
 

@@ -567,10 +567,13 @@ void Orchestrator::controller_evaluate(DeploymentId id) {
     if (migrate(id, mover, *target, MoveReason::kController)) {
       ++started;
       set(mover, kMoved);
-      // The pair rule: the partner(s) of a moved component stay put.
-      for (const auto& [from, to] : violating_pairs) {
-        if (from == mover) set(to, kMoved);
-        if (to == mover) set(from, kMoved);
+      // The pair rule: the partner(s) of a moved component stay put. The
+      // dedup ablation lifts it, so both ends may move in one round.
+      if (d.params.dedup_pairs) {
+        for (const auto& [from, to] : violating_pairs) {
+          if (from == mover) set(to, kMoved);
+          if (to == mover) set(from, kMoved);
+        }
       }
     }
   }

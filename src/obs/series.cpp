@@ -1,17 +1,37 @@
-#include "metrics/time_series.h"
+#include "obs/series.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "util/csv.h"
 #include "util/strings.h"
 
-namespace bass::metrics {
+namespace bass::obs {
+
+double percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  if (q <= 0.0) return values.front();
+  if (q >= 100.0) return values.back();
+  const double pos = (q / 100.0) * (static_cast<double>(values.size()) - 1.0);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
 
 std::vector<double> TimeSeries::values() const {
   std::vector<double> out;
   out.reserve(samples_.size());
   for (const auto& s : samples_) out.push_back(s.value);
   return out;
+}
+
+double TimeSeries::mean() const {
+  if (samples_.empty()) return 0.0;
+  double sum = 0.0;
+  for (const auto& s : samples_) sum += s.value;
+  return sum / static_cast<double>(samples_.size());
 }
 
 double TimeSeries::mean_in(sim::Time from, sim::Time to) const {
@@ -75,4 +95,4 @@ bool TimeSeries::write_csv(const std::string& path, const std::string& value_nam
   return w.finish();
 }
 
-}  // namespace bass::metrics
+}  // namespace bass::obs

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "util/csv.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 namespace bass::trace {
@@ -32,17 +31,21 @@ net::Bps BandwidthTrace::value_at(sim::Time t) const {
 }
 
 double BandwidthTrace::mean_bps() const {
-  std::vector<double> v;
-  v.reserve(points_.size());
-  for (const auto& p : points_) v.push_back(static_cast<double>(p.bps));
-  return util::mean(v);
+  if (points_.empty()) return 0.0;
+  double sum = 0.0;
+  for (const auto& p : points_) sum += static_cast<double>(p.bps);
+  return sum / static_cast<double>(points_.size());
 }
 
 double BandwidthTrace::stddev_bps() const {
-  std::vector<double> v;
-  v.reserve(points_.size());
-  for (const auto& p : points_) v.push_back(static_cast<double>(p.bps));
-  return util::stddev(v);
+  if (points_.size() < 2) return 0.0;
+  const double m = mean_bps();
+  double accum = 0.0;
+  for (const auto& p : points_) {
+    const double v = static_cast<double>(p.bps);
+    accum += (v - m) * (v - m);
+  }
+  return std::sqrt(accum / static_cast<double>(points_.size()));
 }
 
 net::Bps BandwidthTrace::min_bps() const {

@@ -34,7 +34,8 @@ class BandwidthTrace {
   // point's value before the trace starts; 0 for an empty trace.
   net::Bps value_at(sim::Time t) const;
 
-  // Summary statistics over point values (Mbps-level reporting).
+  // Summary statistics over point values (Mbps-level reporting): the mean
+  // is 0 for an empty trace, the population stddev 0 below two points.
   double mean_bps() const;
   double stddev_bps() const;
   net::Bps min_bps() const;

@@ -7,6 +7,7 @@
 // calls (e.g. bassctl --log-level) win over the environment.
 #pragma once
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -28,8 +29,8 @@ void log_line(LogLevel level, const std::string& message);
 namespace detail {
 
 // Stream-style builder: LogStream(kInfo) << "x=" << x; emits on destruction.
-// Formatting is skipped entirely when the level is filtered out, so logging
-// in hot paths costs a single comparison when disabled.
+// The string stream is built on the first enabled <<, so a line whose level
+// is filtered out costs one comparison per << and never touches a stream.
 class LogStream {
  public:
   explicit LogStream(LogLevel level)
@@ -38,19 +39,25 @@ class LogStream {
   LogStream& operator=(const LogStream&) = delete;
   LogStream(LogStream&&) = default;
   ~LogStream() {
-    if (enabled_) log_line(level_, out_.str());
+    if (enabled_) log_line(level_, out_ ? out_->str() : std::string());
   }
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    if (enabled_) out_ << value;
+    if (enabled_) {
+      if (!out_) out_.emplace();
+      *out_ << value;
+    }
     return *this;
   }
+
+  // Whether a stream has been built (a test hook for the disabled path).
+  bool formatted() const { return out_.has_value(); }
 
  private:
   LogLevel level_;
   bool enabled_;
-  std::ostringstream out_;
+  std::optional<std::ostringstream> out_;
 };
 
 }  // namespace detail

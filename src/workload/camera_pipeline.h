@@ -12,7 +12,7 @@
 #include <functional>
 
 #include "core/orchestrator.h"
-#include "metrics/latency_recorder.h"
+#include "obs/series.h"
 #include "util/rng.h"
 
 namespace bass::workload {
@@ -41,12 +41,12 @@ class CameraPipelineEngine final {
   void stop();
 
   // Capture -> annotated-image receipt.
-  const metrics::LatencyRecorder& e2e() const { return e2e_; }
+  const obs::LatencyRecorder& e2e() const { return e2e_; }
   // Stage breakdown: capture->sampler service start, ->detector service
   // start, ->image receipt (each includes its transfer + queueing).
-  const metrics::LatencyRecorder& to_sampler() const { return to_sampling_; }
-  const metrics::LatencyRecorder& to_detector() const { return to_detector_; }
-  const metrics::LatencyRecorder& to_image() const { return to_image_; }
+  const obs::LatencyRecorder& to_sampler() const { return to_sampling_; }
+  const obs::LatencyRecorder& to_detector() const { return to_detector_; }
+  const obs::LatencyRecorder& to_image() const { return to_image_; }
 
   std::int64_t frames_captured() const { return captured_; }
   std::int64_t frames_annotated() const { return annotated_; }
@@ -85,7 +85,7 @@ class CameraPipelineEngine final {
   };
   std::vector<Server> servers_;
 
-  metrics::LatencyRecorder e2e_, to_sampling_, to_detector_, to_image_;
+  obs::LatencyRecorder e2e_, to_sampling_, to_detector_, to_image_;
   std::int64_t captured_ = 0;
   std::int64_t annotated_ = 0;
   std::int64_t dropped_ = 0;

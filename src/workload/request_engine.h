@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "core/orchestrator.h"
-#include "metrics/latency_recorder.h"
+#include "obs/series.h"
 #include "util/rng.h"
 
 namespace bass::workload {
@@ -62,7 +62,7 @@ class RequestEngine final : public core::DeploymentListener {
   // Stops new arrivals; in-flight requests run to completion.
   void stop();
 
-  const metrics::LatencyRecorder& latencies() const { return latencies_; }
+  const obs::LatencyRecorder& latencies() const { return latencies_; }
   std::int64_t issued() const { return issued_; }
   std::int64_t completed() const { return completed_; }
   std::int64_t in_flight() const { return issued_ - completed_; }
@@ -145,7 +145,7 @@ class RequestEngine final : public core::DeploymentListener {
   std::vector<Frame> frames_;
   FrameId free_frames_ = kNoFrame;  // free list through Frame::next
 
-  metrics::LatencyRecorder latencies_;
+  obs::LatencyRecorder latencies_;
   std::int64_t issued_ = 0;
   std::int64_t completed_ = 0;
   std::int64_t shed_ = 0;

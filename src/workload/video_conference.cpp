@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/stats.h"
 #include "util/strings.h"
 
 namespace bass::workload {
@@ -194,12 +193,12 @@ const VideoConferenceEngine::Group& VideoConferenceEngine::group_at(
   throw std::out_of_range("no client group at this node");
 }
 
-const metrics::TimeSeries& VideoConferenceEngine::bitrate_series(
+const obs::TimeSeries& VideoConferenceEngine::bitrate_series(
     net::NodeId group_node) const {
   return group_at(group_node).bitrate;
 }
 
-const metrics::TimeSeries& VideoConferenceEngine::loss_series(
+const obs::TimeSeries& VideoConferenceEngine::loss_series(
     net::NodeId group_node) const {
   return group_at(group_node).loss;
 }
@@ -214,7 +213,7 @@ double VideoConferenceEngine::median_bitrate(net::NodeId group_node,
   for (const auto& s : bitrate_series(group_node).samples()) {
     if (s.at >= from) values.push_back(s.value);
   }
-  return util::percentile(std::move(values), 50.0);
+  return obs::percentile(std::move(values), 50.0);
 }
 
 double VideoConferenceEngine::mean_loss(net::NodeId group_node, sim::Time from) const {

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "core/orchestrator.h"
-#include "metrics/time_series.h"
 #include "net/types.h"
+#include "obs/series.h"
 
 namespace bass::workload {
 
@@ -51,9 +51,9 @@ class VideoConferenceEngine final : public core::DeploymentListener {
 
   // Mean *per-client download* bitrate (bps) at each sample instant, for
   // the clients attached at `group_node`. Zero while disconnected.
-  const metrics::TimeSeries& bitrate_series(net::NodeId group_node) const;
+  const obs::TimeSeries& bitrate_series(net::NodeId group_node) const;
   // Loss proxy: 1 - delivered/expected per sample.
-  const metrics::TimeSeries& loss_series(net::NodeId group_node) const;
+  const obs::TimeSeries& loss_series(net::NodeId group_node) const;
 
   double mean_bitrate(net::NodeId group_node, sim::Time from = 0) const;
   double median_bitrate(net::NodeId group_node, sim::Time from = 0) const;
@@ -74,8 +74,8 @@ class VideoConferenceEngine final : public core::DeploymentListener {
     int receivers = 0;  // clients subscribed to at least one stream
     app::ComponentId component = app::kInvalidComponent;
     std::size_t edge = 0;  // the sfu -> component edge: its traffic-stats slot
-    metrics::TimeSeries bitrate;
-    metrics::TimeSeries loss;
+    obs::TimeSeries bitrate;
+    obs::TimeSeries loss;
     // Open streams while connected: publisher uplinks, SFU forwards.
     int uplinks = 0;
     int forwards = 0;

@@ -54,7 +54,6 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::create
   const std::size_t links = static_cast<std::size_t>(build.topology.link_count());
   s->link_owners_.assign(links, {});
   s->recon_caps_.assign(links, 0.0);
-  s->caps_stamp_.assign(links, 0);
 
   for (int z = 0; z < s->partition_.zones; ++z) {
     s->worlds_.push_back(std::make_unique<World>(build.recorder));
@@ -365,6 +364,18 @@ void ShardedOrchestrator::build_components() {
     }
     sort_dedup(comp.owner_zones);
   }
+#ifndef NDEBUG
+  // Reconcile fills each link's residual once per dirty component; that
+  // holds because no link lands in two components.
+  std::vector<int> link_component(link_owners_.size(), -1);
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    for (const net::LinkId gl : components_[c].links) {
+      int& owner = link_component[static_cast<std::size_t>(gl)];
+      assert(owner == -1 && "border components share a link");
+      owner = static_cast<int>(c);
+    }
+  }
+#endif
 }
 
 void ShardedOrchestrator::cache_instruments() {
@@ -549,12 +560,10 @@ int ShardedOrchestrator::reconcile() {
     // Residual capacity for border traffic on every dirty-component link:
     // what the owning worlds' non-transit allocations leave over, min
     // across owners (border links are owned by both touching zones).
-    ++stamp_;
+    // Components are link-disjoint, so each link is filled once per pass.
     for (std::size_t ci = 0; ci < components_.size(); ++ci) {
       if (comp_dirty_[ci] == 0) continue;
       for (const net::LinkId gl : components_[ci].links) {
-        if (caps_stamp_[static_cast<std::size_t>(gl)] == stamp_) continue;
-        caps_stamp_[static_cast<std::size_t>(gl)] = stamp_;
         double residual = std::numeric_limits<double>::max();
         for (const LinkOwner& owner : link_owners_[static_cast<std::size_t>(gl)]) {
           if (owner.zone == -1) continue;

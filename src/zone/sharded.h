@@ -289,9 +289,7 @@ class ShardedOrchestrator {
 
   obs::Recorder coordinator_;
   net::MaxMinSolver border_solver_;
-  std::vector<double> recon_caps_;         // indexed by global link id
-  std::vector<std::uint32_t> caps_stamp_;  // per-pass fill guard
-  std::uint32_t stamp_ = 0;
+  std::vector<double> recon_caps_;  // indexed by global link id
 
   // Border components + persistent reconcile scratch (no per-round heap
   // traffic in steady state — the PR-5 discipline).

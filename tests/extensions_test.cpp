@@ -9,8 +9,8 @@
 #include "controller/migration_policy.h"
 #include "core/orchestrator.h"
 #include "net/maxmin.h"
+#include "obs/series.h"
 #include "sched/bass_scheduler.h"
-#include "metrics/time_series.h"
 #include "workload/edge_streams.h"
 
 namespace bass {
@@ -216,6 +216,48 @@ TEST(DedupAblation, DisabledKeepsBothEndpoints) {
   EXPECT_EQ(controller::select_migration_candidates(g, {obs}, params).size(), 2u);
 }
 
+// Moves the controller starts in its first violating round for an unpinned
+// pair split across a throttled LAN link.
+int first_round_moves(bool dedup_pairs) {
+  sim::Simulation sim;
+  net::Topology topo;
+  for (int i = 0; i < 3; ++i) topo.add_node();
+  topo.add_link(0, 1, net::mbps(6));
+  topo.add_link(1, 2, net::mbps(50));
+  topo.add_link(0, 2, net::mbps(50));
+  net::Network network(sim, std::move(topo));
+  cluster::ClusterState cluster;
+  for (int i = 0; i < 3; ++i) cluster.add_node(i, {8000, 8192, true});
+  core::Orchestrator orch(sim, network, cluster);
+  app::AppGraph g("pair");
+  g.add_component({.name = "a", .cpu_milli = 100, .memory_mb = 64});
+  g.add_component({.name = "b", .cpu_milli = 100, .memory_mb = 64});
+  g.add_dependency({.from = 0, .to = 1, .bandwidth = net::mbps(8)});
+  const auto id = orch.deploy_with_placement(std::move(g), {0, 1}).take();
+
+  controller::MigrationParams params;
+  params.evaluation_interval = sim::seconds(10);
+  params.utilization_threshold = 0.5;
+  params.headroom_frac = 0.2;
+  params.cooldown = 0;
+  params.min_migration_gap = 0;
+  params.max_migrations_per_round = 2;
+  params.dedup_pairs = dedup_pairs;
+  orch.enable_migration(id, params);
+  // 5 Mbps recorded on the 6 Mbps link: (a1) with no headroom left.
+  sim.schedule_periodic(sim::seconds(1), [&] {
+    orch.traffic_stats(id).record(0, net::mbps(5) / 8);
+  });
+  sim.run_until(sim::seconds(10) + 1);
+  const auto& rounds = orch.controller_rounds(id);
+  return rounds.empty() ? 0 : rounds.front().migrations_started;
+}
+
+TEST(DedupAblation, DisabledMovesBothEndpointsInOneRound) {
+  EXPECT_EQ(first_round_moves(/*dedup_pairs=*/false), 2);
+  EXPECT_EQ(first_round_moves(/*dedup_pairs=*/true), 1);
+}
+
 // ---- EdgeStreamEngine ----
 
 TEST(EdgeStreams, TracksGoodputAndMigration) {
@@ -230,7 +272,7 @@ TEST(EdgeStreams, TracksGoodputAndMigration) {
 
   workload::EdgeStreamEngine engine(*f.orch, id);
   engine.start();
-  metrics::TimeSeries goodput;
+  obs::TimeSeries goodput;
   f.sim.schedule_periodic(sim::seconds(1),
                           [&] { goodput.record(f.sim.now(), engine.goodput()); });
   f.sim.run_until(sim::seconds(30));
@@ -300,7 +342,7 @@ TEST(EdgeStreams, GoesQuietWhileComponentDown) {
   const auto id = f.orch->deploy_with_placement(std::move(g), {0, 1}).take();
   workload::EdgeStreamEngine engine(*f.orch, id);
   engine.start();
-  metrics::TimeSeries rate, goodput;
+  obs::TimeSeries rate, goodput;
   f.sim.schedule_periodic(sim::seconds(1), [&] {
     rate.record(f.sim.now(), static_cast<double>(engine.delivered_bps()));
     goodput.record(f.sim.now(), engine.goodput());

@@ -10,7 +10,7 @@
 #include "app/catalog.h"
 #include "core/orchestrator.h"
 #include "fault/invariants.h"
-#include "metrics/time_series.h"
+#include "obs/series.h"
 #include "profiler/online_profiler.h"
 #include "trace/citylab.h"
 #include "workload/edge_streams.h"
@@ -261,7 +261,7 @@ TEST(Integration, Fig8WalkthroughMigratesThereAndBack) {
 
   workload::EdgeStreamEngine pair(orch, id);
   pair.start();
-  metrics::TimeSeries goodput;
+  obs::TimeSeries goodput;
   sim.schedule_periodic(sim::seconds(1),
                         [&] { goodput.record(sim.now(), pair.goodput()); });
 

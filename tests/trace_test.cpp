@@ -39,6 +39,21 @@ TEST(BandwidthTrace, Stats) {
   EXPECT_EQ(t.max_bps(), net::mbps(20));
 }
 
+TEST(BandwidthTrace, StddevSinglePointIsZero) {
+  BandwidthTrace t;
+  t.append(0, 5);
+  EXPECT_EQ(t.stddev_bps(), 0.0);
+  EXPECT_EQ(BandwidthTrace().mean_bps(), 0.0);
+}
+
+TEST(BandwidthTrace, StddevKnownValue) {
+  // Population stddev of {2,4,4,4,5,5,7,9} is exactly 2.
+  BandwidthTrace t;
+  sim::Time at = 0;
+  for (const net::Bps bps : {2, 4, 4, 4, 5, 5, 7, 9}) t.append(at++, bps);
+  EXPECT_DOUBLE_EQ(t.stddev_bps(), 2.0);
+}
+
 TEST(BandwidthTrace, CsvRoundTrip) {
   BandwidthTrace t;
   t.append(0, net::mbps(7));

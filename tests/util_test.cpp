@@ -6,39 +6,10 @@
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 namespace bass::util {
 namespace {
-
-TEST(Stats, MeanOfEmptyIsZero) { EXPECT_EQ(mean({}), 0.0); }
-
-TEST(Stats, MeanBasic) { EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0); }
-
-TEST(Stats, StddevSingleSampleIsZero) { EXPECT_EQ(stddev({5.0}), 0.0); }
-
-TEST(Stats, StddevKnownValue) {
-  // Population stddev of {2,4,4,4,5,5,7,9} is exactly 2.
-  EXPECT_DOUBLE_EQ(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.0);
-}
-
-TEST(Stats, PercentileEdges) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 25.0);  // interpolated
-}
-
-TEST(Stats, PercentileUnsortedInput) {
-  EXPECT_DOUBLE_EQ(percentile({40, 10, 30, 20}, 100), 40.0);
-}
-
-TEST(Stats, MinMax) {
-  EXPECT_DOUBLE_EQ(min_of({3, 1, 2}), 1.0);
-  EXPECT_DOUBLE_EQ(max_of({3, 1, 2}), 3.0);
-  EXPECT_EQ(min_of({}), 0.0);
-}
 
 TEST(Rng, Deterministic) {
   Rng a(42), b(42);
@@ -153,6 +124,17 @@ TEST(Logging, LevelFilterSkipsFormatting) {
   // The stream still evaluates arguments (C++ semantics) but must not
   // emit; verify no crash and restore the default.
   EXPECT_EQ(evaluations, 1);
+  set_log_level(LogLevel::kWarn);
+}
+
+TEST(Logging, FilteredLineBuildsNoStream) {
+  set_log_level(LogLevel::kError);
+  auto filtered = log_debug();
+  filtered << "value " << 42;
+  EXPECT_FALSE(filtered.formatted());
+  auto kept = log_error();
+  kept << "kept line from util_test";
+  EXPECT_TRUE(kept.formatted());
   set_log_level(LogLevel::kWarn);
 }
 

@@ -131,7 +131,7 @@ TEST(RequestEngine, ComponentDownParksAndDrains) {
   f.sim.run_until(sim::seconds(90));
   EXPECT_EQ(engine.in_flight(), 0);  // parked calls drained after restart
   // Requests issued during the outage waited ~ up to 20 s.
-  EXPECT_GT(engine.latencies().max_ms(), 5'000.0);
+  EXPECT_GT(engine.latencies().percentile_ms(100), 5'000.0);
   EXPECT_LT(engine.latencies().median_ms(), 100.0);  // most unaffected
 }
 
@@ -280,7 +280,7 @@ TEST(RequestEngine, ConnectionPoolShedsUnderOverload) {
   EXPECT_LE(engine.in_flight(), 50);
   // Completed-request latency is bounded by the queue the cap allows,
   // far below the unbounded-backlog regime.
-  EXPECT_LT(engine.latencies().max_ms(), 60'000.0);
+  EXPECT_LT(engine.latencies().percentile_ms(100), 60'000.0);
 }
 
 TEST(RequestEngine, NoSheddingWhenHealthy) {
@@ -315,13 +315,13 @@ TEST(RequestEngine, ServerConcurrencyBoundsThroughput) {
   // Completions track the 10/s service rate, not the 50/s offered rate.
   EXPECT_NEAR(static_cast<double>(engine.completed()), 300.0, 15.0);
   // Queue wait dominates latency.
-  EXPECT_GT(engine.latencies().max_ms(), 1'000.0);
+  EXPECT_GT(engine.latencies().percentile_ms(100), 1'000.0);
 }
 
 // Arrival time of every completed request, in completion order.
 std::vector<double> arrivals_in_completion_order(const RequestEngine& engine) {
   std::vector<double> arrivals;
-  for (const metrics::Sample& s : engine.latencies().series().samples()) {
+  for (const obs::Sample& s : engine.latencies().series().samples()) {
     arrivals.push_back(static_cast<double>(s.at) - s.value * 1000.0);
   }
   return arrivals;
@@ -372,7 +372,7 @@ TEST(RequestEngine, ParkedInvocationsDrainInArrivalOrder) {
   f.sim.run_until(sim::seconds(60));
   ASSERT_EQ(engine.in_flight(), 0);
   // The first parked request waited out the whole outage.
-  EXPECT_GT(engine.latencies().max_ms(), 19'000.0);
+  EXPECT_GT(engine.latencies().percentile_ms(100), 19'000.0);
   const std::vector<double> arrivals = arrivals_in_completion_order(engine);
   ASSERT_EQ(static_cast<std::int64_t>(arrivals.size()), engine.completed());
   for (std::size_t i = 1; i < arrivals.size(); ++i) {
