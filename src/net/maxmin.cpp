@@ -58,7 +58,10 @@ const std::vector<double>& MaxMinSolver::solve(
     const std::vector<double>& capacities,
     const std::vector<AllocEntityRef>& entities) {
   const std::size_t nf = entities.size();
-  if (nf == 1) return solve_lone(capacities, entities.front());
+  if (nf == 1) {
+    rates_.assign(1, lone_rate(capacities, entities.front()));
+    return rates_;
+  }
   rates_.assign(nf, 0.0);  // assign() reuses capacity: no alloc at steady state
   ensure_links(capacities.size());
   ++stamp_;
@@ -289,8 +292,8 @@ const std::vector<double>& MaxMinSolver::solve(
 // demand-freezes, so with no saturating link the loop breaks at level 0.
 // Every comparison and max() is the one the loop makes, so the result is
 // bit-identical to it.
-const std::vector<double>& MaxMinSolver::solve_lone(
-    const std::vector<double>& capacities, const AllocEntityRef& e) {
+double MaxMinSolver::lone_rate(const std::vector<double>& capacities,
+                               const AllocEntityRef& e) {
   double rate = 0.0;
   if (e.demand > 0.0) {
     assert(!e.links.empty() && "demanding entity must traverse links");
@@ -309,8 +312,7 @@ const std::vector<double>& MaxMinSolver::solve_lone(
       rate = finite && e.demand <= level + kAllocEps ? e.demand : level;
     }
   }
-  rates_.assign(1, rate > 0.0 ? rate : 0.0);
-  return rates_;
+  return rate > 0.0 ? rate : 0.0;
 }
 
 std::vector<double> max_min_allocate(const std::vector<double>& capacities,

@@ -69,6 +69,11 @@ class MaxMinSolver {
   const std::vector<double>& solve(const std::vector<double>& capacities,
                                    const std::vector<AllocEntityRef>& entities);
 
+  // The closed form solve() uses for a lone entity: its rate when nothing
+  // else crosses any link of its path.
+  static double lone_rate(const std::vector<double>& capacities,
+                          const AllocEntityRef& entity);
+
   // Scratch diagnostics: arena high-water capacity and how often it grew.
   // A warmed-up solver's growth count stops moving (zero-alloc steady
   // state); tests assert this directly.
@@ -81,8 +86,6 @@ class MaxMinSolver {
   using HeapEntry = std::pair<double, std::uint32_t>;
 
   void ensure_links(std::size_t nl);
-  const std::vector<double>& solve_lone(const std::vector<double>& capacities,
-                                        const AllocEntityRef& entity);
 
   // ---- Persistent per-link state (indexed by LinkId, grow-only) ----
   std::uint32_t stamp_ = 0;

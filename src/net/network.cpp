@@ -248,7 +248,8 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
   ch.rate_bps = 0.0;
   ch.last_update = sim_->now();
   ch.entity_slot = add_entity(static_cast<double>(kUnlimitedRate), src, dst, &ch, kNoSlot);
-  reallocate();  // a new contender changes its component's shares
+  // A new contender changes its component's shares, unless it has none.
+  if (!admit_in_place(ch.entity_slot)) reallocate();
   return id;
 }
 
@@ -284,9 +285,7 @@ bool Network::cancel_transfer(TransferId id) {
   if (was_head) {
     sim_->cancel(ch.head_event);
     if (ch.idle()) {
-      remove_entity(ch.entity_slot);
-      ch.entity_slot = -1;
-      reallocate();
+      deactivate_channel(ch);
     } else {
       schedule_head_event(ch);
     }
@@ -335,7 +334,7 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand) {
   if (placed.demand > 0) {
     placed.entity_slot =
         add_entity(static_cast<double>(placed.demand), src, dst, nullptr, slot);
-    if (!admit_at_demand(placed.entity_slot)) reallocate();
+    if (!admit_in_place(placed.entity_slot)) reallocate();
   }
   return id;
 }
@@ -410,38 +409,70 @@ bool Network::can_skip_pass() const {
          (recorder_ == nullptr || recorder_->current_span() == obs::kNoSpan);
 }
 
+bool Network::alone_on_path(int slot) const {
+  for (LinkId l : entity_path(slot)) {
+    if (link_entities_[static_cast<std::size_t>(l)].size() != 1) return false;
+  }
+  return true;
+}
+
 // Exact by the max-min bottleneck argument: a flow below its demand is
 // bottlenecked at a saturated link, and every link of the new stream's
 // path keeps slack after the stream takes its whole demand, so no link
-// any flow is bottlenecked at changes load.
-bool Network::admit_at_demand(int slot) {
+// any flow is bottlenecked at changes load. A channel's demand is
+// unlimited, so it saturates its bottleneck: it skips the pass only when
+// no other flow crosses its path, at the rate the pass would give a lone
+// flow, and its links carry that rate alone (set, as the pass would).
+bool Network::admit_in_place(int slot) {
   if (!can_skip_pass() || dirty_entities_.size() != 1) return false;
-  const double demand = entities_[static_cast<std::size_t>(slot)].demand;
+  const Entity& e = entities_[static_cast<std::size_t>(slot)];
   const std::span<const LinkId> path = entity_path(slot);
-  for (LinkId l : path) {
-    const auto li = static_cast<std::size_t>(l);
-    if (capacities_[li] - link_allocated_[li] - demand <= kShortcutSlackBps) return false;
+  if (e.channel != nullptr) {
+    if (!alone_on_path(slot)) return false;
+    const double rate = MaxMinSolver::lone_rate(capacities_, {e.demand, path});
+    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] = rate;
+    e.channel->rate_bps = rate;
+    schedule_head_event(*e.channel);
+  } else {
+    for (LinkId l : path) {
+      const auto li = static_cast<std::size_t>(l);
+      if (capacities_[li] - link_allocated_[li] - e.demand <= kShortcutSlackBps) return false;
+    }
+    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] += e.demand;
+    stream_slots_[e.stream].stream.rate_bps = e.demand;
   }
-  for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] += demand;
   dirty_entities_.clear();
-  stream_slots_[entities_[static_cast<std::size_t>(slot)].stream].stream.rate_bps = demand;
   count_shortcut();
   return true;
 }
 
 // The mirror image: links that had slack before the close were nobody's
-// bottleneck, so the freed rate redistributes to no one.
+// bottleneck, so the freed rate redistributes to no one; nor does it on
+// links a closing channel crossed alone, which are left carrying nothing.
 bool Network::release_in_place(int slot, double rate) {
   if (!can_skip_pass() || !dirty_entities_.empty()) return false;
   const std::span<const LinkId> path = entity_path(slot);
-  for (LinkId l : path) {
-    const auto li = static_cast<std::size_t>(l);
-    if (capacities_[li] - link_allocated_[li] <= kShortcutSlackBps) return false;
+  if (entities_[static_cast<std::size_t>(slot)].channel != nullptr) {
+    if (!alone_on_path(slot)) return false;
+    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] = 0.0;
+  } else {
+    for (LinkId l : path) {
+      const auto li = static_cast<std::size_t>(l);
+      if (capacities_[li] - link_allocated_[li] <= kShortcutSlackBps) return false;
+    }
+    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] -= rate;
   }
-  for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] -= rate;
   remove_entity(slot, /*mark_links_dirty=*/false);
   count_shortcut();
   return true;
+}
+
+void Network::deactivate_channel(Channel& ch) {
+  if (!release_in_place(ch.entity_slot, ch.rate_bps)) {
+    remove_entity(ch.entity_slot);
+    reallocate();
+  }
+  ch.entity_slot = -1;
 }
 
 std::int64_t Network::stream_bytes(StreamId id) const {
@@ -659,9 +690,7 @@ void Network::complete_head(Channel& ch) {
   release_transfer(ch.head);
 
   if (ch.idle()) {
-    remove_entity(ch.entity_slot);
-    ch.entity_slot = -1;
-    reallocate();
+    deactivate_channel(ch);
   } else {
     schedule_head_event(ch);
   }

@@ -1,11 +1,16 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace bass::sim {
 
-EventId EventQueue::push(Time at, std::function<void()> fn, Duration period) {
+namespace {
+constexpr std::size_t kArity = 4;
+}  // namespace
+
+EventId EventQueue::push(Time at, std::function<void()>&& fn, Duration period) {
   if (free_.empty()) {
     free_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();
@@ -20,7 +25,7 @@ EventId EventQueue::push(Time at, std::function<void()> fn, Duration period) {
 
 void EventQueue::arm(std::uint32_t slot, Time at) {
   slots_[slot].state = SlotState::kArmed;
-  heap_.push(Entry{at, next_seq_++, slot, slots_[slot].generation});
+  heap_push(Entry{at, next_seq_++, slot, slots_[slot].generation});
   ++live_count_;
 }
 
@@ -43,31 +48,76 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+void EventQueue::heap_push(const Entry& entry) {
+  if (root_spent_) {
+    root_spent_ = false;
+    sift_down(entry);
+    return;
+  }
+  std::size_t hole = heap_.size();
+  heap_.emplace_back();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!before(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
+}
+
+void EventQueue::heap_pop() {
+  root_spent_ = false;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(last);
+}
+
+void EventQueue::sift_down(const Entry& entry) {
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[least])) least = c;
+    }
+    if (!before(heap_[least], entry)) break;
+    heap_[hole] = heap_[least];
+    hole = least;
+  }
+  heap_[hole] = entry;
+}
+
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty() && slots_[heap_.top().slot].generation != heap_.top().generation) {
-    heap_.pop();
+  while (!heap_.empty() && slots_[heap_.front().slot].generation != heap_.front().generation) {
+    heap_pop();
   }
 }
 
 Time EventQueue::next_time() {
   skip_cancelled();
   assert(!heap_.empty());
-  return heap_.top().at;
+  return heap_.front().at;
 }
 
-Time EventQueue::pop_and_run() {
+bool EventQueue::run_next(Time deadline, Time& now) {
   skip_cancelled();
-  assert(!heap_.empty());
-  const Entry entry = heap_.top();
-  heap_.pop();
+  if (heap_.empty() || heap_.front().at > deadline) return false;
+  const Entry entry = heap_.front();
   --live_count_;
+  now = entry.at;
   std::function<void()> fn = std::move(slots_[entry.slot].fn);
   if (slots_[entry.slot].period > 0) {
+    heap_pop();
     slots_[entry.slot].state = SlotState::kFiring;
   } else {
     release(entry.slot);
+    root_spent_ = true;
   }
   fn();
+  if (root_spent_) heap_pop();
   // Re-read the slot, as the callback may have grown slots_. A fired one-shot
   // or a periodic cancelled meanwhile has a new generation: no re-arm.
   Slot& s = slots_[entry.slot];
@@ -75,7 +125,7 @@ Time EventQueue::pop_and_run() {
     s.fn = std::move(fn);
     arm(entry.slot, entry.at + s.period);
   }
-  return entry.at;
+  return true;
 }
 
 }  // namespace bass::sim

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "sim/time.h"
@@ -20,8 +19,9 @@ constexpr EventId kInvalidEvent = 0;
 class EventQueue {
  public:
   // Enqueues `fn` to fire at absolute time `at`; with `period` > 0 it
-  // re-arms at `at + period` after each firing until cancelled.
-  EventId push(Time at, std::function<void()> fn, Duration period = 0);
+  // re-arms at `at + period` after each firing until cancelled. `fn` is
+  // moved once, straight into its slot.
+  EventId push(Time at, std::function<void()>&& fn, Duration period = 0);
 
   // Cancels a one-shot or periodic event (a periodic also from inside its own
   // callback); false if it already fired or was cancelled. The slot is freed
@@ -34,13 +34,18 @@ class EventQueue {
 
   // Cancelled entries still in the heap: at most one per cancel, each dropped
   // once it reaches the top (regression coverage in tests/sim_test.cpp).
-  std::size_t cancelled_backlog() const { return heap_.size() - live_count_; }
+  // A running one-shot's spent root (see root_spent_) is not one of them.
+  std::size_t cancelled_backlog() const {
+    return heap_.size() - live_count_ - (root_spent_ ? 1 : 0);
+  }
 
   // Timestamp of the next live event; only valid when !empty().
   Time next_time();
 
-  // Pops and runs the next live event, returning its timestamp.
-  Time pop_and_run();
+  // Runs the next live event if it is due at or before `deadline`: sets
+  // `now` to its timestamp first, so the callback reads the new clock, and
+  // returns true. Returns false, leaving `now` alone, when none is due.
+  bool run_next(Time deadline, Time& now);
 
  private:
   // kFiring: a periodic whose callback is running, re-armed when it returns.
@@ -58,21 +63,29 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t generation;  // stale once the slot's generation moves on
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
   void arm(std::uint32_t slot, Time at);
   void release(std::uint32_t slot);
   void skip_cancelled();
+  // 4-ary min-heap on (at, seq), sifted with a hole: each level moves one
+  // entry instead of swapping two.
+  void heap_push(const Entry& entry);
+  void heap_pop();
+  // Fills the hole at the root with `entry`, sifting it down.
+  void sift_down(const Entry& entry);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
+  // The root is the entry of the one-shot now running (stale: its slot was
+  // released). The callback's first push replaces it in place, one sift
+  // down instead of a pop and a sift up; run_next pops it if none comes.
+  bool root_spent_ = false;
 };
 
 }  // namespace bass::sim

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace bass::sim {
 
+// Each entry point pushes directly, so a callback moves once: into its slot.
 EventId Simulation::schedule_after(Duration delay, std::function<void()> fn) {
-  return schedule_at(now_ + std::max<Duration>(delay, 0), std::move(fn));
+  return queue_.push(now_ + std::max<Duration>(delay, 0), std::move(fn));
 }
 
 EventId Simulation::schedule_at(Time at, std::function<void()> fn) {
@@ -20,20 +22,12 @@ EventId Simulation::schedule_periodic(Duration period, std::function<void()> fn)
 }
 
 void Simulation::run_until(Time deadline) {
-  while (!queue_.empty()) {
-    const Time at = queue_.next_time();
-    if (at > deadline) break;
-    now_ = at;
-    queue_.pop_and_run();
-  }
+  while (queue_.run_next(deadline, now_)) {}
   now_ = std::max(now_, deadline);
 }
 
 void Simulation::run_all() {
-  while (!queue_.empty()) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-  }
+  while (queue_.run_next(std::numeric_limits<Time>::max(), now_)) {}
 }
 
 }  // namespace bass::sim

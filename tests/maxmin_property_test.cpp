@@ -482,6 +482,126 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UncontendedChurn,
                                            ChurnCase{4}, ChurnCase{5}, ChurnCase{6},
                                            ChurnCase{7}, ChurnCase{8}));
 
+// ---- Lone-transfer shortcuts vs. from-scratch reference ----
+
+class LoneTransfers : public ::testing::TestWithParam<ChurnCase> {};
+
+// Request-path traffic: mostly one-hop transfers between ring neighbours,
+// which often run alone on their path (their channel opens at the lone
+// closed-form rate and goes idle in place), mixed with multi-hop transfers
+// that share links, probe-sized streams, cancels, and capacity ticks inside
+// batches, some with a transfer started in the same batch. After every step
+// each stream rate and each link's allocation matches the reference
+// kernel's allocation of the whole flow set within kAllocEps.
+TEST_P(LoneTransfers, ShortcutsMatchFromScratchReference) {
+  util::Rng rng(GetParam().seed * 15485863);
+  sim::Simulation sim;
+
+  // A 12-node ring with a few chords.
+  Topology topo;
+  constexpr int kNodes = 12;
+  for (int i = 0; i < kNodes; ++i) topo.add_node();
+  for (int i = 0; i < kNodes; ++i) {
+    topo.add_link(i, (i + 1) % kNodes, mbps(rng.uniform_int(10, 100)));
+  }
+  for (int c = 0; c < 3; ++c) {
+    const auto a = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    const auto b = static_cast<NodeId>((a + rng.uniform_int(3, kNodes / 2)) % kNodes);
+    if (!topo.link_between(a, b)) topo.add_link(a, b, mbps(rng.uniform_int(10, 100)));
+  }
+  NetworkConfig cfg;
+  cfg.per_hop_latency = 0;  // completions land in the window that drains them
+  Network net(sim, topo, cfg);
+  Shadow shadow;
+  struct Sent {
+    TransferId id;
+    std::pair<NodeId, NodeId> key;
+  };
+  std::vector<Sent> sent;
+
+  auto start = [&](bool neighbours) {
+    const auto src = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+    NodeId dst;
+    if (neighbours) {
+      dst = static_cast<NodeId>((src + (rng.chance(0.5) ? 1 : kNodes - 1)) % kNodes);
+    } else {
+      do {
+        dst = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+      } while (dst == src);
+    }
+    const auto key = std::make_pair(src, dst);
+    ++shadow.channel_backlog[key];
+    const TransferId id = net.start_transfer(
+        src, dst, rng.uniform_int(5'000, 400'000),
+        [&shadow, key] { --shadow.channel_backlog[key]; });
+    sent.push_back({id, key});
+  };
+
+  auto check = [&](int step) {
+    const Shadow::Reference ref = shadow.reference(net);
+    for (const auto& [id, rate] : ref.stream_rates) {
+      expect_truncation_of(net.stream_rate(id), rate, kAllocEps, "stream", id);
+    }
+    for (int l = 0; l < topo.link_count(); ++l) {
+      const auto li = static_cast<std::size_t>(l);
+      expect_truncation_of(net.link_allocated(l), ref.link_load[li],
+                           kAllocEps * (ref.link_flows[li] + 1), "link", l);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+  };
+
+  int lone_opens = 0;
+  for (int step = 0; step < 500; ++step) {
+    const double op = rng.uniform(0.0, 1.0);
+    if (op < 0.4) {
+      const auto before = net.alloc_stats().shortcuts;
+      start(rng.chance(0.75));
+      if (net.alloc_stats().shortcuts > before) ++lone_opens;
+    } else if (op < 0.52) {
+      // Probe-sized streams; one in ten oversubscribes instead.
+      NodeId src = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+      NodeId dst = static_cast<NodeId>((src + rng.uniform_int(1, kNodes - 1)) % kNodes);
+      const Bps demand = rng.chance(0.9) ? kbps(rng.uniform_int(50, 2000))
+                                         : mbps(rng.uniform_int(20, 120));
+      const StreamId id = net.open_stream(src, dst, demand);
+      shadow.streams.push_back({id, {src, dst, static_cast<double>(demand), true, id}});
+    } else if (op < 0.64 && !shadow.streams.empty()) {
+      const auto idx = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(shadow.streams.size()) - 1));
+      net.close_stream(shadow.streams[idx].first);
+      shadow.streams.erase(shadow.streams.begin() + static_cast<std::ptrdiff_t>(idx));
+    } else if (op < 0.69 && !sent.empty()) {
+      const Sent& t = sent[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(sent.size()) - 1))];
+      if (net.cancel_transfer(t.id)) --shadow.channel_backlog[t.key];
+    } else if (op < 0.77) {
+      // Capacity tick, sometimes with a transfer started inside the batch.
+      Network::BatchUpdate batch(net);
+      const int updates = static_cast<int>(rng.uniform_int(1, 3));
+      for (int u = 0; u < updates; ++u) {
+        const auto l = static_cast<LinkId>(rng.uniform_int(0, topo.link_count() - 1));
+        net.set_link_capacity(l, mbps(rng.uniform_int(2, 100)));
+      }
+      if (rng.chance(0.3)) start(true);
+    } else {
+      sim.run_until(sim.now() + sim::millis(rng.uniform_int(1, 300)));
+    }
+    check(step);
+    if (::testing::Test::HasFailure()) return;
+  }
+  sim.run_all();
+  check(500);
+
+  // Lone channels skipped their pass; contended changes still took one.
+  EXPECT_GT(lone_opens, 40);
+  EXPECT_GT(net.alloc_stats().reallocations, 40);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoneTransfers,
+                         ::testing::Values(ChurnCase{1}, ChurnCase{2}, ChurnCase{3},
+                                           ChurnCase{4}, ChurnCase{5}, ChurnCase{6},
+                                           ChurnCase{7}, ChurnCase{8}));
+
 // ---- Contention-component isolation ----
 
 TEST(ContentionComponents, CapacityChangeTouchesOnlyItsComponent) {

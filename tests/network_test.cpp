@@ -471,6 +471,78 @@ TEST(Network, ChangesInsideASpanKeepTheirPass) {
   EXPECT_EQ(recorder.journal().size(), 2u);
 }
 
+// A channel that opens with no other flow on its path takes the lone
+// closed-form rate (its bottleneck) without a pass, and goes idle in place
+// while still alone; once another flow shares a link, both changes pass.
+TEST(Network, LoneTransferSkipsThePass) {
+  Fixture f;
+  const AllocStats& stats = f.net->alloc_stats();
+  const LinkId ab = *f.net->topology().link_between(0, 1);
+  const LinkId bc = *f.net->topology().link_between(1, 2);
+
+  sim::Time done_at = -1;
+  f.net->start_transfer(0, 2, 10'000'000 / 8, [&] { done_at = f.sim.now(); });
+  EXPECT_EQ(stats.reallocations, 0);
+  EXPECT_EQ(stats.shortcuts, 1);
+  EXPECT_EQ(f.net->link_allocated(ab), mbps(10));
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(10));
+  f.sim.run_all();
+  // Drained at the bottleneck rate: 1 s plus two hops of latency.
+  EXPECT_EQ(done_at, sim::seconds(1) + sim::millis(2));
+  EXPECT_EQ(stats.reallocations, 0);
+  EXPECT_EQ(stats.shortcuts, 2);
+  EXPECT_EQ(f.net->link_allocated(ab), 0);
+  EXPECT_EQ(f.net->link_allocated(bc), 0);
+
+  // A second channel on 0->1 shares a link with the first: its open passes,
+  // and so does the first channel's close, which frees 0->1 for it.
+  f.net->start_transfer(0, 2, 10'000'000 / 8, [] {});
+  EXPECT_EQ(stats.shortcuts, 3);
+  f.net->start_transfer(0, 1, 10'000'000 / 8, [] {});
+  EXPECT_EQ(stats.reallocations, 1);
+  EXPECT_EQ(f.net->link_allocated(ab), mbps(10));
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(5));
+  // Equal halves of 0->1 drain both heads together at 2 s; the first
+  // completion passes, and the survivor is then alone and closes in place.
+  f.sim.run_all();
+  EXPECT_EQ(stats.reallocations, 2);
+  EXPECT_EQ(stats.shortcuts, 4);
+  EXPECT_EQ(f.net->link_allocated(ab), 0);
+  EXPECT_EQ(f.net->link_allocated(bc), 0);
+  EXPECT_EQ(f.net->allocation_changes(), 6);
+}
+
+// A transfer started while a span is current keeps its pass, so the cause's
+// journal still shows the reallocation_solved it leads to; its completion,
+// outside the span, goes idle in place.
+TEST(Network, TransferInsideASpanKeepsItsPass) {
+  Fixture f;
+  obs::Recorder recorder;
+  f.net->set_recorder(&recorder);
+  const auto& passes = recorder.metrics().counter("net.reallocations");
+  const obs::SpanId cause = recorder.new_span();
+  {
+    obs::SpanScope scope(&recorder, cause);
+    f.net->start_transfer(0, 1, 1'000, [] {});
+  }
+  EXPECT_EQ(passes.value(), 1);
+  ASSERT_EQ(recorder.journal().size(), 1u);
+  const auto* event = std::get_if<obs::ReallocationSolved>(&recorder.journal().at(0));
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(event->parent, cause);
+  EXPECT_EQ(event->flows, 1);
+  f.sim.run_all();
+  EXPECT_EQ(passes.value(), 1);
+  EXPECT_EQ(recorder.metrics().counter("net.alloc_shortcuts").value(), 1);
+
+  // The same transfer with no span skips both passes.
+  f.net->start_transfer(0, 1, 1'000, [] {});
+  f.sim.run_all();
+  EXPECT_EQ(passes.value(), 1);
+  EXPECT_EQ(recorder.metrics().counter("net.alloc_shortcuts").value(), 3);
+  EXPECT_EQ(recorder.journal().size(), 1u);
+}
+
 // Proportional shares follow offered load, not slack: a stream that fits
 // every link's slack is still scaled down on a link whose offered demand
 // exceeds its capacity. kProportional therefore never skips the pass.

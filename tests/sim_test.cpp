@@ -258,6 +258,182 @@ TEST_P(EventQueueProperty, FiresInOrderUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueProperty, ::testing::Range(1, 9));
 
+// Oracle for the event engine's order: random pushes, cancels and periodics
+// run against Simulation and against a reference queue that keeps its
+// pending events in push order and stable-sorts them by time before every
+// firing. What a firing event does (push more events, cancel one, cancel
+// itself, look ahead with has_event_before) is a function of the seed, its
+// label and how often it has fired, so the two run the same script exactly
+// as long as they fire in the same order; the fired (time, label)
+// sequences, the cancel results, the look-aheads and the pending counts
+// must all be equal.
+struct OrderScript {
+  static constexpr int kMaxLabels = 1'500;
+  std::uint64_t seed = 0;
+  std::vector<int> fires;           // per label
+  std::vector<Duration> periods;    // per label; 0 for a one-shot
+  std::vector<int> stop_after;      // a periodic cancels itself at this firing
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<bool> cancel_results;
+  std::vector<std::pair<bool, std::size_t>> peeks;  // (event due soon, pending)
+
+  // Draws the next event: a one-shot at `now + delay` (equal timestamps are
+  // common) or, one in five, a periodic.
+  template <class Queue>
+  void push(Queue& q, std::mt19937_64& rng) {
+    const int label = static_cast<int>(fires.size());
+    const bool periodic = rng() % 5 == 0;
+    fires.push_back(0);
+    periods.push_back(periodic ? static_cast<Duration>(1 + rng() % 4) : 0);
+    stop_after.push_back(static_cast<int>(1 + rng() % 4));
+    const Duration delay = periodic ? periods.back() : static_cast<Duration>(rng() % 4);
+    q.push(label, delay, periods.back());
+  }
+
+  template <class Queue>
+  void fire(Queue& q, int label) {
+    fired.emplace_back(q.now(), label);
+    const int nth = fires[static_cast<std::size_t>(label)]++;
+    std::mt19937_64 rng(seed * 1'000'003 + static_cast<std::uint64_t>(label) * 1'009 +
+                        static_cast<std::uint64_t>(nth));
+    const auto pushes = rng() % 3;
+    const auto peek = rng() % 4;  // 0: before the pushes, 1: after them
+    const Time horizon = q.now() + static_cast<Time>(rng() % 2);
+    if (peek == 0) peeks.emplace_back(q.has_event_before(horizon), q.pending());
+    for (std::uint64_t i = 0; i < pushes && fires.size() < kMaxLabels; ++i) push(q, rng);
+    if (peek == 1) peeks.emplace_back(q.has_event_before(horizon), q.pending());
+    if (periods[static_cast<std::size_t>(label)] > 0) {
+      // A periodic cancels itself from inside its own callback.
+      if (nth + 1 == stop_after[static_cast<std::size_t>(label)]) {
+        cancel_results.push_back(q.cancel(label));
+      }
+    } else if (rng() % 4 == 0) {
+      cancel_results.push_back(q.cancel(label));  // already fired: rejected
+    }
+    if (rng() % 3 == 0) {
+      cancel_results.push_back(q.cancel(static_cast<int>(rng() % fires.size())));
+    }
+  }
+};
+
+struct RealOrderQueue {
+  Simulation sim;
+  OrderScript* script = nullptr;
+  std::vector<EventId> ids;  // by label
+
+  Time now() const { return sim.now(); }
+  void push(int label, Duration delay, Duration period) {
+    auto fn = [this, label] { script->fire(*this, label); };
+    ids.push_back(period > 0 ? sim.schedule_periodic(period, fn)
+                             : sim.schedule_after(delay, fn));
+  }
+  bool cancel(int label) { return sim.cancel(ids[static_cast<std::size_t>(label)]); }
+  bool has_event_before(Time deadline) { return sim.has_event_before(deadline); }
+  void run_until(Time deadline) { sim.run_until(deadline); }
+  std::size_t pending() const { return sim.pending_events(); }
+};
+
+struct ReferenceOrderQueue {
+  enum class State { kPending, kFiring, kDone };
+  struct Entry {
+    Time at;
+    int label;
+  };
+  OrderScript* script = nullptr;
+  Time clock = 0;
+  std::vector<Entry> queue;   // in push (and re-arm) order
+  std::vector<State> states;     // by label
+
+  Time now() const { return clock; }
+  void push(int label, Duration delay, Duration /*period*/) {
+    states.push_back(State::kPending);
+    queue.push_back({clock + delay, label});
+  }
+  bool cancel(int label) {
+    State& state = states[static_cast<std::size_t>(label)];
+    if (state == State::kDone) return false;
+    if (state == State::kPending) {
+      std::erase_if(queue, [label](const Entry& e) { return e.label == label; });
+    }
+    state = State::kDone;
+    return true;
+  }
+  bool has_event_before(Time deadline) const {
+    return std::any_of(queue.begin(), queue.end(),
+                       [deadline](const Entry& e) { return e.at <= deadline; });
+  }
+  void run_until(Time deadline) {
+    for (;;) {
+      std::stable_sort(queue.begin(), queue.end(),
+                       [](const Entry& a, const Entry& b) { return a.at < b.at; });
+      if (queue.empty() || queue.front().at > deadline) break;
+      const Entry next = queue.front();
+      queue.erase(queue.begin());
+      clock = next.at;
+      const auto li = static_cast<std::size_t>(next.label);
+      const Duration period = script->periods[li];
+      states[li] = period > 0 ? State::kFiring : State::kDone;
+      script->fire(*this, next.label);
+      if (states[li] == State::kFiring) {
+        states[li] = State::kPending;
+        queue.push_back({next.at + period, next.label});
+      }
+    }
+    clock = std::max(clock, deadline);
+  }
+  std::size_t pending() const { return queue.size(); }
+};
+
+class EventOrderOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(EventOrderOracle, FiresAsAStableSortByTime) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  OrderScript real_script, ref_script;
+  real_script.seed = ref_script.seed = seed;
+  RealOrderQueue real;
+  ReferenceOrderQueue ref;
+  real.script = &real_script;
+  ref.script = &ref_script;
+
+  // The same outside pushes and cancels go to both, between run windows.
+  std::mt19937_64 real_rng(seed), ref_rng(seed);
+  for (int i = 0; i < 40; ++i) {
+    real_script.push(real, real_rng);
+    ref_script.push(ref, ref_rng);
+  }
+  std::mt19937_64 steps(seed * 31);
+  Time deadline = 0;
+  while (real.pending() > 0 || ref.pending() > 0) {
+    if (steps() % 4 == 0 && real_script.fires.size() < OrderScript::kMaxLabels) {
+      real_script.push(real, real_rng);
+      ref_script.push(ref, ref_rng);
+    }
+    if (steps() % 5 == 0) {
+      const int label = static_cast<int>(steps() % real_script.fires.size());
+      real_script.cancel_results.push_back(real.cancel(label));
+      ref_script.cancel_results.push_back(ref.cancel(label));
+    }
+    deadline += static_cast<Time>(steps() % 6);
+    real.run_until(deadline);
+    ref.run_until(deadline);
+    ASSERT_EQ(real.now(), ref.now());
+    ASSERT_EQ(real.pending(), ref.pending()) << "at t=" << deadline;
+    ASSERT_EQ(real_script.fired, ref_script.fired) << "at t=" << deadline;
+  }
+  EXPECT_EQ(real_script.cancel_results, ref_script.cancel_results);
+  EXPECT_EQ(real_script.peeks, ref_script.peeks);
+  // The script exercised what it is meant to: many events, ties, cancels.
+  EXPECT_GT(real_script.fired.size(), 1'000u);
+  EXPECT_GT(real_script.cancel_results.size(), 100u);
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < real_script.fired.size(); ++i) {
+    if (real_script.fired[i].first == real_script.fired[i - 1].first) ++ties;
+  }
+  EXPECT_GT(ties, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderOracle, ::testing::Range(1, 9));
+
 TEST(Simulation, PendingEventsCountsLiveOnly) {
   Simulation sim;
   const EventId a = sim.schedule_at(seconds(1), [] {});
@@ -282,6 +458,22 @@ TEST(EventQueue, CancelAfterFireIsRejectedAndLeavesNoTombstone) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run_all();
   EXPECT_TRUE(sim.idle());
+}
+
+// A one-shot's entry stays at the heap root while its callback runs, until
+// the callback's first push takes its place; it is no cancelled entry.
+TEST(EventQueue, RunningOneShotIsNoCancelledEntry) {
+  Simulation sim;
+  std::vector<std::size_t> backlog;
+  sim.schedule_at(seconds(1), [&] {
+    backlog.push_back(sim.cancelled_backlog());
+    sim.schedule_after(seconds(1), [] {});
+    backlog.push_back(sim.cancelled_backlog());
+  });
+  sim.schedule_at(seconds(1), [&] { backlog.push_back(sim.cancelled_backlog()); });
+  sim.run_all();
+  EXPECT_EQ(backlog, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(sim.cancelled_backlog(), 0u);
 }
 
 // Regression for the unbounded-tombstone leak: one million cancel-heavy
