@@ -18,11 +18,13 @@
 // Emits BENCH_alloc_fastpath.json into the working directory so the
 // speedup is on the record; `--smoke` (or BASS_BENCH_SMOKE=1) runs a tiny
 // config for CI. `--check-baseline[=path]` additionally compares against
-// the checked-in baseline (bench/baselines/alloc_fastpath_baseline.json)
-// and exits nonzero on regression: the allocation gate is unconditional;
-// the timing gates compare ratios measured in this process (solver vs
-// reference kernel, incremental engine vs from-scratch) and are skipped
-// under sanitizers. Any other argument is a usage error (exit status 2).
+// the checked-in baseline (bench/baselines/alloc_fastpath_baseline.json,
+// found through the source directory compiled in, so from any working
+// directory) and exits nonzero on regression: the allocation gate is
+// unconditional; the timing gates compare ratios measured in this process
+// (solver vs reference kernel, incremental engine vs from-scratch) and are
+// skipped under sanitizers. Any other argument is a usage error (exit
+// status 2).
 #include "../tests/alloc_probe.h"  // global new/delete counters (one TU rule)
 
 #include <algorithm>
@@ -602,7 +604,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--check-baseline") == 0) {
-      baseline_path = "bench/baselines/alloc_fastpath_baseline.json";
+      baseline_path = BASS_SOURCE_DIR "/bench/baselines/alloc_fastpath_baseline.json";
     } else if (std::strncmp(argv[i], "--check-baseline=", 17) == 0) {
       baseline_path = argv[i] + 17;
     } else {

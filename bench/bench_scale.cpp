@@ -9,7 +9,8 @@
 // unsharded 8192-node routing table is its per-source trees, 6 B per node
 // pair, ~400 MB). --smoke runs the single 2048-node/4-zone row plus its
 // unsharded twin — the CI gate. --check-baseline compares against
-// bench/baselines/scale_baseline.json:
+// bench/baselines/scale_baseline.json (found through the source directory
+// compiled in, so from any working directory):
 //   * determinism: 512-node merged journals for --jobs 1 and --jobs 2 must
 //     be byte-identical — unconditional, cheap, and the contract the whole
 //     subsystem rests on;
@@ -356,7 +357,7 @@ int run(int argc, char** argv) {
   bool smoke = false;
   bool baseline = false;
   std::size_t jobs = 1;
-  std::string baseline_path = "bench/baselines/scale_baseline.json";
+  std::string baseline_path = BASS_SOURCE_DIR "/bench/baselines/scale_baseline.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -395,9 +396,15 @@ int run(int argc, char** argv) {
     r.row = row;
     r.sharded = run_sharded(row, jobs);
     r.unsharded = run_unsharded(row);
-    std::printf("%7d %6d %14.1f %14.1f %8.1fx %16.0f\n", row.nodes, row.zones,
-                r.sharded.round_ms, r.unsharded.round_ms, r.speedup(),
-                r.sharded.solver_flows_per_sec);
+    std::printf("%7d %6d %14.1f %14.1f %8.1fx ", row.nodes, row.zones,
+                r.sharded.round_ms, r.unsharded.round_ms, r.speedup());
+    // "-" when every sharded allocation change applied in place: no pass
+    // ran, so there is no solver throughput to report.
+    if (r.sharded.alloc_seconds > 0.0) {
+      std::printf("%16.0f\n", r.sharded.solver_flows_per_sec);
+    } else {
+      std::printf("%16s\n", "-");
+    }
     results.push_back(r);
   }
 

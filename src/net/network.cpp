@@ -174,13 +174,18 @@ int Network::add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
   }
   ++active_entity_count_;
   if (ch != nullptr) ++active_channel_entities_;
-  dirty_entities_.push_back(slot);
+  // A new contender changes its component's shares, unless it has none.
+  if (!shift_in_place(slot, 0.0, demand)) {
+    dirty_entities_.push_back(slot);
+    reallocate();
+  }
   return slot;
 }
 
-void Network::remove_entity(int slot, bool mark_links_dirty) {
+void Network::remove_entity(int slot) {
   Entity& e = entities_[static_cast<std::size_t>(slot)];
   assert(e.active);
+  const bool in_place = shift_in_place(slot, e.demand, 0.0);
   const LinkId* path = entity_block(slot);
   const std::int32_t* my_pos = link_pos(slot);
   for (std::uint32_t i = 0; i < e.hops; ++i) {
@@ -192,7 +197,7 @@ void Network::remove_entity(int slot, bool mark_links_dirty) {
     link_pos(moved.slot)[moved.path_idx] = static_cast<std::int32_t>(pos);
     occupants.pop_back();
     // The vacated capacity may redistribute to whatever shared this link.
-    if (mark_links_dirty) dirty_links_.push_back(l);
+    if (!in_place) dirty_links_.push_back(l);
   }
   --active_entity_count_;
   if (e.channel != nullptr) --active_channel_entities_;
@@ -201,6 +206,7 @@ void Network::remove_entity(int slot, bool mark_links_dirty) {
   e.stream = kNoSlot;
   e.hops = 0;
   free_slots_.push_back(slot);
+  if (!in_place) reallocate();
 }
 
 TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
@@ -248,8 +254,6 @@ TransferId Network::start_transfer(NodeId src, NodeId dst, std::int64_t bytes,
   ch.rate_bps = 0.0;
   ch.last_update = sim_->now();
   ch.entity_slot = add_entity(static_cast<double>(kUnlimitedRate), src, dst, &ch, kNoSlot);
-  // A new contender changes its component's shares, unless it has none.
-  if (!admit_in_place(ch.entity_slot)) reallocate();
   return id;
 }
 
@@ -334,7 +338,6 @@ StreamId Network::open_stream(NodeId src, NodeId dst, Bps demand) {
   if (placed.demand > 0) {
     placed.entity_slot =
         add_entity(static_cast<double>(placed.demand), src, dst, nullptr, slot);
-    if (!admit_in_place(placed.entity_slot)) reallocate();
   }
   return id;
 }
@@ -352,22 +355,22 @@ void Network::set_stream_demand(StreamId id, Bps demand) {
     return;
   }
   st.demand = demand;
-  if (st.entity_slot >= 0) {
-    if (demand > 0) {
-      Entity& e = entities_[static_cast<std::size_t>(st.entity_slot)];
-      e.demand = static_cast<double>(demand);
-      dirty_entities_.push_back(st.entity_slot);
-    } else {
-      settle_stream(st);  // leaving the mesh: close out the old rate
-      remove_entity(st.entity_slot);
-      st.entity_slot = -1;
-      st.rate_bps = 0.0;
-    }
-    reallocate();
-  } else if (demand > 0) {
+  if (st.entity_slot < 0) {  // its first demand: the stream joins the mesh
     st.entity_slot = add_entity(static_cast<double>(demand), st.src, st.dst, nullptr,
                                 stream_slot_of(id));
-    reallocate();
+  } else if (demand == 0) {  // it leaves the mesh: close out the old rate
+    settle_stream(st);
+    remove_entity(st.entity_slot);
+    st.entity_slot = -1;
+    st.rate_bps = 0.0;
+  } else {
+    Entity& e = entities_[static_cast<std::size_t>(st.entity_slot)];
+    const double from = e.demand;
+    e.demand = static_cast<double>(demand);
+    if (!shift_in_place(st.entity_slot, from, e.demand)) {
+      dirty_entities_.push_back(st.entity_slot);
+      reallocate();
+    }
   }
 }
 
@@ -377,10 +380,8 @@ std::int64_t Network::close_stream(StreamId id) {
   Stream& st = *stp;
   settle_stream(st);
   const auto delivered = static_cast<std::int64_t>(st.bytes_delivered);
-  bool repass = false;
   if (st.entity_slot >= 0) {
-    repass = !release_in_place(st.entity_slot, st.rate_bps);
-    if (repass) remove_entity(st.entity_slot);
+    remove_entity(st.entity_slot);
     st.entity_slot = -1;
   }
   StreamSlot& s = stream_slots_[stream_slot_of(id)];
@@ -388,7 +389,6 @@ std::int64_t Network::close_stream(StreamId id) {
   ++s.generation;  // outstanding copies of `id` are stale from here on
   stream_free_.push_back(stream_slot_of(id));
   --open_streams_;
-  if (repass) reallocate();
   return delivered;
 }
 
@@ -402,10 +402,12 @@ void Network::count_shortcut() {
 }
 
 bool Network::can_skip_pass() const {
-  // Proportional shares depend on offered load, not on slack; a batch
-  // defers to one pass anyway; a change inside a span journals its pass.
-  return config_.fairness == FairnessPolicy::kMaxMin && batch_depth_ == 0 &&
-         dirty_links_.empty() &&
+  // Proportional shares depend on offered load, not on slack; a dirty seed
+  // (an earlier change in this batch) means the allocation is not settled,
+  // so the change joins that seed's pass; a change inside a span journals
+  // its pass.
+  return config_.fairness == FairnessPolicy::kMaxMin && dirty_links_.empty() &&
+         dirty_entities_.empty() &&
          (recorder_ == nullptr || recorder_->current_span() == obs::kNoSpan);
 }
 
@@ -416,62 +418,45 @@ bool Network::alone_on_path(int slot) const {
   return true;
 }
 
-// Exact by the max-min bottleneck argument: a flow below its demand is
-// bottlenecked at a saturated link, and every link of the new stream's
-// path keeps slack after the stream takes its whole demand, so no link
-// any flow is bottlenecked at changes load. A channel's demand is
-// unlimited, so it saturates its bottleneck: it skips the pass only when
-// no other flow crosses its path, at the rate the pass would give a lone
-// flow, and its links carry that rate alone (set, as the pass would).
-bool Network::admit_in_place(int slot) {
-  if (!can_skip_pass() || dirty_entities_.size() != 1) return false;
+// A stream's shift is exact by the max-min bottleneck argument. It runs at
+// its demand, and every link of its path keeps slack under the larger of
+// its old and new load, so none of those links is or becomes anyone's
+// bottleneck: a flow below its demand is held at a saturated link, and no
+// saturated link changes load. Every other rate stands, and the stream
+// runs at its new demand. A channel's demand is unlimited, so it saturates
+// its bottleneck: it opens in place only when no other flow crosses its
+// path, at the rate the pass would give a lone flow, and goes idle in place
+// while that still holds, leaving its links carrying nothing.
+bool Network::shift_in_place(int slot, double from, double to) {
+  if (!can_skip_pass()) return false;
   const Entity& e = entities_[static_cast<std::size_t>(slot)];
   const std::span<const LinkId> path = entity_path(slot);
   if (e.channel != nullptr) {
     if (!alone_on_path(slot)) return false;
-    const double rate = MaxMinSolver::lone_rate(capacities_, {e.demand, path});
+    const double rate = to > 0.0 ? MaxMinSolver::lone_rate(capacities_, {e.demand, path}) : 0.0;
     for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] = rate;
-    e.channel->rate_bps = rate;
-    schedule_head_event(*e.channel);
+    if (to > 0.0) {
+      e.channel->rate_bps = rate;
+      schedule_head_event(*e.channel);
+    }
   } else {
+    Stream& st = stream_slots_[e.stream].stream;
+    if (st.rate_bps != from) return false;  // held below its demand
+    const double rise = std::max(to - from, 0.0);
     for (LinkId l : path) {
       const auto li = static_cast<std::size_t>(l);
-      if (capacities_[li] - link_allocated_[li] - e.demand <= kShortcutSlackBps) return false;
+      if (capacities_[li] - link_allocated_[li] - rise <= kShortcutSlackBps) return false;
     }
-    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] += e.demand;
-    stream_slots_[e.stream].stream.rate_bps = e.demand;
+    settle_stream(st);  // bytes so far moved at the old rate
+    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] += to - from;
+    st.rate_bps = to;
   }
-  dirty_entities_.clear();
-  count_shortcut();
-  return true;
-}
-
-// The mirror image: links that had slack before the close were nobody's
-// bottleneck, so the freed rate redistributes to no one; nor does it on
-// links a closing channel crossed alone, which are left carrying nothing.
-bool Network::release_in_place(int slot, double rate) {
-  if (!can_skip_pass() || !dirty_entities_.empty()) return false;
-  const std::span<const LinkId> path = entity_path(slot);
-  if (entities_[static_cast<std::size_t>(slot)].channel != nullptr) {
-    if (!alone_on_path(slot)) return false;
-    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] = 0.0;
-  } else {
-    for (LinkId l : path) {
-      const auto li = static_cast<std::size_t>(l);
-      if (capacities_[li] - link_allocated_[li] <= kShortcutSlackBps) return false;
-    }
-    for (LinkId l : path) link_allocated_[static_cast<std::size_t>(l)] -= rate;
-  }
-  remove_entity(slot, /*mark_links_dirty=*/false);
   count_shortcut();
   return true;
 }
 
 void Network::deactivate_channel(Channel& ch) {
-  if (!release_in_place(ch.entity_slot, ch.rate_bps)) {
-    remove_entity(ch.entity_slot);
-    reallocate();
-  }
+  remove_entity(ch.entity_slot);
   ch.entity_slot = -1;
 }
 

@@ -24,16 +24,20 @@
 // their rates, which is exact because max-min allocations of disjoint
 // components are independent. See DESIGN.md "Flow allocation fast path".
 //
-// Uncontended stream churn skips the pass altogether (max-min only): a
-// stream whose path keeps more than kShortcutSlackBps of slack on every
-// link after adding its demand is admitted at its demand, and a stream
-// whose links all had that slack is released in place. A link with slack
-// is nobody's bottleneck, so load added to or removed from unsaturated
+// Uncontended stream changes skip the pass altogether (max-min only). An
+// open, a close and a demand change are one shift of the stream's load on
+// its path (0 -> d, d -> 0, d -> d'), applied in place when the stream runs
+// at its demand and every link of its path keeps more than
+// kShortcutSlackBps of slack under the larger of its old and new load. A
+// link with slack is nobody's bottleneck, so load moved on unsaturated
 // links moves no other rate. A transfer channel, whose demand is
 // unlimited, skips the pass only when it runs alone: it opens at the lone
 // closed-form rate when no other flow crosses any link of its path, and
-// goes idle in place while that still holds. Changes inside a batch,
-// inside a recorder span, or under kProportional always take the full pass.
+// goes idle in place while that still holds. Inside a batch, changes apply
+// in place until the first one that needs the pass; every later change
+// joins that one pass at batch close, so each in-place step starts from a
+// settled allocation. Changes inside a recorder span, or under
+// kProportional, always take the pass.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +76,10 @@ struct NetworkConfig {
 // Allocator observability (cumulative unless noted). `reallocations` counts
 // allocator passes; `flows_touched` counts entity repricings summed over
 // passes, so flows_touched / reallocations is the mean contention-component
-// size the engine actually paid for. `shortcuts` counts stream and channel
-// opens and closes applied without a pass (admitted in place or released
-// in place); they touch no other flow and are not in the per-pass fields.
+// size the engine actually paid for. `shortcuts` counts stream opens,
+// closes and demand changes and channel opens and closes applied in place,
+// without a pass; they touch no other flow and are not in the per-pass
+// fields.
 //
 // Only one pass in kTimedPassEvery reads the clock (passes 1, 65, 129, ...);
 // its time counts kTimedPassEvery times, so `alloc_seconds` and the
@@ -88,8 +93,9 @@ struct NetworkConfig {
 inline constexpr std::int64_t kTimedPassEvery = 64;
 
 // Slack a link must keep, beyond the change, for an uncontended stream
-// open or close to skip the allocator pass: three orders of magnitude
-// above kAllocEps, and far above the rounding of link sums at mesh rates.
+// open, close or demand change to skip the allocator pass: three orders of
+// magnitude above kAllocEps, and far above the rounding of link sums at
+// mesh rates.
 inline constexpr double kShortcutSlackBps = 1.0;
 
 struct AllocStats {
@@ -143,9 +149,10 @@ class Network {
   // Current sum of flow rates crossing the link (refreshed on reallocation).
   Bps link_allocated(LinkId link) const;
 
-  // Batch capacity updates: settling and reallocation are deferred until
-  // the guard dies, so a trace tick that touches L links settles and
-  // reprices once, not L times.
+  // Batch updates: once a change inside the guard needs a pass, settling
+  // and reallocation are deferred until the guard dies, so a trace tick
+  // that touches L links settles and reprices once, not L times. Changes
+  // the in-place shortcut covers apply at once until then.
   class BatchUpdate {
    public:
     explicit BatchUpdate(Network& net);
@@ -282,18 +289,20 @@ class Network {
   void settle_channel(Channel& ch);
   void settle_stream(Stream& st);
 
-  // Entity cache maintenance. Adding marks the entity dirty; removing
-  // marks its links dirty, so the next reallocate() reprices exactly the
-  // affected contention component.
+  // Entity cache maintenance, each change priced as it is made: in place
+  // when shift_in_place() allows, else adding marks the entity dirty and
+  // removing marks its links dirty, and reallocate() reprices exactly the
+  // affected contention component (at batch close, inside a batch).
   int add_entity(double demand, NodeId src, NodeId dst, Channel* ch,
                  std::uint32_t stream);
-  void remove_entity(int slot, bool mark_links_dirty = true);
-  // The uncontended-churn shortcuts (see the header comment). Each returns
-  // false, changing nothing, when the change needs the full pass.
+  void remove_entity(int slot);
+  // The in-place shortcut (see the header comment): moves the load of the
+  // flow in `slot` on its path from `from` to `to` bps (an open is 0 ->
+  // demand, a close demand -> 0, a demand change d -> d'). Returns false,
+  // changing nothing, when the change needs the pass.
   bool can_skip_pass() const;
   bool alone_on_path(int slot) const;
-  bool admit_in_place(int slot);
-  bool release_in_place(int slot, double rate);
+  bool shift_in_place(int slot, double from, double to);
   void count_shortcut();
 
   // Flood-fills links ↔ entities from the dirty seeds into comp_links_ /

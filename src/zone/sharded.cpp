@@ -65,6 +65,7 @@ util::Expected<std::unique_ptr<ShardedOrchestrator>> ShardedOrchestrator::create
   s->cache_instruments();
   s->zone_dirty_.assign(s->worlds_.size(), 0);
   s->comp_dirty_.assign(s->components_.size(), 0);
+  s->batches_ = std::vector<std::optional<net::Network::BatchUpdate>>(s->worlds_.size());
   s->entity_scratch_.reserve(s->transit_.size());
   s->entity_flow_.reserve(s->transit_.size());
 
@@ -432,40 +433,27 @@ void ShardedOrchestrator::start() {
 
   // Border transit comes up at the end of warmup, serially in border-link
   // order — every run (any --jobs) opens the same streams in the same
-  // order. One batch per zone: opening T streams individually re-settles
-  // the shared contention component each time (O(T^2) flow touches);
-  // batched, each zone settles once.
-  {
-    std::vector<std::unique_ptr<net::Network::BatchUpdate>> batches(
-        worlds_.size());
-    for (TransitFlow& f : transit_) {
-      World& a = *worlds_[static_cast<std::size_t>(f.zone_a)];
-      World& b = *worlds_[static_cast<std::size_t>(f.zone_b)];
-      if (!batches[static_cast<std::size_t>(f.zone_a)]) {
-        batches[static_cast<std::size_t>(f.zone_a)] =
-            std::make_unique<net::Network::BatchUpdate>(*a.network);
-      }
-      if (!batches[static_cast<std::size_t>(f.zone_b)]) {
-        batches[static_cast<std::size_t>(f.zone_b)] =
-            std::make_unique<net::Network::BatchUpdate>(*b.network);
-      }
-      {
-        obs::ScopedGlobalRecorder guard(&a.recorder);
-        f.a_stream = a.network->open_stream(f.a_src, f.a_dst, f.demand);
-      }
-      {
-        obs::ScopedGlobalRecorder guard(&b.recorder);
-        f.b_stream = b.network->open_stream(f.b_src, f.b_dst, f.demand);
-      }
-      f.imposed_a = f.demand;
-      f.imposed_b = f.demand;
+  // order. One batch per zone: opening T contending streams individually
+  // re-settles the shared contention component each time (O(T^2) flow
+  // touches); batched, each zone settles at most once (opens that fit
+  // apply in place until the first that contends).
+  for (TransitFlow& f : transit_) {
+    World& a = *worlds_[static_cast<std::size_t>(f.zone_a)];
+    World& b = *worlds_[static_cast<std::size_t>(f.zone_b)];
+    open_batch(f.zone_a);
+    open_batch(f.zone_b);
+    {
+      obs::ScopedGlobalRecorder guard(&a.recorder);
+      f.a_stream = a.network->open_stream(f.a_src, f.a_dst, f.demand);
     }
-    for (std::size_t z = 0; z < worlds_.size(); ++z) {
-      if (!batches[z]) continue;
-      obs::ScopedGlobalRecorder guard(&worlds_[z]->recorder);
-      batches[z].reset();  // settle this zone once
+    {
+      obs::ScopedGlobalRecorder guard(&b.recorder);
+      f.b_stream = b.network->open_stream(f.b_src, f.b_dst, f.demand);
     }
+    f.imposed_a = f.demand;
+    f.imposed_b = f.demand;
   }
+  close_batches();  // settle each zone once
 
   for (auto& w : worlds_) {
     if (w->serving) {
@@ -484,7 +472,7 @@ int ShardedOrchestrator::reconcile() {
   for (int pass = 0; pass < kMaxReconcileIterations; ++pass) {
     // Which zones' allocations moved since we last looked. Every
     // allocation-moving path — stream open/close, demand change, capacity
-    // shift — is an allocator pass or an uncontended-stream shortcut, and
+    // shift — is an allocator pass or an in-place shortcut, and
     // both bump Network::allocation_changes(); transit rates and
     // link_allocated can only move with it. (The pass count alone misses
     // shortcuts, which move link_allocated and so the border residuals.)
@@ -596,26 +584,18 @@ int ShardedOrchestrator::reconcile() {
     const std::vector<double>& rates =
         border_solver_.solve(recon_caps_, entity_scratch_);
 
-    // Impose the solve as demand caps on both halves; each zone settles
-    // once per pass via a batch update. Impositions bump the target zones'
-    // allocation-change markers, so the next pass picks them up as dirty —
-    // the fixpoint loop needs no extra bookkeeping.
-    batch_scratch_.clear();
-    batch_scratch_.resize(worlds_.size());
-    const auto batch_for = [this](int zone) -> void {
-      if (!batch_scratch_[static_cast<std::size_t>(zone)]) {
-        batch_scratch_[static_cast<std::size_t>(zone)] =
-            std::make_unique<net::Network::BatchUpdate>(
-                *worlds_[static_cast<std::size_t>(zone)]->network);
-      }
-    };
+    // Impose the solve as demand caps on both halves. A cap that moves on
+    // links keeping slack applies in place; the rest settle once per zone
+    // per pass via a batch update. Every imposition, in place or not, bumps
+    // the target zone's allocation-change marker, so the next pass picks
+    // it up as dirty — the fixpoint loop needs no extra bookkeeping.
     bool changed = false;
     for (std::size_t e = 0; e < entity_flow_.size(); ++e) {
       TransitFlow& f = transit_[entity_flow_[e]];
       const net::Bps target = std::clamp<net::Bps>(
           static_cast<net::Bps>(std::llround(rates[e])), 0, f.demand);
       if (std::llabs(target - f.imposed_a) > kRateEpsBps) {
-        batch_for(f.zone_a);
+        open_batch(f.zone_a);
         obs::ScopedGlobalRecorder guard(
             &worlds_[static_cast<std::size_t>(f.zone_a)]->recorder);
         worlds_[static_cast<std::size_t>(f.zone_a)]->network->set_stream_demand(
@@ -624,7 +604,7 @@ int ShardedOrchestrator::reconcile() {
         changed = true;
       }
       if (std::llabs(target - f.imposed_b) > kRateEpsBps) {
-        batch_for(f.zone_b);
+        open_batch(f.zone_b);
         obs::ScopedGlobalRecorder guard(
             &worlds_[static_cast<std::size_t>(f.zone_b)]->recorder);
         worlds_[static_cast<std::size_t>(f.zone_b)]->network->set_stream_demand(
@@ -633,12 +613,22 @@ int ShardedOrchestrator::reconcile() {
         changed = true;
       }
     }
-    batch_scratch_.clear();  // settle all touched zones
+    close_batches();  // settle all touched zones
     if (!changed) break;
     ++changed_iterations;
   }
   if (!rebuilt_any) ++reconcile_skipped_;
   return changed_iterations;
+}
+
+void ShardedOrchestrator::open_batch(int zone) {
+  std::optional<net::Network::BatchUpdate>& batch =
+      batches_[static_cast<std::size_t>(zone)];
+  if (!batch) batch.emplace(*worlds_[static_cast<std::size_t>(zone)]->network);
+}
+
+void ShardedOrchestrator::close_batches() {
+  for (std::optional<net::Network::BatchUpdate>& batch : batches_) batch.reset();
 }
 
 void ShardedOrchestrator::run_round() {

@@ -33,7 +33,7 @@
 // full pass makes, so journals stay byte-identical); reconciliation
 // partitions transit flows into link-disjoint border components and
 // re-solves only those whose owner zones' allocations changed (an
-// allocator pass or an uncontended-stream shortcut) since the last look,
+// allocator pass or an in-place shortcut) since the last look,
 // skipping the pass outright when none did. Both halves are provably
 // bitwise-neutral: a skipped zone processed no events either way, and a
 // clean component's residuals and solved rates are unchanged by
@@ -42,6 +42,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -272,6 +273,10 @@ class ShardedOrchestrator {
   void build_components();
   void cache_instruments();
   int reconcile();
+  // Opens `zone`'s batch guard unless it is open; close_batches() closes
+  // every open guard in zone order, settling each touched zone once.
+  void open_batch(int zone);
+  void close_batches();
   // Runs every due world to `deadline` (on the pool when there is one),
   // timing each for the zone.round_wall_us histogram.
   void advance(sim::Time deadline);
@@ -299,7 +304,10 @@ class ShardedOrchestrator {
   std::vector<std::uint8_t> comp_dirty_;
   std::vector<net::AllocEntityRef> entity_scratch_;
   std::vector<std::size_t> entity_flow_;  // entity index -> transit_ index
-  std::vector<std::unique_ptr<net::Network::BatchUpdate>> batch_scratch_;
+  // One batch guard slot per zone, open while a pass imposes on the zone.
+  // Sized once at creation: BatchUpdate cannot move, so the vector never
+  // grows.
+  std::vector<std::optional<net::Network::BatchUpdate>> batches_;
 
   // Cached coordinator instruments (addresses are stable for the registry's
   // lifetime).

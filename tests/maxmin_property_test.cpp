@@ -384,13 +384,16 @@ void expect_truncation_of(Bps read, double expected, double eps, const char* wha
 
 class UncontendedChurn : public ::testing::TestWithParam<ChurnCase> {};
 
-// Mostly-uncontended stream churn, the regime the admission-at-demand and
-// release-in-place shortcuts serve, mixed with oversubscribing streams,
-// backlogged transfers and capacity ticks that saturate links. After every
-// step each stream rate matches the reference kernel's allocation of the
-// whole flow set, and each link's allocation is the sum of its flows'
-// reference rates, both within kAllocEps: the shortcuts and the passes
-// together stay indistinguishable from recomputing the world.
+// Mostly-uncontended stream churn, the regime the in-place shortcut serves:
+// opens, closes and demand changes (up, down, to 0 and back), alone or in
+// batches that mix them, some batches led by a capacity change. Mixed in are
+// oversubscribing streams, backlogged transfers and capacity ticks that
+// saturate links. After every step each stream rate matches the reference
+// kernel's allocation of the whole flow set, and each link's allocation is
+// the sum of its flows' reference rates, both within kAllocEps: the
+// shortcuts and the passes together stay indistinguishable from recomputing
+// the world. Inside a batch whose changes have all applied in place so far,
+// the same holds after each change, before the batch closes.
 TEST_P(UncontendedChurn, ShortcutsMatchFromScratchReference) {
   util::Rng rng(GetParam().seed * 104729);
   sim::Simulation sim;
@@ -411,6 +414,7 @@ TEST_P(UncontendedChurn, ShortcutsMatchFromScratchReference) {
   cfg.per_hop_latency = 0;  // completions land in the window that drains them
   Network net(sim, topo, cfg);
   Shadow shadow;
+  const AllocStats& stats = net.alloc_stats();
 
   auto random_pair = [&](NodeId& src, NodeId& dst) {
     src = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
@@ -432,35 +436,94 @@ TEST_P(UncontendedChurn, ShortcutsMatchFromScratchReference) {
     if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
   };
 
+  // Nine in ten streams are small enough to fit; the rest oversubscribe.
+  auto random_demand = [&]() -> Bps {
+    return rng.chance(0.9) ? kbps(rng.uniform_int(100, 3000)) : mbps(rng.uniform_int(20, 120));
+  };
+  auto open = [&] {
+    NodeId src, dst;
+    random_pair(src, dst);
+    const Bps demand = random_demand();
+    const StreamId id = net.open_stream(src, dst, demand);
+    shadow.streams.push_back({id, {src, dst, static_cast<double>(demand), true, id}});
+  };
+  auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(shadow.streams.size()) - 1));
+  };
+  auto close = [&] {
+    const std::size_t idx = pick();
+    net.close_stream(shadow.streams[idx].first);
+    shadow.streams.erase(shadow.streams.begin() + static_cast<std::ptrdiff_t>(idx));
+  };
+  // Up, down, to 0, or back from 0.
+  std::int64_t demand_shortcuts = 0;
+  auto change_demand = [&] {
+    auto& [id, flow] = shadow.streams[pick()];
+    Bps demand;
+    if (flow.demand <= 0.0) {
+      demand = random_demand();
+    } else if (rng.chance(0.15)) {
+      demand = 0;
+    } else if (rng.chance(0.5)) {
+      demand = static_cast<Bps>(flow.demand * rng.uniform(1.1, 3.0));
+    } else {
+      demand = static_cast<Bps>(flow.demand * rng.uniform(0.2, 0.9));
+    }
+    const std::int64_t before = stats.shortcuts;
+    net.set_stream_demand(id, demand);
+    flow.demand = static_cast<double>(demand);
+    demand_shortcuts += stats.shortcuts - before;
+  };
+
+  std::int64_t batch_shortcuts = 0;
   for (int step = 0; step < 400; ++step) {
     const double op = rng.uniform(0.0, 1.0);
-    if (op < 0.45) {
-      // Nine in ten streams are small enough to fit; the rest oversubscribe.
-      NodeId src, dst;
-      random_pair(src, dst);
-      const Bps demand = rng.chance(0.9) ? kbps(rng.uniform_int(100, 3000))
-                                         : mbps(rng.uniform_int(20, 120));
-      const StreamId id = net.open_stream(src, dst, demand);
-      shadow.streams.push_back({id, {src, dst, static_cast<double>(demand), true, id}});
-    } else if (op < 0.85 && !shadow.streams.empty()) {
-      const auto idx = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(shadow.streams.size()) - 1));
-      net.close_stream(shadow.streams[idx].first);
-      shadow.streams.erase(shadow.streams.begin() + static_cast<std::ptrdiff_t>(idx));
-    } else if (op < 0.9) {
+    if (op < 0.35 || shadow.streams.empty()) {
+      open();
+    } else if (op < 0.62) {
+      close();
+    } else if (op < 0.77) {
+      change_demand();
+    } else if (op < 0.81) {
       NodeId src, dst;
       random_pair(src, dst);
       const auto key = std::make_pair(src, dst);
       ++shadow.channel_backlog[key];
       net.start_transfer(src, dst, rng.uniform_int(100'000, 2'000'000),
                          [&shadow, key] { --shadow.channel_backlog[key]; });
-    } else if (op < 0.96) {
+    } else if (op < 0.86) {
       // Capacity tick, sometimes low enough to saturate what runs there.
       Network::BatchUpdate batch(net);
       const int updates = static_cast<int>(rng.uniform_int(1, 3));
       for (int u = 0; u < updates; ++u) {
         const auto l = static_cast<LinkId>(rng.uniform_int(0, topo.link_count() - 1));
         net.set_link_capacity(l, mbps(rng.uniform_int(2, 100)));
+      }
+    } else if (op < 0.95) {
+      // A batch of stream changes, a third of them led by a capacity change.
+      Network::BatchUpdate batch(net);
+      bool settled = true;  // every change so far applied in place
+      if (rng.chance(0.33)) {
+        const auto l = static_cast<LinkId>(rng.uniform_int(0, topo.link_count() - 1));
+        net.set_link_capacity(l, mbps(rng.uniform_int(2, 100)));
+        settled = false;
+      }
+      const int changes = static_cast<int>(rng.uniform_int(2, 6));
+      for (int c = 0; c < changes; ++c) {
+        const std::int64_t before = stats.shortcuts;
+        const double kind = rng.uniform(0.0, 1.0);
+        if (kind < 0.35 || shadow.streams.empty()) {
+          open();
+        } else if (kind < 0.6) {
+          close();
+        } else {
+          change_demand();
+        }
+        batch_shortcuts += stats.shortcuts - before;
+        settled = settled && stats.shortcuts > before;
+        if (settled) check(step);
+        if (::testing::Test::HasFailure()) return;
       }
     } else {
       sim.run_until(sim.now() + sim::millis(rng.uniform_int(50, 1000)));
@@ -471,10 +534,12 @@ TEST_P(UncontendedChurn, ShortcutsMatchFromScratchReference) {
   sim.run_all();
   check(400);
 
-  // Both paths ran: most stream changes skipped the pass, some did not.
-  const AllocStats& stats = net.alloc_stats();
+  // Both paths ran: most stream changes skipped the pass, some did not, and
+  // demand changes and changes inside batches took the shortcut too.
   EXPECT_GT(stats.shortcuts, 150);
   EXPECT_GT(stats.reallocations, 20);
+  EXPECT_GT(demand_shortcuts, 20);
+  EXPECT_GT(batch_shortcuts, 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UncontendedChurn,

@@ -399,8 +399,10 @@ TEST(Network, OnlyPassesInsideASpanAreJournaled) {
 }
 
 // Uncontended churn: a stream that leaves slack on every link is admitted
-// at its demand, and one whose links all had slack is released in place,
-// with no allocator pass. allocation_changes() moves with either.
+// at its demand, one whose links all had slack is released in place, and a
+// demand change on links that keep slack under the larger load moves in
+// place, with no allocator pass. allocation_changes() moves with each. In a
+// batch the same holds until a change needs the batch's pass.
 TEST(Network, UncontendedStreamsSkipThePass) {
   Fixture f;
   const AllocStats& stats = f.net->alloc_stats();
@@ -432,14 +434,51 @@ TEST(Network, UncontendedStreamsSkipThePass) {
   EXPECT_EQ(stats.shortcuts, 2);
   EXPECT_EQ(f.net->link_allocated(ab), 0);
 
-  // Inside a batch even a fitting stream waits for the batch's one pass.
+  // A fitting stream applies in place inside a batch too, at once.
+  StreamId c = 0;
   {
     Network::BatchUpdate batch(*f.net);
-    f.net->open_stream(1, 2, mbps(1));
+    c = f.net->open_stream(1, 2, mbps(1));
+    EXPECT_EQ(stats.shortcuts, 3);
+    EXPECT_EQ(f.net->stream_rate(c), mbps(1));
   }
+  EXPECT_EQ(stats.reallocations, 2);
+  EXPECT_EQ(stats.shortcuts, 3);
+
+  // Demand changes: 1 -> 8 Mbps leaves 1->2 2 Mbps of slack, and 8 -> 3
+  // Mbps frees load on links that had it: both in place. 3 -> 10 Mbps
+  // would saturate 1->2, so it takes a pass.
+  f.net->set_stream_demand(c, mbps(8));
+  EXPECT_EQ(stats.shortcuts, 4);
+  EXPECT_EQ(f.net->stream_rate(c), mbps(8));
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(8));
+  f.net->set_stream_demand(c, mbps(3));
+  EXPECT_EQ(stats.shortcuts, 5);
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(3));
+  f.net->set_stream_demand(c, mbps(10));
   EXPECT_EQ(stats.reallocations, 3);
-  EXPECT_EQ(stats.shortcuts, 2);
-  EXPECT_EQ(f.net->allocation_changes(), 5);
+  EXPECT_EQ(stats.shortcuts, 5);
+  EXPECT_EQ(f.net->stream_rate(c), mbps(10));
+  // 1->2 is saturated now: even lowering the demand takes a pass.
+  f.net->set_stream_demand(c, mbps(3));
+  EXPECT_EQ(stats.reallocations, 4);
+  EXPECT_EQ(stats.shortcuts, 5);
+
+  // A capacity change earlier in the batch leaves a dirty seed: the
+  // allocation is no longer settled, so even a fitting open joins the
+  // batch's one pass and runs only once the batch closes.
+  {
+    Network::BatchUpdate batch(*f.net);
+    f.net->set_link_capacity(ab, mbps(20));
+    const StreamId d = f.net->open_stream(1, 2, mbps(1));
+    EXPECT_EQ(f.net->stream_rate(d), 0);
+    EXPECT_EQ(stats.shortcuts, 5);
+    EXPECT_EQ(stats.reallocations, 4);
+  }
+  EXPECT_EQ(stats.reallocations, 5);
+  EXPECT_EQ(stats.shortcuts, 5);
+  EXPECT_EQ(f.net->link_allocated(bc), mbps(4));
+  EXPECT_EQ(f.net->allocation_changes(), 10);
 }
 
 // A change made while a span is current keeps its pass, so its cause's

@@ -316,6 +316,65 @@ TEST(Sharded, UncontendedOpenOnATransitLinkReRunsReconcile) {
   EXPECT_GT(orch->phase_walls().border_rebuilds, settled);
 }
 
+// An imposition that applies in place still counts as an allocation
+// change, so reconcile's fixpoint loop re-checks the zone. Widening every
+// link lifts the border solve to the transit demand; each capped half runs
+// at its cap on links that keep slack, so the raise moves in place in both
+// zones, and the loop's second pass (which finds the fixpoint) sees both
+// zones dirty through those shortcuts alone.
+TEST(Sharded, InPlaceImpositionBumpsAllocationChanges) {
+  auto built = ShardedOrchestrator::create(non_serving_build(4, 4, 2, 1), 1);
+  ASSERT_TRUE(built.ok()) << built.error();
+  auto orch = built.take();
+  orch->start();
+  orch->run_round();
+  orch->run_round();
+
+  // A round in which every zone's allocation moved by a shortcut alone (a
+  // fitting stream opened and closed) but no cap moves: one reconcile pass
+  // rebuilds every border component, finds the imposed caps, and stops.
+  const auto bump_every_zone = [&] {
+    for (int z = 0; z < orch->zones(); ++z) {
+      net::Network& net = orch->zone_network(z);
+      const std::int64_t passes = net.alloc_stats().reallocations;
+      net.close_stream(net.open_stream(0, 1, net::kbps(1)));
+      ASSERT_EQ(net.alloc_stats().reallocations, passes) << "zone " << z;
+    }
+  };
+  bump_every_zone();
+  std::int64_t rebuilds = orch->phase_walls().border_rebuilds;
+  orch->run_round();
+  const std::int64_t one_pass = orch->phase_walls().border_rebuilds - rebuilds;
+  ASSERT_GT(one_pass, 0);
+
+  std::vector<std::int64_t> passes, changes;
+  for (int z = 0; z < orch->zones(); ++z) {
+    net::Network& net = orch->zone_network(z);
+    net::Network::BatchUpdate batch(net);
+    for (net::LinkId l = 0; l < net.topology().link_count(); ++l) {
+      net.set_link_capacity(l, net.link_capacity(l) * 100);
+    }
+  }
+  for (int z = 0; z < orch->zones(); ++z) {
+    passes.push_back(orch->zone_network(z).alloc_stats().reallocations);
+    changes.push_back(orch->zone_network(z).allocation_changes());
+  }
+  rebuilds = orch->phase_walls().border_rebuilds;
+  orch->run_round();
+  for (int z = 0; z < orch->zones(); ++z) {
+    const net::Network& net = orch->zone_network(z);
+    // The raised caps applied without a pass, yet the zone's allocation
+    // changed...
+    EXPECT_EQ(net.alloc_stats().reallocations, passes[static_cast<std::size_t>(z)])
+        << "zone " << z;
+    EXPECT_GT(net.allocation_changes(), changes[static_cast<std::size_t>(z)])
+        << "zone " << z;
+  }
+  // ...so the loop ran a second pass over every component: one that
+  // imposed, one that found the fixpoint.
+  EXPECT_EQ(orch->phase_walls().border_rebuilds - rebuilds, 2 * one_pass);
+}
+
 std::string serving_ini(int zones, int transit_per_border,
                         const std::string& zone_extra = "") {
   return util::str_format(
