@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <functional>
+#include <string>
 #include <utility>
 
 #include "sched/rescheduler.h"
@@ -52,15 +54,15 @@ Orchestrator::Orchestrator(sim::Simulation& sim, net::Network& network,
     : sim_(&sim), network_(&network), cluster_(&cluster), config_(config) {}
 
 Orchestrator::~Orchestrator() {
-  for (auto& d : deployments_) sim_->cancel(d->controller_tick);
+  for (Row& row : deployments_) sim_->cancel(row.deployment->controller_tick);
 }
 
 Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) {
-  return *deployments_.at(static_cast<std::size_t>(id));
+  return *deployments_.at(static_cast<std::size_t>(id)).deployment;
 }
 
 const Orchestrator::Deployment& Orchestrator::dep(DeploymentId id) const {
-  return *deployments_.at(static_cast<std::size_t>(id));
+  return *deployments_.at(static_cast<std::size_t>(id)).deployment;
 }
 
 const app::AppGraph& Orchestrator::Deployment::graph() const {
@@ -85,11 +87,10 @@ sched::Scheduler& Orchestrator::scheduler(SchedulerKind kind) {
 
 DeploymentId Orchestrator::add_deployment(std::unique_ptr<Deployment> d) {
   const DeploymentId id = static_cast<DeploymentId>(deployments_.size());
-  d->next_live = live_head_;
-  if (live_head_ != kInvalidDeployment) dep(live_head_).prev_live = id;
-  live_head_ = id;
-  ++live_count_;
-  deployments_.push_back(std::move(d));
+  const std::size_t name_hash = std::hash<std::string>{}(d->instance);
+  d->live_slot = live_count_;
+  deployments_.push_back({std::move(d), {}});
+  deployments_[live_count_++].live = {name_hash, id};
   return id;
 }
 
@@ -225,7 +226,7 @@ util::Expected<DeploymentId> Orchestrator::deploy_with_placement(
   d->app = std::move(prepared);
   const DeploymentId id = add_deployment(std::move(d));
   if (recorder_ != nullptr) {
-    const Deployment& placed = *deployments_.back();
+    const Deployment& placed = *deployments_.back().deployment;
     obs::ScheduleDecision decision;
     decision.at = sim_->now();
     decision.deployment = id;
@@ -319,10 +320,12 @@ bool Orchestrator::deployment_active(DeploymentId id) const {
 
 DeploymentId Orchestrator::find_instance(const std::string& instance) const {
   if (instance.empty()) return kInvalidDeployment;
-  // Names are unique among active deployments, so the walk order cannot
+  // Names are unique among active deployments, so the scan order cannot
   // change the answer.
-  for (DeploymentId id = live_head_; id != kInvalidDeployment; id = dep(id).next_live) {
-    if (dep(id).instance == instance) return id;
+  const std::size_t name_hash = std::hash<std::string>{}(instance);
+  for (std::size_t i = 0; i < live_count_; ++i) {
+    const LiveEntry& entry = deployments_[i].live;
+    if (entry.name_hash == name_hash && dep(entry.id).instance == instance) return entry.id;
   }
   return kInvalidDeployment;
 }
@@ -360,13 +363,10 @@ bool Orchestrator::undeploy(DeploymentId id) {
     closed.parent = recorder_->current_span();
     recorder_->record(closed);
   }
-  if (d.prev_live != kInvalidDeployment) {
-    dep(d.prev_live).next_live = d.next_live;
-  } else {
-    live_head_ = d.next_live;
-  }
-  if (d.next_live != kInvalidDeployment) dep(d.next_live).prev_live = d.prev_live;
-  --live_count_;
+  // Swap-remove from the live index: the last entry takes this one's row.
+  const LiveEntry last = deployments_[--live_count_].live;
+  deployments_[d.live_slot].live = last;
+  dep(last.id).live_slot = d.live_slot;
   // Leave a tombstone: every scheduled callback that captured `id` (bring-
   // up, state transfer, recovery retry, controller tick) checks `active`
   // before it touches a member released here.

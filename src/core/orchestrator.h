@@ -179,7 +179,7 @@ class Orchestrator {
   bool deployment_active(DeploymentId id) const;
   // Active deployment with this instance name, or kInvalidDeployment.
   DeploymentId find_instance(const std::string& instance) const;
-  int live_deployment_count() const { return live_count_; }
+  int live_deployment_count() const { return static_cast<int>(live_count_); }
 
   // Deploys with a caller-chosen placement (experiments reproducing the
   // paper's fixed initial deployments, e.g. "Pion server on node 2").
@@ -290,9 +290,9 @@ class Orchestrator {
     std::optional<controller::CooldownTracker> cooldown;
     sim::EventId controller_tick = sim::kInvalidEvent;
     std::vector<ControllerRound> rounds;
-    // Neighbours in the list of active deployments.
-    DeploymentId prev_live = kInvalidDeployment;
-    DeploymentId next_live = kInvalidDeployment;
+    // The row of deployments_ holding this deployment's live entry while
+    // it is active.
+    std::size_t live_slot = 0;
 
     // The current graph (`profiled`, else `app`); empty once retired.
     const app::AppGraph& graph() const;
@@ -322,7 +322,7 @@ class Orchestrator {
   static void notify_down(const Deployment& d, app::ComponentId component);
   static void notify_up(const Deployment& d, app::ComponentId component,
                         net::NodeId node);
-  // Appends a new deployment and links it into the live list.
+  // Appends a new deployment and enters it in the live index.
   DeploymentId add_deployment(std::unique_ptr<Deployment> d);
   // Journals an OrchestratorWarning (`what` must be a static literal).
   void warn(const char* what, DeploymentId id, net::NodeId node);
@@ -358,12 +358,25 @@ class Orchestrator {
   sched::BassScheduler auto_{sched::Heuristic::kAuto};
   sched::K3sScheduler k3s_;
   RoundScratch round_;
-  std::vector<std::unique_ptr<Deployment>> deployments_;  // every id ever issued
-  // Active deployments as a list threaded through their slots, so lookups
-  // walk what is live, not the run's history, and keeping it allocates
-  // nothing.
-  DeploymentId live_head_ = kInvalidDeployment;
-  int live_count_ = 0;
+  // One entry of the live index: an active deployment's instance-name hash
+  // and id.
+  struct LiveEntry {
+    std::size_t name_hash = 0;
+    DeploymentId id = kInvalidDeployment;
+  };
+  struct Row {
+    std::unique_ptr<Deployment> deployment;
+    LiveEntry live;
+  };
+  // Row `id` holds the deployment with that id, every id ever issued
+  // (tombstones included). Rows below live_count_ also hold the live
+  // index, one entry per active deployment in no order: deploy appends and
+  // undeploy swap-removes, so a duplicate check scans only what is live,
+  // contiguously, and compares names only on a hash match. The index is
+  // never longer than the id table, so it shares its rows and keeping it
+  // allocates nothing.
+  std::vector<Row> deployments_;
+  std::size_t live_count_ = 0;
   std::vector<MigrationEvent> migrations_;
   std::set<net::NodeId> failed_nodes_;
   std::function<void(DeploymentId)> round_hook_;

@@ -13,11 +13,15 @@
 // explicitly does not chase routing dynamics.
 //
 // Storage is the per-source trees the searches produce, not the paths: for
-// every (src, dst) the link into dst on src's tree and the hop count, 6 B
-// per pair. A path is read on demand, either walked from dst back to src
-// (walk(); for sums, minima and early-exit checks, which do not care about
-// link order) or copied out in src -> dst order (copy_path(); for callers
-// that keep the path, such as Network's entities).
+// every (src, dst) the in-link of dst on src's tree, as a 1-byte slot (its
+// position among dst's in-links), and the 2-byte hop count, 3 B per pair.
+// The in-links themselves sit once in a flat array grouped by destination,
+// so a hop costs two dependent loads: the slot, then the {link, src} arc.
+// A slot caps a node at kMaxInLinks in-links. A path is read on demand,
+// either walked from dst back to src (walk(); for sums, minima and
+// early-exit checks, which do not care about link order) or copied out in
+// src -> dst order (copy_path(); for callers that keep the path, such as
+// Network's entities).
 #pragma once
 
 #include <cassert>
@@ -34,6 +38,12 @@ enum class RoutingPolicy { kMinHop, kWidestPath };
 
 class RoutingTable {
  public:
+  // Most in-links a node may have: its tree entries store the in-link as a
+  // 1-byte slot, and 0xFF means "no link".
+  static constexpr int kMaxInLinks = 254;
+
+  // Throws std::length_error if a node has more than kMaxInLinks in-links
+  // (naming the node) or the mesh more than 65535 nodes.
   explicit RoutingTable(const Topology& topo,
                         RoutingPolicy policy = RoutingPolicy::kMinHop)
       : topo_(&topo), policy_(policy) {
@@ -43,7 +53,8 @@ class RoutingTable {
   RoutingPolicy policy() const { return policy_; }
 
   // Rebuilds all routes (call if the topology gained nodes/links, or to
-  // re-evaluate widest paths against current capacities).
+  // re-evaluate widest paths against current capacities). Throws like the
+  // constructor.
   void recompute();
 
   // Number of hops from src to dst (0 when colocated or unreachable).
@@ -63,12 +74,15 @@ class RoutingTable {
   // "traceroute".
   template <class F>
   void walk(NodeId src, NodeId dst, F&& f) const {
-    const LinkId* in_link = in_link_.data() + index(src, 0);
-    const Link* links = topo_->links().data();
+    const std::uint8_t* slot = slot_.data() + index(src, 0);
+    const InArc* arcs = in_arcs_.data();
+    const std::uint32_t* begin = in_begin_.data();
     for (NodeId v = dst; v != src;) {
-      const LinkId l = in_link[v];
-      if (l == kInvalidLink || !f(l)) return;
-      v = links[l].src;
+      const std::uint8_t s = slot[v];
+      if (s == kNoSlot) return;
+      const InArc& arc = arcs[begin[v] + s];
+      if (!f(arc.link)) return;
+      v = arc.src;
     }
   }
 
@@ -86,13 +100,28 @@ class RoutingTable {
   }
 
  private:
+  static constexpr std::uint8_t kNoSlot = 0xFF;
+  // An in-link of a node, stored in the node's group of in_arcs_.
+  struct InArc {
+    LinkId link;
+    NodeId src;
+  };
   struct SearchScratch;
-  // One source's search: fills `in_link` (the link into each reached node)
-  // and `hops` (path lengths), both indexed by NodeId.
-  void search_min_hop(NodeId src, LinkId* in_link, std::uint16_t* hops,
-                      SearchScratch& scratch) const;
-  void search_widest(NodeId src, LinkId* in_link, std::uint16_t* hops,
-                     SearchScratch& scratch) const;
+  // What one source's search reached: nodes including src, and the longest
+  // path in hops.
+  struct TreeSummary {
+    std::size_t reached;
+    int max_hops;
+  };
+  // One source's search: fills `slot` (the in-link slot of each reached
+  // node) and `hops` (path lengths), both indexed by NodeId.
+  TreeSummary search_min_hop(NodeId src, std::uint8_t* slot, std::uint16_t* hops,
+                             SearchScratch& scratch) const;
+  TreeSummary search_widest(NodeId src, std::uint8_t* slot, std::uint16_t* hops,
+                            SearchScratch& scratch) const;
+  // Groups the links into in_arcs_ and the scratch's out-arcs; throws as
+  // the constructor documents.
+  void build_arcs(SearchScratch& scratch);
   std::size_t index(NodeId src, NodeId dst) const {
     assert(src >= 0 && src < topo_->node_count() && dst >= 0 && dst < topo_->node_count());
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(topo_->node_count()) +
@@ -101,11 +130,16 @@ class RoutingTable {
 
   const Topology* topo_;
   RoutingPolicy policy_;
-  // Row src of each array is src's tree: in_link_[src * n + v] is the link
-  // into v (kInvalidLink for src itself and unreachable v), hops_ the
+  // Row src of each array is src's tree: slot_[src * n + v] is the slot of
+  // the link into v (kNoSlot for src itself and unreachable v), hops_ the
   // length of the src -> v path.
-  std::vector<LinkId> in_link_;
+  std::vector<std::uint8_t> slot_;
   std::vector<std::uint16_t> hops_;
+  // The in-links grouped by destination: v's are
+  // in_arcs_[in_begin_[v], in_begin_[v + 1]), in source-id order, and a
+  // slot indexes that range.
+  std::vector<std::uint32_t> in_begin_;
+  std::vector<InArc> in_arcs_;
   int max_hops_ = 0;
   std::size_t unreachable_pairs_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "scenario/scenario.h"
 
 #include "app/catalog.h"
+#include "net/routing.h"
 #include "topo/city_grid.h"
 #include "trace/generator.h"
 #include "util/strings.h"
@@ -295,6 +296,22 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
     if (a == spec.nodes_by_name.end() || b == spec.nodes_by_name.end()) {
       return err("[link " + section->heading[1] + " " + section->heading[2] +
                  "]: unknown node");
+    }
+    const std::string where =
+        "[link " + section->heading[1] + " " + section->heading[2] + "]";
+    if (a->second == b->second) return err(where + ": a node cannot link to itself");
+    if (spec.topology.link_between(a->second, b->second)) {
+      return err(where + ": duplicate link");
+    }
+    // Links come in pairs, so a node's out-links count its in-links too.
+    for (const net::NodeId end : {a->second, b->second}) {
+      if (spec.topology.out_links(end).size() >=
+          static_cast<std::size_t>(net::RoutingTable::kMaxInLinks)) {
+        return err(where + ": node '" + spec.topology.node_name(end) +
+                   "' would have more than " +
+                   std::to_string(net::RoutingTable::kMaxInLinks) +
+                   " links, the most routing supports");
+      }
     }
     const double mbps = section->number_or("capacity_mbps", 10.0);
     spec.topology.add_link(a->second, b->second, static_cast<net::Bps>(mbps * 1e6));

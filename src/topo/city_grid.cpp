@@ -1,6 +1,9 @@
 #include "topo/city_grid.h"
 
+#include <string>
 #include <utility>
+
+#include "net/routing.h"
 
 namespace bass::topo {
 namespace {
@@ -76,7 +79,20 @@ util::Expected<CityGrid> make_city_grid(const CityGridParams& params) {
       params.backbone_bps <= 0) {
     return util::make_error("city_grid: link capacities must be positive");
   }
-  return CityGridGenerator(params).build();
+  CityGrid grid = CityGridGenerator(params).build();
+  // A router holds its block's leaves plus up to four streets; links come
+  // in pairs, so out-links count in-links.
+  for (const net::NodeId router : grid.routers) {
+    if (grid.topology.out_links(router).size() >
+        static_cast<std::size_t>(net::RoutingTable::kMaxInLinks)) {
+      return util::make_error(
+          "city_grid: router '" + grid.topology.node_name(router) + "' has " +
+          std::to_string(grid.topology.out_links(router).size()) +
+          " links; routing supports at most " +
+          std::to_string(net::RoutingTable::kMaxInLinks) + " (lower nodes_per_block)");
+    }
+  }
+  return grid;
 }
 
 util::Expected<CityGridParams> parse_city_grid(const util::IniSection& section) {

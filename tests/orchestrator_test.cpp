@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "app/catalog.h"
 #include "core/orchestrator.h"
@@ -364,6 +365,47 @@ TEST(Orchestrator, MultipleDeploymentsAreIndependent) {
   f.orch->restart_component(a, 0);
   EXPECT_FALSE(f.orch->is_up(a, 0));
   EXPECT_TRUE(f.orch->is_up(b, 0));
+}
+
+TEST(Orchestrator, InstanceNamesAreUniqueAmongLiveDeployments) {
+  Fixture f;
+  const auto deploy = [&](const std::string& name) {
+    return f.orch->deploy(tiny_app(), SchedulerKind::kBassBfs, name);
+  };
+  const DeploymentId a = deploy("a").take();
+  const DeploymentId anonymous = deploy("").take();
+  const DeploymentId b = deploy("b").take();
+  const DeploymentId c = deploy("c").take();
+  EXPECT_EQ(f.orch->live_deployment_count(), 4);
+  const auto again = deploy("b");
+  ASSERT_FALSE(again.ok());
+  EXPECT_NE(again.error().find("already deployed"), std::string::npos) << again.error();
+  EXPECT_EQ(f.orch->find_instance("b"), b);
+  EXPECT_EQ(f.orch->find_instance(""), kInvalidDeployment);
+  EXPECT_EQ(f.orch->find_instance("d"), kInvalidDeployment);
+
+  // Undeploying the first entry moves the last one into its place; every
+  // name must still resolve, and stay taken.
+  ASSERT_TRUE(f.orch->undeploy(a));
+  EXPECT_EQ(f.orch->find_instance("a"), kInvalidDeployment);
+  EXPECT_EQ(f.orch->find_instance("b"), b);
+  EXPECT_EQ(f.orch->find_instance("c"), c);
+  EXPECT_FALSE(deploy("c").ok());
+  ASSERT_TRUE(f.orch->undeploy(anonymous));
+  ASSERT_TRUE(f.orch->undeploy(b));
+  EXPECT_EQ(f.orch->live_deployment_count(), 1);
+  EXPECT_EQ(f.orch->find_instance("c"), c);
+
+  // A retired name can be deployed again, under a new id.
+  const auto b2 = deploy("b");
+  ASSERT_TRUE(b2.ok()) << b2.error();
+  EXPECT_NE(b2.value(), b);
+  EXPECT_EQ(f.orch->find_instance("b"), b2.value());
+  const auto a2 = deploy("a");
+  ASSERT_TRUE(a2.ok()) << a2.error();
+  EXPECT_EQ(f.orch->find_instance("a"), a2.value());
+  EXPECT_FALSE(deploy("a").ok());
+  EXPECT_EQ(f.orch->live_deployment_count(), 3);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Routing memory and zero-allocation gates. The routing table keeps only
-// per-source trees (6 B per node pair); paths are walked or copied on
-// demand. The global operator new probe checks both halves of that
-// contract: a build allocates the two n² arrays plus O(n + m) scratch, and
+// per-source trees (a 1-byte in-link slot and a 2-byte hop count, 3 B per
+// node pair) over flat arc arrays; paths are walked or copied on demand.
+// The global operator new probe checks both halves of that contract: a
+// build allocates the two n² arrays plus O(n + m) arcs and scratch, and
 // the per-decision consumers (the placement ledger, the network's capacity
 // queries, the monitor's cached bottleneck) walk the trees without
 // allocating once their own buffers are warm.
@@ -49,13 +50,19 @@ TEST(RoutingAlloc, BuildAllocatesTreesPlusLinearScratch) {
         const RoutingTable rt(t, policy);
         EXPECT_EQ(rt.unreachable_pairs(), 0u);
       }
+      // Read both counters first: a failure message allocates too.
       const std::int64_t bytes = testing::bytes_since(snap);
-      // 4 B link + 2 B hop count per pair; the scratch is a BFS queue or a
-      // width/done pair plus a heap of at most m + 1 16-byte candidates.
-      EXPECT_LE(bytes, pairs * 6 + 32 * linear) << "n=" << n;
-      EXPECT_GE(bytes, pairs * 6) << "n=" << n;
-      // A fixed number of buffers, not one per source.
-      EXPECT_LE(testing::allocations_since(snap), 6) << "n=" << n;
+      const std::int64_t allocations = testing::allocations_since(snap);
+      // 1 B slot + 2 B hop count per pair; the arcs are 8 B in-arcs and
+      // out-arcs per link plus n + 1 group starts, and the search scratch
+      // is a BFS queue or a width/done pair plus a heap of at most m + 1
+      // 16-byte candidates.
+      EXPECT_LE(bytes, pairs * 3 + 32 * linear) << "n=" << n;
+      EXPECT_GE(bytes, pairs * 3) << "n=" << n;
+      // A fixed number of buffers, not one per source: the two rows, the
+      // in-arcs and their starts, the out-arcs, and the BFS queue or
+      // widest-path's width, done and heap.
+      EXPECT_LE(allocations, policy == RoutingPolicy::kMinHop ? 6 : 8) << "n=" << n;
     }
   }
 }

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ranges>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "net/network.h"
 #include "net/routing.h"
+#include "routing_reference.h"
 #include "util/rng.h"
 
 namespace bass::net {
@@ -315,6 +319,133 @@ TEST(Routing, TieHeavyMeshMatchesPerPathReference) {
     }
     for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
       expect_matches_reference(t, policy, "tie mesh " + std::to_string(round));
+    }
+  }
+}
+
+// Random mesh for the oracle comparison: nodes spread over `islands`
+// disconnected groups (plus the odd isolated node), each direction's
+// capacity drawn on its own from `widths` values, so asymmetric links and
+// equal-width ties both occur.
+Topology island_mesh(util::Rng& rng, int n, int islands, int widths, double density) {
+  Topology t;
+  std::vector<int> island(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    t.add_node();
+    island[static_cast<std::size_t>(i)] = static_cast<int>(rng.uniform_int(0, islands));
+  }
+  auto cap = [&] { return mbps(5 * rng.uniform_int(1, widths)); };
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = a + 1; b < n; ++b) {
+      // Group `islands` holds isolated nodes: it gets no links at all.
+      const int g = island[static_cast<std::size_t>(a)];
+      if (g == islands || g != island[static_cast<std::size_t>(b)]) continue;
+      if (rng.chance(density)) t.add_link(a, b, cap(), cap());
+    }
+  }
+  return t;
+}
+
+// Every accessor of the compact table against the LinkId-per-pair oracle:
+// hops, reachable, the copied path, the walked path (reversed, and cut
+// short at every length), and the table-wide summaries.
+void expect_matches_oracle(const Topology& t, const RoutingTable& rt,
+                           const std::string& what) {
+  const reference::LinkRoutingTable oracle(t, rt.policy());
+  const int n = t.node_count();
+  ASSERT_EQ(rt.max_hops(), oracle.max_hops()) << what;
+  ASSERT_EQ(rt.unreachable_pairs(), oracle.unreachable_pairs()) << what;
+  std::vector<LinkId> copied(static_cast<std::size_t>(rt.max_hops()));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      const std::vector<LinkId> expected = oracle.path(u, v);
+      ASSERT_EQ(rt.hops(u, v), oracle.hops(u, v)) << what << " " << u << "->" << v;
+      ASSERT_EQ(rt.reachable(u, v), oracle.reachable(u, v)) << what << " " << u << "->" << v;
+      // Walked first, and cut off past n links, so a broken tree fails
+      // here rather than overrunning copy_path's buffer.
+      std::vector<LinkId> walked;
+      rt.walk(u, v, [&](LinkId l) {
+        walked.push_back(l);
+        return walked.size() <= static_cast<std::size_t>(n);
+      });
+      ASSERT_TRUE(std::ranges::equal(walked, std::views::reverse(expected)))
+          << what << " " << u << "->" << v;
+      const int hops = rt.copy_path(u, v, copied);
+      ASSERT_TRUE(std::ranges::equal(std::span(copied).first(static_cast<std::size_t>(hops)),
+                                     expected))
+          << what << " " << u << "->" << v;
+      for (std::size_t k = 0; k < walked.size(); ++k) {
+        std::size_t visits = 0;
+        rt.walk(u, v, [&](LinkId) { return ++visits <= k; });
+        ASSERT_EQ(visits, k + 1) << what << " " << u << "->" << v;
+      }
+    }
+  }
+}
+
+TEST(RoutingOracle, CompactTablesMatchLinkIdTables) {
+  util::Rng rng(0x0AC1E);
+  for (int round = 0; round < 80; ++round) {
+    const int n = static_cast<int>(rng.uniform_int(1, 40));
+    const int islands = static_cast<int>(rng.uniform_int(1, 3));
+    // One width everywhere in some rounds: every widest-path step is a tie.
+    const int widths = round % 4 == 0 ? 1 : static_cast<int>(rng.uniform_int(2, 6));
+    const double density = rng.uniform(0.05, 0.35);
+    const Topology t = island_mesh(rng, n, islands, widths, density);
+    for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+      expect_matches_oracle(t, RoutingTable(t, policy), "round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(RoutingOracle, RecomputeMatchesOracleAfterCapacityChanges) {
+  util::Rng rng(0xCA9);
+  Topology t = island_mesh(rng, 36, 2, 4, 0.2);
+  RoutingTable widest(t, RoutingPolicy::kWidestPath);
+  for (int step = 0; step < 10; ++step) {
+    for (int k = 0; k < 8 && t.link_count() > 0; ++k) {
+      const auto l = static_cast<LinkId>(rng.uniform_int(0, t.link_count() - 1));
+      t.set_capacity(l, mbps(5 * rng.uniform_int(1, 8)));
+    }
+    widest.recompute();
+    expect_matches_oracle(t, widest, "step " + std::to_string(step));
+  }
+}
+
+TEST(RoutingOracle, HubSlotsReachTheirLimit) {
+  // A hub with the most in-links a slot can index, a ring through its
+  // spokes, and a few spoke chords, so high slots appear on many trees.
+  Topology t;
+  const NodeId hub = t.add_node("hub");
+  const int spokes = RoutingTable::kMaxInLinks;
+  for (int i = 0; i < spokes; ++i) t.add_node();
+  for (NodeId s = 1; s <= spokes; ++s) t.add_link(hub, s, mbps(5 + s % 7), mbps(5 + s % 5));
+  for (NodeId s = 1; s < spokes; s += 9) t.add_link(s, s + 1, mbps(40));
+  for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+    const RoutingTable rt(t, policy);
+    EXPECT_EQ(rt.unreachable_pairs(), 0u);
+    expect_matches_oracle(t, rt, "hub");
+    // The last spoke's link into the hub sits in the hub's last slot.
+    ASSERT_EQ(rt.hops(spokes, hub), 1);
+    int visits = 0;
+    rt.walk(spokes, hub, [&](LinkId l) {
+      EXPECT_EQ(l, *t.link_between(spokes, hub));
+      return ++visits < 2;
+    });
+    EXPECT_EQ(visits, 1);
+  }
+}
+
+TEST(RoutingOracle, RejectsANodeWithTooManyInLinks) {
+  Topology t;
+  const NodeId hub = t.add_node("hub");
+  for (int i = 0; i <= RoutingTable::kMaxInLinks; ++i) t.add_link(hub, t.add_node(), mbps(10));
+  for (RoutingPolicy policy : {RoutingPolicy::kMinHop, RoutingPolicy::kWidestPath}) {
+    try {
+      const RoutingTable rt(t, policy);
+      ADD_FAILURE() << "a hub with " << RoutingTable::kMaxInLinks + 1 << " spokes was accepted";
+    } catch (const std::length_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'hub'"), std::string::npos) << e.what();
     }
   }
 }

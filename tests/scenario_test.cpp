@@ -142,6 +142,49 @@ TEST(Scenario, RejectsDuplicateNames) {
   EXPECT_FALSE(Scenario::from_ini(ini.value()).ok());
 }
 
+TEST(Scenario, RejectsSelfAndDuplicateLinks) {
+  for (const char* text : {"[node a]\n[node b]\n[link a a]\n[component x]\n",
+                           "[node a]\n[node b]\n[link a b]\n[link b a]\n[component x]\n"}) {
+    const auto ini = util::parse_ini(text);
+    ASSERT_TRUE(ini.ok());
+    const auto s = Scenario::from_ini(ini.value());
+    ASSERT_FALSE(s.ok()) << text;
+    EXPECT_NE(s.error().find("[link "), std::string::npos) << s.error();
+  }
+}
+
+// A star: `spokes` leaves linked to one hub.
+std::string hub_scenario(int spokes) {
+  std::string text = "[node hub]\n";
+  for (int i = 0; i < spokes; ++i) text += "[node s" + std::to_string(i) + "]\n";
+  for (int i = 0; i < spokes; ++i) text += "[link hub s" + std::to_string(i) + "]\n";
+  return text + "[component x]\ncpu = 100\n[run]\nduration_s = 1\n";
+}
+
+TEST(Scenario, HubLinkCountIsBoundedByRouting) {
+  const auto fits = util::parse_ini(hub_scenario(net::RoutingTable::kMaxInLinks));
+  ASSERT_TRUE(fits.ok());
+  const auto s = Scenario::from_ini(fits.value());
+  ASSERT_TRUE(s.ok()) << s.error();
+  EXPECT_EQ(s.value()->network().routing().unreachable_pairs(), 0u);
+
+  const auto over = util::parse_ini(hub_scenario(net::RoutingTable::kMaxInLinks + 1));
+  ASSERT_TRUE(over.ok());
+  const auto rejected = Scenario::from_ini(over.value());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.error().find("node 'hub'"), std::string::npos) << rejected.error();
+}
+
+TEST(Scenario, RejectsCityGridRoutersBeyondRouting) {
+  const auto ini = util::parse_ini(
+      "[topology]\nkind = city_grid\nblocks_x = 2\nblocks_y = 1\n"
+      "nodes_per_block = 260\n");
+  ASSERT_TRUE(ini.ok());
+  const auto topo = build_topology(ini.value());
+  ASSERT_FALSE(topo.ok());
+  EXPECT_NE(topo.error().find("nodes_per_block"), std::string::npos) << topo.error();
+}
+
 // The shipped scenarios, found through the source tree the build was
 // configured from, whatever the working directory.
 const std::filesystem::path kShippedDir =
