@@ -116,8 +116,10 @@ void Network::set_link_capacity(LinkId link, Bps capacity) {
 
 void Network::set_link_capacity_between(NodeId a, NodeId b, Bps capacity) {
   BatchUpdate batch(*this);
-  if (auto ab = topology_.link_between(a, b)) set_link_capacity(*ab, capacity);
-  if (auto ba = topology_.link_between(b, a)) set_link_capacity(*ba, capacity);
+  if (auto ab = topology_.link_between(a, b)) {
+    set_link_capacity(*ab, capacity);
+    set_link_capacity(Topology::reverse(*ab), capacity);
+  }
 }
 
 void Network::set_link_down(LinkId link, bool down) {
@@ -128,8 +130,10 @@ void Network::set_link_down(LinkId link, bool down) {
 
 void Network::set_link_down_between(NodeId a, NodeId b, bool down) {
   BatchUpdate batch(*this);
-  if (auto ab = topology_.link_between(a, b)) set_link_down(*ab, down);
-  if (auto ba = topology_.link_between(b, a)) set_link_down(*ba, down);
+  if (auto ab = topology_.link_between(a, b)) {
+    set_link_down(*ab, down);
+    set_link_down(Topology::reverse(*ab), down);
+  }
 }
 
 Bps Network::link_allocated(LinkId link) const {

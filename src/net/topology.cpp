@@ -1,14 +1,9 @@
 #include "net/topology.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bass::net {
-
-namespace {
-std::int64_t endpoint_key(NodeId a, NodeId b) {
-  return (static_cast<std::int64_t>(a) << 32) | static_cast<std::uint32_t>(b);
-}
-}  // namespace
 
 NodeId Topology::add_node(std::string name) {
   const NodeId id = static_cast<NodeId>(node_names_.size());
@@ -25,18 +20,24 @@ std::pair<LinkId, LinkId> Topology::add_link(NodeId a, NodeId b, Bps capacity_ab
   const LinkId ab = static_cast<LinkId>(links_.size());
   links_.push_back({a, b, capacity_ab});
   out_links_[a].push_back(ab);
-  by_endpoints_[endpoint_key(a, b)] = ab;
-  const LinkId ba = static_cast<LinkId>(links_.size());
+  const LinkId ba = reverse(ab);
   links_.push_back({b, a, capacity_ba});
   out_links_[b].push_back(ba);
-  by_endpoints_[endpoint_key(b, a)] = ba;
   return {ab, ba};
 }
 
+NodeId Topology::find_node(const std::string& name) const {
+  const auto it = std::find(node_names_.begin(), node_names_.end(), name);
+  return it == node_names_.end() ? kInvalidNode
+                                 : static_cast<NodeId>(it - node_names_.begin());
+}
+
 std::optional<LinkId> Topology::link_between(NodeId a, NodeId b) const {
-  const auto it = by_endpoints_.find(endpoint_key(a, b));
-  if (it == by_endpoints_.end()) return std::nullopt;
-  return it->second;
+  if (a < 0 || a >= node_count()) return std::nullopt;
+  for (const LinkId l : out_links_[static_cast<std::size_t>(a)]) {
+    if (links_[static_cast<std::size_t>(l)].dst == b) return l;
+  }
+  return std::nullopt;
 }
 
 }  // namespace bass::net

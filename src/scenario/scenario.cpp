@@ -29,7 +29,7 @@ trace::GeneratorParams parse_trace_gen_params(const util::IniSection& section,
 
 // The application graph plus the conference wiring derived from the ini's
 // [component]/[edge]/[clients]/[workload] sections; pinned= and [clients]
-// names resolve against the scenario's node map.
+// names resolve against the scenario's topology.
 struct AppBuild {
   app::AppGraph graph{"scenario-app"};
   std::vector<std::pair<net::NodeId, int>> conference_groups;
@@ -37,11 +37,7 @@ struct AppBuild {
 };
 
 util::Expected<AppBuild> build_app(const util::IniFile& ini,
-                                   const std::map<std::string, net::NodeId>& nodes) {
-  const auto node_id = [&nodes](const std::string& name) {
-    const auto it = nodes.find(name);
-    return it == nodes.end() ? net::kInvalidNode : it->second;
-  };
+                                   const net::Topology& topology) {
   AppBuild out;
   const auto* wl = ini.first_of_kind("workload");
   out.is_conference = wl != nullptr && wl->get_or("type", "requests") == "conference";
@@ -56,7 +52,7 @@ util::Expected<AppBuild> build_app(const util::IniFile& ini,
       if (section->heading.size() != 2) {
         return util::make_error("[clients] needs a node name");
       }
-      const net::NodeId node = node_id(section->heading[1]);
+      const net::NodeId node = topology.find_node(section->heading[1]);
       if (node == net::kInvalidNode) {
         return util::make_error("[clients " + section->heading[1] + "]: unknown node");
       }
@@ -85,7 +81,7 @@ util::Expected<AppBuild> build_app(const util::IniFile& ini,
     c.concurrency = static_cast<int>(section->number_or("concurrency", 4));
     c.state_mb = static_cast<std::int64_t>(section->number_or("state_mb", 0));
     if (const auto pinned = section->get("pinned")) {
-      const net::NodeId node = node_id(*pinned);
+      const net::NodeId node = topology.find_node(*pinned);
       if (node == net::kInvalidNode) {
         return util::make_error("component '" + name + "' pinned to unknown node '" +
                                 *pinned + "'");
@@ -269,17 +265,16 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
         static_cast<std::int64_t>(gen->number_or("memory_mb", 4096));
     spec.specs.assign(static_cast<std::size_t>(spec.topology.node_count()),
                       node_spec);
-    for (net::NodeId n = 0; n < spec.topology.node_count(); ++n) {
-      spec.nodes_by_name[spec.topology.node_name(n)] = n;
-    }
     return spec;
   }
 
   for (const auto* section : ini.of_kind("node")) {
     if (section->heading.size() != 2) return err("[node] needs exactly one name");
     const std::string& name = section->heading[1];
-    if (spec.nodes_by_name.count(name)) return err("duplicate node '" + name + "'");
-    spec.nodes_by_name[name] = spec.topology.add_node(name);
+    if (spec.topology.find_node(name) != net::kInvalidNode) {
+      return err("duplicate node '" + name + "'");
+    }
+    spec.topology.add_node(name);
     cluster::NodeSpec node_spec;
     node_spec.cpu_milli = static_cast<std::int64_t>(section->number_or("cpu", 4000));
     node_spec.memory_mb =
@@ -287,24 +282,21 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
     node_spec.schedulable = section->flag_or("schedulable", true);
     spec.specs.push_back(node_spec);
   }
-  if (spec.nodes_by_name.empty()) return err("scenario defines no [node] sections");
+  if (spec.topology.node_count() == 0) return err("scenario defines no [node] sections");
 
   for (const auto* section : ini.of_kind("link")) {
     if (section->heading.size() != 3) return err("[link] needs two node names");
-    const auto a = spec.nodes_by_name.find(section->heading[1]);
-    const auto b = spec.nodes_by_name.find(section->heading[2]);
-    if (a == spec.nodes_by_name.end() || b == spec.nodes_by_name.end()) {
-      return err("[link " + section->heading[1] + " " + section->heading[2] +
-                 "]: unknown node");
-    }
+    const net::NodeId a = spec.topology.find_node(section->heading[1]);
+    const net::NodeId b = spec.topology.find_node(section->heading[2]);
     const std::string where =
         "[link " + section->heading[1] + " " + section->heading[2] + "]";
-    if (a->second == b->second) return err(where + ": a node cannot link to itself");
-    if (spec.topology.link_between(a->second, b->second)) {
-      return err(where + ": duplicate link");
+    if (a == net::kInvalidNode || b == net::kInvalidNode) {
+      return err(where + ": unknown node");
     }
+    if (a == b) return err(where + ": a node cannot link to itself");
+    if (spec.topology.link_between(a, b)) return err(where + ": duplicate link");
     // Links come in pairs, so a node's out-links count its in-links too.
-    for (const net::NodeId end : {a->second, b->second}) {
+    for (const net::NodeId end : {a, b}) {
       if (spec.topology.out_links(end).size() >=
           static_cast<std::size_t>(net::RoutingTable::kMaxInLinks)) {
         return err(where + ": node '" + spec.topology.node_name(end) +
@@ -314,20 +306,18 @@ util::Expected<TopologySpec> build_topology(const util::IniFile& ini) {
       }
     }
     const double mbps = section->number_or("capacity_mbps", 10.0);
-    spec.topology.add_link(a->second, b->second, static_cast<net::Bps>(mbps * 1e6));
+    spec.topology.add_link(a, b, static_cast<net::Bps>(mbps * 1e6));
   }
   return spec;
 }
 
 net::NodeId Scenario::node_id(const std::string& name) const {
-  const auto it = nodes_by_name_.find(name);
-  return it == nodes_by_name_.end() ? net::kInvalidNode : it->second;
+  return network_->topology().find_node(name);
 }
 
 std::string Scenario::node_name(net::NodeId id) const {
-  for (const auto& [name, node] : nodes_by_name_) {
-    if (node == id) return name;
-  }
+  const net::Topology& topology = network_->topology();
+  if (id >= 0 && id < topology.node_count()) return topology.node_name(id);
   return "node" + std::to_string(id);
 }
 
@@ -349,7 +339,6 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile
   auto built_topo = build_topology(ini);
   if (!built_topo.ok()) return err(built_topo.error());
   TopologySpec topo_spec = built_topo.take();
-  s->nodes_by_name_ = std::move(topo_spec.nodes_by_name);
   s->network_ = std::make_unique<net::Network>(s->sim_, std::move(topo_spec.topology));
   s->network_->set_recorder(s->recorder_.get());
 
@@ -357,10 +346,12 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile
   // partitions (§3.1). The routing table counts unreachable pairs as it
   // builds, so the O(n^2) sweep runs only to name one.
   if (s->network_->routing().unreachable_pairs() > 0) {
-    for (const auto& [na, a] : s->nodes_by_name_) {
-      for (const auto& [nb, b] : s->nodes_by_name_) {
+    const int n = s->network_->topology().node_count();
+    for (net::NodeId a = 0; a < n; ++a) {
+      for (net::NodeId b = 0; b < n; ++b) {
         if (!s->network_->routing().reachable(a, b)) {
-          return err("mesh is partitioned: '" + na + "' cannot reach '" + nb + "'");
+          return err("mesh is partitioned: '" + s->node_name(a) + "' cannot reach '" +
+                     s->node_name(b) + "'");
         }
       }
     }
@@ -424,7 +415,7 @@ util::Expected<std::unique_ptr<Scenario>> Scenario::from_ini(const util::IniFile
   AppBuild app_build;
   bool is_conference = false;
   if (!serving) {
-    auto built = build_app(ini, s->nodes_by_name_);
+    auto built = build_app(ini, s->network_->topology());
     if (!built.ok()) return err(built.error());
     app_build = built.take();
     is_conference = app_build.is_conference;

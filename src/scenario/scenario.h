@@ -142,7 +142,6 @@ struct RunReport {
 struct TopologySpec {
   net::Topology topology;
   std::vector<cluster::NodeSpec> specs;  // indexed by NodeId
-  std::map<std::string, net::NodeId> nodes_by_name;
 };
 
 // Builds the mesh from [node]/[link] sections or a [topology] generator
@@ -232,7 +231,6 @@ class Scenario {
   std::unique_ptr<workload::VideoConferenceEngine> conference_;
   std::unique_ptr<ServingLoop> serving_;
   core::DeploymentId deployment_ = core::kInvalidDeployment;
-  std::map<std::string, net::NodeId> nodes_by_name_;
   sim::Duration duration_ = sim::minutes(10);
   std::string dot_path_;
   bool ran_ = false;

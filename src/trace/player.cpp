@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
 
 namespace bass::trace {
 
@@ -13,11 +14,17 @@ void TracePlayer::add(net::LinkId link, BandwidthTrace trace) {
 }
 
 void TracePlayer::add_bidirectional(net::NodeId a, net::NodeId b, BandwidthTrace trace) {
-  const auto ab = network_->topology().link_between(a, b);
-  const auto ba = network_->topology().link_between(b, a);
-  assert(ab && ba && "no such link");
+  const net::Topology& topo = network_->topology();
+  const auto ab = topo.link_between(a, b);
+  if (!ab) {
+    const auto name = [&topo](net::NodeId n) {
+      return n >= 0 && n < topo.node_count() ? topo.node_name(n) : std::to_string(n);
+    };
+    throw std::invalid_argument("TracePlayer::add_bidirectional: no link between '" +
+                                name(a) + "' and '" + name(b) + "'");
+  }
   add(*ab, trace);
-  add(*ba, std::move(trace));
+  add(net::Topology::reverse(*ab), std::move(trace));
 }
 
 sim::Time TracePlayer::max_duration() const {

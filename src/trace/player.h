@@ -19,7 +19,8 @@ class TracePlayer {
   void add(net::LinkId link, BandwidthTrace trace);
   // Binds the same trace to both directions of the (a, b) link, matching the
   // paper's "links are bidirectional with similar bandwidth in both
-  // directions" (Fig. 15a).
+  // directions" (Fig. 15a). Throws std::invalid_argument, naming both nodes,
+  // when a and b share no link.
   void add_bidirectional(net::NodeId a, net::NodeId b, BandwidthTrace trace);
 
   // Schedules all capacity updates. If `loop` is true the traces repeat

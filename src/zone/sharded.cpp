@@ -177,13 +177,9 @@ void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
     const net::NodeId lb = w.global_to_local[static_cast<std::size_t>(link.dst)];
     if (la == net::kInvalidNode || lb == net::kInvalidNode) continue;
     if (la >= w.interior_count && lb >= w.interior_count) continue;
-    const auto rev = topo.link_between(link.dst, link.src);
-    const net::Bps cap_ba = rev ? topo.link(*rev).capacity : link.capacity;
-    const auto [ab, ba] = local.add_link(la, lb, link.capacity, cap_ba);
-    w.link_to_global.resize(static_cast<std::size_t>(local.link_count()),
-                            net::kInvalidLink);
-    w.link_to_global[static_cast<std::size_t>(ab)] = gl;
-    if (rev) w.link_to_global[static_cast<std::size_t>(ba)] = *rev;
+    const net::LinkId rev = net::Topology::reverse(gl);
+    const auto [ab, ba] = local.add_link(la, lb, link.capacity, topo.link(rev).capacity);
+    w.link_to_global.insert(w.link_to_global.end(), {gl, rev});  // at ab, ba
     auto claim = [&](net::LinkId global, net::LinkId local_id) {
       for (LinkOwner& owner : link_owners_[static_cast<std::size_t>(global)]) {
         if (owner.zone == -1) {
@@ -193,7 +189,7 @@ void ShardedOrchestrator::build_world(World& w, const ShardedBuild& build) {
       }
     };
     claim(gl, ab);
-    if (rev) claim(*rev, ba);
+    claim(rev, ba);
   }
 
   for (std::size_t i = 0; i < w.local_to_global.size(); ++i) {
@@ -279,10 +275,7 @@ void ShardedOrchestrator::setup_transit(const ShardedBuild& build) {
         if (src == dst) return true;
         if (!routing.reachable(src, dst)) return false;
         routing.copy_path(src, dst, out);
-        for (net::LinkId& l : out) {
-          l = w.link_to_global[static_cast<std::size_t>(l)];
-          if (l == net::kInvalidLink) return false;
-        }
+        for (net::LinkId& l : out) l = w.link_to_global[static_cast<std::size_t>(l)];
         return true;
       };
       if (!map_path(a, f.a_src, f.a_dst, f.a_path) ||
@@ -450,8 +443,7 @@ void ShardedOrchestrator::start() {
       obs::ScopedGlobalRecorder guard(&b.recorder);
       f.b_stream = b.network->open_stream(f.b_src, f.b_dst, f.demand);
     }
-    f.imposed_a = f.demand;
-    f.imposed_b = f.demand;
+    f.imposed = f.demand;
   }
   close_batches();  // settle each zone once
 
@@ -594,24 +586,16 @@ int ShardedOrchestrator::reconcile() {
       TransitFlow& f = transit_[entity_flow_[e]];
       const net::Bps target = std::clamp<net::Bps>(
           static_cast<net::Bps>(std::llround(rates[e])), 0, f.demand);
-      if (std::llabs(target - f.imposed_a) > kRateEpsBps) {
-        open_batch(f.zone_a);
-        obs::ScopedGlobalRecorder guard(
-            &worlds_[static_cast<std::size_t>(f.zone_a)]->recorder);
-        worlds_[static_cast<std::size_t>(f.zone_a)]->network->set_stream_demand(
-            f.a_stream, target);
-        f.imposed_a = target;
-        changed = true;
+      if (std::llabs(target - f.imposed) <= kRateEpsBps) continue;
+      for (const auto& [zone, stream] :
+           {std::pair{f.zone_a, f.a_stream}, std::pair{f.zone_b, f.b_stream}}) {
+        open_batch(zone);
+        World& w = *worlds_[static_cast<std::size_t>(zone)];
+        obs::ScopedGlobalRecorder guard(&w.recorder);
+        w.network->set_stream_demand(stream, target);
       }
-      if (std::llabs(target - f.imposed_b) > kRateEpsBps) {
-        open_batch(f.zone_b);
-        obs::ScopedGlobalRecorder guard(
-            &worlds_[static_cast<std::size_t>(f.zone_b)]->recorder);
-        worlds_[static_cast<std::size_t>(f.zone_b)]->network->set_stream_demand(
-            f.b_stream, target);
-        f.imposed_b = target;
-        changed = true;
-      }
+      f.imposed = target;
+      changed = true;
     }
     close_batches();  // settle all touched zones
     if (!changed) break;

@@ -215,8 +215,7 @@ class ShardedOrchestrator {
     std::vector<net::LinkId> b_path;      // global link ids of the B half
     std::vector<net::LinkId> union_links; // dedup union of both halves
     net::Bps demand = 0;
-    net::Bps imposed_a = -1;
-    net::Bps imposed_b = -1;
+    net::Bps imposed = -1;  // demand cap on both halves (A set first, then B)
   };
 
   struct World {

@@ -5,12 +5,14 @@
 // build allocates the two n² arrays plus O(n + m) arcs and scratch, and
 // the per-decision consumers (the placement ledger, the network's capacity
 // queries, the monitor's cached bottleneck) walk the trees without
-// allocating once their own buffers are warm.
+// allocating once their own buffers are warm. The topology under the table
+// is the mesh's only index, so building it allocates per node, not per link.
 #include "alloc_probe.h"  // must be the only TU in this binary including it
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,31 @@ Topology ring_mesh(int n, util::Rng& rng) {
     if (a != b && !t.link_between(a, b)) t.add_link(a, b, cap(), cap());
   }
   return t;
+}
+
+// Buffers a vector grown one push_back at a time from empty allocates on
+// its way to `size` elements: capacities 1, 2, 4, ... up to the first power
+// of two at or above it.
+std::int64_t growth_steps(std::size_t size) {
+  return size == 0 ? 0 : std::bit_width(size - 1) + 1;
+}
+
+TEST(RoutingAlloc, TopologyBuildAllocatesPerNodeNotPerLink) {
+  util::Rng rng(0x70B0);
+  for (const int n : {64, 300}) {
+    const auto snap = testing::take_alloc_snapshot();
+    const Topology t = ring_mesh(n, rng);  // short names: no string buffers
+    const std::int64_t allocations = testing::allocations_since(snap);
+    // Each node's out-link vector doubles up to its degree; the names, the
+    // adjacency lists and the links double once each up to their sizes.
+    // An index with one entry per directed link would add link_count()
+    // more on top.
+    std::int64_t bound = 2 * growth_steps(static_cast<std::size_t>(n)) +
+                         growth_steps(static_cast<std::size_t>(t.link_count()));
+    for (NodeId v = 0; v < n; ++v) bound += growth_steps(t.out_links(v).size());
+    EXPECT_LE(allocations, bound) << "n=" << n << ", links=" << t.link_count();
+    EXPECT_GT(t.link_count(), 2 * n);
+  }
 }
 
 TEST(RoutingAlloc, BuildAllocatesTreesPlusLinearScratch) {

@@ -142,6 +142,16 @@ TEST(Scenario, RejectsDuplicateNames) {
   EXPECT_FALSE(Scenario::from_ini(ini.value()).ok());
 }
 
+TEST(Scenario, RejectsDuplicateNodeName) {
+  std::string text = kMinimal;
+  text.insert(text.find("[link a b]"), "[node a]\ncpu = 2000\n");
+  const auto ini = util::parse_ini(text);
+  ASSERT_TRUE(ini.ok());
+  const auto s = Scenario::from_ini(ini.value());
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error().find("duplicate node 'a'"), std::string::npos) << s.error();
+}
+
 TEST(Scenario, RejectsSelfAndDuplicateLinks) {
   for (const char* text : {"[node a]\n[node b]\n[link a a]\n[component x]\n",
                            "[node a]\n[node b]\n[link a b]\n[link b a]\n[component x]\n"}) {
@@ -200,6 +210,22 @@ TEST(Scenario, ShippedScenarioLoads) {
   ASSERT_TRUE(s.ok()) << s.error();
   EXPECT_EQ(s.value()->app().component_count(), 3);
   EXPECT_EQ(s.value()->app().find("db") != app::kInvalidComponent, true);
+}
+
+TEST(Scenario, NodeNamesAndIdsComeFromTheTopology) {
+  auto s = load_shipped("rooftop_conference.ini");
+  ASSERT_TRUE(s.ok()) << s.error();
+  const Scenario& scene = *s.value();
+  const net::Topology& topology = s.value()->network().topology();
+  ASSERT_GT(topology.node_count(), 0);
+  for (net::NodeId id = 0; id < topology.node_count(); ++id) {
+    EXPECT_EQ(scene.node_name(id), topology.node_name(id));
+    EXPECT_EQ(scene.node_id(topology.node_name(id)), id);
+  }
+  const int n = topology.node_count();
+  EXPECT_EQ(scene.node_name(n), "node" + std::to_string(n));
+  EXPECT_EQ(scene.node_name(-1), "node-1");
+  EXPECT_EQ(scene.node_id("no-such-node"), net::kInvalidNode);
 }
 
 TEST(Scenario, ShippedScenariosKeepTheirWholeJournal) {

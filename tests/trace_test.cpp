@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "net/network.h"
 #include "sched/network_view.h"
@@ -140,6 +142,31 @@ TEST(Player, DrivesLinkCapacities) {
   EXPECT_EQ(view.path_capacity(b, a), net::mbps(4));
   sim.run_until(sim::seconds(11));
   EXPECT_EQ(view.path_capacity(a, b), net::mbps(2));
+}
+
+TEST(Player, BidirectionalOnUnlinkedNodesThrowsNamingBoth) {
+  sim::Simulation sim;
+  net::Topology topo;
+  const auto a = topo.add_node("roof"), b = topo.add_node("mast"),
+             c = topo.add_node("cellar");
+  topo.add_link(a, b, net::mbps(10));
+  net::Network network(sim, std::move(topo));
+  TracePlayer player(network);
+  BandwidthTrace t;
+  t.append(0, net::mbps(4));
+  try {
+    player.add_bidirectional(a, c, t);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'roof'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'cellar'"), std::string::npos) << what;
+  }
+  EXPECT_THROW(player.add_bidirectional(a, 7, t), std::invalid_argument);
+  // Nothing was bound: starting plays no trace.
+  player.start();
+  EXPECT_EQ(network.link_capacity(*network.topology().link_between(a, b)),
+            net::mbps(10));
 }
 
 TEST(Player, LoopsWhenRequested) {
